@@ -157,6 +157,8 @@ def save_fit(path: str, result: FitResult, data_options: dict) -> None:
                 "loglik": r.loglik,
                 "iterations": r.iterations,
                 "converged": r.converged,
+                "floor_active": list(r.floor_active),
+                "frozen": [list(f) for f in r.frozen],
                 "params": _params_to_dict(r.params),
             }
             for r in result.trace
@@ -179,8 +181,8 @@ def load_fit(path: str) -> tuple[FitResult, dict]:
                 params=_params_from_dict(r["params"]),
                 iterations=int(r["iterations"]),
                 converged=bool(r["converged"]),
-                floor_active=(False, False),
-                frozen=(),
+                floor_active=tuple(r["floor_active"]),
+                frozen=tuple(tuple(f) for f in r["frozen"]),
             )
             for r in payload["trace"]
         )
@@ -344,8 +346,12 @@ def cmd_fit(args) -> int:
         "files": {k: os.path.abspath(v) for k, v in paths.items()},
     }
     _write_json(paths["summary"], summary)
-    print(f"fit converged: loglik={result.loglik!r}, mapping={result.mapping_id}, "
+    status = "converged" if result.converged else "did not converge"
+    print(f"fit {status}: loglik={result.loglik!r}, mapping={result.mapping_id}, "
           f"outputs in {out_dir}")
+    if not result.converged:
+        print(f"warning: the best start (mapping {result.mapping_id}) stopped at "
+              f"--max-iter {args.max_iter} without converging", file=sys.stderr)
     if se_note:
         print(f"standard errors unavailable: {se_note}", file=sys.stderr)
     return EXIT_OK

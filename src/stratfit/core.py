@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -173,6 +174,26 @@ def param_names(params: ModelParams, packed: bool = False) -> list[str]:
     return names
 
 
+def cell_order(k_levels: int) -> list[tuple[int, int]]:
+    """Canonical cell order: treated arm by z ascending, then control."""
+    return [(1, z) for z in range(k_levels)] + [(0, z) for z in range(k_levels)]
+
+
+@dataclass(frozen=True, eq=False)
+class Cell:
+    """The cases of one observed (arm, z) cell and the strata they mix over."""
+
+    t: int
+    z: int
+    rows: np.ndarray    # dataset row indices, ascending
+    strata: np.ndarray  # compatible strata, free coordinate ascending
+    y: np.ndarray
+    y2: np.ndarray
+    w: np.ndarray
+    zero: np.ndarray  # local indices with y == 0
+    pos: np.ndarray   # local indices with y > 0
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Observed cases: outcome, arm, observed institutionalization level,
@@ -220,15 +241,27 @@ class Dataset:
     def n_clusters(self) -> int:
         return len(np.unique(self.cluster))
 
+    @cached_property
+    def cells(self) -> tuple[Cell, ...]:
+        """Partition of the rows into the observed (arm, z) cells, in
+        :func:`cell_order`; built on first use."""
+        grid = StrataGrid(self.k_levels)
+        out = []
+        for t, z in cell_order(self.k_levels):
+            rows = np.flatnonzero((self.t == t) & (self.z == z))
+            y = self.y[rows]
+            out.append(
+                Cell(
+                    t=t, z=z, rows=rows, strata=grid.compatible(t, z),
+                    y=y, y2=y * y, w=self.w[rows],
+                    zero=np.flatnonzero(y == 0.0), pos=np.flatnonzero(y > 0.0),
+                )
+            )
+        return tuple(out)
+
     def empty_cells(self) -> list[tuple[int, int]]:
         """(t, z) cells with no positive-weight case."""
-        out = []
-        for t in (0, 1):
-            for z in range(self.k_levels):
-                mask = (self.t == t) & (self.z == z) & (self.w > 0.0)
-                if not mask.any():
-                    out.append((t, z))
-        return out
+        return sorted((c.t, c.z) for c in self.cells if not np.any(c.w > 0.0))
 
     @classmethod
     def from_arrays(cls, y, t, z, w=None, cluster=None, k_levels=None,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import Dataset
 from .densities import Family, tobit_mean
-from .em import FitResult, cell_order, e_step
+from .em import FitResult, e_step
 
 HIST_BINS = 20
 
@@ -48,14 +48,13 @@ def posterior_histogram(fit: FitResult, dataset: Dataset) -> list[CellHistogram]
     grid = fit.params.grid
     edges = np.linspace(0.0, 1.0, HIST_BINS + 1)
     out = []
-    for t, z in cell_order(grid.k_levels):
-        rows = np.flatnonzero((dataset.t == t) & (dataset.z == z))
-        target = int(grid.compatible(t, z).min())
-        probs = posterior[rows, target]
-        counts, _ = np.histogram(probs, bins=edges)
+    for cell in dataset.cells:
+        target = int(cell.strata.min())
+        counts, _ = np.histogram(posterior[cell.rows, target], bins=edges)
         out.append(
             CellHistogram(
-                t=t, z=z, stratum=grid.strata[target], edges=edges, counts=counts
+                t=cell.t, z=cell.z, stratum=grid.strata[target], edges=edges,
+                counts=counts,
             )
         )
     return out
@@ -108,15 +107,16 @@ def marginal_fit_table(fit: FitResult, dataset: Dataset) -> MarginalFitTable:
         if float(dataset.w[arm].sum()) <= 0.0:
             excluded.append(t)
             continue
-        for z in range(k):
-            sel = arm & (dataset.z == z)
-            wsum = float(dataset.w[sel].sum())
-            observed = float(dataset.w[sel] @ dataset.y[sel] / wsum) if wsum > 0 else float("nan")
+        for cell in dataset.cells:
+            if cell.t != t:
+                continue
+            wsum = float(cell.w.sum())
+            observed = float(cell.w @ cell.y / wsum) if wsum > 0 else float("nan")
             rows.append(
                 MarginalFitRow(
                     arm=t,
-                    quantity=f"mean_z{z}",
-                    predicted=_cell_predicted_mean(params, t, z),
+                    quantity=f"mean_z{cell.z}",
+                    predicted=_cell_predicted_mean(params, t, cell.z),
                     observed=observed,
                 )
             )

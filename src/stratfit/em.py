@@ -8,21 +8,33 @@ exhaustive enumeration of the component-to-stratum assignments those warm
 starts admit (16 in the four-strata model), and a full EM run from every
 assignment, keeping the solution with the highest weighted log-likelihood.
 
+Every mixture evaluation (the log-likelihood, the per-case terms, the
+E-step, the EM loop and start ranking) runs through one kernel over the
+dataset's cell partition, :attr:`Dataset.cells`.
+
 Fitting is deterministic: warm starts initialize from weighted quantile
-splits and no stage consumes random numbers.
+splits and no stage consumes random numbers. Starts run one after another
+in the calling thread; the per-iteration work is numpy on small arrays, which
+a thread pool did not speed up.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, MeanStructure, ModelParams, StrataGrid, linear_design
+from .core import (
+    Cell,
+    Dataset,
+    MeanStructure,
+    ModelParams,
+    StrataGrid,
+    cell_order,
+    linear_design,
+)
 from .densities import Family, component_logpdf, norm_logcdf, norm_logpdf
 from .errors import (
     ConvergenceError,
@@ -35,52 +47,6 @@ from .errors import (
 LOGLIK_TIE_TOL = 1e-8
 FROZEN_WEIGHT_TOL = 1e-8
 _LOG_2PI = math.log(2.0 * math.pi)
-
-
-# --------------------------------------------------------------------------
-# cell index
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class _Cell:
-    t: int
-    z: int
-    rows: np.ndarray
-    strata: np.ndarray
-    y: np.ndarray
-    y2: np.ndarray
-    w: np.ndarray
-    zero: np.ndarray  # local indices with y == 0
-    pos: np.ndarray   # local indices with y > 0
-
-
-def cell_order(k_levels: int) -> list[tuple[int, int]]:
-    """Canonical cell order: treated arm by z ascending, then control."""
-    return [(1, z) for z in range(k_levels)] + [(0, z) for z in range(k_levels)]
-
-
-def _cells(dataset: Dataset, grid: StrataGrid) -> tuple[_Cell, ...]:
-    cache = getattr(dataset, "_stratfit_cells", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(dataset, "_stratfit_cells", cache)
-    got = cache.get(grid.k_levels)
-    if got is not None:
-        return got
-    out = []
-    for t, z in cell_order(grid.k_levels):
-        rows = np.flatnonzero((dataset.t == t) & (dataset.z == z))
-        y = dataset.y[rows]
-        out.append(
-            _Cell(
-                t=t, z=z, rows=rows, strata=grid.compatible(t, z),
-                y=y, y2=y * y, w=dataset.w[rows],
-                zero=np.flatnonzero(y == 0.0), pos=np.flatnonzero(y > 0.0),
-            )
-        )
-    got = tuple(out)
-    cache[grid.k_levels] = got
-    return got
 
 
 def _check_inputs(params: ModelParams, dataset: Dataset) -> None:
@@ -102,7 +68,7 @@ def _log_probs(probs: np.ndarray) -> np.ndarray:
         return np.log(probs)
 
 
-def _cell_logdens(cell: _Cell, table, scales, family: Family) -> np.ndarray:
+def _cell_logdens(cell: Cell, table, scales, family: Family) -> np.ndarray:
     locs = table[cell.strata, cell.t]
     scale = scales[cell.t]
     z = (cell.y[:, None] - locs) / scale
@@ -112,42 +78,43 @@ def _cell_logdens(cell: _Cell, table, scales, family: Family) -> np.ndarray:
     return ld
 
 
-def _lse_rows(lm: np.ndarray) -> np.ndarray:
-    """Row-wise log-sum-exp; all-(-inf) rows come out -inf, not nan."""
-    if lm.shape[1] == 2:
-        return np.logaddexp(lm[:, 0], lm[:, 1])
-    m = lm.max(axis=1)
-    ok = np.isfinite(m)
-    if ok.all():
-        return m + np.log(np.exp(lm - m[:, None]).sum(axis=1))
-    out = np.full(lm.shape[0], -np.inf)
-    if ok.any():
-        sub = lm[ok]
-        out[ok] = m[ok] + np.log(np.exp(sub - m[ok, None]).sum(axis=1))
+def _mix(cell: Cell, logdens: np.ndarray, logprior: np.ndarray, want_post: bool = False):
+    """The mixture kernel: one cell's per-case log mixture terms (a row-wise
+    log-sum-exp) and, when asked, posteriors over its columns.
+
+    ``logdens`` holds one row per case of the cell and one column per
+    compatible stratum; ``logprior`` holds the columns' log-probabilities.
+    A case whose every column is impossible raises with its dataset row.
+    """
+    lm = logdens + logprior
+    pair = lm.shape[1] == 2
+    top = np.logaddexp(lm[:, 0], lm[:, 1]) if pair else lm.max(axis=1)
+    # the log-sum-exp of a row is finite exactly when its maximum is
+    ok = np.isfinite(top)
+    if not ok.all():
+        raise DegenerateMixtureError(int(cell.rows[np.flatnonzero(~ok)[0]]))
+    lse = top if pair else top + np.log(np.exp(lm - top[:, None]).sum(axis=1))
+    return lse, (np.exp(lm - lse[:, None]) if want_post else None)
+
+
+def _mixture(params: ModelParams, dataset: Dataset, want_post: bool):
+    """(cell, log mixture terms, posterior or None) for each non-empty cell."""
+    table = params.location_table()
+    logp = _log_probs(params.probs)
+    out = []
+    for cell in dataset.cells:
+        if cell.y.size:
+            ld = _cell_logdens(cell, table, params.scales, params.family)
+            out.append((cell, *_mix(cell, ld, logp[cell.strata], want_post)))
     return out
 
 
-def _cell_mix(params: ModelParams, dataset: Dataset, want_post: bool):
-    """Weighted log-likelihood plus, optionally, per-cell posteriors."""
-    cells = _cells(dataset, params.grid)
-    table = params.location_table()
-    logp = _log_probs(params.probs)
+def _total(terms) -> float:
+    """Weighted sum of the log mixture terms, accumulated cell by cell."""
     total = 0.0
-    posts = []
-    for cell in cells:
-        if cell.y.size == 0:
-            posts.append(None)
-            continue
-        lm = _cell_logdens(cell, table, params.scales, params.family)
-        lm += logp[cell.strata]
-        lse = _lse_rows(lm)
-        if not np.all(np.isfinite(lse)):
-            bad = np.flatnonzero(~np.isfinite(lse))[0]
-            raise DegenerateMixtureError(int(cell.rows[bad]))
+    for cell, lse, _ in terms:
         total += float(cell.w @ lse)
-        if want_post:
-            posts.append(np.exp(lm - lse[:, None]))
-    return total, posts
+    return total
 
 
 def log_likelihood(params: ModelParams, dataset: Dataset) -> float:
@@ -158,26 +125,14 @@ def log_likelihood(params: ModelParams, dataset: Dataset) -> float:
     unobserved control-side level, a control case over the treated side.
     """
     _check_inputs(params, dataset)
-    total, _ = _cell_mix(params, dataset, want_post=False)
-    return total
+    return _total(_mixture(params, dataset, want_post=False))
 
 
 def case_loglik(params: ModelParams, dataset: Dataset) -> np.ndarray:
     """Per-case unweighted log mixture terms, aligned with the dataset rows."""
     _check_inputs(params, dataset)
-    cells = _cells(dataset, params.grid)
-    table = params.location_table()
-    logp = _log_probs(params.probs)
     out = np.zeros(dataset.n)
-    for cell in cells:
-        if cell.y.size == 0:
-            continue
-        lm = _cell_logdens(cell, table, params.scales, params.family)
-        lm += logp[cell.strata]
-        lse = _lse_rows(lm)
-        if not np.all(np.isfinite(lse)):
-            bad = np.flatnonzero(~np.isfinite(lse))[0]
-            raise DegenerateMixtureError(int(cell.rows[bad]))
+    for cell, lse, _ in _mixture(params, dataset, want_post=False):
         out[cell.rows] = lse
     return out
 
@@ -190,11 +145,9 @@ def e_step(params: ModelParams, dataset: Dataset) -> np.ndarray:
     in log space with max subtraction.
     """
     _check_inputs(params, dataset)
-    _, posts = _cell_mix(params, dataset, want_post=True)
     out = np.zeros((dataset.n, params.grid.n_strata))
-    for cell, post in zip(_cells(dataset, params.grid), posts):
-        if post is not None:
-            out[np.ix_(cell.rows, cell.strata)] = post
+    for cell, _, post in _mixture(params, dataset, want_post=True):
+        out[np.ix_(cell.rows, cell.strata)] = post
     return out
 
 
@@ -214,7 +167,8 @@ class _Stats:
     s2p: np.ndarray | None = None
 
 
-def _accumulate(cells, posts, family: Family, n_strata: int) -> _Stats:
+def _accumulate(pairs, family: Family, n_strata: int) -> _Stats:
+    """Sufficient statistics from (cell, posterior) pairs of non-empty cells."""
     m = np.zeros((2, n_strata))
     b = np.zeros((2, n_strata))
     s2 = np.zeros((2, n_strata))
@@ -222,9 +176,7 @@ def _accumulate(cells, posts, family: Family, n_strata: int) -> _Stats:
     mpos = np.zeros((2, n_strata)) if tobit else None
     s1p = np.zeros((2, n_strata)) if tobit else None
     s2p = np.zeros((2, n_strata)) if tobit else None
-    for cell, post in zip(cells, posts):
-        if post is None:
-            continue
+    for cell, post in pairs:
         wp = cell.w[:, None] * post
         m[cell.t, cell.strata] += wp.sum(axis=0)
         if tobit:
@@ -332,18 +284,17 @@ def m_step(
     whose arm-level posterior weight falls below 1e-8 keeps its previous
     location, which requires ``prev``.
     """
-    n, n_strata = posterior.shape
-    if n != dataset.n:
-        raise ValueError("posterior row count does not match the dataset")
-    grid = StrataGrid(int(round(math.sqrt(n_strata))))
-    if grid.n_strata != n_strata:
-        raise ValueError("posterior column count is not a squared level count")
-    cells = _cells(dataset, grid)
-    posts = [
-        posterior[np.ix_(cell.rows, cell.strata)] if cell.rows.size else None
-        for cell in cells
+    grid = StrataGrid(dataset.k_levels)
+    if posterior.shape != (dataset.n, grid.n_strata):
+        raise ValueError(
+            f"posterior shape {posterior.shape} does not match the dataset's "
+            f"{dataset.n} cases over {grid.n_strata} strata"
+        )
+    pairs = [
+        (cell, posterior[np.ix_(cell.rows, cell.strata)])
+        for cell in dataset.cells if cell.y.size
     ]
-    stats = _accumulate(cells, posts, family, n_strata)
+    stats = _accumulate(pairs, family, grid.n_strata)
     params, _, _ = _m_step_core(stats, grid, family, mean_structure, prev, scale_floor)
     return params
 
@@ -526,26 +477,22 @@ def _cell_mixture_em(y: np.ndarray, w: np.ndarray, k: int, max_iter: int = 300):
     return means, sds, props, bool(degenerate)
 
 
-def warm_start_cells(
-    dataset: Dataset, family: Family, grid: StrataGrid | None = None
-) -> dict[tuple[int, int], CellStart]:
+def warm_start_cells(dataset: Dataset, family: Family) -> dict[tuple[int, int], CellStart]:
     """Preliminary per-cell mixtures seeding the starting-value enumeration.
 
     Every (arm, z) cell gets an unstructured k-component normal mixture; under
     the tobit family the mixture is fit on the positive outcomes only (the
     censored share is absorbed once the full EM runs).
     """
-    grid = grid or StrataGrid(dataset.k_levels)
-    k = grid.k_levels
+    k = dataset.k_levels
     out = {}
-    for t, z in cell_order(k):
-        sel = (dataset.t == t) & (dataset.z == z) & (dataset.w > 0.0)
-        weight = float(dataset.w[sel].sum())
-        y = dataset.y[sel]
-        w = dataset.w[sel]
+    for cell in dataset.cells:
+        t, z = cell.t, cell.z
+        live = cell.w > 0.0
+        weight = float(cell.w[live].sum())
         if family is Family.TOBIT:
-            pos = y > 0.0
-            y, w = y[pos], w[pos]
+            live &= cell.y > 0.0
+        y, w = cell.y[live], cell.w[live]
         if len(y) < k:
             raise WarmStartError(
                 f"cell too small for warm start: t={t}, z={z} has {len(y)} usable "
@@ -682,7 +629,7 @@ def _initial_logliks(dataset, warm, grid, family, mean_structure, scales):
     linear structure the projection shifts the columns, so that path falls
     back to materializing each mapping.
     """
-    cells = _cells(dataset, grid)
+    cells = dataset.cells
     linear = mean_structure is MeanStructure.LINEAR
     cols = []
     if not linear:
@@ -697,15 +644,12 @@ def _initial_logliks(dataset, warm, grid, family, mean_structure, scales):
             sm = _materialize(i, combo, warm, grid, family, mean_structure, scales)
             lls[i] = log_likelihood(sm.params, dataset)
             continue
-        probs = _initial_probs(warm, combo, grid)
-        logp = _log_probs(probs)
+        logp = _log_probs(_initial_probs(warm, combo, grid))
         total = 0.0
         for cell, ld, perm in zip(cells, cols, combo):
-            if ld.shape[0] == 0:
-                continue
-            lm = ld + logp[cell.strata[np.array(perm)]]
-            m = lm.max(axis=1)
-            total += float(cell.w @ (m + np.log(np.exp(lm - m[:, None]).sum(axis=1))))
+            if cell.y.size:
+                lse, _ = _mix(cell, ld, logp[cell.strata[np.array(perm)]])
+                total += float(cell.w @ lse)
         lls[i] = total
     return lls
 
@@ -761,12 +705,17 @@ def select_starts(
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Convergence and start-selection knobs for :func:`fit`."""
+    """Convergence and start-selection knobs for :func:`fit`.
+
+    ``tol`` is the relative log-likelihood change at which a start stops,
+    ``max_iter`` caps the EM iterations of each start, ``starts`` is
+    ``"all"`` or a ``(kind, n)`` selection (see :func:`parse_starts`), and
+    ``keep_history`` records every iteration's log-likelihood in the trace.
+    """
 
     tol: float = 1e-9
     max_iter: int = 2000
     starts: str | tuple[str, int] = "all"
-    threads: int | None = None
     keep_history: bool = False
 
 
@@ -817,7 +766,6 @@ class FitResult:
 
 def _run_em(dataset, start: StartingMapping, family, mean_structure, tol,
             max_iter, scale_floor, keep_history) -> StartRecord:
-    cells = _cells(dataset, StrataGrid(dataset.k_levels))
     n_strata = dataset.k_levels**2
     params = start.params
     ll_prev = None
@@ -828,19 +776,20 @@ def _run_em(dataset, start: StartingMapping, family, mean_structure, tol,
     iterations = 0
     for it in range(1, max_iter + 1):
         iterations = it
-        ll, posts = _cell_mix(params, dataset, want_post=True)
+        terms = _mixture(params, dataset, want_post=True)
+        ll = _total(terms)
         if keep_history:
             history.append(ll)
         if ll_prev is not None and abs(ll - ll_prev) <= tol * max(1.0, abs(ll)):
             converged = True
             break
-        stats = _accumulate(cells, posts, family, n_strata)
+        stats = _accumulate([(c, post) for c, _, post in terms], family, n_strata)
         params, frozen, floor = _m_step_core(
             stats, params.grid, family, mean_structure, params, scale_floor
         )
         ll_prev = ll
     else:
-        ll, _ = _cell_mix(params, dataset, want_post=False)
+        ll = _total(_mixture(params, dataset, want_post=False))
         if keep_history:
             history.append(ll)
     return StartRecord(
@@ -853,13 +802,6 @@ def _run_em(dataset, start: StartingMapping, family, mean_structure, tol,
         frozen=frozen,
         history=tuple(history),
     )
-
-
-def _thread_count(config: FitConfig) -> int:
-    if config.threads is not None:
-        return max(1, config.threads)
-    env = os.environ.get("STRATFIT_THREADS", "").strip()
-    return max(1, int(env)) if env.isdigit() and env else 1
 
 
 def fit(
@@ -890,27 +832,18 @@ def fit(
         1e-3 * _weighted_sd(dataset.y[dataset.t == t], dataset.w[dataset.t == t])
         for t in (0, 1)
     )
-    warm = warm_start_cells(dataset, family, grid)
+    warm = warm_start_cells(dataset, family)
     if config.starts == "all":
         starts = list(enumerate_mappings(warm, grid, family, mean_structure, scale_floor))
     else:
         starts = select_starts(
             dataset, warm, grid, family, mean_structure, config.starts, scale_floor
         )
-
-    def run_one(s):
-        return _run_em(
-            dataset, s, family, mean_structure, config.tol, config.max_iter,
-            scale_floor, config.keep_history,
-        )
-
-    threads = _thread_count(config)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(run_one, starts))
-    else:
-        records = [run_one(s) for s in starts]
-
+    records = [
+        _run_em(dataset, s, family, mean_structure, config.tol, config.max_iter,
+                scale_floor, config.keep_history)
+        for s in starts
+    ]
     if not any(r.converged for r in records):
         raise ConvergenceError(
             f"no starting mapping converged within {config.max_iter} iterations",

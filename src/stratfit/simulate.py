@@ -5,13 +5,12 @@ size, within-cell mean dispersion, strata-probability scenarios and
 disturbance shapes, refits with the full starting-mapping machinery, and
 scores whether the fitted components landed on the right strata. Scoring is
 permutation-aware: a fit that is correct only up to a within-cell relabeling
-counts as swapped.
+counts as swapped. Replicates run one after another in the calling thread,
+each from its own spawned seed, so a study is deterministic given its config.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -260,20 +259,9 @@ def run_replicate(config: SimConfig, index: int) -> ReplicateResult:
     )
 
 
-def _threads() -> int:
-    env = os.environ.get("STRATFIT_THREADS", "").strip()
-    return max(1, int(env)) if env.isdigit() and env else 1
-
-
 def run_study(config: SimConfig) -> RecoveryReport:
     """All replicates of one config; deterministic given the config seed."""
-    indices = range(config.replicates)
-    threads = _threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            recs = list(pool.map(lambda i: run_replicate(config, i), indices))
-    else:
-        recs = [run_replicate(config, i) for i in indices]
+    recs = [run_replicate(config, i) for i in range(config.replicates)]
     return RecoveryReport(config=config, truth=true_model(config), replicates=tuple(recs))
 
 

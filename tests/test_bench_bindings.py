@@ -1,0 +1,42 @@
+"""Every library name the benchmark reaches by attribute still exists.
+
+The traced benchmark run replaces module attributes by name, so renaming or
+removing one of them breaks the benchmark without breaking any other test.
+"""
+
+import dataclasses
+import importlib
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+from stratfit import em
+from stratfit.core import Dataset
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    sys.path.insert(0, str(BENCH_DIR))
+    try:
+        return importlib.import_module("measure"), importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(BENCH_DIR))
+
+
+def test_patched_attributes_exist(bench):
+    measure, workloads = bench
+    bindings = [b for _, group in measure.SPANNED for b in group]
+    bindings += list(measure.NEW_TRACE[1]) + list(workloads.FIT_BINDINGS)
+    bindings += [(em, "norm_logcdf"), (Dataset, "from_arrays")]
+    missing = [(getattr(o, "__name__", o), a) for o, a in bindings if a not in o.__dict__]
+    assert not missing
+
+
+def test_fit_signature_and_config():
+    params = inspect.signature(em.fit).parameters
+    assert {"dataset", "family", "mean_structure", "config"} <= set(params)
+    assert "max_iter" in {f.name for f in dataclasses.fields(em.FitConfig)}

@@ -1,12 +1,15 @@
 import csv
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from stratfit.cli import main, read_dataset, read_sim_config
+from stratfit import cli
+from stratfit.cli import load_fit, main, read_dataset, read_sim_config, save_fit
 from stratfit.densities import Family
+from stratfit.em import FitConfig, fit
 from stratfit.errors import DataError
 
 from test_estimation import simulate_four_strata
@@ -134,6 +137,21 @@ class TestCmdFit:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["converged"] is False
 
+    def test_nonconverged_winner_not_reported_converged(self, data_csv, tmp_path,
+                                                        monkeypatch, capsys):
+        real_fit = cli.fit
+        monkeypatch.setattr(
+            cli, "fit",
+            lambda *a, **k: dataclasses.replace(real_fit(*a, **k), converged=False),
+        )
+        out = tmp_path / "unconverged"
+        assert main(["fit", data_csv, "--out-dir", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "fit did not converge" in captured.out
+        assert "fit converged" not in captured.out
+        assert "warning" in captured.err
+        assert json.loads((out / "summary.json").read_text())["converged"] is False
+
     def test_tobit_end_to_end(self, tmp_path):
         ds, _ = simulate_four_strata(250, seed=71, dispersion=2.4, sigma=2.0,
                                      effect=3.0, censor=True)
@@ -156,6 +174,31 @@ class TestCmdDiagnose:
                      "--data", data_csv, "--out-dir", str(diag_dir)]) == 0
         for name in ("trace.csv", "posterior_hist.csv", "marginal_fit.csv"):
             assert (fit_dir / name).read_bytes() == (diag_dir / name).read_bytes()
+
+    def test_fit_json_round_trip_keeps_trace_records(self, tmp_path):
+        ds, _ = simulate_four_strata(100, seed=5)
+        res = fit(ds, config=FitConfig(starts=("topk", 2)))
+        flagged = dataclasses.replace(
+            res.trace[0], floor_active=(True, False), frozen=((3, 1), (2, 0))
+        )
+        res = dataclasses.replace(res, trace=(flagged,) + res.trace[1:])
+        path = tmp_path / "fit.json"
+        save_fit(str(path), res, {"data": "cases.csv"})
+        got, options = load_fit(str(path))
+        assert options == {"data": "cases.csv"}
+        assert len(got.trace) == len(res.trace)
+        for a, b in zip(res.trace, got.trace):
+            assert (a.mapping_id, a.loglik, a.iterations, a.converged) == (
+                b.mapping_id, b.loglik, b.iterations, b.converged)
+            assert a.floor_active == b.floor_active
+            assert a.frozen == b.frozen
+            np.testing.assert_array_equal(a.params.locations, b.params.locations)
+
+        payload = json.loads(path.read_text())
+        del payload["trace"][0]["frozen"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="invalid fit file"):
+            load_fit(str(path))
 
     def test_missing_fit_file_exits_2(self, tmp_path):
         assert main(["diagnose", "--fit", str(tmp_path / "none.json"),

@@ -6,6 +6,7 @@ from stratfit.core import (
     MeanStructure,
     ModelParams,
     StrataGrid,
+    cell_order,
     effective_sample_size,
     linear_design,
     pack,
@@ -183,6 +184,19 @@ class TestDataset:
             [1.0, 2.0, 3.0], [0, 0, 1], [0, 1, 0], w=[1.0, 0.0, 1.0], k_levels=2
         )
         assert set(ds.empty_cells()) == {(0, 1), (1, 1)}
+
+    def test_cells_partition_rows_in_canonical_order(self):
+        rng = np.random.default_rng(3)
+        t = rng.integers(0, 2, size=60)
+        z = rng.integers(0, 3, size=60)
+        ds = Dataset.from_arrays(rng.normal(size=60), t, z, k_levels=3)
+        assert [(c.t, c.z) for c in ds.cells] == cell_order(3)
+        rows = np.concatenate([c.rows for c in ds.cells])
+        np.testing.assert_array_equal(np.sort(rows), np.arange(60))
+        grid = StrataGrid(3)
+        for c in ds.cells:
+            assert np.all((ds.t[c.rows] == c.t) & (ds.z[c.rows] == c.z))
+            np.testing.assert_array_equal(c.strata, grid.compatible(c.t, c.z))
 
     def test_tobit_snaps_tiny_outcomes_to_zero(self):
         ds = Dataset.from_arrays(
