@@ -9,8 +9,16 @@ starts admit (16 in the four-strata model), and a full EM run from every
 assignment, keeping the solution with the highest weighted log-likelihood.
 
 Every mixture evaluation (the log-likelihood, the per-case terms, the
-E-step, the EM loop and start ranking) runs through one kernel over the
-dataset's cell partition, :attr:`Dataset.cells`.
+E-step and the EM loop) runs through one kernel over the dataset's cell
+partition, :attr:`Dataset.cells`.
+
+With three levels there are (3!)^6 = 46,656 assignments, so ``topk`` and
+``spread`` rank them by their initial log-likelihood first. Under the
+saturated structure ranking is one batched pass over blocks of mapping ids:
+its cost is about one logarithm per case and mapping, and its working set
+does not grow with the mapping count (see ``_RANK_BLOCK``). Under the
+linear structure each mapping is still materialized and evaluated on its
+own.
 
 Fitting is deterministic: warm starts initialize from weighted quantile
 splits and no stage consumes random numbers. Starts run one after another
@@ -526,15 +534,22 @@ def n_mappings(k_levels: int) -> int:
     return math.factorial(k_levels) ** (2 * k_levels)
 
 
+def _perm_table(k_levels: int) -> np.ndarray:
+    """Every permutation of range(k_levels), one per row, in itertools order."""
+    return np.array(list(itertools.permutations(range(k_levels))))
+
+
+def _digits(ids: np.ndarray, k_levels: int) -> np.ndarray:
+    """Per-cell permutation indices of each mapping id, cells in canonical
+    order: the id's base-k! digits, most significant first."""
+    base = math.factorial(k_levels)
+    powers = base ** np.arange(2 * k_levels - 1, -1, -1, dtype=np.int64)
+    return (np.asarray(ids, dtype=np.int64)[:, None] // powers) % base
+
+
 def _combo_from_id(mapping_id: int, k_levels: int) -> tuple[tuple[int, ...], ...]:
-    perms = list(itertools.permutations(range(k_levels)))
-    base = len(perms)
-    digits = []
-    rem = mapping_id
-    for _ in range(2 * k_levels):
-        digits.append(rem % base)
-        rem //= base
-    return tuple(perms[d] for d in reversed(digits))
+    perms = _perm_table(k_levels)[_digits([mapping_id], k_levels)[0]]
+    return tuple(map(tuple, perms.tolist()))
 
 
 def _pooled_scales(warm, k_levels: int, floor: tuple[float, float]) -> np.ndarray:
@@ -550,34 +565,39 @@ def _pooled_scales(warm, k_levels: int, floor: tuple[float, float]) -> np.ndarra
     return scales
 
 
-def _initial_probs(warm, combo, grid: StrataGrid) -> np.ndarray:
-    """Joint strata probabilities reconciling the two arms' warm starts.
+def _initial_probs(warm, assign: np.ndarray, grid: StrataGrid) -> np.ndarray:
+    """Joint strata probabilities reconciling the two arms' warm starts, for
+    a batch of mappings.
 
-    Each arm's cell shares and mapped mixing proportions imply a joint table;
-    the two are averaged and then balanced by iterative proportional fitting
-    so the z1 margin matches the treated arm's cell shares and the z0 margin
-    matches the control arm's.
+    ``assign`` has shape (B, 2k, k): per mapping, the permutation of each
+    cell in canonical order (see :class:`StartingMapping`). Each arm's cell
+    shares and mapped mixing proportions imply a joint table; the two are
+    averaged and then balanced by iterative proportional fitting so the z1
+    margin matches the treated arm's cell shares and the z0 margin matches
+    the control arm's. Returns (B, n_strata); a mapping's row does not
+    depend on the rest of the batch.
     """
     k = grid.k_levels
+    b = len(assign)
     share = {}
     for t in (0, 1):
         v = np.array([warm[(t, z)].weight for z in range(k)])
         share[t] = v / v.sum()
-    q1 = np.zeros((k, k))  # indexed [z0, z1]
-    q0 = np.zeros((k, k))
-    for (t, z), perm in zip(cell_order(k), combo):
-        cs = warm[(t, z)]
-        for j in range(k):
-            if t == 1:
-                q1[perm[j], z] += share[1][z] * cs.props[j]
-            else:
-                q0[z, perm[j]] += share[0][z] * cs.props[j]
+    q1 = np.zeros((b, k, k))  # indexed [mapping, z0, z1]
+    q0 = np.zeros((b, k, k))
+    rows = np.arange(b)[:, None]
+    for c, (t, z) in enumerate(cell_order(k)):
+        mass = share[t][z] * warm[(t, z)].props
+        if t == 1:
+            q1[rows, assign[:, c], z] = mass
+        else:
+            q0[rows, z, assign[:, c]] = mass
     table = np.maximum(0.5 * (q1 + q0), 1e-12)
     for _ in range(50):
-        table *= (share[1] / table.sum(axis=0))[None, :]
-        table *= (share[0] / table.sum(axis=1))[:, None]
-    table /= table.sum()
-    return table.T.ravel()  # row-major over z1 rows matches the grid order
+        table *= (share[1] / table.sum(axis=1))[:, None, :]
+        table *= (share[0] / table.sum(axis=2))[:, :, None]
+    table /= table.reshape(b, -1).sum(axis=1)[:, None, None]
+    return table.transpose(0, 2, 1).reshape(b, -1)  # z1-major rows match the grid order
 
 
 def _materialize(mapping_id, combo, warm, grid, family, mean_structure, scales):
@@ -594,7 +614,7 @@ def _materialize(mapping_id, combo, warm, grid, family, mean_structure, scales):
         locations = table
     params = ModelParams(
         grid=grid,
-        probs=_initial_probs(warm, combo, grid),
+        probs=_initial_probs(warm, np.array([combo]), grid)[0],
         locations=locations,
         scales=scales,
         family=family,
@@ -621,37 +641,73 @@ def enumerate_mappings(
         yield _materialize(i, combo, warm, grid, family, mean_structure, scales)
 
 
+# The largest (cases x mappings) array start ranking builds, and the number
+# of strata-probability entries per block of mappings: 2^15 float64, 256 KiB.
+_RANK_BLOCK = 1 << 15
+
+
 def _initial_logliks(dataset, warm, grid, family, mean_structure, scales):
     """Initial-parameter log-likelihood of every mapping, without running EM.
 
-    Component density columns per cell do not depend on the mapping, so they
-    are computed once; each mapping only re-gathers the log priors. Under the
-    linear structure the projection shifts the columns, so that path falls
-    back to materializing each mapping.
+    Under the saturated structure a cell's component density columns do not
+    depend on the mapping, so each cell's row maxima ``top`` and scaled
+    densities ``E = exp(ld - top)`` are computed once; a mapping with cell
+    priors ``p`` then contributes ``w @ top + w @ log(E @ p)``. Mappings are
+    ranked in blocks: the block's strata probabilities come from one batched
+    IPF, and the ``E @ p`` products are formed at most ``_RANK_BLOCK``
+    entries at a time (or one mapping at a time for a larger cell), so the
+    working set does not grow with the mapping count. Under the linear
+    structure the projection shifts the columns, so that path still
+    materializes and evaluates each mapping.
     """
-    cells = dataset.cells
-    linear = mean_structure is MeanStructure.LINEAR
-    cols = []
-    if not linear:
-        for cell in cells:
+    k = grid.k_levels
+    total = n_mappings(k)
+    if mean_structure is MeanStructure.LINEAR:
+        lls = np.empty(total)
+        for i in range(total):
+            sm = _materialize(i, _combo_from_id(i, k), warm, grid, family,
+                              mean_structure, scales)
+            lls[i] = log_likelihood(sm.params, dataset)
+        return lls
+    terms = []
+    for c, cell in enumerate(dataset.cells):
+        if cell.y.size:
             cs = warm[(cell.t, cell.z)]
             ld = component_logpdf(cell.y[:, None], cs.means, scales[cell.t], family)
-            cols.append(ld)
-    perms = list(itertools.permutations(range(grid.k_levels)))
-    lls = np.empty(n_mappings(grid.k_levels))
-    for i, combo in enumerate(itertools.product(perms, repeat=2 * grid.k_levels)):
-        if linear:
-            sm = _materialize(i, combo, warm, grid, family, mean_structure, scales)
-            lls[i] = log_likelihood(sm.params, dataset)
-            continue
-        logp = _log_probs(_initial_probs(warm, combo, grid))
-        total = 0.0
-        for cell, ld, perm in zip(cells, cols, combo):
-            if cell.y.size:
-                lse, _ = _mix(cell, ld, logp[cell.strata[np.array(perm)]])
-                total += float(cell.w @ lse)
-        lls[i] = total
+            top = ld.max(axis=1)
+            bad = ~np.isfinite(top)
+            if bad.any():
+                raise DegenerateMixtureError(int(cell.rows[np.flatnonzero(bad)[0]]))
+            # the row maximum's column has E == 1, so E @ p > 0
+            terms.append((c, cell, np.exp(ld - top[:, None]), float(cell.w @ top)))
+    perms = _perm_table(k)
+    lls = np.zeros(total)
+    block = _RANK_BLOCK // grid.n_strata
+    for lo in range(0, total, block):
+        digits = _digits(np.arange(lo, min(lo + block, total)), k)
+        probs = _initial_probs(warm, perms[digits], grid)
+        out = lls[lo:lo + len(digits)]
+        for c, cell, dens, base in terms:
+            prior = np.take_along_axis(probs, cell.strata[perms[digits[:, c]]], axis=1)
+            step = max(1, _RANK_BLOCK // cell.y.size)
+            for s in range(0, len(prior), step):
+                out[s:s + step] += base + cell.w @ np.log(dens @ prior[s:s + step].T)
     return lls
+
+
+def _farthest_points(lls: np.ndarray, count: int) -> list[int]:
+    """Farthest-point selection on the values: the highest first, then
+    repeatedly the id farthest from every id chosen so far, lowest id on
+    ties."""
+    picks = [int(np.argmax(lls))]
+    gap = np.abs(lls - lls[picks[0]])
+    gap[picks[0]] = -np.inf
+    while len(picks) < count:
+        pick = int(np.argmax(gap))
+        picks.append(pick)
+        np.minimum(gap, np.abs(lls - lls[pick]), out=gap)
+        gap[pick] = -np.inf
+    return sorted(picks)
 
 
 def select_starts(
@@ -667,8 +723,11 @@ def select_starts(
 
     ``("topk", n)`` keeps the n highest initial values; ``("spread", n)``
     keeps n mappings by farthest-point selection on the initial values, so
-    the retained starts cover the spread of the likelihood surface. If n is
-    at least the mapping count, everything is returned.
+    the retained starts cover the spread of the likelihood surface. Ties go
+    to the lower mapping id. If n is at least the mapping count, everything
+    is returned without ranking. Ranking costs one batched pass over all
+    mappings under the saturated structure and one likelihood evaluation
+    per mapping under the linear one (see :func:`_initial_logliks`).
     """
     kind, count = strategy
     scales = _pooled_scales(warm, grid.k_levels, scale_floor)
@@ -677,19 +736,10 @@ def select_starts(
         chosen = list(range(total))
     else:
         lls = _initial_logliks(dataset, warm, grid, family, mean_structure, scales)
-        order = sorted(range(total), key=lambda i: (-lls[i], i))
         if kind == "topk":
-            chosen = sorted(order[:count])
+            chosen = np.sort(np.argsort(-lls, kind="stable")[:count]).tolist()
         elif kind == "spread":
-            chosen_set = [order[0]]
-            remaining = order[1:]
-            while len(chosen_set) < count and remaining:
-                gap = {i: min(abs(lls[i] - lls[j]) for j in chosen_set) for i in remaining}
-                best_d = max(gap.values())
-                pick = min(i for i in remaining if gap[i] == best_d)
-                chosen_set.append(pick)
-                remaining.remove(pick)
-            chosen = sorted(chosen_set)
+            chosen = _farthest_points(lls, count)
         else:
             raise ValueError(f"unknown start-selection strategy: {kind!r}")
     return [

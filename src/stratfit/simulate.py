@@ -11,7 +11,7 @@ each from its own spawned seed, so a study is deterministic given its config.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

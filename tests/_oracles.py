@@ -98,3 +98,45 @@ def random_small_dataset(rng, family: str, max_cases: int = 10):
         family=Family(family),
     )
     return ds, params
+
+
+def initial_probs_oracle(warm, combo, k: int) -> np.ndarray:
+    """One mapping's initial strata probabilities by the scalar IPF: the two
+    arms' mapped tables averaged, then 50 proportional-fitting sweeps."""
+    share = {}
+    for t in (0, 1):
+        v = np.array([warm[(t, z)].weight for z in range(k)])
+        share[t] = v / v.sum()
+    cells = [(1, z) for z in range(k)] + [(0, z) for z in range(k)]
+    q1 = np.zeros((k, k))  # indexed [z0, z1]
+    q0 = np.zeros((k, k))
+    for (t, z), perm in zip(cells, combo):
+        cs = warm[(t, z)]
+        for j in range(k):
+            if t == 1:
+                q1[perm[j], z] += share[1][z] * cs.props[j]
+            else:
+                q0[z, perm[j]] += share[0][z] * cs.props[j]
+    table = np.maximum(0.5 * (q1 + q0), 1e-12)
+    for _ in range(50):
+        table *= (share[1] / table.sum(axis=0))[None, :]
+        table *= (share[0] / table.sum(axis=1))[:, None]
+    table /= table.sum()
+    return table.T.ravel()
+
+
+def select_ids_oracle(lls, kind: str, count: int) -> list[int]:
+    """Start ids chosen from ranking values by plain Python rules: the top
+    ``count`` (ties to the lower id), or farthest-point selection."""
+    order = sorted(range(len(lls)), key=lambda i: (-lls[i], i))
+    if kind == "topk":
+        return sorted(order[:count])
+    chosen = [order[0]]
+    remaining = order[1:]
+    while len(chosen) < count and remaining:
+        gap = {i: min(abs(lls[i] - lls[j]) for j in chosen) for i in remaining}
+        best = max(gap.values())
+        pick = min(i for i in remaining if gap[i] == best)
+        chosen.append(pick)
+        remaining.remove(pick)
+    return sorted(chosen)

@@ -1,7 +1,6 @@
 import csv
 import dataclasses
 import json
-import os
 
 import numpy as np
 import pytest

@@ -14,8 +14,6 @@ from stratfit.densities import (
     log_density,
     norm_cdf,
     norm_logcdf,
-    norm_logpdf,
-    norm_pdf,
     sample,
     sample_misspecified,
     standardized_draws,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stratfit.core import Dataset, ModelParams, StrataGrid
+from stratfit.core import Dataset
 from stratfit.densities import Family, tobit_mean
 from stratfit.diagnostics import (
     marginal_fit_table,

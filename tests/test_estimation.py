@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from stratfit import em
 from stratfit.core import Dataset, MeanStructure, ModelParams, StrataGrid
 from stratfit.densities import Family
 from stratfit.em import (
@@ -18,8 +20,14 @@ from stratfit.em import (
     n_mappings,
     select_starts,
     warm_start_cells,
+    _combo_from_id,
+    _digits,
+    _initial_logliks,
+    _initial_probs,
+    _materialize,
+    _perm_table,
+    _pooled_scales,
     _run_em,
-    StartingMapping,
     _tobit_newton,
 )
 from stratfit.errors import (
@@ -30,7 +38,13 @@ from stratfit.errors import (
     WarmStartError,
 )
 
-from _oracles import brute_force_loglik, density_oracle, tobit_grid_mle
+from _oracles import (
+    brute_force_loglik,
+    density_oracle,
+    initial_probs_oracle,
+    select_ids_oracle,
+    tobit_grid_mle,
+)
 
 GRID2 = StrataGrid(2)
 
@@ -55,6 +69,22 @@ def simulate_four_strata(n_per_arm, seed, dispersion=2.0, probs=(0.4, 0.3, 0.2, 
     ds = Dataset.from_arrays(y, t, z, k_levels=2, family=family)
     truth = ModelParams(GRID2, probs, locs, np.array([sigma, sigma]), family)
     return ds, truth
+
+
+def simulate_nine_strata(n_per_arm, seed, dispersion=2.5):
+    rng = np.random.default_rng(seed)
+    grid = StrataGrid(3)
+    probs = np.arange(9, 0, -1, dtype=float)
+    probs /= probs.sum()
+    locs = np.array(
+        [[2.0 * t + dispersion * (z0 + z1) for t in (0, 1)] for z0, z1 in grid.strata]
+    )
+    strata = rng.choice(9, size=2 * n_per_arm, p=probs)
+    t = np.repeat([0, 1], n_per_arm)
+    coords = np.array(grid.strata)
+    z = np.where(t == 1, coords[strata, 1], coords[strata, 0])
+    y = rng.normal(locs[strata, t], 1.0)
+    return Dataset.from_arrays(y, t, z, k_levels=3)
 
 
 class TestLogLikelihoodOracle:
@@ -348,6 +378,113 @@ class TestSelectStarts:
         assert int(np.argmax(lls)) in [m.mapping_id for m in chosen]
 
 
+def ranking_fixture(levels):
+    """The 2-level start-selection fixture or a small 3-level one."""
+    if levels == 2:
+        return simulate_four_strata(150, seed=17)[0]
+    return simulate_nine_strata(300, seed=27)
+
+
+def rank(ds, family=Family.NORMAL):
+    grid = StrataGrid(ds.k_levels)
+    warm = warm_start_cells(ds, family)
+    scales = _pooled_scales(warm, ds.k_levels, (0.0, 0.0))
+    lls = _initial_logliks(ds, warm, grid, family, MeanStructure.SATURATED, scales)
+    return warm, scales, lls
+
+
+def materialized_loglik(ds, warm, scales, mapping_id, family=Family.NORMAL):
+    grid = StrataGrid(ds.k_levels)
+    start = _materialize(mapping_id, _combo_from_id(mapping_id, ds.k_levels), warm, grid,
+                         family, MeanStructure.SATURATED, scales)
+    return log_likelihood(start.params, ds)
+
+
+class TestStartRanking:
+    """Batched ranking against per-mapping evaluation, and start selection
+    against the plain Python rules."""
+
+    @pytest.mark.parametrize("censor", [False, True])
+    def test_two_levels_match_materialized_loglik(self, censor):
+        ds, _ = simulate_four_strata(150, seed=17, censor=censor)
+        family = Family.TOBIT if censor else Family.NORMAL
+        warm, scales, lls = rank(ds, family)
+        want = [materialized_loglik(ds, warm, scales, i, family) for i in range(16)]
+        np.testing.assert_allclose(lls, want, rtol=1e-12, atol=0.0)
+
+    def test_three_levels_match_materialized_loglik_on_sample(self):
+        ds = ranking_fixture(3)
+        warm, scales, lls = rank(ds)
+        ids = np.random.default_rng(0).choice(n_mappings(3), size=64, replace=False)
+        want = [materialized_loglik(ds, warm, scales, int(i)) for i in ids]
+        np.testing.assert_allclose(lls[ids], want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_batched_ipf_equals_scalar_ipf(self, levels):
+        ds = ranking_fixture(levels)
+        grid = StrataGrid(levels)
+        warm = warm_start_cells(ds, Family.NORMAL)
+        scales = _pooled_scales(warm, levels, (0.0, 0.0))
+        ids = np.arange(0, n_mappings(levels), 97 if levels == 3 else 1)
+        batch = _initial_probs(warm, _perm_table(levels)[_digits(ids, levels)], grid)
+        for i, probs in zip(ids.tolist(), batch):
+            combo = _combo_from_id(i, levels)
+            want = initial_probs_oracle(warm, combo, levels)
+            assert np.array_equal(probs, want)
+            start = _materialize(i, combo, warm, grid, Family.NORMAL,
+                                 MeanStructure.SATURATED, scales)
+            assert np.array_equal(start.params.probs, want)
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_selected_ids_match_python_rule(self, levels):
+        ds = ranking_fixture(levels)
+        warm, _, lls = rank(ds)
+        grid = StrataGrid(levels)
+        for kind, count in (("topk", 10), ("spread", 5)):
+            got = select_starts(ds, warm, grid, Family.NORMAL, MeanStructure.SATURATED,
+                                (kind, count))
+            assert [m.mapping_id for m in got] == select_ids_oracle(lls.tolist(), kind, count)
+
+    def test_tied_values_go_to_the_lower_id(self, monkeypatch):
+        ds = ranking_fixture(2)
+        warm = warm_start_cells(ds, Family.NORMAL)
+        lls = np.array([3.0, 5.0, 1.0, 5.0, 3.0, 0.0, 1.0, 5.0,
+                        2.0, 0.0, 4.0, 4.0, 2.0, 3.0, 0.0, 1.0])
+        monkeypatch.setattr(em, "_initial_logliks", lambda *args: lls)
+        for kind in ("topk", "spread"):
+            for count in range(1, 16):
+                got = select_starts(ds, warm, GRID2, Family.NORMAL,
+                                    MeanStructure.SATURATED, (kind, count))
+                assert [m.mapping_id for m in got] == select_ids_oracle(
+                    lls.tolist(), kind, count)
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_degenerate_row_raises_with_case_index(self, levels):
+        ds = ranking_fixture(levels)
+        warm = warm_start_cells(ds, Family.NORMAL)
+        # an outcome so far out that every component density underflows
+        far = Dataset.from_arrays(np.append(ds.y, 1e200), np.append(ds.t, 1),
+                                  np.append(ds.z, 0), k_levels=levels)
+        with np.errstate(over="ignore"), pytest.raises(
+            DegenerateMixtureError, match=rf"case {ds.n}\b"
+        ):
+            select_starts(far, warm, StrataGrid(levels), Family.NORMAL,
+                          MeanStructure.SATURATED, ("topk", 3))
+
+    def test_three_level_ranking_memory_stays_bounded(self):
+        ds = simulate_nine_strata(1500, seed=26)
+        warm = warm_start_cells(ds, Family.NORMAL)
+        scales = _pooled_scales(warm, 3, (0.0, 0.0))
+        tracemalloc.start()
+        try:
+            _initial_logliks(ds, warm, StrataGrid(3), Family.NORMAL,
+                             MeanStructure.SATURATED, scales)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
+
 class TestFit:
     def test_recovers_well_separated_model(self):
         ds, truth = simulate_four_strata(5000, seed=18, dispersion=2.4)
@@ -432,21 +569,7 @@ class TestFit:
 @pytest.mark.slow
 class TestNineStrata:
     def test_topk_fit_runs_and_recovers_shape(self):
-        rng = np.random.default_rng(26)
-        grid = StrataGrid(3)
-        probs = np.arange(9, 0, -1, dtype=float)
-        probs /= probs.sum()
-        disp = 2.5
-        locs = np.array(
-            [[2.0 * t + disp * (z0 + z1) for t in (0, 1)] for z0, z1 in grid.strata]
-        )
-        n = 1500
-        strata = rng.choice(9, size=2 * n, p=probs)
-        t = np.repeat([0, 1], n)
-        coords = np.array(grid.strata)
-        z = np.where(t == 1, coords[strata, 1], coords[strata, 0])
-        y = rng.normal(locs[strata, t], 1.0)
-        ds = Dataset.from_arrays(y, t, z, k_levels=3)
+        ds = simulate_nine_strata(1500, seed=26)
         res = fit(ds, config=FitConfig(starts=("topk", 30), tol=1e-8))
         assert len(res.trace) == 30
         assert res.converged

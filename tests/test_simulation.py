@@ -10,7 +10,6 @@ from stratfit.simulate import (
     generate,
     misspecification_study,
     run_grid,
-    run_replicate,
     run_study,
     scenario_probs,
     true_model,
