@@ -159,6 +159,7 @@ def save_fit(path: str, result: FitResult, data_options: dict) -> None:
                 "converged": r.converged,
                 "floor_active": list(r.floor_active),
                 "frozen": [list(f) for f in r.frozen],
+                "stop_reason": r.stop_reason,
                 "params": _params_to_dict(r.params),
             }
             for r in result.trace
@@ -183,6 +184,7 @@ def load_fit(path: str) -> tuple[FitResult, dict]:
                 converged=bool(r["converged"]),
                 floor_active=tuple(r["floor_active"]),
                 frozen=tuple(tuple(f) for f in r["frozen"]),
+                stop_reason=str(r["stop_reason"]),
             )
             for r in payload["trace"]
         )

@@ -10,7 +10,16 @@ assignment, keeping the solution with the highest weighted log-likelihood.
 
 Every mixture evaluation (the log-likelihood, the per-case terms, the
 E-step and the EM loop) runs through one kernel over the dataset's cell
-partition, :attr:`Dataset.cells`.
+partition, :attr:`Dataset.cells`. The kernel, the sufficient statistics and
+the M-step carry a leading axis over S parameter sets: the public one-set
+functions use S = 1, and the EM loop advances a block of starts together
+(see :func:`_run_starts`), so each iteration costs one pass over the cells
+for all of them rather than one per start. Each set is rounded exactly as
+when it is evaluated alone (``_dot``, ``_matvec`` and C-ordered buffers
+keep BLAS on one code path for every S) and as in earlier releases, which
+ran one start at a time (``math.log`` for scales): the finite-difference
+standard errors in :mod:`.effects` move by up to 1% when an optimum moves
+in its 13th digit, so fits must not move with the batching.
 
 With three levels there are (3!)^6 = 46,656 assignments, so ``topk`` and
 ``spread`` rank them by their initial log-likelihood first. Under the
@@ -21,9 +30,8 @@ linear structure each mapping is still materialized and evaluated on its
 own.
 
 Fitting is deterministic: warm starts initialize from weighted quantile
-splits and no stage consumes random numbers. Starts run one after another
-in the calling thread; the per-iteration work is numpy on small arrays, which
-a thread pool did not speed up.
+splits and no stage consumes random numbers. Everything runs in the calling
+thread.
 """
 
 from __future__ import annotations
@@ -76,52 +84,74 @@ def _log_probs(probs: np.ndarray) -> np.ndarray:
         return np.log(probs)
 
 
-def _cell_logdens(cell: Cell, table, scales, family: Family) -> np.ndarray:
-    locs = table[cell.strata, cell.t]
-    scale = scales[cell.t]
-    z = (cell.y[:, None] - locs) / scale
-    ld = -0.5 * z * z - (0.5 * _LOG_2PI + math.log(scale))
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products of the last axes, each rounded exactly as a 1-D ``x @ y``
+    (a BLAS dot), whatever the number of rows."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``a @ v`` for every vector v on the last axis of ``x``, each rounded
+    exactly as a 2-D matrix-vector product."""
+    return (a @ x[..., None])[..., 0]
+
+
+def _cell_logdens(cell: Cell, locs: np.ndarray, scale: np.ndarray, family: Family) -> np.ndarray:
+    """Component log-densities of one cell's cases under S parameter sets:
+    ``locs`` (S, c) and ``scale`` (S,) in, (S, n_cell, c) out."""
+    ld = np.subtract(cell.y[:, None], locs[:, None, :], order="C")
+    ld /= scale[:, None, None]
+    ld *= ld
+    ld *= -0.5
+    ld -= (0.5 * _LOG_2PI + np.array([math.log(v) for v in scale]))[:, None, None]
     if family is Family.TOBIT and cell.zero.size:
-        ld[cell.zero] = norm_logcdf(-locs / scale)
+        ld[:, cell.zero] = norm_logcdf(-locs / scale[:, None])[:, None, :]
     return ld
 
 
 def _mix(cell: Cell, logdens: np.ndarray, logprior: np.ndarray, want_post: bool = False):
     """The mixture kernel: one cell's per-case log mixture terms (a row-wise
-    log-sum-exp) and, when asked, posteriors over its columns.
+    log-sum-exp, (S, n_cell)) and, when asked, posteriors (S, n_cell, c).
 
-    ``logdens`` holds one row per case of the cell and one column per
-    compatible stratum; ``logprior`` holds the columns' log-probabilities.
+    ``logdens`` (S, n_cell, c), one column per compatible stratum, is
+    overwritten; ``logprior`` (S, c) holds the columns' log-probabilities.
     A case whose every column is impossible raises with its dataset row.
     """
-    lm = logdens + logprior
-    pair = lm.shape[1] == 2
-    top = np.logaddexp(lm[:, 0], lm[:, 1]) if pair else lm.max(axis=1)
+    lm = logdens
+    lm += logprior[:, None, :]
+    pair = lm.shape[2] == 2
+    top = np.logaddexp(lm[..., 0], lm[..., 1]) if pair else lm.max(axis=2)
     # the log-sum-exp of a row is finite exactly when its maximum is
     ok = np.isfinite(top)
     if not ok.all():
-        raise DegenerateMixtureError(int(cell.rows[np.flatnonzero(~ok)[0]]))
-    lse = top if pair else top + np.log(np.exp(lm - top[:, None]).sum(axis=1))
-    return lse, (np.exp(lm - lse[:, None]) if want_post else None)
+        raise DegenerateMixtureError(int(cell.rows[np.flatnonzero(~ok.all(axis=0))[0]]))
+    lse = top if pair else top + np.log(np.exp(lm - top[..., None]).sum(axis=2))
+    if not want_post:
+        return lse, None
+    lm -= lse[..., None]
+    return lse, np.exp(lm, out=lm)
 
 
-def _mixture(params: ModelParams, dataset: Dataset, want_post: bool):
-    """(cell, log mixture terms, posterior or None) for each non-empty cell."""
-    table = params.location_table()
-    logp = _log_probs(params.probs)
-    out = []
+def _mixture(dataset: Dataset, logp, table, scales, family: Family, want_post: bool):
+    """Yield (cell, log mixture terms, posterior or None) for each non-empty
+    cell under S parameter sets: log-probabilities ``logp`` (S, n_strata),
+    locations ``table`` (S, 2, n_strata), arm first, and ``scales`` (S, 2)."""
     for cell in dataset.cells:
         if cell.y.size:
-            ld = _cell_logdens(cell, table, params.scales, params.family)
-            out.append((cell, *_mix(cell, ld, logp[cell.strata], want_post)))
-    return out
+            ld = _cell_logdens(cell, table[:, cell.t, cell.strata], scales[:, cell.t], family)
+            yield (cell, *_mix(cell, ld, logp[:, cell.strata], want_post))
 
 
-def _total(terms) -> float:
-    """Weighted sum of the log mixture terms, accumulated cell by cell."""
+def _one(params: ModelParams):
+    """One parameter set as the kernel's stack of S = 1."""
+    return _log_probs(params.probs)[None], params.location_table().T[None], params.scales[None]
+
+
+def _total(terms):
+    """Weighted sums of the log mixture terms, (S,), accumulated cell by cell."""
     total = 0.0
     for cell, lse, _ in terms:
-        total += float(cell.w @ lse)
+        total = total + _dot(lse, cell.w)
     return total
 
 
@@ -133,15 +163,15 @@ def log_likelihood(params: ModelParams, dataset: Dataset) -> float:
     unobserved control-side level, a control case over the treated side.
     """
     _check_inputs(params, dataset)
-    return _total(_mixture(params, dataset, want_post=False))
+    return float(_total(_mixture(dataset, *_one(params), params.family, False))[0])
 
 
 def case_loglik(params: ModelParams, dataset: Dataset) -> np.ndarray:
     """Per-case unweighted log mixture terms, aligned with the dataset rows."""
     _check_inputs(params, dataset)
     out = np.zeros(dataset.n)
-    for cell, lse, _ in _mixture(params, dataset, want_post=False):
-        out[cell.rows] = lse
+    for cell, lse, _ in _mixture(dataset, *_one(params), params.family, False):
+        out[cell.rows] = lse[0]
     return out
 
 
@@ -154,8 +184,8 @@ def e_step(params: ModelParams, dataset: Dataset) -> np.ndarray:
     """
     _check_inputs(params, dataset)
     out = np.zeros((dataset.n, params.grid.n_strata))
-    for cell, _, post in _mixture(params, dataset, want_post=True):
-        out[np.ix_(cell.rows, cell.strata)] = post
+    for cell, _, post in _mixture(dataset, *_one(params), params.family, True):
+        out[np.ix_(cell.rows, cell.strata)] = post[0]
     return out
 
 
@@ -163,39 +193,24 @@ def e_step(params: ModelParams, dataset: Dataset) -> np.ndarray:
 # M-step
 # --------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class _Stats:
-    """Posterior-weighted sufficient statistics, indexed [arm, stratum]."""
-
-    m: np.ndarray
-    b: np.ndarray
-    s2: np.ndarray
-    mpos: np.ndarray | None = None
-    s1p: np.ndarray | None = None
-    s2p: np.ndarray | None = None
-
-
-def _accumulate(pairs, family: Family, n_strata: int) -> _Stats:
-    """Sufficient statistics from (cell, posterior) pairs of non-empty cells."""
-    m = np.zeros((2, n_strata))
-    b = np.zeros((2, n_strata))
-    s2 = np.zeros((2, n_strata))
-    tobit = family is Family.TOBIT
-    mpos = np.zeros((2, n_strata)) if tobit else None
-    s1p = np.zeros((2, n_strata)) if tobit else None
-    s2p = np.zeros((2, n_strata)) if tobit else None
-    for cell, post in pairs:
-        wp = cell.w[:, None] * post
-        m[cell.t, cell.strata] += wp.sum(axis=0)
-        if tobit:
-            wpp = wp[cell.pos]
-            mpos[cell.t, cell.strata] += wpp.sum(axis=0)
-            s1p[cell.t, cell.strata] += wpp.T @ cell.y[cell.pos]
-            s2p[cell.t, cell.strata] += wpp.T @ cell.y2[cell.pos]
-        else:
-            b[cell.t, cell.strata] += wp.T @ cell.y
-            s2[cell.t, cell.strata] += wp.T @ cell.y2
-    return _Stats(m=m, b=b, s2=s2, mpos=mpos, s1p=s1p, s2p=s2p)
+def _accumulate(stats: np.ndarray, cell: Cell, post: np.ndarray, family: Family) -> None:
+    """Write one cell's posterior-weighted statistics into ``stats`` (S, 2,
+    n_strata, 3 or 4), indexed [set, arm, stratum, moment]: the weight, the
+    weighted sums of y and y^2 (of the positive outcomes under tobit) and,
+    under tobit, the weight of the positive outcomes."""
+    wp = cell.w[:, None] * post
+    out = stats[:, cell.t, cell.strata]
+    out[..., 0] = wp.sum(axis=1)
+    if family is Family.TOBIT:
+        wp = np.take(wp, cell.pos, axis=1)
+        out[..., 3] = wp.sum(axis=1)
+        y, y2 = cell.y[cell.pos], cell.y2[cell.pos]
+    else:
+        y, y2 = cell.y, cell.y2
+    wp = wp.transpose(0, 2, 1)
+    out[..., 1] = wp @ y
+    out[..., 2] = wp @ y2
+    stats[:, cell.t, cell.strata] = out
 
 
 def _design(grid: StrataGrid, mean_structure: MeanStructure) -> np.ndarray:
@@ -204,13 +219,18 @@ def _design(grid: StrataGrid, mean_structure: MeanStructure) -> np.ndarray:
     return np.eye(grid.n_strata)
 
 
-def _solve_wls(design: np.ndarray, m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = design.T @ (m[:, None] * design)
-    rhs = design.T @ b
+def _solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve each system of a stack; a singular one by least squares."""
     try:
-        return np.linalg.solve(a, rhs)
+        return np.linalg.solve(a, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        return np.linalg.lstsq(a, rhs, rcond=None)[0]
+        out = np.empty_like(rhs)
+        for i in np.ndindex(rhs.shape[:-1]):
+            try:
+                out[i] = np.linalg.solve(a[i], rhs[i])
+            except np.linalg.LinAlgError:
+                out[i] = np.linalg.lstsq(a[i], rhs[i], rcond=None)[0]
+        return out
 
 
 def _inverse_mills(a: np.ndarray) -> np.ndarray:
@@ -218,61 +238,81 @@ def _inverse_mills(a: np.ndarray) -> np.ndarray:
     return np.exp(norm_logpdf(a) - norm_logcdf(a))
 
 
-def _tobit_newton(design, mpos, s1, s2, mzero, gamma0, delta0):
-    """Maximize the aggregated weighted tobit log-likelihood.
+def _tobit_objective(g, delta, mpos, s1, mzero, mpos_tot, s2_tot):
+    """Aggregated weighted tobit log-likelihood of each problem at linear
+    predictors ``g`` (P, n_strata) and inverse scales ``delta`` (P,)."""
+    val = mpos_tot * (np.array([math.log(d) for d in delta]) - 0.5 * _LOG_2PI)
+    val = val - 0.5 * (delta * delta * s2_tot - 2.0 * delta * _dot(g, s1) + _dot(g * g, mpos))
+    active = mzero > 0.0
+    if active.any():
+        cens = np.zeros_like(g)
+        cens[active] = norm_logcdf(-g[active])
+        val = val + _dot(np.where(active, mzero, 0.0), cens)
+    return val
 
-    Works in the (gamma, delta) = (location/scale, 1/scale) parameterization,
-    in which the censored-normal log-likelihood is globally concave, so a
-    damped Newton with step halving converges to the unique maximum. Returns
-    (beta, delta) with locations = design @ beta / delta.
+
+def _tobit_newton(design, mpos, s1, s2, mzero, gamma0, delta0, pinned=None):
+    """Maximize P aggregated weighted tobit log-likelihoods at once.
+
+    Each problem works in the (gamma, delta) = (location/scale, 1/scale)
+    parameterization, in which the censored-normal log-likelihood is
+    globally concave, so a damped Newton with step halving converges to the
+    unique maximum. Statistics and ``gamma0`` are (P, n_strata). ``pinned``
+    (P, q) marks coefficients held at their start (zero gradient, unit
+    Hessian row and column), whose statistics the caller zeroes. A problem
+    stops on a small gradient, a failed line search or after 100 steps; the
+    others go on together. Returns (beta (P, q), delta (P,)) with
+    locations = design @ beta / delta.
     """
     q = design.shape[1]
-    beta = np.linalg.lstsq(design, gamma0, rcond=None)[0]
-    delta = float(delta0)
-    s2_tot = float(s2.sum())
-    mpos_tot = float(mpos.sum())
-
-    def objective(beta_v, delta_v):
-        g = design @ beta_v
-        val = mpos_tot * (math.log(delta_v) - 0.5 * _LOG_2PI)
-        val -= 0.5 * (delta_v * delta_v * s2_tot - 2.0 * delta_v * (g @ s1) + (g * g) @ mpos)
-        active = mzero > 0.0
-        if active.any():
-            val += float(mzero[active] @ norm_logcdf(-g[active]))
-        return float(val)
-
-    obj = objective(beta, delta)
+    beta = _matvec(np.linalg.pinv(design), gamma0)
+    delta = np.array(delta0, dtype=float)
+    data = (mpos, s1, mzero, mpos.sum(axis=1), s2.sum(axis=1))
+    obj = _tobit_objective(_matvec(design, beta), delta, *data)
+    todo = np.arange(len(beta))
     for _ in range(100):
-        g = design @ beta
+        if not todo.size:
+            break
+        b, d, o = beta[todo], delta[todo], obj[todo]
+        sub = tuple(a[todo] for a in data)
+        mp, s1_, mz, mt, st = sub
+        g = _matvec(design, b)
         lam = _inverse_mills(-g)
-        grad_g = delta * s1 - g * mpos - mzero * lam
-        grad_d = mpos_tot / delta - delta * s2_tot + g @ s1
-        h_gg = -(mpos + mzero * lam * (lam - g))
-        grad = np.concatenate([design.T @ grad_g, [grad_d]])
-        if np.max(np.abs(grad)) < 1e-9 * max(1.0, abs(obj)):
-            break
-        hess = np.empty((q + 1, q + 1))
-        hess[:q, :q] = design.T @ (h_gg[:, None] * design)
-        hess[:q, q] = hess[q, :q] = design.T @ s1
-        hess[q, q] = -mpos_tot / delta**2 - s2_tot
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-        size = 1.0
-        improved = False
-        while size > 1e-16:
-            beta_n = beta + size * step[:q]
-            delta_n = delta + size * step[q]
-            if delta_n > 0.0:
-                obj_n = objective(beta_n, delta_n)
-                if obj_n > obj:
-                    beta, delta, obj = beta_n, delta_n, obj_n
-                    improved = True
-                    break
-            size *= 0.5
-        if not improved:
-            break
+        grad_g = d[:, None] * s1_ - g * mp - mz * lam
+        grad = np.column_stack([_matvec(design.T, grad_g), mt / d - d * st + _dot(g, s1_)])
+        h_gg = -(mp + mz * lam * (lam - g))
+        hess = np.empty((len(todo), q + 1, q + 1))
+        hess[:, :q, :q] = design.T @ (h_gg[..., None] * design)
+        hess[:, :q, q] = hess[:, q, :q] = _matvec(design.T, s1_)
+        hess[:, q, q] = -mt / d**2 - st
+        if pinned is not None:
+            pin = np.zeros(grad.shape, dtype=bool)
+            pin[:, :q] = pinned[todo]
+            grad[pin] = 0.0
+            hess = np.where(pin[:, :, None] | pin[:, None, :], np.eye(q + 1), hess)
+        step = _solve(hess, -grad)
+        live = np.flatnonzero(np.abs(grad).max(axis=1) >= 1e-9 * np.maximum(1.0, np.abs(o)))
+        moved = np.zeros(len(todo), dtype=bool)
+        frac = 1.0
+        while live.size and frac > 1e-16:
+            b_n = b[live] + frac * step[live, :q]
+            d_n = d[live] + frac * step[live, q]
+            # a trial point that rounds to the current one cannot improve it,
+            # and neither can any shorter step
+            stuck = (b_n == b[live]).all(axis=1) & (d_n == d[live])
+            up = np.flatnonzero(d_n > 0.0)
+            if up.size:
+                o_n = _tobit_objective(_matvec(design, b_n[up]), d_n[up],
+                                       *(a[live[up]] for a in sub))
+                gain = o_n > o[live[up]]
+                up, o_n = up[gain], o_n[gain]
+                b[live[up]], d[live[up]], o[live[up]] = b_n[up], d_n[up], o_n
+                moved[live[up]] = True
+                stuck[up] = True
+            live = live[~stuck]
+            frac *= 0.5
+        beta[todo], delta[todo], obj[todo] = b, d, o
+        todo = todo[moved]
     return beta, delta
 
 
@@ -290,7 +330,8 @@ def m_step(
     maximize the posterior-weighted component log-likelihood (closed form
     for the normal family, an inner concave Newton for tobit). A stratum
     whose arm-level posterior weight falls below 1e-8 keeps its previous
-    location, which requires ``prev``.
+    location, which requires ``prev``. This is the EM loop's M-step applied
+    to a single parameter set.
     """
     grid = StrataGrid(dataset.k_levels)
     if posterior.shape != (dataset.n, grid.n_strata):
@@ -298,98 +339,79 @@ def m_step(
             f"posterior shape {posterior.shape} does not match the dataset's "
             f"{dataset.n} cases over {grid.n_strata} strata"
         )
-    pairs = [
-        (cell, posterior[np.ix_(cell.rows, cell.strata)])
-        for cell in dataset.cells if cell.y.size
-    ]
-    stats = _accumulate(pairs, family, grid.n_strata)
-    params, _, _ = _m_step_core(stats, grid, family, mean_structure, prev, scale_floor)
-    return params
-
-
-def _m_step_core(stats: _Stats, grid, family, mean_structure, prev, scale_floor):
-    design = _design(grid, mean_structure)
-    q = design.shape[1]
-    w_total = float(stats.m.sum())
-    if w_total <= 0.0:
-        raise DataError("all case weights are zero")
-    probs = stats.m.sum(axis=0) / w_total
-
-    prev_table = prev.location_table() if prev is not None else None
-    coef = np.empty((q, 2))
-    scales = np.empty(2)
-    frozen: list[tuple[int, int]] = []
-    floor_active = [False, False]
-
-    for t in (0, 1):
-        m = stats.m[t]
-        arm_w = float(m.sum())
-        if arm_w <= 0.0:
-            raise DataError(f"empty arm {t}")
-        dead = m < FROZEN_WEIGHT_TOL
-        freeze = bool(dead.any()) and mean_structure is MeanStructure.SATURATED
-        if freeze:
-            if prev_table is None:
-                raise EstimationError(
-                    f"strata {np.flatnonzero(dead).tolist()} lost all posterior "
-                    f"weight in arm {t} and no previous parameters were given"
-                )
-            frozen += [(int(s), t) for s in np.flatnonzero(dead)]
-
-        if family is Family.NORMAL:
-            b = stats.b[t]
-            if mean_structure is MeanStructure.SATURATED:
-                loc = b / np.where(dead, 1.0, m)
-                if freeze:
-                    loc[dead] = prev_table[dead, t]
-                coef_t = loc
-            else:
-                coef_t = _solve_wls(design, m, b)
-                loc = design @ coef_t
-            rss = float(stats.s2[t].sum() - 2.0 * loc @ b + (loc * loc) @ m)
-            scale = math.sqrt(max(rss, 0.0) / arm_w)
-        else:
-            mpos, s1, s2 = stats.mpos[t], stats.s1p[t], stats.s2p[t]
-            mzero = m - mpos
-            if prev is not None:
-                prev_scale = float(prev.scales[t])
-                gamma0 = prev_table[:, t] / prev_scale
-            else:
-                prev_scale = max(math.sqrt(float(s2.sum()) / max(arm_w, 1e-300)), 1e-6)
-                gamma0 = np.where(mpos > 0, s1 / np.maximum(mpos, 1e-300), 0.0) / prev_scale
-            if freeze:
-                live = np.flatnonzero(~dead)
-                beta_live, delta = _tobit_newton(
-                    np.eye(live.size), mpos[live], s1[live], s2[live],
-                    mzero[live], gamma0[live], 1.0 / prev_scale,
-                )
-                loc = prev_table[:, t].copy()
-                loc[live] = beta_live / delta
-                coef_t = loc
-            else:
-                beta, delta = _tobit_newton(
-                    design, mpos, s1, s2, mzero, gamma0, 1.0 / prev_scale
-                )
-                coef_t = beta / delta
-            scale = 1.0 / delta
-
-        if scale < scale_floor[t]:
-            scale = scale_floor[t]
-            floor_active[t] = True
-        if scale <= 0.0:
-            scale = max(scale_floor[t], 1e-12)
-        coef[:, t] = coef_t
-        scales[t] = scale
-
-    params = ModelParams(
-        grid=grid,
-        probs=probs / probs.sum(),
-        locations=coef,
-        scales=scales,
-        family=family,
-        mean_structure=mean_structure,
+    stats = np.zeros((1, 2, grid.n_strata, 4 if family is Family.TOBIT else 3))
+    for cell in dataset.cells:
+        if cell.y.size:
+            _accumulate(stats, cell, posterior[np.ix_(cell.rows, cell.strata)][None], family)
+    prev_sets = None if prev is None else (prev.location_table().T[None], prev.scales[None])
+    probs, coef, scales, _, _ = _m_step_core(
+        stats, grid, family, mean_structure, prev_sets, scale_floor
     )
-    return params, tuple(frozen), tuple(floor_active)
+    return ModelParams(grid, probs[0], coef[0].T, scales[0], family, mean_structure)
+
+
+def _m_step_core(stats, grid, family, mean_structure, prev, scale_floor):
+    """The M-step of S parameter sets at once, from :func:`_accumulate`'s
+    statistics and None or the sets' current (location table (S, 2,
+    n_strata), scales (S, 2)). Returns probabilities (S, n_strata), locations
+    (S, 2, n_loc), scales (S, 2), the frozen (set, arm, stratum) mask and the
+    scale-floor flags (S, 2)."""
+    m, b, s2, *mpos = np.moveaxis(stats, -1, 0).copy()  # contiguous rows
+    n_sets = len(m)
+    w_total = m.reshape(n_sets, -1).sum(axis=1)
+    if np.any(w_total <= 0.0):
+        raise DataError("all case weights are zero")
+    arm_w = m.sum(axis=2)
+    for t in (0, 1):
+        if np.any(arm_w[:, t] <= 0.0):
+            raise DataError(f"empty arm {t}")
+    probs = m.sum(axis=1) / w_total[:, None]
+    saturated = mean_structure is MeanStructure.SATURATED
+    frozen = (m < FROZEN_WEIGHT_TOL) & saturated
+    if prev is None and frozen.any():
+        s, t = np.argwhere(frozen.any(axis=2))[0]
+        raise EstimationError(
+            f"strata {np.flatnonzero(frozen[s, t]).tolist()} lost all posterior "
+            f"weight in arm {t} and no previous parameters were given"
+        )
+    design = _design(grid, mean_structure)
+
+    if family is Family.NORMAL:
+        if saturated:
+            coef = loc = b / np.where(frozen, 1.0, m)
+            if frozen.any():
+                coef = loc = np.where(frozen, prev[0], loc)
+        else:
+            coef = _solve(design.T @ (m[..., None] * design), _matvec(design.T, b))
+            loc = _matvec(design, coef)
+        rss = s2.sum(axis=2) - _dot(2.0 * loc, b) + _dot(loc * loc, m)
+        scales = np.sqrt(np.maximum(rss, 0.0) / arm_w)
+    else:
+        mpos = mpos[0]
+        if prev is not None:
+            prev_scale = prev[1]
+            gamma0 = prev[0] / prev_scale[..., None]
+        else:
+            prev_scale = np.maximum(np.sqrt(s2.sum(axis=2) / np.maximum(arm_w, 1e-300)), 1e-6)
+            gamma0 = np.where(mpos > 0, b / np.maximum(mpos, 1e-300), 0.0) / prev_scale[..., None]
+        # one problem per (set, arm); frozen strata drop out of the
+        # objective and their coefficients are pinned
+        rows = (2 * n_sets, -1)
+        sums = (np.stack([mpos, b, s2, m - mpos]) * ~frozen).reshape(4, *rows)
+        beta, delta = _tobit_newton(
+            design, *sums, gamma0.reshape(rows), (1.0 / prev_scale).ravel(),
+            frozen.reshape(rows) if frozen.any() else None,
+        )
+        coef = (beta / delta[:, None]).reshape(n_sets, 2, -1)
+        if frozen.any():
+            coef = np.where(frozen, prev[0], coef)
+        scales = (1.0 / delta).reshape(n_sets, 2)
+
+    floor = np.asarray(scale_floor, dtype=float)
+    floor_active = scales < floor
+    scales = np.where(floor_active, floor, scales)
+    scales = np.where(scales <= 0.0, np.maximum(floor, 1e-12), scales)
+    return probs / probs.sum(axis=1, keepdims=True), coef, scales, frozen, floor_active
 
 
 # --------------------------------------------------------------------------
@@ -730,6 +752,8 @@ def select_starts(
     per mapping under the linear one (see :func:`_initial_logliks`).
     """
     kind, count = strategy
+    if kind not in ("topk", "spread"):
+        raise ValueError(f"unknown start-selection strategy: {kind!r}")
     scales = _pooled_scales(warm, grid.k_levels, scale_floor)
     total = n_mappings(grid.k_levels)
     if count >= total:
@@ -738,10 +762,8 @@ def select_starts(
         lls = _initial_logliks(dataset, warm, grid, family, mean_structure, scales)
         if kind == "topk":
             chosen = np.sort(np.argsort(-lls, kind="stable")[:count]).tolist()
-        elif kind == "spread":
-            chosen = _farthest_points(lls, count)
         else:
-            raise ValueError(f"unknown start-selection strategy: {kind!r}")
+            chosen = _farthest_points(lls, count)
     return [
         _materialize(i, _combo_from_id(i, grid.k_levels), warm, grid, family,
                      mean_structure, scales)
@@ -781,7 +803,8 @@ def parse_starts(text: str) -> str | tuple[str, int]:
 
 @dataclass(frozen=True, eq=False)
 class StartRecord:
-    """Outcome of one EM run: where it started and where it ended."""
+    """Outcome of one EM run: where it started and where it ended.
+    ``stop_reason`` is ``"tol"`` (converged) or ``"max_iter"``."""
 
     mapping_id: int
     loglik: float
@@ -790,6 +813,7 @@ class StartRecord:
     converged: bool
     floor_active: tuple[bool, bool]
     frozen: tuple[tuple[int, int], ...]
+    stop_reason: str
     history: tuple[float, ...] = ()
 
 
@@ -814,44 +838,75 @@ class FitResult:
         return len(self.tie_ids) > 1
 
 
-def _run_em(dataset, start: StartingMapping, family, mean_structure, tol,
-            max_iter, scale_floor, keep_history) -> StartRecord:
-    n_strata = dataset.k_levels**2
-    params = start.params
+# The largest (starts x cases x strata) array the EM loop builds, in float64
+# entries: 2^16, 512 KiB. Starts run in blocks sized to the widest cell, so
+# the working set does not grow with the start count or the sample size.
+_EM_BLOCK = 1 << 16
+
+
+def _run_starts(dataset, starts, family, mean_structure, tol, max_iter, scale_floor,
+                keep_history) -> list[StartRecord]:
+    """Run EM from every start and return their records in start order.
+
+    The starts of a block (see ``_EM_BLOCK``) advance together through one
+    kernel and one M-step per iteration. A start stops once its
+    log-likelihood changes by at most ``tol * max(1, |ll|)``, or after
+    ``max_iter`` M-steps and one more evaluation, and leaves the block, so
+    its record is the one it would get running on its own.
+    """
+    args = (family, mean_structure, tol, max_iter, scale_floor, keep_history)
+    widest = max(cell.y.size * cell.strata.size for cell in dataset.cells)
+    block = max(1, _EM_BLOCK // max(widest, 1))
+    if len(starts) > block:
+        return [rec for lo in range(0, len(starts), block)
+                for rec in _run_starts(dataset, starts[lo:lo + block], *args)]
+    n_stats = 4 if family is Family.TOBIT else 3
+    grid = starts[0].params.grid
+    design = _design(grid, mean_structure)
+    probs = np.stack([s.params.probs for s in starts])
+    coef = np.stack([s.params.locations.T for s in starts])
+    scales = np.stack([s.params.scales for s in starts])
+    frozen = np.zeros((len(starts), 2, grid.n_strata), dtype=bool)
+    floor = np.zeros((len(starts), 2), dtype=bool)
+    ids = np.arange(len(starts))  # positions of the running starts
+    history: list[list[float]] = [[] for _ in starts]
+    records: list[StartRecord] = [None] * len(starts)
+
+    def finish(done, ll, iterations, reason):
+        for j in np.flatnonzero(done):
+            i = ids[j]
+            params = ModelParams(grid, probs[j], coef[j].T, scales[j], family, mean_structure)
+            frozen_j = tuple((int(s), int(t)) for t, s in np.argwhere(frozen[j]))
+            records[i] = StartRecord(starts[i].mapping_id, float(ll[j]), params, iterations,
+                                     reason == "tol", tuple(map(bool, floor[j])), frozen_j,
+                                     reason, tuple(history[i]))
+
     ll_prev = None
-    history: list[float] = []
-    frozen: tuple[tuple[int, int], ...] = ()
-    floor: tuple[bool, bool] = (False, False)
-    converged = False
-    iterations = 0
-    for it in range(1, max_iter + 1):
-        iterations = it
-        terms = _mixture(params, dataset, want_post=True)
-        ll = _total(terms)
+    for it in range(1, max_iter + 2):
+        table = coef if mean_structure is MeanStructure.SATURATED else coef @ design.T
+        ll = 0.0
+        stats = np.zeros((len(ids), 2, grid.n_strata, n_stats))
+        for cell, lse, post in _mixture(dataset, _log_probs(probs), table, scales, family, True):
+            ll = ll + _dot(lse, cell.w)
+            _accumulate(stats, cell, post, family)
         if keep_history:
-            history.append(ll)
-        if ll_prev is not None and abs(ll - ll_prev) <= tol * max(1.0, abs(ll)):
-            converged = True
-            break
-        stats = _accumulate([(c, post) for c, _, post in terms], family, n_strata)
-        params, frozen, floor = _m_step_core(
-            stats, params.grid, family, mean_structure, params, scale_floor
-        )
+            for i, value in zip(ids, ll.tolist()):
+                history[i].append(value)
+        if it > max_iter:  # the evaluation after the last M-step
+            finish(ids >= 0, ll, max_iter, "max_iter")
+            return records
+        if ll_prev is not None:
+            done = np.abs(ll - ll_prev) <= tol * np.maximum(1.0, np.abs(ll))
+            if done.any():
+                finish(done, ll, it, "tol")
+                if done.all():
+                    return records
+                keep = ~done
+                ids, probs, coef, scales, table, stats, ll = (
+                    a[keep] for a in (ids, probs, coef, scales, table, stats, ll))
+        probs, coef, scales, frozen, floor = _m_step_core(
+            stats, grid, family, mean_structure, (table, scales), scale_floor)
         ll_prev = ll
-    else:
-        ll = _total(_mixture(params, dataset, want_post=False))
-        if keep_history:
-            history.append(ll)
-    return StartRecord(
-        mapping_id=start.mapping_id,
-        loglik=ll,
-        params=params,
-        iterations=iterations,
-        converged=converged,
-        floor_active=floor,
-        frozen=frozen,
-        history=tuple(history),
-    )
 
 
 def fit(
@@ -863,8 +918,8 @@ def fit(
     """Maximize the weighted mixture likelihood over all starting mappings.
 
     Runs EM from every enumerated (or selected) component-to-stratum
-    assignment and returns the best final log-likelihood, with the complete
-    per-start trace. Ties within 1e-8 go to the lowest mapping id and are
+    assignment, all starts advancing together (see :func:`_run_starts`), and
+    returns the best final log-likelihood, with the complete per-start trace. Ties within 1e-8 go to the lowest mapping id and are
     recorded. Raises ConvergenceError (carrying the trace) if no start
     converges, DataError on empty cells.
     """
@@ -889,11 +944,8 @@ def fit(
         starts = select_starts(
             dataset, warm, grid, family, mean_structure, config.starts, scale_floor
         )
-    records = [
-        _run_em(dataset, s, family, mean_structure, config.tol, config.max_iter,
-                scale_floor, config.keep_history)
-        for s in starts
-    ]
+    records = _run_starts(dataset, starts, family, mean_structure, config.tol,
+                          config.max_iter, scale_floor, config.keep_history)
     if not any(r.converged for r in records):
         raise ConvergenceError(
             f"no starting mapping converged within {config.max_iter} iterations",

@@ -1,8 +1,10 @@
 """Independent scalar oracles used by the test suite.
 
-Everything here deliberately avoids the package's own numerical paths:
-densities go through math.erf/erfc, sums are plain Python loops over the
-mixture definition, and optima come from grid refinement.
+Everything here except the EM loop oracle deliberately avoids the
+package's own numerical paths: densities go through math.erf/erfc, sums are
+plain Python loops over the mixture definition, and optima come from grid
+refinement. The EM loop oracle runs one start at a time through the public
+one-set functions, against which the batched EM loop is checked.
 """
 
 import math
@@ -140,3 +142,101 @@ def select_ids_oracle(lls, kind: str, count: int) -> list[int]:
         chosen.append(pick)
         remaining.remove(pick)
     return sorted(chosen)
+
+
+def em_one_start_oracle(dataset, params, family, mean_structure, tol, max_iter, scale_floor):
+    """EM from one start as a plain loop over the public one-set functions
+    ``log_likelihood``, ``e_step`` and ``m_step``, with the stopping rule of
+    ``stratfit.em.fit``: stop once the log-likelihood changes by at most
+    ``tol * max(1, |ll|)``, or after ``max_iter`` M-steps and one more
+    evaluation. Frozen strata and scale-floor flags are read off the last
+    M-step's posterior and result. Returns the fields of a ``StartRecord``.
+    """
+    from stratfit import em
+    from stratfit.core import MeanStructure
+
+    history = []
+    ll_prev = None
+    frozen, floor, converged, iterations = (), (False, False), False, 0
+    for it in range(1, max_iter + 1):
+        iterations = it
+        ll = em.log_likelihood(params, dataset)
+        history.append(ll)
+        if ll_prev is not None and abs(ll - ll_prev) <= tol * max(1.0, abs(ll)):
+            converged = True
+            break
+        post = em.e_step(params, dataset)
+        weight = [dataset.w[dataset.t == t] @ post[dataset.t == t] for t in (0, 1)]
+        frozen = tuple(
+            (int(s), t) for t in (0, 1)
+            for s in np.flatnonzero(weight[t] < em.FROZEN_WEIGHT_TOL)
+        ) if mean_structure is MeanStructure.SATURATED else ()
+        params = em.m_step(post, dataset, family, mean_structure, prev=params,
+                           scale_floor=scale_floor)
+        floor = tuple(bool(0.0 < scale_floor[t] == params.scales[t]) for t in (0, 1))
+        ll_prev = ll
+    else:
+        ll = em.log_likelihood(params, dataset)
+        history.append(ll)
+    return {
+        "loglik": ll, "params": params, "iterations": iterations,
+        "converged": converged, "frozen": frozen, "floor_active": floor,
+        "history": tuple(history),
+    }
+
+
+def tobit_newton_oracle(design, mpos, s1, s2, mzero, gamma0, delta0):
+    """One aggregated tobit M-step problem solved on its own by the damped
+    Newton with step halving, written with scalar arithmetic. Returns (beta,
+    delta, objective evaluations)."""
+    from stratfit.densities import norm_logcdf, norm_logpdf
+
+    log_2pi = math.log(2.0 * math.pi)
+    q = design.shape[1]
+    beta = np.linalg.lstsq(design, gamma0, rcond=None)[0]
+    delta = float(delta0)
+    s2_tot = float(s2.sum())
+    mpos_tot = float(mpos.sum())
+    evaluations = 0
+
+    def objective(beta_v, delta_v):
+        nonlocal evaluations
+        evaluations += 1
+        g = design @ beta_v
+        val = mpos_tot * (math.log(delta_v) - 0.5 * log_2pi)
+        val -= 0.5 * (delta_v * delta_v * s2_tot - 2.0 * delta_v * (g @ s1) + (g * g) @ mpos)
+        active = mzero > 0.0
+        if active.any():
+            val += float(mzero[active] @ norm_logcdf(-g[active]))
+        return float(val)
+
+    obj = objective(beta, delta)
+    for _ in range(100):
+        g = design @ beta
+        lam = np.exp(norm_logpdf(-g) - norm_logcdf(-g))
+        grad_g = delta * s1 - g * mpos - mzero * lam
+        grad_d = mpos_tot / delta - delta * s2_tot + g @ s1
+        h_gg = -(mpos + mzero * lam * (lam - g))
+        grad = np.concatenate([design.T @ grad_g, [grad_d]])
+        if np.max(np.abs(grad)) < 1e-9 * max(1.0, abs(obj)):
+            break
+        hess = np.empty((q + 1, q + 1))
+        hess[:q, :q] = design.T @ (h_gg[:, None] * design)
+        hess[:q, q] = hess[q, :q] = design.T @ s1
+        hess[q, q] = -mpos_tot / delta**2 - s2_tot
+        step = np.linalg.solve(hess, -grad)
+        size = 1.0
+        improved = False
+        while size > 1e-16:
+            beta_n = beta + size * step[:q]
+            delta_n = delta + size * step[q]
+            if delta_n > 0.0:
+                obj_n = objective(beta_n, delta_n)
+                if obj_n > obj:
+                    beta, delta, obj = beta_n, delta_n, obj_n
+                    improved = True
+                    break
+            size *= 0.5
+        if not improved:
+            break
+    return beta, delta, evaluations

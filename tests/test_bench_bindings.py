@@ -40,3 +40,12 @@ def test_fit_signature_and_config():
     params = inspect.signature(em.fit).parameters
     assert {"dataset", "family", "mean_structure", "config"} <= set(params)
     assert "max_iter" in {f.name for f in dataclasses.fields(em.FitConfig)}
+
+
+def test_m_step_accepts_the_benchmark_call():
+    # measure.micro_timings calls
+    # em.m_step(post, ds, family, structure, prev=params, scale_floor=floor)
+    inspect.signature(em.m_step).bind(
+        "posterior", "dataset", "family", "mean_structure", prev="params",
+        scale_floor="floor",
+    )

@@ -178,7 +178,8 @@ class TestCmdDiagnose:
         ds, _ = simulate_four_strata(100, seed=5)
         res = fit(ds, config=FitConfig(starts=("topk", 2)))
         flagged = dataclasses.replace(
-            res.trace[0], floor_active=(True, False), frozen=((3, 1), (2, 0))
+            res.trace[0], floor_active=(True, False), frozen=((3, 1), (2, 0)),
+            stop_reason="max_iter",
         )
         res = dataclasses.replace(res, trace=(flagged,) + res.trace[1:])
         path = tmp_path / "fit.json"
@@ -191,13 +192,17 @@ class TestCmdDiagnose:
                 b.mapping_id, b.loglik, b.iterations, b.converged)
             assert a.floor_active == b.floor_active
             assert a.frozen == b.frozen
+            assert a.stop_reason == b.stop_reason
             np.testing.assert_array_equal(a.params.locations, b.params.locations)
+        assert [r.stop_reason for r in got.trace] == ["max_iter", "tol"]
 
         payload = json.loads(path.read_text())
-        del payload["trace"][0]["frozen"]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DataError, match="invalid fit file"):
-            load_fit(str(path))
+        for key in ("frozen", "stop_reason"):
+            broken = json.loads(json.dumps(payload))
+            del broken["trace"][0][key]
+            path.write_text(json.dumps(broken))
+            with pytest.raises(DataError, match="invalid fit file"):
+                load_fit(str(path))
 
     def test_missing_fit_file_exits_2(self, tmp_path):
         assert main(["diagnose", "--fit", str(tmp_path / "none.json"),

@@ -10,6 +10,7 @@ from stratfit.densities import Family
 from stratfit.em import (
     CellStart,
     FitConfig,
+    StartingMapping,
     case_loglik,
     cell_order,
     e_step,
@@ -27,7 +28,7 @@ from stratfit.em import (
     _materialize,
     _perm_table,
     _pooled_scales,
-    _run_em,
+    _run_starts,
     _tobit_newton,
 )
 from stratfit.errors import (
@@ -41,9 +42,11 @@ from stratfit.errors import (
 from _oracles import (
     brute_force_loglik,
     density_oracle,
+    em_one_start_oracle,
     initial_probs_oracle,
     select_ids_oracle,
     tobit_grid_mle,
+    tobit_newton_oracle,
 )
 
 GRID2 = StrataGrid(2)
@@ -239,17 +242,80 @@ class TestTobitNewton:
         w = rng.uniform(0.5, 2.0, size=400)
         pos = y > 0
         design = np.eye(1)
-        mpos = np.array([w[pos].sum()])
-        s1 = np.array([w[pos] @ y[pos]])
-        s2 = np.array([w[pos] @ (y[pos] ** 2)])
-        mzero = np.array([w[~pos].sum()])
+        mpos = np.array([[w[pos].sum()]])
+        s1 = np.array([[w[pos] @ y[pos]]])
+        s2 = np.array([[w[pos] @ (y[pos] ** 2)]])
+        mzero = np.array([[w[~pos].sum()]])
         beta, delta = _tobit_newton(
-            design, mpos, s1, s2, mzero, np.array([0.5]), 1.0
+            design, mpos, s1, s2, mzero, np.array([[0.5]]), np.array([1.0])
         )
-        eta_hat, zeta_hat = beta[0] / delta, 1.0 / delta
+        eta_hat, zeta_hat = beta[0, 0] / delta[0], 1.0 / delta[0]
         eta_ref, zeta_ref = tobit_grid_mle(y, w, (0.0, 2.0), (0.5, 3.0))
         assert eta_hat == pytest.approx(eta_ref, abs=1e-4)
         assert zeta_hat == pytest.approx(zeta_ref, abs=1e-4)
+
+    def test_pinned_coordinate_matches_the_live_subproblem(self):
+        rng = np.random.default_rng(13)
+        stats = []
+        for mu in (-0.5, 0.4, 1.1, 2.0):
+            y = np.maximum(rng.normal(mu, 1.3, size=150), 0.0)
+            w = rng.uniform(0.5, 2.0, size=150)
+            pos = y > 0
+            stats.append((w[pos].sum(), w @ y, w @ y**2, w[~pos].sum()))
+        mpos, s1, s2, mzero = np.array(stats).T
+        gamma0 = np.array([0.1, 0.2, 5.0, 0.3])
+        live = np.array([True, True, False, True])
+        beta, delta = _tobit_newton(
+            np.eye(4), *(np.where(live, a, 0.0)[None] for a in (mpos, s1, s2, mzero)),
+            gamma0[None], np.array([0.8]), pinned=~live[None],
+        )
+        sub_beta, sub_delta = _tobit_newton(
+            np.eye(3), *(a[live][None] for a in (mpos, s1, s2, mzero)),
+            gamma0[live][None], np.array([0.8]),
+        )
+        assert beta[0, 2] == gamma0[2]
+        np.testing.assert_allclose(beta[0, live] / delta[0], sub_beta[0] / sub_delta[0],
+                                   rtol=1e-9)
+        assert delta[0] == pytest.approx(sub_delta[0], rel=1e-9)
+
+    def test_batched_solves_match_the_scalar_newton(self, monkeypatch):
+        # every M-step problem of a tobit fit, solved in its batch, ends where
+        # the one-problem Newton ends, with fewer objective evaluations when
+        # solved alone: a line search stops once its trial point rounds to
+        # the current one
+        ds, _ = simulate_four_strata(300, seed=25, dispersion=2.4, sigma=2.0,
+                                     effect=3.0, censor=True)
+        newton, objective = em._tobit_newton, em._tobit_objective
+        calls = []
+
+        def recorded(design, *args):
+            out = newton(design, *args)
+            calls.append((design, args, out))
+            return out
+
+        monkeypatch.setattr(em, "_tobit_newton", recorded)
+        fit(ds, Family.TOBIT, config=FitConfig(tol=1e-7, starts=("topk", 2)))
+        evaluations = [0]
+
+        def counted(*args):
+            evaluations[0] += 1
+            return objective(*args)
+
+        monkeypatch.setattr(em, "_tobit_objective", counted)
+        ours = theirs = 0
+        for design, (*stats, gamma0, delta0, pinned), (beta, delta) in calls:
+            assert pinned is None
+            for p in range(len(delta)):
+                want_beta, want_delta, n = tobit_newton_oracle(
+                    design, *(a[p] for a in stats), gamma0[p], delta0[p])
+                np.testing.assert_allclose(beta[p], want_beta, rtol=1e-12, atol=0.0)
+                assert delta[p] == pytest.approx(want_delta, rel=1e-12)
+                before = evaluations[0]
+                newton(design, *(a[p:p + 1] for a in stats), gamma0[p:p + 1], delta0[p:p + 1])
+                ours += evaluations[0] - before
+                theirs += n
+        assert len(calls) > 20
+        assert ours < 0.8 * theirs
 
 
 class TestWarmStarts:
@@ -367,6 +433,13 @@ class TestSelectStarts:
         got = select_starts(ds, warm, GRID2, Family.NORMAL,
                             MeanStructure.SATURATED, ("spread", 99))
         assert len(got) == 16
+
+    def test_unknown_kind_raises_before_the_count_shortcut(self):
+        ds, warm = self._setup()
+        for count in (3, 99):
+            with pytest.raises(ValueError, match="unknown start-selection strategy"):
+                select_starts(ds, warm, GRID2, Family.NORMAL,
+                              MeanStructure.SATURATED, ("bogus", count))
 
     def test_spread_contains_best_and_requested_count(self):
         ds, warm = self._setup()
@@ -546,12 +619,10 @@ class TestFit:
         )
 
         def best_loglik(warm_dict):
-            best = -np.inf
-            for m in enumerate_mappings(warm_dict, GRID2, Family.NORMAL):
-                rec = _run_em(ds, m, Family.NORMAL, MeanStructure.SATURATED,
-                              1e-9, 2000, (0.0, 0.0), False)
-                best = max(best, rec.loglik)
-            return best
+            starts = list(enumerate_mappings(warm_dict, GRID2, Family.NORMAL))
+            records = _run_starts(ds, starts, Family.NORMAL, MeanStructure.SATURATED,
+                                  1e-9, 2000, (0.0, 0.0), False)
+            return max(rec.loglik for rec in records)
 
         assert best_loglik(swapped) == pytest.approx(best_loglik(warm), abs=1e-6)
 
@@ -564,6 +635,104 @@ class TestFit:
         sigma = 2.0
         assert np.max(np.abs(res.params.location_table() - truth.location_table())) < 0.5 * sigma
         np.testing.assert_allclose(res.params.scales, sigma, rtol=0.15)
+
+
+def fit_starts(ds, family, mean_structure, config):
+    """The starts and scale floor that ``fit`` builds from these arguments."""
+    grid = StrataGrid(ds.k_levels)
+    floor = tuple(
+        1e-3 * em._weighted_sd(ds.y[ds.t == t], ds.w[ds.t == t]) for t in (0, 1)
+    )
+    warm = warm_start_cells(ds, family)
+    if config.starts == "all":
+        return list(enumerate_mappings(warm, grid, family, mean_structure, floor)), floor
+    return select_starts(ds, warm, grid, family, mean_structure, config.starts, floor), floor
+
+
+def assert_records_match_oracle(records, starts, ds, family, mean_structure, config, floor):
+    assert [r.mapping_id for r in records] == [s.mapping_id for s in starts]
+    for rec, start in zip(records, starts):
+        want = em_one_start_oracle(ds, start.params, family, mean_structure, config.tol,
+                                   config.max_iter, floor)
+        assert (rec.iterations, rec.converged, rec.frozen, rec.floor_active) == (
+            want["iterations"], want["converged"], want["frozen"], want["floor_active"])
+        assert rec.stop_reason == ("tol" if want["converged"] else "max_iter")
+        assert rec.loglik == pytest.approx(want["loglik"], rel=1e-10)
+        for name in ("probs", "locations", "scales"):
+            np.testing.assert_allclose(getattr(rec.params, name),
+                                       getattr(want["params"], name), rtol=0.0, atol=1e-8)
+        if config.keep_history:
+            np.testing.assert_allclose(rec.history, want["history"], rtol=1e-10, atol=0.0)
+        else:
+            assert rec.history == ()
+
+
+ORACLE_CASES = {
+    "normal": (lambda: simulate_four_strata(200, seed=41)[0], Family.NORMAL,
+               MeanStructure.SATURATED, FitConfig()),
+    "linear": (lambda: simulate_four_strata(200, seed=42)[0], Family.NORMAL,
+               MeanStructure.LINEAR, FitConfig()),
+    "tobit": (lambda: simulate_four_strata(150, seed=43, censor=True)[0], Family.TOBIT,
+              MeanStructure.SATURATED, FitConfig(tol=1e-7, starts=("topk", 4))),
+    "three_levels": (lambda: simulate_nine_strata(200, seed=27), Family.NORMAL,
+                     MeanStructure.SATURATED, FitConfig(starts=("topk", 3))),
+    "capped": (lambda: simulate_four_strata(200, seed=22)[0], Family.NORMAL,
+               MeanStructure.SATURATED, FitConfig(max_iter=5)),
+    "history": (lambda: simulate_four_strata(200, seed=21)[0], Family.NORMAL,
+                MeanStructure.SATURATED, FitConfig(keep_history=True)),
+}
+
+
+class TestBatchedEM:
+    """Every start of the batched EM ends where EM run from that start alone
+    through the public one-set functions ends."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_fit_trace_matches_one_start_oracle(self, case):
+        make, family, mean_structure, config = ORACLE_CASES[case]
+        ds = make()
+        starts, floor = fit_starts(ds, family, mean_structure, config)
+        try:
+            records = fit(ds, family, mean_structure, config).trace
+        except ConvergenceError as err:
+            assert case == "capped"
+            records = err.trace
+        assert_records_match_oracle(records, starts, ds, family, mean_structure, config, floor)
+
+    @pytest.mark.parametrize("censor", [False, True])
+    def test_frozen_stratum_matches_one_start_oracle(self, censor, monkeypatch):
+        ds, truth = simulate_four_strata(150, seed=44, censor=censor)
+        family = Family.TOBIT if censor else Family.NORMAL
+        config = FitConfig(tol=1e-7)
+        starts, floor = fit_starts(ds, family, MeanStructure.SATURATED, config)
+        # blocks of two starts
+        widest = max(cell.y.size * cell.strata.size for cell in ds.cells)
+        monkeypatch.setattr(em, "_EM_BLOCK", 2 * widest)
+        # stratum 3 sits 50 scales above every treated case, so it loses all
+        # treated-arm weight in the first M-step and keeps that location
+        # (its control-arm weight may die out later)
+        table = truth.location_table().copy()
+        table[3, 1] += 50.0
+        far = ModelParams(GRID2, truth.probs, table, truth.scales, family)
+        starts = starts[:3] + [StartingMapping(99, (), far)] + starts[3:5]
+        records = _run_starts(ds, starts, family, MeanStructure.SATURATED, config.tol,
+                              config.max_iter, floor, False)
+        assert (3, 1) in records[3].frozen
+        assert records[3].params.locations[3, 1] == table[3, 1]
+        assert_records_match_oracle(records, starts, ds, family, MeanStructure.SATURATED,
+                                    config, floor)
+
+    def test_em_working_set_stays_bounded(self):
+        ds, _ = simulate_four_strata(20_000, seed=45)
+        starts, floor = fit_starts(ds, Family.NORMAL, MeanStructure.SATURATED, FitConfig())
+        tracemalloc.start()
+        try:
+            _run_starts(ds, starts, Family.NORMAL, MeanStructure.SATURATED, 1e-9, 3,
+                        floor, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
 
 @pytest.mark.slow
