@@ -45,9 +45,7 @@ from .effects import (
 from .em import (
     FitConfig,
     FitResult,
-    StartingMapping,
     e_step,
-    enumerate_mappings,
     fit,
     log_likelihood,
     m_step,

@@ -17,10 +17,24 @@ from dataclasses import replace
 
 import numpy as np
 
-from .core import Dataset, ModelParams, StrataGrid, effective_sample_size, param_names
+from .core import (
+    Dataset,
+    MeanStructure,
+    ModelParams,
+    StrataGrid,
+    effective_sample_size,
+    param_names,
+)
 from .densities import Family
 from .diagnostics import marginal_fit_table, posterior_histogram, solution_trace_table
-from .effects import EffectTable, effect_ses, natural_param_ses, observed_information_se, cluster_sandwich_se, treatment_effects
+from .effects import (
+    EffectTable,
+    cluster_sandwich_se,
+    effect_ses,
+    natural_param_ses,
+    observed_information_se,
+    treatment_effects,
+)
 from .em import FitConfig, FitResult, StartRecord, fit, parse_starts
 from .errors import ConvergenceError, DataError, EstimationError, InferenceError, StratfitError
 from .simulate import (
@@ -127,8 +141,6 @@ def _params_to_dict(p: ModelParams) -> dict:
 
 
 def _params_from_dict(d: dict) -> ModelParams:
-    from .core import MeanStructure
-
     return ModelParams(
         grid=StrataGrid(int(d["k_levels"])),
         probs=np.array(d["probs"]),
@@ -286,8 +298,6 @@ def cmd_fit(args) -> int:
     config = FitConfig(
         tol=args.tol, max_iter=args.max_iter, starts=parse_starts(args.starts)
     )
-    from .core import MeanStructure
-
     structure = MeanStructure(args.mean_structure)
     try:
         result = fit(dataset, family, structure, config)

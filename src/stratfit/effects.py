@@ -198,7 +198,7 @@ def cluster_sandwich_se(
     """
     _check_interior(fit)
     codes = dataset.cluster
-    n_clusters = len(np.unique(codes))
+    n_clusters = dataset.n_clusters
     if n_clusters < 2:
         raise InferenceError("clustered variance needs at least 2 clusters")
     if bread is None:

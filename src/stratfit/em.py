@@ -21,13 +21,15 @@ ran one start at a time (``math.log`` for scales): the finite-difference
 standard errors in :mod:`.effects` move by up to 1% when an optimum moves
 in its 13th digit, so fits must not move with the batching.
 
-With three levels there are (3!)^6 = 46,656 assignments, so ``topk`` and
-``spread`` rank them by their initial log-likelihood first. Under the
-saturated structure ranking is one batched pass over blocks of mapping ids:
-its cost is about one logarithm per case and mapping, and its working set
-does not grow with the mapping count (see ``_RANK_BLOCK``). Under the
-linear structure each mapping is still materialized and evaluated on its
-own.
+Starts are numbered by mapping id, and :func:`_start_sets` builds the
+initial parameter sets of a block of ids as stacked arrays. With three
+levels there are (3!)^6 = 46,656 assignments, so ``topk`` and ``spread``
+rank them by their initial log-likelihood first, in one batched pass over
+blocks of mapping ids whose working set does not grow with the mapping
+count. Under the saturated structure a mapping costs about one logarithm
+per case (see ``_RANK_BLOCK``); under the linear structure the projection
+moves every density column with the mapping, so each block of start sets
+goes through the EM kernel (see ``_EM_BLOCK``).
 
 Fitting is deterministic: warm starts initialize from weighted quantile
 splits and no stage consumes random numbers. Everything runs in the calling
@@ -537,20 +539,11 @@ def warm_start_cells(dataset: Dataset, family: Family) -> dict[tuple[int, int], 
 # starting mappings
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class StartingMapping:
-    """One assignment of warm-start components to compatible strata.
-
-    ``assignment`` holds, per cell in canonical order, a permutation p such
-    that the cell's j-th component (means ascending) initializes the
-    compatible stratum whose free coordinate is p[j]; id 0 is the identity
-    everywhere. ``params`` is the implied initial parameter set.
-    """
-
-    mapping_id: int
-    assignment: tuple[tuple[int, ...], ...]
-    params: ModelParams
-
+# A mapping assigns warm-start components to compatible strata: per cell in
+# canonical order, a permutation p such that the cell's j-th component
+# (means ascending) initializes the compatible stratum whose free coordinate
+# is p[j]. Mappings are numbered by their permutation indices read as base-k!
+# digits (see _digits), so id 0 is the identity everywhere.
 
 def n_mappings(k_levels: int) -> int:
     return math.factorial(k_levels) ** (2 * k_levels)
@@ -567,11 +560,6 @@ def _digits(ids: np.ndarray, k_levels: int) -> np.ndarray:
     base = math.factorial(k_levels)
     powers = base ** np.arange(2 * k_levels - 1, -1, -1, dtype=np.int64)
     return (np.asarray(ids, dtype=np.int64)[:, None] // powers) % base
-
-
-def _combo_from_id(mapping_id: int, k_levels: int) -> tuple[tuple[int, ...], ...]:
-    perms = _perm_table(k_levels)[_digits([mapping_id], k_levels)[0]]
-    return tuple(map(tuple, perms.tolist()))
 
 
 def _pooled_scales(warm, k_levels: int, floor: tuple[float, float]) -> np.ndarray:
@@ -592,12 +580,11 @@ def _initial_probs(warm, assign: np.ndarray, grid: StrataGrid) -> np.ndarray:
     a batch of mappings.
 
     ``assign`` has shape (B, 2k, k): per mapping, the permutation of each
-    cell in canonical order (see :class:`StartingMapping`). Each arm's cell
-    shares and mapped mixing proportions imply a joint table; the two are
-    averaged and then balanced by iterative proportional fitting so the z1
-    margin matches the treated arm's cell shares and the z0 margin matches
-    the control arm's. Returns (B, n_strata); a mapping's row does not
-    depend on the rest of the batch.
+    cell in canonical order. Each arm's cell shares and mapped mixing
+    proportions imply a joint table; the two are averaged and then balanced
+    by iterative proportional fitting so the z1 margin matches the treated
+    arm's cell shares and the z0 margin matches the control arm's. Returns
+    (B, n_strata); a mapping's row does not depend on the rest of the batch.
     """
     k = grid.k_levels
     b = len(assign)
@@ -622,105 +609,106 @@ def _initial_probs(warm, assign: np.ndarray, grid: StrataGrid) -> np.ndarray:
     return table.transpose(0, 2, 1).reshape(b, -1)  # z1-major rows match the grid order
 
 
-def _materialize(mapping_id, combo, warm, grid, family, mean_structure, scales):
-    k = grid.k_levels
-    table = np.zeros((grid.n_strata, 2))
-    for (t, z), perm in zip(cell_order(k), combo):
-        cs = warm[(t, z)]
-        strata = grid.compatible(t, z)
-        for j in range(k):
-            table[strata[perm[j]], t] = cs.means[j]
-    if mean_structure is MeanStructure.LINEAR:
-        locations = np.linalg.lstsq(linear_design(grid), table, rcond=None)[0]
-    else:
-        locations = table
-    params = ModelParams(
-        grid=grid,
-        probs=_initial_probs(warm, np.array([combo]), grid)[0],
-        locations=locations,
-        scales=scales,
-        family=family,
-        mean_structure=mean_structure,
-    )
-    return StartingMapping(mapping_id, combo, params)
+def _start_sets(warm, ids, grid: StrataGrid, mean_structure: MeanStructure,
+                scales: np.ndarray):
+    """The initial parameter sets of a block of mapping ids, stacked as the
+    EM kernel takes them: probabilities (B, n_strata), location coefficients
+    (B, 2, n_loc), arm first, and ``scales`` repeated to (B, 2).
 
-
-def enumerate_mappings(
-    warm,
-    grid: StrataGrid,
-    family: Family,
-    mean_structure: MeanStructure = MeanStructure.SATURATED,
-    scale_floor: tuple[float, float] = (0.0, 0.0),
-):
-    """Yield every component-to-stratum assignment as a StartingMapping.
-
-    The four-strata model has exactly 2^4 = 16; with three levels the space
-    is (3!)^6 = 216 per arm squared, so mappings materialize lazily.
+    Each cell's warm-start means fill the strata its permutation names, and
+    under the linear structure each mapping's location table is projected
+    onto the design by least squares, one mapping at a time (a multi-column
+    solve rounds differently).
     """
-    scales = _pooled_scales(warm, grid.k_levels, scale_floor)
-    perms = list(itertools.permutations(range(grid.k_levels)))
-    for i, combo in enumerate(itertools.product(perms, repeat=2 * grid.k_levels)):
-        yield _materialize(i, combo, warm, grid, family, mean_structure, scales)
+    k = grid.k_levels
+    assign = _perm_table(k)[_digits(ids, k)]
+    rows = np.arange(len(assign))[:, None]
+    table = np.zeros((len(assign), grid.n_strata, 2))
+    for c, (t, z) in enumerate(cell_order(k)):
+        table[rows, grid.compatible(t, z)[assign[:, c]], t] = warm[(t, z)].means
+    if mean_structure is MeanStructure.LINEAR:
+        design = linear_design(grid)
+        table = np.array([np.linalg.lstsq(design, tab, rcond=None)[0] for tab in table])
+    coef = np.ascontiguousarray(table.transpose(0, 2, 1))
+    return _initial_probs(warm, assign, grid), coef, np.tile(scales, (len(assign), 1))
 
 
-# The largest (cases x mappings) array start ranking builds, and the number
-# of strata-probability entries per block of mappings: 2^15 float64, 256 KiB.
+# The largest (cases x mappings) array saturated start ranking builds, and
+# the number of strata-probability entries per block of mappings: 2^15
+# float64, 256 KiB.
 _RANK_BLOCK = 1 << 15
+
+# The largest (sets x cases x strata) array the EM loop and linear start
+# ranking build, in float64 entries: 2^16, 512 KiB. Sets run in blocks sized
+# to the widest cell, so the working set does not grow with the number of
+# sets or the sample size.
+_EM_BLOCK = 1 << 16
+
+
+def _em_block(dataset: Dataset) -> int:
+    """The number of parameter sets per block under ``_EM_BLOCK``."""
+    widest = max(cell.y.size * cell.strata.size for cell in dataset.cells)
+    return max(1, _EM_BLOCK // max(widest, 1))
 
 
 def _initial_logliks(dataset, warm, grid, family, mean_structure, scales):
     """Initial-parameter log-likelihood of every mapping, without running EM.
 
-    Under the saturated structure a cell's component density columns do not
-    depend on the mapping, so each cell's row maxima ``top`` and scaled
-    densities ``E = exp(ld - top)`` are computed once; a mapping with cell
-    priors ``p`` then contributes ``w @ top + w @ log(E @ p)``. Mappings are
-    ranked in blocks: the block's strata probabilities come from one batched
-    IPF, and the ``E @ p`` products are formed at most ``_RANK_BLOCK``
-    entries at a time (or one mapping at a time for a larger cell), so the
-    working set does not grow with the mapping count. Under the linear
-    structure the projection shifts the columns, so that path still
-    materializes and evaluates each mapping.
+    Mappings are ranked in blocks of ids, so the working set does not grow
+    with the mapping count. Under the saturated structure a cell's component
+    density columns do not depend on the mapping, so each cell's row maxima
+    ``top`` and scaled densities ``E = exp(ld - top)`` are computed once; a
+    mapping with cell priors ``p`` then contributes ``w @ top + w @ log(E @
+    p)``. A block's strata probabilities come from one batched IPF, and the
+    ``E @ p`` products are formed at most ``_RANK_BLOCK`` entries at a time
+    (or one mapping at a time for a larger cell). Under the linear structure
+    the projection moves the columns with the mapping, so each block of
+    start sets (see :func:`_start_sets`) goes through the EM kernel, in
+    blocks sized as the EM loop's.
     """
     k = grid.k_levels
     total = n_mappings(k)
-    if mean_structure is MeanStructure.LINEAR:
-        lls = np.empty(total)
-        for i in range(total):
-            sm = _materialize(i, _combo_from_id(i, k), warm, grid, family,
-                              mean_structure, scales)
-            lls[i] = log_likelihood(sm.params, dataset)
-        return lls
-    terms = []
-    for c, cell in enumerate(dataset.cells):
-        if cell.y.size:
-            cs = warm[(cell.t, cell.z)]
-            ld = component_logpdf(cell.y[:, None], cs.means, scales[cell.t], family)
-            top = ld.max(axis=1)
-            bad = ~np.isfinite(top)
-            if bad.any():
-                raise DegenerateMixtureError(int(cell.rows[np.flatnonzero(bad)[0]]))
-            # the row maximum's column has E == 1, so E @ p > 0
-            terms.append((c, cell, np.exp(ld - top[:, None]), float(cell.w @ top)))
+    linear = mean_structure is MeanStructure.LINEAR
+    if linear:
+        design_t = linear_design(grid).T
+        block = _em_block(dataset)
+    else:
+        terms = []
+        for c, cell in enumerate(dataset.cells):
+            if cell.y.size:
+                cs = warm[(cell.t, cell.z)]
+                ld = component_logpdf(cell.y[:, None], cs.means, scales[cell.t], family)
+                top = ld.max(axis=1)
+                bad = ~np.isfinite(top)
+                if bad.any():
+                    raise DegenerateMixtureError(int(cell.rows[np.flatnonzero(bad)[0]]))
+                # the row maximum's column has E == 1, so E @ p > 0
+                terms.append((c, cell, np.exp(ld - top[:, None]), float(cell.w @ top)))
+        block = _RANK_BLOCK // grid.n_strata
     perms = _perm_table(k)
     lls = np.zeros(total)
-    block = _RANK_BLOCK // grid.n_strata
     for lo in range(0, total, block):
-        digits = _digits(np.arange(lo, min(lo + block, total)), k)
-        probs = _initial_probs(warm, perms[digits], grid)
-        out = lls[lo:lo + len(digits)]
-        for c, cell, dens, base in terms:
-            prior = np.take_along_axis(probs, cell.strata[perms[digits[:, c]]], axis=1)
-            step = max(1, _RANK_BLOCK // cell.y.size)
-            for s in range(0, len(prior), step):
-                out[s:s + step] += base + cell.w @ np.log(dens @ prior[s:s + step].T)
+        ids = np.arange(lo, min(lo + block, total))
+        out = lls[lo:lo + len(ids)]
+        if linear:
+            probs, coef, sets = _start_sets(warm, ids, grid, mean_structure, scales)
+            out[:] = _total(_mixture(dataset, _log_probs(probs), coef @ design_t, sets,
+                                     family, False))
+        else:
+            digits = _digits(ids, k)
+            probs = _initial_probs(warm, perms[digits], grid)
+            for c, cell, dens, base in terms:
+                prior = np.take_along_axis(probs, cell.strata[perms[digits[:, c]]], axis=1)
+                step = max(1, _RANK_BLOCK // cell.y.size)
+                for s in range(0, len(prior), step):
+                    out[s:s + step] += base + cell.w @ np.log(dens @ prior[s:s + step].T)
     return lls
 
 
-def _farthest_points(lls: np.ndarray, count: int) -> list[int]:
+def _farthest_points(lls: np.ndarray, count: int) -> np.ndarray:
     """Farthest-point selection on the values: the highest first, then
     repeatedly the id farthest from every id chosen so far, lowest id on
-    ties."""
+    ties. Returns the chosen ids ascending."""
     picks = [int(np.argmax(lls))]
     gap = np.abs(lls - lls[picks[0]])
     gap[picks[0]] = -np.inf
@@ -729,7 +717,7 @@ def _farthest_points(lls: np.ndarray, count: int) -> list[int]:
         picks.append(pick)
         np.minimum(gap, np.abs(lls - lls[pick]), out=gap)
         gap[pick] = -np.inf
-    return sorted(picks)
+    return np.sort(picks)
 
 
 def select_starts(
@@ -740,35 +728,30 @@ def select_starts(
     mean_structure: MeanStructure,
     strategy: tuple[str, int],
     scale_floor: tuple[float, float] = (0.0, 0.0),
-) -> list[StartingMapping]:
-    """Rank all mappings by their initial log-likelihood and keep a subset.
+) -> np.ndarray:
+    """Rank all mappings by their initial log-likelihood and return the ids
+    of a subset, ascending.
 
     ``("topk", n)`` keeps the n highest initial values; ``("spread", n)``
     keeps n mappings by farthest-point selection on the initial values, so
     the retained starts cover the spread of the likelihood surface. Ties go
-    to the lower mapping id. If n is at least the mapping count, everything
-    is returned without ranking. Ranking costs one batched pass over all
-    mappings under the saturated structure and one likelihood evaluation
-    per mapping under the linear one (see :func:`_initial_logliks`).
+    to the lower mapping id. If n is at least the mapping count, every id is
+    returned without ranking. Ranking is one batched pass over all mappings
+    (see :func:`_initial_logliks`): about one logarithm per case and mapping
+    under the saturated structure, and under the linear one an EM-kernel
+    evaluation, one density per case, mapping and compatible stratum.
     """
     kind, count = strategy
     if kind not in ("topk", "spread"):
         raise ValueError(f"unknown start-selection strategy: {kind!r}")
-    scales = _pooled_scales(warm, grid.k_levels, scale_floor)
     total = n_mappings(grid.k_levels)
     if count >= total:
-        chosen = list(range(total))
-    else:
-        lls = _initial_logliks(dataset, warm, grid, family, mean_structure, scales)
-        if kind == "topk":
-            chosen = np.sort(np.argsort(-lls, kind="stable")[:count]).tolist()
-        else:
-            chosen = _farthest_points(lls, count)
-    return [
-        _materialize(i, _combo_from_id(i, grid.k_levels), warm, grid, family,
-                     mean_structure, scales)
-        for i in chosen
-    ]
+        return np.arange(total)
+    scales = _pooled_scales(warm, grid.k_levels, scale_floor)
+    lls = _initial_logliks(dataset, warm, grid, family, mean_structure, scales)
+    if kind == "topk":
+        return np.sort(np.argsort(-lls, kind="stable")[:count])
+    return _farthest_points(lls, count)
 
 
 # --------------------------------------------------------------------------
@@ -838,15 +821,11 @@ class FitResult:
         return len(self.tie_ids) > 1
 
 
-# The largest (starts x cases x strata) array the EM loop builds, in float64
-# entries: 2^16, 512 KiB. Starts run in blocks sized to the widest cell, so
-# the working set does not grow with the start count or the sample size.
-_EM_BLOCK = 1 << 16
-
-
-def _run_starts(dataset, starts, family, mean_structure, tol, max_iter, scale_floor,
-                keep_history) -> list[StartRecord]:
-    """Run EM from every start and return their records in start order.
+def _run_starts(dataset, ids, probs, coef, scales, family, mean_structure, tol, max_iter,
+                scale_floor, keep_history) -> list[StartRecord]:
+    """Run EM from the starts with mapping ids ``ids`` and initial sets
+    ``probs`` (S, n_strata), ``coef`` (S, 2, n_loc) and ``scales`` (S, 2),
+    as :func:`_start_sets` builds them, and return their records in order.
 
     The starts of a block (see ``_EM_BLOCK``) advance together through one
     kernel and one M-step per iteration. A start stops once its
@@ -854,30 +833,27 @@ def _run_starts(dataset, starts, family, mean_structure, tol, max_iter, scale_fl
     ``max_iter`` M-steps and one more evaluation, and leaves the block, so
     its record is the one it would get running on its own.
     """
-    args = (family, mean_structure, tol, max_iter, scale_floor, keep_history)
-    widest = max(cell.y.size * cell.strata.size for cell in dataset.cells)
-    block = max(1, _EM_BLOCK // max(widest, 1))
-    if len(starts) > block:
-        return [rec for lo in range(0, len(starts), block)
-                for rec in _run_starts(dataset, starts[lo:lo + block], *args)]
+    block = _em_block(dataset)
+    if len(ids) > block:
+        args = (family, mean_structure, tol, max_iter, scale_floor, keep_history)
+        return [rec for lo in range(0, len(ids), block)
+                for rec in _run_starts(dataset, ids[lo:lo + block], probs[lo:lo + block],
+                                       coef[lo:lo + block], scales[lo:lo + block], *args)]
     n_stats = 4 if family is Family.TOBIT else 3
-    grid = starts[0].params.grid
+    grid = StrataGrid(dataset.k_levels)
     design = _design(grid, mean_structure)
-    probs = np.stack([s.params.probs for s in starts])
-    coef = np.stack([s.params.locations.T for s in starts])
-    scales = np.stack([s.params.scales for s in starts])
-    frozen = np.zeros((len(starts), 2, grid.n_strata), dtype=bool)
-    floor = np.zeros((len(starts), 2), dtype=bool)
-    ids = np.arange(len(starts))  # positions of the running starts
-    history: list[list[float]] = [[] for _ in starts]
-    records: list[StartRecord] = [None] * len(starts)
+    frozen = np.zeros((len(ids), 2, grid.n_strata), dtype=bool)
+    floor = np.zeros((len(ids), 2), dtype=bool)
+    live = np.arange(len(ids))  # positions of the running starts
+    history: list[list[float]] = [[] for _ in ids]
+    records: list[StartRecord] = [None] * len(ids)
 
     def finish(done, ll, iterations, reason):
         for j in np.flatnonzero(done):
-            i = ids[j]
+            i = live[j]
             params = ModelParams(grid, probs[j], coef[j].T, scales[j], family, mean_structure)
             frozen_j = tuple((int(s), int(t)) for t, s in np.argwhere(frozen[j]))
-            records[i] = StartRecord(starts[i].mapping_id, float(ll[j]), params, iterations,
+            records[i] = StartRecord(int(ids[i]), float(ll[j]), params, iterations,
                                      reason == "tol", tuple(map(bool, floor[j])), frozen_j,
                                      reason, tuple(history[i]))
 
@@ -885,15 +861,15 @@ def _run_starts(dataset, starts, family, mean_structure, tol, max_iter, scale_fl
     for it in range(1, max_iter + 2):
         table = coef if mean_structure is MeanStructure.SATURATED else coef @ design.T
         ll = 0.0
-        stats = np.zeros((len(ids), 2, grid.n_strata, n_stats))
+        stats = np.zeros((len(live), 2, grid.n_strata, n_stats))
         for cell, lse, post in _mixture(dataset, _log_probs(probs), table, scales, family, True):
             ll = ll + _dot(lse, cell.w)
             _accumulate(stats, cell, post, family)
         if keep_history:
-            for i, value in zip(ids, ll.tolist()):
+            for i, value in zip(live, ll.tolist()):
                 history[i].append(value)
         if it > max_iter:  # the evaluation after the last M-step
-            finish(ids >= 0, ll, max_iter, "max_iter")
+            finish(live >= 0, ll, max_iter, "max_iter")
             return records
         if ll_prev is not None:
             done = np.abs(ll - ll_prev) <= tol * np.maximum(1.0, np.abs(ll))
@@ -902,8 +878,8 @@ def _run_starts(dataset, starts, family, mean_structure, tol, max_iter, scale_fl
                 if done.all():
                     return records
                 keep = ~done
-                ids, probs, coef, scales, table, stats, ll = (
-                    a[keep] for a in (ids, probs, coef, scales, table, stats, ll))
+                live, probs, coef, scales, table, stats, ll = (
+                    a[keep] for a in (live, probs, coef, scales, table, stats, ll))
         probs, coef, scales, frozen, floor = _m_step_core(
             stats, grid, family, mean_structure, (table, scales), scale_floor)
         ll_prev = ll
@@ -919,9 +895,10 @@ def fit(
 
     Runs EM from every enumerated (or selected) component-to-stratum
     assignment, all starts advancing together (see :func:`_run_starts`), and
-    returns the best final log-likelihood, with the complete per-start trace. Ties within 1e-8 go to the lowest mapping id and are
-    recorded. Raises ConvergenceError (carrying the trace) if no start
-    converges, DataError on empty cells.
+    returns the best final log-likelihood, with the complete per-start
+    trace. Ties within 1e-8 go to the lowest mapping id and are recorded.
+    Raises ConvergenceError (carrying the trace) if no start converges,
+    DataError on empty cells.
     """
     config = config or FitConfig()
     grid = StrataGrid(dataset.k_levels)
@@ -939,13 +916,15 @@ def fit(
     )
     warm = warm_start_cells(dataset, family)
     if config.starts == "all":
-        starts = list(enumerate_mappings(warm, grid, family, mean_structure, scale_floor))
+        ids = np.arange(n_mappings(grid.k_levels))
     else:
-        starts = select_starts(
+        ids = select_starts(
             dataset, warm, grid, family, mean_structure, config.starts, scale_floor
         )
-    records = _run_starts(dataset, starts, family, mean_structure, config.tol,
-                          config.max_iter, scale_floor, config.keep_history)
+    scales = _pooled_scales(warm, grid.k_levels, scale_floor)
+    records = _run_starts(dataset, ids, *_start_sets(warm, ids, grid, mean_structure, scales),
+                          family, mean_structure, config.tol, config.max_iter, scale_floor,
+                          config.keep_history)
     if not any(r.converged for r in records):
         raise ConvergenceError(
             f"no starting mapping converged within {config.max_iter} iterations",

@@ -97,7 +97,6 @@ class SimConfig:
     starts: str | tuple[str, int] = "all"
     tol: float = 1e-9
     max_iter: int = 2000
-    true_params: ModelParams | None = None
 
     def __post_init__(self):
         if self.n_per_arm < 2 * self.k_levels**2:
@@ -120,8 +119,6 @@ def true_model(config: SimConfig) -> ModelParams:
     so within every observed cell adjacent compatible means sit exactly one
     gap apart and the arm contrast is constant across strata.
     """
-    if config.true_params is not None:
-        return config.true_params
     grid = StrataGrid(config.k_levels)
     gap = config.dispersion_sd * config.sigma
     locations = np.array(
@@ -169,7 +166,6 @@ class ReplicateResult:
     n_near_ties: int | None = None
     location_error: np.ndarray | None = None  # fitted - true, (S, 2)
     prob_error: np.ndarray | None = None
-    fitted_scales: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,7 +251,6 @@ def run_replicate(config: SimConfig, index: int) -> ReplicateResult:
         n_near_ties=near,
         location_error=loc_err,
         prob_error=res.params.probs - truth.probs,
-        fitted_scales=np.array(res.params.scales),
     )
 
 

@@ -4,9 +4,13 @@ Everything here except the EM loop oracle deliberately avoids the
 package's own numerical paths: densities go through math.erf/erfc, sums are
 plain Python loops over the mixture definition, and optima come from grid
 refinement. The EM loop oracle runs one start at a time through the public
-one-set functions, against which the batched EM loop is checked.
+one-set functions, against which the batched EM loop is checked, and the
+start-set oracle builds one mapping's initial parameters on its own from
+the grid's compatible strata and linear design, against which the stacked
+start sets are checked.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -125,6 +129,38 @@ def initial_probs_oracle(warm, combo, k: int) -> np.ndarray:
         table *= (share[0] / table.sum(axis=1))[:, None]
     table /= table.sum()
     return table.T.ravel()
+
+
+def combo_oracle(mapping_id: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The per-cell permutations of a mapping id: its base-k! digits, most
+    significant first, each naming a permutation in itertools order."""
+    perms = list(itertools.permutations(range(k)))
+    digits = []
+    for _ in range(2 * k):
+        mapping_id, digit = divmod(mapping_id, len(perms))
+        digits.append(digit)
+    return tuple(perms[d] for d in reversed(digits))
+
+
+def start_params_oracle(warm, mapping_id: int, k: int, linear: bool):
+    """One mapping's initial (probs, locations) built on their own: each
+    cell's j-th warm-start mean written into the compatible stratum whose
+    free coordinate its permutation names, the (n_strata, 2) table projected
+    onto the linear design by least squares when ``linear``, and the probs
+    from the scalar IPF."""
+    from stratfit.core import StrataGrid, linear_design
+
+    grid = StrataGrid(k)
+    combo = combo_oracle(mapping_id, k)
+    cells = [(1, z) for z in range(k)] + [(0, z) for z in range(k)]
+    table = np.zeros((grid.n_strata, 2))
+    for (t, z), perm in zip(cells, combo):
+        strata = grid.compatible(t, z)
+        for j in range(k):
+            table[strata[perm[j]], t] = warm[(t, z)].means[j]
+    if linear:
+        table = np.linalg.lstsq(linear_design(grid), table, rcond=None)[0]
+    return initial_probs_oracle(warm, combo, k), table
 
 
 def select_ids_oracle(lls, kind: str, count: int) -> list[int]:

@@ -10,25 +10,22 @@ from stratfit.densities import Family
 from stratfit.em import (
     CellStart,
     FitConfig,
-    StartingMapping,
     case_loglik,
     cell_order,
     e_step,
-    enumerate_mappings,
     fit,
     log_likelihood,
     m_step,
     n_mappings,
     select_starts,
     warm_start_cells,
-    _combo_from_id,
     _digits,
     _initial_logliks,
     _initial_probs,
-    _materialize,
     _perm_table,
     _pooled_scales,
     _run_starts,
+    _start_sets,
     _tobit_newton,
 )
 from stratfit.errors import (
@@ -41,15 +38,20 @@ from stratfit.errors import (
 
 from _oracles import (
     brute_force_loglik,
+    combo_oracle,
     density_oracle,
     em_one_start_oracle,
     initial_probs_oracle,
     select_ids_oracle,
+    start_params_oracle,
     tobit_grid_mle,
     tobit_newton_oracle,
 )
 
 GRID2 = StrataGrid(2)
+SATURATED, LINEAR = MeanStructure.SATURATED, MeanStructure.LINEAR
+STRUCTURES = pytest.mark.parametrize("mean_structure", [SATURATED, LINEAR],
+                                     ids=lambda m: m.value)
 
 
 def simulate_four_strata(n_per_arm, seed, dispersion=2.0, probs=(0.4, 0.3, 0.2, 0.1),
@@ -369,35 +371,45 @@ class TestWarmStarts:
         assert warm[(1, 0)].means.min() > 2.0  # zeros excluded from the mixture
 
 
+def start_params(ds, warm, ids, family=Family.NORMAL, mean_structure=SATURATED,
+                 scale_floor=(0.0, 0.0)):
+    """The initial parameter sets of mapping ids, one ModelParams each."""
+    grid = StrataGrid(ds.k_levels)
+    scales = _pooled_scales(warm, ds.k_levels, scale_floor)
+    sets = _start_sets(warm, np.asarray(ids), grid, mean_structure, scales)
+    return [ModelParams(grid, p, c.T, s, family, mean_structure) for p, c, s in zip(*sets)]
+
+
 class TestMappingEnumeration:
     def test_four_strata_has_sixteen_distinct_mappings(self):
         ds, _ = simulate_four_strata(100, seed=15)
         warm = warm_start_cells(ds, Family.NORMAL)
-        maps = list(enumerate_mappings(warm, GRID2, Family.NORMAL))
-        assert len(maps) == 16
-        assert n_mappings(2) == 16
-        assert len({m.assignment for m in maps}) == 16
+        ids = np.arange(n_mappings(2))
+        assert len(ids) == 16
+        assign = _perm_table(2)[_digits(ids, 2)]
+        assert len({a.tobytes() for a in assign}) == 16
+        _, coef, _ = _start_sets(warm, ids, GRID2, SATURATED, np.ones(2))
+        assert len({c.tobytes() for c in coef}) == 16
 
     def test_identity_mapping_is_first(self):
         ds, _ = simulate_four_strata(100, seed=15)
         warm = warm_start_cells(ds, Family.NORMAL)
-        first = next(iter(enumerate_mappings(warm, GRID2, Family.NORMAL)))
-        assert first.mapping_id == 0
-        assert all(perm == (0, 1) for perm in first.assignment)
+        assert (_perm_table(2)[_digits([0], 2)[0]] == (0, 1)).all()
+        table = start_params(ds, warm, [0])[0].location_table()
         # component A (lower mean) lands on the lower free coordinate
-        for (t, z), perm in zip(cell_order(2), first.assignment):
+        for t, z in cell_order(2):
             cs = warm[(t, z)]
             strata = GRID2.compatible(t, z)
-            table = first.params.location_table()
             assert table[strata[0], t] == cs.means[0]
             assert table[strata[1], t] == cs.means[1]
 
     def test_every_mapping_has_simplex_probs(self):
         ds, _ = simulate_four_strata(100, seed=16)
         warm = warm_start_cells(ds, Family.NORMAL)
-        for m in enumerate_mappings(warm, GRID2, Family.NORMAL):
-            assert m.params.probs.sum() == pytest.approx(1.0, abs=1e-12)
-            assert np.all(m.params.probs >= 0.0)
+        probs, _, _ = _start_sets(warm, np.arange(16), GRID2, SATURATED, np.ones(2))
+        for p in probs:
+            assert p.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.all(p >= 0.0)
 
     def test_nine_strata_mapping_count(self):
         assert n_mappings(3) == 216**2
@@ -413,16 +425,15 @@ class TestSelectStarts:
         ds, warm = self._setup()
         chosen = select_starts(ds, warm, GRID2, Family.NORMAL,
                                MeanStructure.SATURATED, ("topk", 3))
-        all_maps = list(enumerate_mappings(warm, GRID2, Family.NORMAL))
-        lls = [log_likelihood(m.params, ds) for m in all_maps]
-        assert int(np.argmax(lls)) in [m.mapping_id for m in chosen]
+        lls = [log_likelihood(p, ds) for p in start_params(ds, warm, range(16))]
+        assert int(np.argmax(lls)) in chosen.tolist()
 
     def test_topk_nested(self):
         ds, warm = self._setup()
-        top3 = {m.mapping_id for m in select_starts(
-            ds, warm, GRID2, Family.NORMAL, MeanStructure.SATURATED, ("topk", 3))}
-        top8 = {m.mapping_id for m in select_starts(
-            ds, warm, GRID2, Family.NORMAL, MeanStructure.SATURATED, ("topk", 8))}
+        top3 = set(select_starts(
+            ds, warm, GRID2, Family.NORMAL, MeanStructure.SATURATED, ("topk", 3)).tolist())
+        top8 = set(select_starts(
+            ds, warm, GRID2, Family.NORMAL, MeanStructure.SATURATED, ("topk", 8)).tolist())
         assert top3 <= top8
 
     def test_count_beyond_total_returns_all(self):
@@ -446,9 +457,8 @@ class TestSelectStarts:
         chosen = select_starts(ds, warm, GRID2, Family.NORMAL,
                                MeanStructure.SATURATED, ("spread", 5))
         assert len(chosen) == 5
-        all_maps = list(enumerate_mappings(warm, GRID2, Family.NORMAL))
-        lls = [log_likelihood(m.params, ds) for m in all_maps]
-        assert int(np.argmax(lls)) in [m.mapping_id for m in chosen]
+        lls = [log_likelihood(p, ds) for p in start_params(ds, warm, range(16))]
+        assert int(np.argmax(lls)) in chosen.tolist()
 
 
 def ranking_fixture(levels):
@@ -458,38 +468,33 @@ def ranking_fixture(levels):
     return simulate_nine_strata(300, seed=27)
 
 
-def rank(ds, family=Family.NORMAL):
+def rank(ds, family=Family.NORMAL, mean_structure=SATURATED):
     grid = StrataGrid(ds.k_levels)
     warm = warm_start_cells(ds, family)
     scales = _pooled_scales(warm, ds.k_levels, (0.0, 0.0))
-    lls = _initial_logliks(ds, warm, grid, family, MeanStructure.SATURATED, scales)
-    return warm, scales, lls
-
-
-def materialized_loglik(ds, warm, scales, mapping_id, family=Family.NORMAL):
-    grid = StrataGrid(ds.k_levels)
-    start = _materialize(mapping_id, _combo_from_id(mapping_id, ds.k_levels), warm, grid,
-                         family, MeanStructure.SATURATED, scales)
-    return log_likelihood(start.params, ds)
+    return warm, _initial_logliks(ds, warm, grid, family, mean_structure, scales)
 
 
 class TestStartRanking:
-    """Batched ranking against per-mapping evaluation, and start selection
-    against the plain Python rules."""
+    """Batched ranking against per-mapping evaluation, the stacked start
+    sets against per-mapping construction, and start selection against the plain
+    Python rules."""
 
     @pytest.mark.parametrize("censor", [False, True])
     def test_two_levels_match_materialized_loglik(self, censor):
         ds, _ = simulate_four_strata(150, seed=17, censor=censor)
         family = Family.TOBIT if censor else Family.NORMAL
-        warm, scales, lls = rank(ds, family)
-        want = [materialized_loglik(ds, warm, scales, i, family) for i in range(16)]
+        warm, lls = rank(ds, family)
+        want = [log_likelihood(p, ds) for p in start_params(ds, warm, range(16), family)]
         np.testing.assert_allclose(lls, want, rtol=1e-12, atol=0.0)
 
-    def test_three_levels_match_materialized_loglik_on_sample(self):
+    @STRUCTURES
+    def test_three_levels_match_materialized_loglik_on_sample(self, mean_structure):
         ds = ranking_fixture(3)
-        warm, scales, lls = rank(ds)
+        warm, lls = rank(ds, mean_structure=mean_structure)
         ids = np.random.default_rng(0).choice(n_mappings(3), size=64, replace=False)
-        want = [materialized_loglik(ds, warm, scales, int(i)) for i in ids]
+        want = [log_likelihood(p, ds)
+                for p in start_params(ds, warm, ids, mean_structure=mean_structure)]
         np.testing.assert_allclose(lls[ids], want, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("levels", [2, 3])
@@ -497,26 +502,41 @@ class TestStartRanking:
         ds = ranking_fixture(levels)
         grid = StrataGrid(levels)
         warm = warm_start_cells(ds, Family.NORMAL)
-        scales = _pooled_scales(warm, levels, (0.0, 0.0))
         ids = np.arange(0, n_mappings(levels), 97 if levels == 3 else 1)
         batch = _initial_probs(warm, _perm_table(levels)[_digits(ids, levels)], grid)
         for i, probs in zip(ids.tolist(), batch):
-            combo = _combo_from_id(i, levels)
-            want = initial_probs_oracle(warm, combo, levels)
+            want = initial_probs_oracle(warm, combo_oracle(i, levels), levels)
             assert np.array_equal(probs, want)
-            start = _materialize(i, combo, warm, grid, Family.NORMAL,
-                                 MeanStructure.SATURATED, scales)
-            assert np.array_equal(start.params.probs, want)
+
+    @STRUCTURES
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_start_sets_equal_one_mapping_oracle(self, levels, mean_structure):
+        ds = ranking_fixture(levels)
+        grid = StrataGrid(levels)
+        warm = warm_start_cells(ds, Family.NORMAL)
+        scales = _pooled_scales(warm, levels, (0.01, 0.02))
+        ids = np.arange(0, n_mappings(levels), 97 if levels == 3 else 1)
+        probs, coef, sets = _start_sets(warm, ids, grid, mean_structure, scales)
+        n_loc = 4 if mean_structure is LINEAR else grid.n_strata
+        assert (probs.shape, coef.shape, sets.shape) == (
+            (len(ids), grid.n_strata), (len(ids), 2, n_loc), (len(ids), 2))
+        for j, i in enumerate(ids.tolist()):
+            want_probs, want_locations = start_params_oracle(
+                warm, i, levels, mean_structure is LINEAR)
+            assert np.array_equal(probs[j], want_probs)
+            assert np.array_equal(coef[j], want_locations.T)
+            assert np.array_equal(sets[j], scales)
 
     @pytest.mark.parametrize("levels", [2, 3])
     def test_selected_ids_match_python_rule(self, levels):
         ds = ranking_fixture(levels)
-        warm, _, lls = rank(ds)
         grid = StrataGrid(levels)
-        for kind, count in (("topk", 10), ("spread", 5)):
-            got = select_starts(ds, warm, grid, Family.NORMAL, MeanStructure.SATURATED,
-                                (kind, count))
-            assert [m.mapping_id for m in got] == select_ids_oracle(lls.tolist(), kind, count)
+        for mean_structure in [SATURATED] + ([LINEAR] if levels == 2 else []):
+            warm, lls = rank(ds, mean_structure=mean_structure)
+            for kind, count in (("topk", 10), ("spread", 5)):
+                got = select_starts(ds, warm, grid, Family.NORMAL, mean_structure,
+                                    (kind, count))
+                assert got.tolist() == select_ids_oracle(lls.tolist(), kind, count)
 
     def test_tied_values_go_to_the_lower_id(self, monkeypatch):
         ds = ranking_fixture(2)
@@ -528,8 +548,7 @@ class TestStartRanking:
             for count in range(1, 16):
                 got = select_starts(ds, warm, GRID2, Family.NORMAL,
                                     MeanStructure.SATURATED, (kind, count))
-                assert [m.mapping_id for m in got] == select_ids_oracle(
-                    lls.tolist(), kind, count)
+                assert got.tolist() == select_ids_oracle(lls.tolist(), kind, count)
 
     @pytest.mark.parametrize("levels", [2, 3])
     def test_degenerate_row_raises_with_case_index(self, levels):
@@ -544,14 +563,14 @@ class TestStartRanking:
             select_starts(far, warm, StrataGrid(levels), Family.NORMAL,
                           MeanStructure.SATURATED, ("topk", 3))
 
-    def test_three_level_ranking_memory_stays_bounded(self):
+    @STRUCTURES
+    def test_three_level_ranking_memory_stays_bounded(self, mean_structure):
         ds = simulate_nine_strata(1500, seed=26)
         warm = warm_start_cells(ds, Family.NORMAL)
         scales = _pooled_scales(warm, 3, (0.0, 0.0))
         tracemalloc.start()
         try:
-            _initial_logliks(ds, warm, StrataGrid(3), Family.NORMAL,
-                             MeanStructure.SATURATED, scales)
+            _initial_logliks(ds, warm, StrataGrid(3), Family.NORMAL, mean_structure, scales)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -619,8 +638,10 @@ class TestFit:
         )
 
         def best_loglik(warm_dict):
-            starts = list(enumerate_mappings(warm_dict, GRID2, Family.NORMAL))
-            records = _run_starts(ds, starts, Family.NORMAL, MeanStructure.SATURATED,
+            ids = np.arange(16)
+            sets = _start_sets(warm_dict, ids, GRID2, SATURATED,
+                               _pooled_scales(warm_dict, 2, (0.0, 0.0)))
+            records = _run_starts(ds, ids, *sets, Family.NORMAL, SATURATED,
                                   1e-9, 2000, (0.0, 0.0), False)
             return max(rec.loglik for rec in records)
 
@@ -638,21 +659,27 @@ class TestFit:
 
 
 def fit_starts(ds, family, mean_structure, config):
-    """The starts and scale floor that ``fit`` builds from these arguments."""
+    """The start ids, their stacked initial sets (probs, coef, scales) and
+    the scale floor that ``fit`` builds from these arguments."""
     grid = StrataGrid(ds.k_levels)
     floor = tuple(
         1e-3 * em._weighted_sd(ds.y[ds.t == t], ds.w[ds.t == t]) for t in (0, 1)
     )
     warm = warm_start_cells(ds, family)
     if config.starts == "all":
-        return list(enumerate_mappings(warm, grid, family, mean_structure, floor)), floor
-    return select_starts(ds, warm, grid, family, mean_structure, config.starts, floor), floor
+        ids = np.arange(n_mappings(ds.k_levels))
+    else:
+        ids = select_starts(ds, warm, grid, family, mean_structure, config.starts, floor)
+    scales = _pooled_scales(warm, ds.k_levels, floor)
+    return ids, _start_sets(warm, ids, grid, mean_structure, scales), floor
 
 
-def assert_records_match_oracle(records, starts, ds, family, mean_structure, config, floor):
-    assert [r.mapping_id for r in records] == [s.mapping_id for s in starts]
-    for rec, start in zip(records, starts):
-        want = em_one_start_oracle(ds, start.params, family, mean_structure, config.tol,
+def assert_records_match_oracle(records, ids, sets, ds, family, mean_structure, config, floor):
+    assert [r.mapping_id for r in records] == ids.tolist()
+    grid = StrataGrid(ds.k_levels)
+    for rec, probs, coef, scales in zip(records, *sets):
+        start = ModelParams(grid, probs, coef.T, scales, family, mean_structure)
+        want = em_one_start_oracle(ds, start, family, mean_structure, config.tol,
                                    config.max_iter, floor)
         assert (rec.iterations, rec.converged, rec.frozen, rec.floor_active) == (
             want["iterations"], want["converged"], want["frozen"], want["floor_active"])
@@ -691,20 +718,21 @@ class TestBatchedEM:
     def test_fit_trace_matches_one_start_oracle(self, case):
         make, family, mean_structure, config = ORACLE_CASES[case]
         ds = make()
-        starts, floor = fit_starts(ds, family, mean_structure, config)
+        ids, sets, floor = fit_starts(ds, family, mean_structure, config)
         try:
             records = fit(ds, family, mean_structure, config).trace
         except ConvergenceError as err:
             assert case == "capped"
             records = err.trace
-        assert_records_match_oracle(records, starts, ds, family, mean_structure, config, floor)
+        assert_records_match_oracle(records, ids, sets, ds, family, mean_structure, config,
+                                    floor)
 
     @pytest.mark.parametrize("censor", [False, True])
     def test_frozen_stratum_matches_one_start_oracle(self, censor, monkeypatch):
         ds, truth = simulate_four_strata(150, seed=44, censor=censor)
         family = Family.TOBIT if censor else Family.NORMAL
         config = FitConfig(tol=1e-7)
-        starts, floor = fit_starts(ds, family, MeanStructure.SATURATED, config)
+        ids, (probs, coef, scales), floor = fit_starts(ds, family, SATURATED, config)
         # blocks of two starts
         widest = max(cell.y.size * cell.strata.size for cell in ds.cells)
         monkeypatch.setattr(em, "_EM_BLOCK", 2 * widest)
@@ -713,22 +741,22 @@ class TestBatchedEM:
         # (its control-arm weight may die out later)
         table = truth.location_table().copy()
         table[3, 1] += 50.0
-        far = ModelParams(GRID2, truth.probs, table, truth.scales, family)
-        starts = starts[:3] + [StartingMapping(99, (), far)] + starts[3:5]
-        records = _run_starts(ds, starts, family, MeanStructure.SATURATED, config.tol,
+        # as start 99, the fourth of six
+        ids = np.insert(ids[:5], 3, 99)
+        sets = tuple(np.insert(a[:5], 3, row, axis=0)
+                     for a, row in ((probs, truth.probs), (coef, table.T), (scales, truth.scales)))
+        records = _run_starts(ds, ids, *sets, family, SATURATED, config.tol,
                               config.max_iter, floor, False)
         assert (3, 1) in records[3].frozen
         assert records[3].params.locations[3, 1] == table[3, 1]
-        assert_records_match_oracle(records, starts, ds, family, MeanStructure.SATURATED,
-                                    config, floor)
+        assert_records_match_oracle(records, ids, sets, ds, family, SATURATED, config, floor)
 
     def test_em_working_set_stays_bounded(self):
         ds, _ = simulate_four_strata(20_000, seed=45)
-        starts, floor = fit_starts(ds, Family.NORMAL, MeanStructure.SATURATED, FitConfig())
+        ids, sets, floor = fit_starts(ds, Family.NORMAL, SATURATED, FitConfig())
         tracemalloc.start()
         try:
-            _run_starts(ds, starts, Family.NORMAL, MeanStructure.SATURATED, 1e-9, 3,
-                        floor, False)
+            _run_starts(ds, ids, *sets, Family.NORMAL, SATURATED, 1e-9, 3, floor, False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
