@@ -7,17 +7,24 @@ differentiated weighted log-likelihood: the observed-information (naive)
 variant inverts the negative Hessian, the cluster variant wraps it around a
 Huber-White meat aggregated over cluster score sums. One finite-difference
 code path serves both families and mean structures.
+
+The Hessian's 2p^2 + 1 points run as stacks of parameter sets through the
+likelihood kernel, one :func:`~stratfit.em.log_likelihood` call per block of
+points, and every value and difference rounds exactly as when each point is
+evaluated on its own. The sandwich's 2p per-case score points run one at a
+time: their (2p, n) stack would grow with the sample for little time saved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
 from .core import Dataset, ModelParams, pack, param_names, unpack
 from .densities import Family, tobit_mean
-from .em import FitResult, case_loglik, log_likelihood
+from .em import FitResult, _em_block, case_loglik, log_likelihood
 from .errors import InferenceError
 
 Z_5PCT = 1.959963984540054  # two-sided 5% normal quantile
@@ -120,23 +127,39 @@ def _steps(x: np.ndarray, rel: float) -> np.ndarray:
     return rel * np.maximum(1.0, np.abs(x))
 
 
-def _num_hessian(fun, x: np.ndarray) -> np.ndarray:
+def _num_hessian(fun, x: np.ndarray, block: int) -> np.ndarray:
+    """Central-difference Hessian from ``fun``, which maps a list of at most
+    ``block`` points to their values. The 2p^2 + 1 points are built and the
+    differences taken with the same arithmetic, in the same order, as when
+    each point is evaluated on its own."""
     h = _steps(x, HESS_STEP)
     p = len(x)
+
+    def points():
+        yield x
+        for i in range(p):
+            ei = np.zeros(p)
+            ei[i] = h[i]
+            yield x + ei
+            yield x - ei
+            for j in range(i + 1, p):
+                ej = np.zeros(p)
+                ej[j] = h[j]
+                yield from (x + ei + ej, x + ei - ej, x - ei + ej, x - ei - ej)
+
+    vals, todo = [], points()
+    while chunk := list(islice(todo, block)):
+        vals.extend(fun(chunk))
     hess = np.empty((p, p))
-    f0 = fun(x)
+    f0 = vals[0]
+    k = 1
     for i in range(p):
-        ei = np.zeros(p)
-        ei[i] = h[i]
-        hess[i, i] = (fun(x + ei) - 2.0 * f0 + fun(x - ei)) / h[i] ** 2
+        hess[i, i] = (vals[k] - 2.0 * f0 + vals[k + 1]) / h[i] ** 2
+        k += 2
         for j in range(i + 1, p):
-            ej = np.zeros(p)
-            ej[j] = h[j]
-            val = (
-                fun(x + ei + ej) - fun(x + ei - ej)
-                - fun(x - ei + ej) + fun(x - ei - ej)
-            ) / (4.0 * h[i] * h[j])
+            val = (vals[k] - vals[k + 1] - vals[k + 2] + vals[k + 3]) / (4.0 * h[i] * h[j])
             hess[i, j] = hess[j, i] = val
+            k += 4
     return hess
 
 
@@ -155,10 +178,10 @@ def _hessian_and_bread(fit: FitResult, dataset: Dataset):
     x = pack(fit.params)
     like = fit.params
 
-    def packed_loglik(v):
-        return log_likelihood(unpack(v, like), dataset)
+    def packed_logliks(points):
+        return log_likelihood([unpack(v, like) for v in points], dataset)
 
-    hess = _num_hessian(packed_loglik, x)
+    hess = _num_hessian(packed_logliks, x, _em_block(dataset))
     hess = 0.5 * (hess + hess.T)
     eigs = np.linalg.eigvalsh(hess)
     if eigs.max() > 1e-8 * abs(eigs.min()):

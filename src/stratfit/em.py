@@ -12,14 +12,20 @@ Every mixture evaluation (the log-likelihood, the per-case terms, the
 E-step and the EM loop) runs through one kernel over the dataset's cell
 partition, :attr:`Dataset.cells`. The kernel, the sufficient statistics and
 the M-step carry a leading axis over S parameter sets: the public one-set
-functions use S = 1, and the EM loop advances a block of starts together
-(see :func:`_run_starts`), so each iteration costs one pass over the cells
-for all of them rather than one per start. Each set is rounded exactly as
-when it is evaluated alone (``_dot``, ``_matvec`` and C-ordered buffers
-keep BLAS on one code path for every S) and as in earlier releases, which
-ran one start at a time (``math.log`` for scales): the finite-difference
-standard errors in :mod:`.effects` move by up to 1% when an optimum moves
-in its 13th digit, so fits must not move with the batching.
+functions use S = 1, :func:`log_likelihood` also takes a sequence of sets,
+and the EM loop advances a block of starts together (see
+:func:`_run_starts`), so each iteration costs one pass over the cells for
+all of them rather than one per start. Each set is rounded exactly as when
+it is evaluated alone (``_dot``, ``_matvec`` and C-ordered buffers keep BLAS
+on one code path for every S) and as in earlier releases, which ran one
+start at a time (``math.log`` for scales): the finite-difference standard
+errors in :mod:`.effects` move by up to 1% when an optimum moves in its
+13th digit, so fits must not move with the batching. For the same reason
+the row maxima and sums over a cell's 2-3 strata columns and the sums over
+its cases are column-wise reductions (``_row_max``, ``_row_sum``,
+``_case_sum``) that round exactly as numpy's ``max`` and ``sum`` do: numpy
+reduces a 2-3 wide axis with one inner loop per row, which costs far more
+than the arithmetic.
 
 Starts are numbered by mapping id, and :func:`_start_sets` builds the
 initial parameter sets of a block of ids as stacked arrays. With three
@@ -40,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +105,33 @@ def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (a @ x[..., None])[..., 0]
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1)`` as chained column maxima, exact in any order."""
+    out = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        np.maximum(out, a[..., j], out=out)
+    return out
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1)``: numpy adds fewer than 8 columns left to right."""
+    if a.shape[-1] >= 8:
+        return a.sum(axis=-1)
+    out = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        out += a[..., j]
+    return out
+
+
+def _case_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-2)`` of a C-ordered (..., n, c) array: numpy adds the n
+    rows in order, as a cumulative sum does. A single column is contiguous,
+    so numpy sums it pairwise; that case, and no rows, go to numpy."""
+    if a.shape[-1] == 1 or a.shape[-2] == 0:
+        return a.sum(axis=-2)
+    return np.cumsum(a, axis=-2)[..., -1, :]
+
+
 def _cell_logdens(cell: Cell, locs: np.ndarray, scale: np.ndarray, family: Family) -> np.ndarray:
     """Component log-densities of one cell's cases under S parameter sets:
     ``locs`` (S, c) and ``scale`` (S,) in, (S, n_cell, c) out."""
@@ -122,12 +156,12 @@ def _mix(cell: Cell, logdens: np.ndarray, logprior: np.ndarray, want_post: bool 
     lm = logdens
     lm += logprior[:, None, :]
     pair = lm.shape[2] == 2
-    top = np.logaddexp(lm[..., 0], lm[..., 1]) if pair else lm.max(axis=2)
+    top = np.logaddexp(lm[..., 0], lm[..., 1]) if pair else _row_max(lm)
     # the log-sum-exp of a row is finite exactly when its maximum is
     ok = np.isfinite(top)
     if not ok.all():
         raise DegenerateMixtureError(int(cell.rows[np.flatnonzero(~ok.all(axis=0))[0]]))
-    lse = top if pair else top + np.log(np.exp(lm - top[..., None]).sum(axis=2))
+    lse = top if pair else top + np.log(_row_sum(np.exp(lm - top[..., None])))
     if not want_post:
         return lse, None
     lm -= lse[..., None]
@@ -144,9 +178,11 @@ def _mixture(dataset: Dataset, logp, table, scales, family: Family, want_post: b
             yield (cell, *_mix(cell, ld, logp[:, cell.strata], want_post))
 
 
-def _one(params: ModelParams):
-    """One parameter set as the kernel's stack of S = 1."""
-    return _log_probs(params.probs)[None], params.location_table().T[None], params.scales[None]
+def _stack(sets: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parameter sets as the kernel's stacks of S = len(sets)."""
+    return (_log_probs(np.stack([p.probs for p in sets])),
+            np.stack([p.location_table().T for p in sets]),
+            np.stack([p.scales for p in sets]))
 
 
 def _total(terms):
@@ -157,22 +193,38 @@ def _total(terms):
     return total
 
 
-def log_likelihood(params: ModelParams, dataset: Dataset) -> float:
+def log_likelihood(params: ModelParams | Sequence[ModelParams],
+                   dataset: Dataset) -> float | np.ndarray:
     """Weighted observed-data log-likelihood.
 
     Each case contributes its weight times the log of the mixture over the
     strata compatible with its (arm, z) cell: a treated case sums over the
     unobserved control-side level, a control case over the treated side.
+
+    Given one parameter set, returns a float. Given a sequence of sets of
+    one family, returns an array with one value per set, each equal bit for
+    bit to the set's own value: the sets run together through the kernel's
+    set axis, in blocks sized as the EM loop's (see ``_EM_BLOCK``).
     """
-    _check_inputs(params, dataset)
-    return float(_total(_mixture(dataset, *_one(params), params.family, False))[0])
+    if isinstance(params, ModelParams):
+        return float(log_likelihood([params], dataset)[0])
+    family = params[0].family
+    for p in params:
+        if p.family is not family:
+            raise ValueError("parameter sets of different families")
+        _check_inputs(p, dataset)
+    block = _em_block(dataset)
+    return np.concatenate([
+        _total(_mixture(dataset, *_stack(params[lo:lo + block]), family, False))
+        for lo in range(0, len(params), block)
+    ])
 
 
 def case_loglik(params: ModelParams, dataset: Dataset) -> np.ndarray:
     """Per-case unweighted log mixture terms, aligned with the dataset rows."""
     _check_inputs(params, dataset)
     out = np.zeros(dataset.n)
-    for cell, lse, _ in _mixture(dataset, *_one(params), params.family, False):
+    for cell, lse, _ in _mixture(dataset, *_stack([params]), params.family, False):
         out[cell.rows] = lse[0]
     return out
 
@@ -186,7 +238,7 @@ def e_step(params: ModelParams, dataset: Dataset) -> np.ndarray:
     """
     _check_inputs(params, dataset)
     out = np.zeros((dataset.n, params.grid.n_strata))
-    for cell, _, post in _mixture(dataset, *_one(params), params.family, True):
+    for cell, _, post in _mixture(dataset, *_stack([params]), params.family, True):
         out[np.ix_(cell.rows, cell.strata)] = post[0]
     return out
 
@@ -202,10 +254,10 @@ def _accumulate(stats: np.ndarray, cell: Cell, post: np.ndarray, family: Family)
     under tobit, the weight of the positive outcomes."""
     wp = cell.w[:, None] * post
     out = stats[:, cell.t, cell.strata]
-    out[..., 0] = wp.sum(axis=1)
+    out[..., 0] = _case_sum(wp)
     if family is Family.TOBIT:
         wp = np.take(wp, cell.pos, axis=1)
-        out[..., 3] = wp.sum(axis=1)
+        out[..., 3] = _case_sum(wp)
         y, y2 = cell.y[cell.pos], cell.y2[cell.pos]
     else:
         y, y2 = cell.y, cell.y2
@@ -486,18 +538,18 @@ def _cell_mixture_em(y: np.ndarray, w: np.ndarray, k: int, max_iter: int = 300):
                 - 0.5 * _LOG_2PI
                 - 0.5 * ((ys[:, None] - means) / sds) ** 2
             )
-        m = lm.max(axis=1)
+        m = _row_max(lm)
         shifted = np.exp(lm - m[:, None])
-        ssum = shifted.sum(axis=1)
+        ssum = _row_sum(shifted)
         ll = float(ws @ (m + np.log(ssum)))
         resp = shifted / ssum[:, None]
         wr = ws[:, None] * resp
-        comp_w = wr.sum(axis=0)
+        comp_w = _case_sum(wr)
         live = comp_w > 1e-12
         props = np.maximum(comp_w / total, 1e-300)
         props /= props.sum()
-        means = np.where(live, (wr * ys[:, None]).sum(axis=0) / np.maximum(comp_w, 1e-300), means)
-        var = (wr * (ys[:, None] - means) ** 2).sum(axis=0) / np.maximum(comp_w, 1e-300)
+        means = np.where(live, _case_sum(wr * ys[:, None]) / np.maximum(comp_w, 1e-300), means)
+        var = _case_sum(wr * (ys[:, None] - means) ** 2) / np.maximum(comp_w, 1e-300)
         sds = np.where(live, np.maximum(np.sqrt(var), sd_floor), sds)
         if ll_prev is not None and abs(ll - ll_prev) <= 1e-8 * max(1.0, abs(ll)):
             break
@@ -603,8 +655,8 @@ def _initial_probs(warm, assign: np.ndarray, grid: StrataGrid) -> np.ndarray:
             q0[rows, z, assign[:, c]] = mass
     table = np.maximum(0.5 * (q1 + q0), 1e-12)
     for _ in range(50):
-        table *= (share[1] / table.sum(axis=1))[:, None, :]
-        table *= (share[0] / table.sum(axis=2))[:, :, None]
+        table *= (share[1] / _row_sum(table.swapaxes(1, 2)))[:, None, :]
+        table *= (share[0] / _row_sum(table))[:, :, None]
     table /= table.reshape(b, -1).sum(axis=1)[:, None, None]
     return table.transpose(0, 2, 1).reshape(b, -1)  # z1-major rows match the grid order
 
@@ -638,10 +690,10 @@ def _start_sets(warm, ids, grid: StrataGrid, mean_structure: MeanStructure,
 # float64, 256 KiB.
 _RANK_BLOCK = 1 << 15
 
-# The largest (sets x cases x strata) array the EM loop and linear start
-# ranking build, in float64 entries: 2^16, 512 KiB. Sets run in blocks sized
-# to the widest cell, so the working set does not grow with the number of
-# sets or the sample size.
+# The largest (sets x cases x strata) array the EM loop, linear start
+# ranking and a stacked log_likelihood build, in float64 entries: 2^16,
+# 512 KiB. Sets run in blocks sized to the widest cell, so the working set
+# does not grow with the number of sets or the sample size.
 _EM_BLOCK = 1 << 16
 
 
@@ -678,7 +730,7 @@ def _initial_logliks(dataset, warm, grid, family, mean_structure, scales):
             if cell.y.size:
                 cs = warm[(cell.t, cell.z)]
                 ld = component_logpdf(cell.y[:, None], cs.means, scales[cell.t], family)
-                top = ld.max(axis=1)
+                top = _row_max(ld)
                 bad = ~np.isfinite(top)
                 if bad.any():
                     raise DegenerateMixtureError(int(cell.rows[np.flatnonzero(bad)[0]]))

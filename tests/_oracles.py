@@ -4,10 +4,11 @@ Everything here except the EM loop oracle deliberately avoids the
 package's own numerical paths: densities go through math.erf/erfc, sums are
 plain Python loops over the mixture definition, and optima come from grid
 refinement. The EM loop oracle runs one start at a time through the public
-one-set functions, against which the batched EM loop is checked, and the
+one-set functions, against which the batched EM loop is checked, the
 start-set oracle builds one mapping's initial parameters on its own from
 the grid's compatible strata and linear design, against which the stacked
-start sets are checked.
+start sets are checked, and the Hessian oracle evaluates one point at a
+time, against which the stacked finite-difference Hessian is checked.
 """
 
 import itertools
@@ -276,3 +277,26 @@ def tobit_newton_oracle(design, mpos, s1, s2, mzero, gamma0, delta0):
         if not improved:
             break
     return beta, delta, evaluations
+
+
+def num_hessian_oracle(fun, x, rel_step):
+    """Central-difference Hessian of a scalar ``fun``, one evaluation per
+    point, with steps ``rel_step * max(1, |x|)``: the 2p^2 + 1 point double
+    loop the stacked Hessian must reproduce bit for bit."""
+    h = rel_step * np.maximum(1.0, np.abs(x))
+    p = len(x)
+    hess = np.empty((p, p))
+    f0 = fun(x)
+    for i in range(p):
+        ei = np.zeros(p)
+        ei[i] = h[i]
+        hess[i, i] = (fun(x + ei) - 2.0 * f0 + fun(x - ei)) / h[i] ** 2
+        for j in range(i + 1, p):
+            ej = np.zeros(p)
+            ej[j] = h[j]
+            val = (
+                fun(x + ei + ej) - fun(x + ei - ej)
+                - fun(x - ei + ej) + fun(x - ei - ej)
+            ) / (4.0 * h[i] * h[j])
+            hess[i, j] = hess[j, i] = val
+    return hess

@@ -7,13 +7,17 @@ removing one of them breaks the benchmark without breaking any other test.
 import dataclasses
 import importlib
 import inspect
+import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from stratfit import em
-from stratfit.core import Dataset
+from stratfit import effects, em
+from stratfit.core import Dataset, pack
+
+from test_estimation import simulate_four_strata
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
@@ -49,3 +53,28 @@ def test_m_step_accepts_the_benchmark_call():
         "posterior", "dataset", "family", "mean_structure", prev="params",
         scale_floor="floor",
     )
+
+
+def test_traced_se_counts_see_the_real_path(monkeypatch):
+    # The traced run counts effects.loglik_evals and effects.case_loglik_evals
+    # through these two names: the stacked Hessian calls log_likelihood once
+    # per block of points, the sandwich case_loglik twice per coordinate.
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(effects, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    ds, _ = simulate_four_strata(200, seed=46)
+    res = em.fit(ds)
+    for name in ("log_likelihood", "case_loglik"):
+        monkeypatch.setattr(effects, name, counted(name))
+    effects.effect_table(res, ds)
+    p = len(pack(res.params))
+    assert 1 <= calls["log_likelihood"] <= math.ceil((2 * p * p + 1) / em._em_block(ds)) + 1
+    assert calls["case_loglik"] == 2 * p

@@ -139,9 +139,71 @@ class TestLogLikelihoodOracle:
             params = ModelParams(
                 grid, probs / probs.sum(), np.zeros((grid.n_strata, 2)), np.ones(2)
             )
-            for evaluate in (log_likelihood, case_loglik, e_step):
+            fine = ModelParams(grid, np.full(grid.n_strata, 1.0 / grid.n_strata),
+                               np.zeros((grid.n_strata, 2)), np.ones(2))
+
+            def stacked(params, ds):
+                return log_likelihood([fine, params, fine], ds)
+
+            for evaluate in (log_likelihood, case_loglik, e_step, stacked):
                 with pytest.raises(DegenerateMixtureError, match="case 1"):
                     evaluate(params, ds)
+
+    @pytest.mark.parametrize("family", [Family.NORMAL, Family.TOBIT], ids=lambda f: f.value)
+    def test_stacked_sets_equal_one_set_calls(self, family, monkeypatch):
+        ds, truth = simulate_four_strata(200, seed=4, censor=family is Family.TOBIT)
+        rng = np.random.default_rng(4)
+        sets = [truth] + [
+            ModelParams(GRID2, rng.dirichlet(np.ones(4)),
+                        truth.locations + rng.normal(0.0, 0.5, (4, 2)),
+                        rng.uniform(0.5, 2.0, 2), family)
+            for _ in range(4)
+        ]
+        want = [log_likelihood(p, ds) for p in sets]
+        # blocks of two sets: the fifth starts a block of its own
+        widest = max(cell.y.size * cell.strata.size for cell in ds.cells)
+        monkeypatch.setattr(em, "_EM_BLOCK", 2 * widest)
+        got = log_likelihood(sets, ds)
+        assert got.shape == (5,)
+        assert got.tolist() == want
+
+    def test_stacked_sets_of_mixed_families_rejected(self):
+        ds, truth = simulate_four_strata(50, seed=4, censor=True)
+        normal = ModelParams(GRID2, truth.probs, truth.locations, truth.scales)
+        with pytest.raises(ValueError, match="families"):
+            log_likelihood([truth, normal], ds)
+
+
+class TestColumnReductions:
+    """The column-wise reductions equal numpy's own, bit for bit.
+
+    The mixture kernel, the sufficient statistics, the warm starts and the
+    IPF use them in place of ``max`` and ``sum`` over short axes, on the
+    premise that numpy adds fewer than 8 columns left to right and the rows
+    of a C-ordered array in order. A numpy release that reorders its
+    reductions fails here, before any fit moves in its last digits.
+    """
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 4, 9])
+    @pytest.mark.parametrize("n", [1, 7, 500])
+    def test_equal_numpy_reductions(self, n, c):
+        rng = np.random.default_rng(100 * n + c)
+        # magnitudes 1e-8..1e8, so any other summation order shows
+        a = rng.standard_normal((5, n, c)) * 10.0 ** rng.integers(-8, 9, (5, n, c))
+        a[1][rng.random((n, c)) < 0.2] = -np.inf
+        a[2, rng.integers(n)] = -np.inf  # an all -inf row
+        a[3, rng.integers(n), rng.integers(c)] = np.nan
+        for arr in (a, a[0], a[3]):  # stacked sets and one cell's (n, c)
+            assert np.array_equal(em._row_max(arr), arr.max(axis=-1), equal_nan=True)
+            assert np.array_equal(em._row_sum(arr), arr.sum(axis=-1), equal_nan=True)
+            assert np.array_equal(em._case_sum(arr), arr.sum(axis=-2), equal_nan=True)
+        # the IPF's margin over the middle axis
+        assert np.array_equal(em._row_sum(a.swapaxes(1, 2)), a.sum(axis=1), equal_nan=True)
+
+    def test_case_sum_of_no_cases(self):
+        # a tobit cell whose every outcome is censored has no positive cases
+        empty = np.zeros((2, 0, 3))
+        assert np.array_equal(em._case_sum(empty), empty.sum(axis=-2))
 
 
 class TestEStep:

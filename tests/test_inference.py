@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from stratfit.core import Dataset, ModelParams, StrataGrid, pack, unpack
+from stratfit import effects
+from stratfit.core import Dataset, MeanStructure, ModelParams, StrataGrid, pack, unpack
 from stratfit.densities import Family, tobit_mean
 from stratfit.effects import (
     HESS_STEP,
@@ -14,10 +16,11 @@ from stratfit.effects import (
     observed_information_se,
     treatment_effects,
 )
-from stratfit.em import FitResult, case_loglik, fit, log_likelihood
+from stratfit.em import FitConfig, FitResult, case_loglik, fit, log_likelihood
 from stratfit.errors import InferenceError
 
-from test_estimation import simulate_four_strata
+from _oracles import num_hessian_oracle
+from test_estimation import simulate_four_strata, simulate_nine_strata
 
 GRID2 = StrataGrid(2)
 
@@ -173,6 +176,48 @@ class TestObservedInformation:
         )
         with pytest.raises(InferenceError, match="eigenvalues"):
             observed_information_se(fake_fit(off), ds)
+
+
+FITTED = {  # a dataset and the fit's arguments
+    "normal": lambda: (simulate_four_strata(300, seed=50)[0], {}),
+    "tobit": lambda: (simulate_four_strata(300, seed=51, censor=True)[0],
+                      {"family": Family.TOBIT, "config": FitConfig(tol=1e-7)}),
+    "linear": lambda: (simulate_four_strata(300, seed=52)[0],
+                       {"mean_structure": MeanStructure.LINEAR}),
+    "three-level": lambda: (simulate_nine_strata(300, seed=53),
+                            {"config": FitConfig(starts=("topk", 3))}),
+}
+
+
+@pytest.fixture(scope="module", params=list(FITTED))
+def fitted(request):
+    ds, kwargs = FITTED[request.param]()
+    return fit(ds, **kwargs), ds
+
+
+class TestStackedHessian:
+    def test_equals_one_point_oracle(self, fitted, monkeypatch):
+        res, ds = fitted
+        naive = observed_information_se(res, ds)
+        sandwich = cluster_sandwich_se(res, ds)
+
+        def oracle(fun, x, block):
+            return num_hessian_oracle(
+                lambda v: log_likelihood(unpack(v, res.params), ds), x, HESS_STEP)
+
+        monkeypatch.setattr(effects, "_num_hessian", oracle)
+        assert np.array_equal(naive.hessian, observed_information_se(res, ds).hessian)
+        assert np.array_equal(sandwich.cov, cluster_sandwich_se(res, ds).cov)
+
+    def test_working_set_stays_bounded(self):
+        ds, truth = simulate_four_strata(20_000, seed=45)
+        tracemalloc.start()
+        try:
+            observed_information_se(fake_fit(truth), ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
 
 class TestClusterSandwich:
