@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -353,6 +354,7 @@ def cmd_fit(args) -> int:
         "tie_ids": list(result.tie_ids),
         "iterations": result.iterations,
         "n_starts": len(result.trace),
+        "stop_reasons": dict(Counter(r.stop_reason for r in result.trace)),
         "effects": table.rows(),
         "se_error": se_note,
         "files": {k: os.path.abspath(v) for k, v in paths.items()},
@@ -362,8 +364,10 @@ def cmd_fit(args) -> int:
     print(f"fit {status}: loglik={result.loglik!r}, mapping={result.mapping_id}, "
           f"outputs in {out_dir}")
     if not result.converged:
-        print(f"warning: the best start (mapping {result.mapping_id}) stopped at "
-              f"--max-iter {args.max_iter} without converging", file=sys.stderr)
+        reason = next(r.stop_reason for r in result.trace if r.mapping_id == result.mapping_id)
+        how = f"at --max-iter {args.max_iter}" if reason == "max_iter" else f"as '{reason}'"
+        print(f"warning: the best start (mapping {result.mapping_id}) stopped {how} "
+              "without converging", file=sys.stderr)
     if se_note:
         print(f"standard errors unavailable: {se_note}", file=sys.stderr)
     return EXIT_OK

@@ -140,7 +140,13 @@ def marginal_fit_table(fit: FitResult, dataset: Dataset) -> MarginalFitTable:
 
 def solution_trace_table(fit: FitResult) -> list[dict]:
     """Per-start table: percent increase of the negative log-likelihood over
-    the best start, every estimated location, and convergence bookkeeping."""
+    the best start, every estimated location, and convergence bookkeeping.
+
+    ``stop_reason`` says why each start stopped (see ``StartRecord``). A
+    start that trailed the leader by more than the pruning margin after the
+    short phase stopped there as ``"pruned"``: its log-likelihood is a lower
+    bound on where it would have ended, and its locations are where it
+    stood."""
     if not fit.trace:
         raise ValueError("fit carries no per-start trace")
     nll = np.array([-r.loglik for r in fit.trace])
@@ -155,6 +161,7 @@ def solution_trace_table(fit: FitResult) -> list[dict]:
             "loglik": rec.loglik,
             "iterations": rec.iterations,
             "converged": rec.converged,
+            "stop_reason": rec.stop_reason,
             "tied": rec.mapping_id in fit.tie_ids,
         }
         table = rec.params.location_table()

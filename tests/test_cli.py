@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from stratfit import cli
 from stratfit.cli import load_fit, main, read_dataset, read_sim_config, save_fit
 from stratfit.densities import Family
-from stratfit.em import FitConfig, fit
+from stratfit.em import fit
 from stratfit.errors import DataError
 
 from test_estimation import simulate_four_strata
@@ -89,9 +90,14 @@ class TestCmdFit:
         with open(out / "trace.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 16
+        assert [r["stop_reason"] for r in rows] == [
+            r.stop_reason for r in load_fit(str(out / "fit.json"))[0].trace]
         summary = json.loads((out / "summary.json").read_text())
         assert summary["converged"] is True
         assert summary["n_starts"] == 16
+        assert sum(summary["stop_reasons"].values()) == 16
+        assert summary["stop_reasons"] == dict(
+            Counter(r["stop_reason"] for r in rows))
         assert len(summary["effects"]) == 4
 
     def test_starts_all_equals_default_sixteen(self, data_csv, tmp_path):
@@ -151,6 +157,27 @@ class TestCmdFit:
         assert "warning" in captured.err
         assert json.loads((out / "summary.json").read_text())["converged"] is False
 
+    @pytest.mark.parametrize("reason", ["max_iter", "nonmonotone"])
+    def test_warning_names_the_winners_stop_reason(self, data_csv, tmp_path, monkeypatch,
+                                                   capsys, reason):
+        real_fit = cli.fit
+
+        def unconverged(*a, **k):
+            res = real_fit(*a, **k)
+            trace = tuple(
+                dataclasses.replace(r, converged=False, stop_reason=reason)
+                if r.mapping_id == res.mapping_id else r for r in res.trace)
+            return dataclasses.replace(res, converged=False, trace=trace)
+
+        monkeypatch.setattr(cli, "fit", unconverged)
+        out = tmp_path / "unconverged"
+        assert main(["fit", data_csv, "--out-dir", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert ("--max-iter 2000" in err) == (reason == "max_iter")
+        assert (f"'{reason}'" in err) == (reason != "max_iter")
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["stop_reasons"][reason] >= 1
+
     def test_tobit_end_to_end(self, tmp_path):
         ds, _ = simulate_four_strata(250, seed=71, dispersion=2.4, sigma=2.0,
                                      effect=3.0, censor=True)
@@ -175,13 +202,16 @@ class TestCmdDiagnose:
             assert (fit_dir / name).read_bytes() == (diag_dir / name).read_bytes()
 
     def test_fit_json_round_trip_keeps_trace_records(self, tmp_path):
-        ds, _ = simulate_four_strata(100, seed=5)
-        res = fit(ds, config=FitConfig(starts=("topk", 2)))
+        ds, _ = simulate_four_strata(100, seed=5, dispersion=3.0)
+        res = fit(ds)
         flagged = dataclasses.replace(
             res.trace[0], floor_active=(True, False), frozen=((3, 1), (2, 0)),
             stop_reason="max_iter",
         )
-        res = dataclasses.replace(res, trace=(flagged,) + res.trace[1:])
+        dropped = dataclasses.replace(res.trace[1], stop_reason="nonmonotone")
+        res = dataclasses.replace(res, trace=(flagged, dropped) + res.trace[2:])
+        want = [r.stop_reason for r in res.trace]
+        assert {"tol", "pruned"} <= set(want[2:])
         path = tmp_path / "fit.json"
         save_fit(str(path), res, {"data": "cases.csv"})
         got, options = load_fit(str(path))
@@ -194,7 +224,7 @@ class TestCmdDiagnose:
             assert a.frozen == b.frozen
             assert a.stop_reason == b.stop_reason
             np.testing.assert_array_equal(a.params.locations, b.params.locations)
-        assert [r.stop_reason for r in got.trace] == ["max_iter", "tol"]
+        assert [r.stop_reason for r in got.trace] == want
 
         payload = json.loads(path.read_text())
         for key in ("frozen", "stop_reason"):

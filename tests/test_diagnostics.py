@@ -137,6 +137,15 @@ class TestSolutionTrace:
         for row in solution_trace_table(res):
             assert row["pct_nll_increase"] >= 0.0
 
+    def test_rows_carry_stop_reasons(self):
+        ds, _ = simulate_four_strata(400, seed=59)
+        res = fit(ds)
+        rows = solution_trace_table(res)
+        assert [r["stop_reason"] for r in rows] == [r.stop_reason for r in res.trace]
+        assert "pruned" in {r["stop_reason"] for r in rows}
+        for row in rows:
+            assert row["converged"] == (row["stop_reason"] == "tol")
+
     def test_rows_carry_all_locations(self):
         ds, _ = simulate_four_strata(400, seed=61)
         res = fit(ds)

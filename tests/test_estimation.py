@@ -689,6 +689,17 @@ class TestFit:
             fit(ds, config=FitConfig(max_iter=1))
         assert len(err.value.trace) == 16
 
+    def test_pruned_starts_keep_a_capped_winner_from_raising(self):
+        # the survivors of the short phase all hit max_iter; the pruned
+        # starts stopped before it, so the fit returns, unconverged
+        ds, _ = simulate_four_strata(200, seed=42, dispersion=3.0)
+        res = fit(ds, config=FitConfig(max_iter=em._SHORT_PHASE + 2))
+        reasons = {r.stop_reason for r in res.trace}
+        assert reasons == {"pruned", "max_iter"}
+        assert not res.converged
+        winner = next(r for r in res.trace if r.mapping_id == res.mapping_id)
+        assert winner.stop_reason == "max_iter"
+
     def test_label_permutation_of_warm_starts_leaves_best_loglik(self):
         ds, _ = simulate_four_strata(250, seed=23)
         warm = warm_start_cells(ds, Family.NORMAL)
@@ -737,15 +748,24 @@ def fit_starts(ds, family, mean_structure, config):
 
 
 def assert_records_match_oracle(records, ids, sets, ds, family, mean_structure, config, floor):
+    """Each record is EM run from its start alone, and a start is pruned
+    exactly when it still ran after ``_SHORT_PHASE`` evaluations and then
+    trailed the best of all starts by more than the margin. A pruned record
+    is the one-start run capped at ``_SHORT_PHASE - 1`` M-steps, apart from
+    its stop reason. Returns the stop reasons."""
     assert [r.mapping_id for r in records] == ids.tolist()
     grid = StrataGrid(ds.k_levels)
+    short = em._SHORT_PHASE
+    at_short, running = [], []
     for rec, probs, coef, scales in zip(records, *sets):
         start = ModelParams(grid, probs, coef.T, scales, family, mean_structure)
+        pruned = rec.stop_reason == "pruned"
         want = em_one_start_oracle(ds, start, family, mean_structure, config.tol,
-                                   config.max_iter, floor)
+                                   short - 1 if pruned else config.max_iter, floor)
         assert (rec.iterations, rec.converged, rec.frozen, rec.floor_active) == (
             want["iterations"], want["converged"], want["frozen"], want["floor_active"])
-        assert rec.stop_reason == ("tol" if want["converged"] else "max_iter")
+        if not pruned:
+            assert rec.stop_reason == ("tol" if want["converged"] else "max_iter")
         assert rec.loglik == pytest.approx(want["loglik"], rel=1e-10)
         for name in ("probs", "locations", "scales"):
             np.testing.assert_allclose(getattr(rec.params, name),
@@ -754,6 +774,17 @@ def assert_records_match_oracle(records, ids, sets, ds, family, mean_structure, 
             np.testing.assert_allclose(rec.history, want["history"], rtol=1e-10, atol=0.0)
         else:
             assert rec.history == ()
+        hist = want["history"]
+        at_short.append(hist[min(short, len(hist)) - 1])
+        # still running after the short phase: it went on, or it was cut
+        # there without meeting the stop rule at that evaluation
+        running.append(len(hist) > short or (
+            pruned and abs(hist[-1] - hist[-2]) > config.tol * max(1.0, abs(hist[-1]))))
+    lead = max(at_short)
+    want_pruned = [run and ll < lead - em._PRUNE_MARGIN * abs(lead)
+                   for run, ll in zip(running, at_short)]
+    assert [r.stop_reason == "pruned" for r in records] == want_pruned
+    return [r.stop_reason for r in records]
 
 
 ORACLE_CASES = {
@@ -769,6 +800,16 @@ ORACLE_CASES = {
                MeanStructure.SATURATED, FitConfig(max_iter=5)),
     "history": (lambda: simulate_four_strata(200, seed=21)[0], Family.NORMAL,
                 MeanStructure.SATURATED, FitConfig(keep_history=True)),
+    # well separated, so some starts trail the leader by more than the
+    # pruning margin after the short phase
+    "pruned": (lambda: simulate_four_strata(200, seed=42, dispersion=3.0)[0], Family.NORMAL,
+               MeanStructure.SATURATED, FitConfig()),
+    "pruned_linear": (lambda: simulate_four_strata(200, seed=43, dispersion=3.0)[0],
+                      Family.NORMAL, MeanStructure.LINEAR, FitConfig()),
+    "pruned_tobit": (lambda: simulate_four_strata(150, seed=43, dispersion=3.0, censor=True)[0],
+                     Family.TOBIT, MeanStructure.SATURATED, FitConfig(tol=1e-7)),
+    "pruned_history": (lambda: simulate_four_strata(200, seed=21, dispersion=3.0)[0],
+                       Family.NORMAL, MeanStructure.SATURATED, FitConfig(keep_history=True)),
 }
 
 
@@ -786,8 +827,65 @@ class TestBatchedEM:
         except ConvergenceError as err:
             assert case == "capped"
             records = err.trace
-        assert_records_match_oracle(records, ids, sets, ds, family, mean_structure, config,
+        reasons = assert_records_match_oracle(records, ids, sets, ds, family, mean_structure,
+                                              config, floor)
+        assert ("pruned" in reasons) == case.startswith("pruned")
+
+    def test_block_pruned_whole_after_the_leader_stopped(self, monkeypatch):
+        ds, _ = simulate_four_strata(200, seed=42, dispersion=3.0)
+        config = FitConfig()
+        ids, (probs, coef, scales), floor = fit_starts(ds, Family.NORMAL, SATURATED, config)
+        res = fit(ds, config=config)
+        losers = [i for i, r in enumerate(res.trace) if r.stop_reason == "pruned"]
+        assert len(losers) >= 3
+        # one start per block; the first starts at the optimum, so it stops
+        # within the short phase and leads every later block, whose one
+        # running start is then pruned
+        widest = max(cell.y.size * cell.strata.size for cell in ds.cells)
+        monkeypatch.setattr(em, "_EM_BLOCK", widest)
+        best = res.params
+        ids = np.concatenate([[99], ids[losers]])
+        sets = tuple(np.concatenate([row[None], a[losers]])
+                     for a, row in ((probs, best.probs), (coef, best.locations.T),
+                                    (scales, best.scales)))
+        records = _run_starts(ds, ids, *sets, Family.NORMAL, SATURATED, config.tol,
+                              config.max_iter, floor, False)
+        assert records[0].stop_reason == "tol"
+        assert records[0].iterations < em._SHORT_PHASE
+        assert [r.stop_reason for r in records[1:]] == ["pruned"] * len(losers)
+        assert_records_match_oracle(records, ids, sets, ds, Family.NORMAL, SATURATED, config,
                                     floor)
+
+    def test_dropping_start_ends_nonmonotone(self, monkeypatch):
+        ds, _ = simulate_four_strata(200, seed=42, dispersion=3.0)
+        config = FitConfig()
+        ids, sets, floor = fit_starts(ds, Family.NORMAL, SATURATED, config)
+        args = (Family.NORMAL, SATURATED, config.tol, config.max_iter, floor, False)
+        clean = _run_starts(ds, ids, *sets, *args)
+        # a start that trails the leader, so that dropping it moves no lead
+        j = next(i for i, r in enumerate(clean) if r.stop_reason == "pruned")
+        real = em._m_step_core
+        calls = []
+
+        def pushed(stats, *rest):
+            out = real(stats, *rest)
+            calls.append(len(stats))
+            if len(calls) == 3:  # the third M-step of the one block of 16
+                out[1][j] += 50.0  # moves start j's locations far from the data
+            return out
+
+        monkeypatch.setattr(em, "_m_step_core", pushed)
+        got = _run_starts(ds, ids, *sets, *args)
+        assert calls[2] == len(ids)
+        assert (got[j].stop_reason, got[j].converged, got[j].iterations) == (
+            "nonmonotone", False, 4)
+        assert got[j].loglik < clean[j].loglik
+        for a, b in zip(clean[:j] + clean[j + 1:], got[:j] + got[j + 1:]):
+            assert (a.stop_reason, a.iterations, a.loglik) == (b.stop_reason, b.iterations,
+                                                                b.loglik)
+            np.testing.assert_array_equal(a.params.locations, b.params.locations)
+            np.testing.assert_array_equal(a.params.probs, b.params.probs)
+            np.testing.assert_array_equal(a.params.scales, b.params.scales)
 
     @pytest.mark.parametrize("censor", [False, True])
     def test_frozen_stratum_matches_one_start_oracle(self, censor, monkeypatch):

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from stratfit import em, simulate
 from stratfit.densities import Family
 from stratfit.simulate import (
     MisspecStudy,
@@ -157,3 +160,51 @@ class TestMisspecification:
         assert study.baseline.config.shape == "normal"
         for label in study.shaped:
             assert np.isfinite(study.degradation(label))
+
+
+class TestPruningLeavesTheAnswer:
+    """Pruning trailing starts after the short phase changes no recovery
+    answer: the same winner, ties and near ties as running every start to
+    the stop rule."""
+
+    def test_margin_exceeds_the_tie_bands(self):
+        # a pruned start then trails the final winner by more than either band
+        assert em._PRUNE_MARGIN > simulate.NEAR_TIE_REL > em.LOGLIK_TIE_TOL
+
+    def test_small_grid_same_answers_with_and_without_pruning(self, monkeypatch):
+        fits = []
+        real_fit = simulate.fit
+
+        def keep_fit(*args, **kwargs):
+            fits.append(real_fit(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(simulate, "fit", keep_fit)
+
+        def study(d, replicates):
+            fits.clear()
+            rep = run_study(SimConfig(n_per_arm=300, dispersion_sd=d, replicates=replicates,
+                                      seed=5))
+            return rep, list(fits)
+
+        pruned_any = False
+        # 12 datasets; poorly separated ones cost the most EM iterations and
+        # keep their starts within the margin, so they get fewer
+        for d, replicates in ((1.0, 2), (1.6, 3), (2.4, 7)):
+            rep_on, fits_on = study(d, replicates)
+            with monkeypatch.context() as off:
+                off.setattr(em, "_PRUNE_MARGIN", math.inf)
+                rep_off, fits_off = study(d, replicates)
+            assert rep_on.n_failed == rep_off.n_failed == 0
+            assert len(fits_on) == len(fits_off) == replicates
+            for a, b in zip(fits_on, fits_off):
+                assert (a.mapping_id, a.tie_ids, a.loglik, a.iterations) == (
+                    b.mapping_id, b.tie_ids, b.loglik, b.iterations)
+                for name in ("probs", "locations", "scales"):
+                    np.testing.assert_array_equal(getattr(a.params, name),
+                                                  getattr(b.params, name))
+                assert not any(r.stop_reason == "pruned" for r in b.trace)
+                pruned_any |= any(r.stop_reason == "pruned" for r in a.trace)
+            for a, b in zip(rep_on.replicates, rep_off.replicates):
+                assert (a.n_near_ties, a.label_correct) == (b.n_near_ties, b.label_correct)
+        assert pruned_any
