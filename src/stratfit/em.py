@@ -8,8 +8,9 @@ exhaustive enumeration of the component-to-stratum assignments those warm
 starts admit (16 in the four-strata model), and an EM run from every
 assignment, keeping the solution with the highest weighted log-likelihood.
 Every start runs a short phase of ten evaluations; a start that then trails
-the best of all starts by more than 1% stops there, and the others run on
-to the stop rule (short-run/long-run EM, see :func:`_run_starts`).
+the best of all starts by more than 0.02 per unit of case weight stops there,
+and the others run on to the stop rule (short-run/long-run EM, see
+:func:`_run_starts`).
 
 Every mixture evaluation (the log-likelihood, the per-case terms, the
 E-step and the EM loop) runs through one kernel over the dataset's cell
@@ -847,8 +848,8 @@ class StartRecord:
     ``stop_reason`` is ``"tol"`` (converged), ``"max_iter"``, ``"pruned"``
     (trailed the leader after the short phase, see :func:`_run_starts`; its
     log-likelihood is a lower bound on where the start would have ended) or
-    ``"nonmonotone"`` (its log-likelihood dropped). Only ``"tol"`` counts as
-    converged."""
+    ``"nonmonotone"`` (its log-likelihood dropped, see :func:`_run_starts`).
+    Only ``"tol"`` counts as converged."""
 
     mapping_id: int
     loglik: float
@@ -884,15 +885,20 @@ class FitResult:
 
 # Short-run/long-run EM (Biernacki, Celeux & Govaert 2003, CSDA 41:561):
 # every start runs _SHORT_PHASE evaluations; then a running start whose
-# log-likelihood is below lead - _PRUNE_MARGIN * |lead|, lead being the best
-# log-likelihood of all starts at that point, stops as "pruned". The margin
-# exceeds simulate.NEAR_TIE_REL (1e-4), so a pruned start is never a tie or
-# a near tie. Both were chosen on recorded EM trajectories of 824 normal and
-# tobit fits (see CHANGES.md): after ten evaluations, no start that ended
-# within 1e-4 of its fit's winner trailed the lead by more than 3.1e-3, under
-# a third of the margin.
+# log-likelihood is below lead - _PRUNE_MARGIN * W, lead being the best
+# log-likelihood of all starts at that point and W the total case weight,
+# stops as "pruned". A lag per unit of case weight does not change with the
+# units of y (rescaling y by c moves every log-likelihood by -W log c), nor,
+# on average, with the number of cases. Both were chosen on recorded EM
+# trajectories of 824 normal and tobit fits (see CHANGES.md): after ten
+# evaluations, no start that ended within 1e-4 (relative) of its fit's winner
+# trailed the lead by more than 6.6e-3 per unit of case weight, a third of
+# the margin. The margin is at least _PRUNE_FLOOR * |lead|, which equals
+# simulate.NEAR_TIE_REL, so a pruned start never counts as a near tie of the
+# winner in any units.
 _SHORT_PHASE = 10
-_PRUNE_MARGIN = 1e-2
+_PRUNE_MARGIN = 2e-2
+_PRUNE_FLOOR = 1e-4
 
 # A start whose log-likelihood drops by more than _DROP_TOL * |ll| between
 # two evaluations stops as "nonmonotone": EM never lowers the likelihood.
@@ -929,14 +935,15 @@ def _run_starts(dataset, ids, probs, coef, scales, family, mean_structure, tol, 
     The starts of a block (see ``_EM_BLOCK``) advance together through one
     kernel and one M-step per iteration. A start stops once its
     log-likelihood changes by at most ``tol * max(1, |ll|)`` (``"tol"``),
-    drops by more than ``_DROP_TOL * |ll|`` (``"nonmonotone"``), or after
-    ``max_iter`` M-steps and one more evaluation (``"max_iter"``), and
-    leaves the block.
+    else once it drops by more than ``_DROP_TOL * |ll|``
+    (``"nonmonotone"``), or after ``max_iter`` M-steps and one more
+    evaluation (``"max_iter"``), and leaves the block.
 
     Every block first runs a short phase of ``_SHORT_PHASE`` evaluations.
     Then each running start that trails the best log-likelihood of all the
-    starts, running or stopped, by more than ``_PRUNE_MARGIN`` (relative)
-    stops as ``"pruned"``, with the record EM would give it with
+    starts, running or stopped, by more than ``_PRUNE_MARGIN`` per unit of
+    case weight (and by more than ``_PRUNE_FLOOR`` relative) stops as
+    ``"pruned"``, with the record EM would give it with
     ``max_iter = _SHORT_PHASE - 1`` apart from its stop reason. The
     survivors of all blocks are regrouped into blocks and run on to the
     stop rule. A set is rounded alike in any block, so every record that is
@@ -984,8 +991,9 @@ def _run_starts(dataset, ids, probs, coef, scales, family, mean_structure, tol, 
             if ll_prev is not None:
                 gain = ll - ll_prev
                 size = np.abs(ll)
-                drop = gain < -_DROP_TOL * size
-                stop = drop | (np.abs(gain) <= tol * np.maximum(1.0, size))
+                met = np.abs(gain) <= tol * np.maximum(1.0, size)
+                drop = (gain < -_DROP_TOL * size) & ~met
+                stop = drop | met
                 if stop.any():
                     finish(run, drop, it, "nonmonotone")
                     finish(run, stop & ~drop, it, "tol")
@@ -1009,7 +1017,8 @@ def _run_starts(dataset, ids, probs, coef, scales, family, mean_structure, tol, 
         return records
     run = _Running(*map(np.concatenate, zip(*paused)))
     lead = max([run.ll.max()] + [r.loglik for r in records if r is not None])
-    cut = run.ll < lead - _PRUNE_MARGIN * abs(lead)
+    margin = max(_PRUNE_MARGIN * float(dataset.w.sum()), _PRUNE_FLOOR * abs(lead))
+    cut = run.ll < lead - margin
     finish(run, cut, _SHORT_PHASE - 1, "pruned")
     for b in blocks(run.take(~cut)):
         advance(b, _SHORT_PHASE + 1, math.inf)
@@ -1030,7 +1039,11 @@ def fit(
     trace. Starts that trail the leader by more than a margin after a short
     phase stop early as ``"pruned"``. Ties within 1e-8 go to the lowest
     mapping id and are recorded. Raises ConvergenceError (carrying the
-    trace) if every start stopped at ``max_iter``, DataError on empty cells.
+    trace) when the best start stopped at ``max_iter`` and no start
+    converged, DataError on empty cells. A pruned start never counts as
+    converged (run on, it might have converged and let the capped winner
+    return unconverged); a best start that stopped as ``"nonmonotone"``
+    returns unconverged.
     """
     config = config or FitConfig()
     grid = StrataGrid(dataset.k_levels)
@@ -1057,16 +1070,16 @@ def fit(
     records = _run_starts(dataset, ids, *_start_sets(warm, ids, grid, mean_structure, scales),
                           family, mean_structure, config.tol, config.max_iter, scale_floor,
                           config.keep_history)
-    if all(r.stop_reason == "max_iter" for r in records):
-        raise ConvergenceError(
-            f"no starting mapping converged within {config.max_iter} iterations",
-            trace=records,
-        )
     best_ll = max(r.loglik for r in records)
     tied = sorted(
         r.mapping_id for r in records if best_ll - r.loglik <= LOGLIK_TIE_TOL
     )
     winner = next(r for r in records if r.mapping_id == tied[0])
+    if winner.stop_reason == "max_iter" and not any(r.converged for r in records):
+        raise ConvergenceError(
+            f"no starting mapping converged within {config.max_iter} iterations",
+            trace=records,
+        )
     posterior = e_step(winner.params, dataset)
     return FitResult(
         params=winner.params,

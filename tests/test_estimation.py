@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -689,16 +690,39 @@ class TestFit:
             fit(ds, config=FitConfig(max_iter=1))
         assert len(err.value.trace) == 16
 
-    def test_pruned_starts_keep_a_capped_winner_from_raising(self):
+    def test_pruned_starts_do_not_keep_a_capped_winner_from_raising(self):
         # the survivors of the short phase all hit max_iter; the pruned
-        # starts stopped before it, so the fit returns, unconverged
+        # starts stopped before it but never count as converged
         ds, _ = simulate_four_strata(200, seed=42, dispersion=3.0)
-        res = fit(ds, config=FitConfig(max_iter=em._SHORT_PHASE + 2))
-        reasons = {r.stop_reason for r in res.trace}
-        assert reasons == {"pruned", "max_iter"}
-        assert not res.converged
-        winner = next(r for r in res.trace if r.mapping_id == res.mapping_id)
-        assert winner.stop_reason == "max_iter"
+        with pytest.raises(ConvergenceError) as err:
+            fit(ds, config=FitConfig(max_iter=em._SHORT_PHASE + 2))
+        assert {r.stop_reason for r in err.value.trace} == {"pruned", "max_iter"}
+
+    @pytest.mark.parametrize("winner, losers, raises", [
+        ("max_iter", "max_iter", True),
+        ("max_iter", "tol", False),
+        ("nonmonotone", "max_iter", False),
+    ])
+    def test_convergence_error_follows_the_winner_and_converged_starts(
+            self, monkeypatch, winner, losers, raises):
+        ds, _ = simulate_four_strata(200, seed=41)
+        real = em._run_starts
+
+        def relabelled(*args):
+            records = real(*args)
+            best = max(r.loglik for r in records)
+            return [dataclasses.replace(r, stop_reason=losers, converged=losers == "tol")
+                    if best - r.loglik > em.LOGLIK_TIE_TOL else
+                    dataclasses.replace(r, stop_reason=winner, converged=False)
+                    for r in records]
+
+        monkeypatch.setattr(em, "_run_starts", relabelled)
+        if raises:
+            with pytest.raises(ConvergenceError):
+                fit(ds)
+        else:
+            res = fit(ds)
+            assert not res.converged
 
     def test_label_permutation_of_warm_starts_leaves_best_loglik(self):
         ds, _ = simulate_four_strata(250, seed=23)
@@ -750,9 +774,10 @@ def fit_starts(ds, family, mean_structure, config):
 def assert_records_match_oracle(records, ids, sets, ds, family, mean_structure, config, floor):
     """Each record is EM run from its start alone, and a start is pruned
     exactly when it still ran after ``_SHORT_PHASE`` evaluations and then
-    trailed the best of all starts by more than the margin. A pruned record
-    is the one-start run capped at ``_SHORT_PHASE - 1`` M-steps, apart from
-    its stop reason. Returns the stop reasons."""
+    trailed the best of all starts by more than the margin (per unit of case
+    weight, at least the relative floor). A pruned record is the one-start
+    run capped at ``_SHORT_PHASE - 1`` M-steps, apart from its stop reason.
+    Returns the stop reasons."""
     assert [r.mapping_id for r in records] == ids.tolist()
     grid = StrataGrid(ds.k_levels)
     short = em._SHORT_PHASE
@@ -781,8 +806,8 @@ def assert_records_match_oracle(records, ids, sets, ds, family, mean_structure, 
         running.append(len(hist) > short or (
             pruned and abs(hist[-1] - hist[-2]) > config.tol * max(1.0, abs(hist[-1]))))
     lead = max(at_short)
-    want_pruned = [run and ll < lead - em._PRUNE_MARGIN * abs(lead)
-                   for run, ll in zip(running, at_short)]
+    margin = max(em._PRUNE_MARGIN * ds.w.sum(), em._PRUNE_FLOOR * abs(lead))
+    want_pruned = [run and ll < lead - margin for run, ll in zip(running, at_short)]
     assert [r.stop_reason == "pruned" for r in records] == want_pruned
     return [r.stop_reason for r in records]
 
@@ -856,6 +881,30 @@ class TestBatchedEM:
         assert_records_match_oracle(records, ids, sets, ds, Family.NORMAL, SATURATED, config,
                                     floor)
 
+    @pytest.mark.parametrize("c", [0.2, 5.0, 1e3])
+    def test_pruning_does_not_depend_on_the_units_of_y(self, c):
+        # rescaling y by c moves every log-likelihood by -W log c (W the
+        # total case weight) and leaves the lags between starts alone; at
+        # c = 0.2 the lead is near -0.9 per case, at c = 1e3 near -9.4
+        ds, _ = simulate_four_strata(200, seed=21, dispersion=3.0)
+        scaled = Dataset.from_arrays(ds.y * c, ds.t, ds.z, w=ds.w, k_levels=ds.k_levels)
+        base, res = fit(ds), fit(scaled)
+        assert "pruned" in {r.stop_reason for r in base.trace}
+        assert [r.stop_reason for r in res.trace] == [r.stop_reason for r in base.trace]
+        assert (res.mapping_id, res.tie_ids) == (base.mapping_id, base.tie_ids)
+
+    def test_relative_floor_keeps_close_starts_running(self, monkeypatch):
+        # with a margin per unit of case weight far inside the near-tie
+        # band, the relative floor decides which starts are pruned
+        monkeypatch.setattr(em, "_PRUNE_MARGIN", 1e-6)
+        ds, _ = simulate_four_strata(200, seed=21, dispersion=1.6)
+        config = FitConfig()
+        ids, sets, floor = fit_starts(ds, Family.NORMAL, SATURATED, config)
+        records = fit(ds, config=config).trace
+        reasons = assert_records_match_oracle(records, ids, sets, ds, Family.NORMAL, SATURATED,
+                                              config, floor)
+        assert 0 < reasons.count("pruned") < len(ids) - 1
+
     def test_dropping_start_ends_nonmonotone(self, monkeypatch):
         ds, _ = simulate_four_strata(200, seed=42, dispersion=3.0)
         config = FitConfig()
@@ -886,6 +935,30 @@ class TestBatchedEM:
             np.testing.assert_array_equal(a.params.locations, b.params.locations)
             np.testing.assert_array_equal(a.params.probs, b.params.probs)
             np.testing.assert_array_equal(a.params.scales, b.params.scales)
+
+    def test_drop_inside_the_tol_band_ends_tol(self, monkeypatch):
+        ds, _ = simulate_four_strata(200, seed=41)
+        res = fit(ds)
+        best = res.params
+        sets = (best.probs[None], best.locations.T[None], best.scales[None])
+        real = em._m_step_core
+
+        def pushed(stats, *rest):
+            out = real(stats, *rest)
+            out[1][0] += 0.01  # a small step away from the optimum it starts at
+            return out
+
+        monkeypatch.setattr(em, "_m_step_core", pushed)
+
+        def run(tol):
+            return _run_starts(ds, np.array([99]), *sets, Family.NORMAL, SATURATED, tol, 2000,
+                               res.scale_floor, True)[0]
+
+        wide, narrow = run(1e-3), run(1e-9)
+        drop = wide.history[0] - wide.history[1]
+        assert em._DROP_TOL * abs(wide.history[1]) < drop <= 1e-3 * abs(wide.history[1])
+        assert (wide.stop_reason, wide.converged) == ("tol", True)
+        assert (narrow.stop_reason, narrow.converged) == ("nonmonotone", False)
 
     @pytest.mark.parametrize("censor", [False, True])
     def test_frozen_stratum_matches_one_start_oracle(self, censor, monkeypatch):

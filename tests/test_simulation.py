@@ -168,8 +168,9 @@ class TestPruningLeavesTheAnswer:
     the stop rule."""
 
     def test_margin_exceeds_the_tie_bands(self):
-        # a pruned start then trails the final winner by more than either band
-        assert em._PRUNE_MARGIN > simulate.NEAR_TIE_REL > em.LOGLIK_TIE_TOL
+        # a pruned start trails the lead, and so the final winner, by more
+        # than _PRUNE_FLOOR relative, whatever the units of y
+        assert em._PRUNE_FLOOR >= simulate.NEAR_TIE_REL > em.LOGLIK_TIE_TOL
 
     def test_small_grid_same_answers_with_and_without_pruning(self, monkeypatch):
         fits = []
