@@ -20,18 +20,7 @@ from .core import (
     param_names,
     unpack,
 )
-from .densities import (
-    ComponentParams,
-    Family,
-    HeavyTail,
-    Skewed,
-    log_density,
-    norm_cdf,
-    norm_logcdf,
-    sample,
-    sample_misspecified,
-    tobit_mean,
-)
+from .densities import Family, norm_cdf, norm_logcdf, tobit_mean
 from .diagnostics import marginal_fit_table, posterior_histogram, solution_trace_table
 from .effects import (
     EffectTable,

@@ -315,11 +315,11 @@ def cmd_fit(args) -> int:
     nat_naive = nat_cluster = None
     try:
         cov_n = observed_information_se(result, dataset)
-        se, se_obs, _ = effect_ses(result, cov_n)
+        se, se_obs = effect_ses(result, cov_n)
         table = replace(table, se_naive=se, se_naive_observed=se_obs)
         nat_naive = natural_param_ses(result, cov_n)
         cov_c = cluster_sandwich_se(result, dataset, bread=cov_n)
-        se, se_obs, _ = effect_ses(result, cov_c)
+        se, se_obs = effect_ses(result, cov_c)
         table = replace(table, se_cluster=se, se_cluster_observed=se_obs)
         nat_cluster = natural_param_ses(result, cov_c)
     except (InferenceError, EstimationError) as exc:

@@ -9,7 +9,7 @@ numerical differentiation. Everything here is immutable after construction.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -205,7 +205,6 @@ class Dataset:
     w: np.ndarray
     cluster: np.ndarray
     k_levels: int
-    cluster_labels: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         n = len(self.y)
@@ -279,18 +278,15 @@ class Dataset:
             w = np.ones(n)
         if cluster is None:
             cluster_codes = np.arange(n, dtype=np.int64)
-            labels: tuple = tuple(range(n))
         else:
-            uniq, cluster_codes = np.unique(np.asarray(cluster), return_inverse=True)
-            labels = tuple(uniq.tolist())
+            cluster_codes = np.unique(np.asarray(cluster), return_inverse=True)[1]
         if k_levels is None:
             k_levels = int(np.max(z)) + 1 if n else 2
         if family is Family.TOBIT:
             if np.any(y < 0.0):
                 raise DataError("negative outcome under censored family")
             y[y < 1e-12] = 0.0
-        return cls(y=y, t=t, z=z, w=w, cluster=cluster_codes, k_levels=int(k_levels),
-                   cluster_labels=labels)
+        return cls(y=y, t=t, z=z, w=w, cluster=cluster_codes, k_levels=int(k_levels))
 
 
 def effective_sample_size(dataset: Dataset, arm: int) -> float:

@@ -1,5 +1,6 @@
 """Component distributions for the strata mixture: normal and zero-censored
-tobit, plus the draw generators used by the simulation harness.
+tobit. The disturbance shapes the simulation harness draws from live in
+:mod:`stratfit.simulate`.
 
 The censoring mass at zero enters the likelihood directly, so the normal CDF
 here is a dedicated double-precision rational implementation (Cody-style
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -226,83 +226,3 @@ def tobit_mean(location, scale):
     eta * Phi(eta/zeta) + zeta * phi(eta/zeta)."""
     a = np.asarray(location, dtype=float) / scale
     return location * norm_cdf(a) + scale * norm_pdf(a)
-
-
-@dataclass(frozen=True)
-class ComponentParams:
-    """Location/scale of a single mixture component."""
-
-    location: float
-    scale: float
-    family: Family = Family.NORMAL
-
-    def __post_init__(self):
-        if not self.scale > 0.0:
-            raise ValueError("scale must be positive")
-
-
-def log_density(y, cp: ComponentParams):
-    """Log density of ``y`` under one component (scalar or array)."""
-    return component_logpdf(y, cp.location, cp.scale, cp.family)
-
-
-def sample(cp: ComponentParams, rng: np.random.Generator, size=None):
-    """Draw from a component: exact normal, or censored-at-zero latent normal."""
-    draw = rng.normal(cp.location, cp.scale, size=size)
-    if cp.family is Family.TOBIT:
-        draw = np.maximum(draw, 0.0)
-    return draw
-
-
-@dataclass(frozen=True)
-class HeavyTail:
-    """Unit-variance standardized Student-t disturbance; df > 2 required so
-    standard-deviation units stay well defined."""
-
-    df: float
-
-    def __post_init__(self):
-        if not self.df > 2.0:
-            raise ValueError("heavy-tail degrees of freedom must exceed 2")
-
-
-@dataclass(frozen=True)
-class Skewed:
-    """Standardized shifted-log-normal disturbance with the given skewness
-    (negative values mirror the distribution)."""
-
-    skew: float
-
-
-def _lognormal_shape(skew: float) -> float:
-    """Solve (w + 2) sqrt(w - 1) = |skew| for w = exp(sigma_ln^2) >= 1."""
-    s2 = skew * skew
-    # The cubic w^3 + 3w^2 - (4 + s^2) = 0 in v = w + 1 reads v^3 - 3v = 2 + s^2.
-    v = 2.0 * math.cosh(math.acosh((2.0 + s2) / 2.0) / 3.0)
-    return v - 1.0
-
-
-def standardized_draws(shape, size, rng: np.random.Generator) -> np.ndarray:
-    """Mean-zero, unit-SD draws from the requested disturbance shape."""
-    if shape is None or shape == "normal":
-        return rng.standard_normal(size)
-    if isinstance(shape, HeavyTail):
-        return rng.standard_t(shape.df, size=size) / math.sqrt(shape.df / (shape.df - 2.0))
-    if isinstance(shape, Skewed):
-        if shape.skew == 0.0:
-            return rng.standard_normal(size)
-        w = _lognormal_shape(shape.skew)
-        sigma_ln = math.sqrt(math.log(w))
-        draws = np.exp(sigma_ln * rng.standard_normal(size))
-        std = (draws - math.sqrt(w)) / math.sqrt(w * (w - 1.0))
-        return std if shape.skew > 0.0 else -std
-    raise ValueError(f"unknown disturbance shape: {shape!r}")
-
-
-def sample_misspecified(cp: ComponentParams, shape, rng: np.random.Generator, size=None):
-    """Draw with the component's mean and SD but a heavy-tailed or skewed law."""
-    scalar = size is None
-    draws = cp.location + cp.scale * standardized_draws(shape, 1 if scalar else size, rng)
-    if cp.family is Family.TOBIT:
-        draws = np.maximum(draws, 0.0)
-    return float(draws[0]) if scalar else draws

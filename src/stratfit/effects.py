@@ -268,19 +268,17 @@ def _observed_effects_at(v: np.ndarray, like: ModelParams) -> np.ndarray:
 def effect_ses(fit: FitResult, cov: ParamCovariance):
     """Delta-method SEs of the per-stratum effects under ``cov``.
 
-    Returns (latent SEs, observed-scale SEs or None, latent effect
-    covariance matrix).
+    Returns (latent SEs, observed-scale SEs or None).
     """
     x = pack(fit.params)
     like = fit.params
     jac = _num_jacobian(lambda v: _latent_effects_at(v, like), x)
-    cov_eff = jac @ cov.cov @ jac.T
-    se = np.sqrt(np.maximum(np.diag(cov_eff), 0.0))
+    se = np.sqrt(np.maximum(np.diag(jac @ cov.cov @ jac.T), 0.0))
     se_obs = None
     if fit.params.family is Family.TOBIT:
         jac_o = _num_jacobian(lambda v: _observed_effects_at(v, like), x)
         se_obs = np.sqrt(np.maximum(np.diag(jac_o @ cov.cov @ jac_o.T), 0.0))
-    return se, se_obs, cov_eff
+    return se, se_obs
 
 
 def natural_param_ses(fit: FitResult, cov: ParamCovariance) -> np.ndarray:
@@ -308,10 +306,10 @@ def effect_table(
     cov_n = cov_c = None
     if naive:
         cov_n = observed_information_se(fit, dataset)
-        se, se_obs, _ = effect_ses(fit, cov_n)
+        se, se_obs = effect_ses(fit, cov_n)
         table = replace(table, se_naive=se, se_naive_observed=se_obs)
     if cluster:
         cov_c = cluster_sandwich_se(fit, dataset, bread=cov_n)
-        se, se_obs, _ = effect_ses(fit, cov_c)
+        se, se_obs = effect_ses(fit, cov_c)
         table = replace(table, se_cluster=se, se_cluster_observed=se_obs)
     return table, cov_n, cov_c

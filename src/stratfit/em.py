@@ -878,10 +878,6 @@ class FitResult:
     floor_active: tuple[bool, bool]
     frozen: tuple[tuple[int, int], ...]
 
-    @property
-    def tied(self) -> bool:
-        return len(self.tie_ids) > 1
-
 
 # Short-run/long-run EM (Biernacki, Celeux & Govaert 2003, CSDA 41:561):
 # every start runs _SHORT_PHASE evaluations; then a running start whose

@@ -2,21 +2,28 @@
 
 Generates data from a known four- or nine-strata model over grids of sample
 size, within-cell mean dispersion, strata-probability scenarios and
-disturbance shapes, refits with the full starting-mapping machinery, and
-scores whether the fitted components landed on the right strata. Scoring is
-permutation-aware: a fit that is correct only up to a within-cell relabeling
-counts as swapped. Replicates run one after another in the calling thread,
-each from its own spawned seed, so a study is deterministic given its config.
+disturbance shapes, refits the normal family with the full starting-mapping
+machinery, and scores whether the fitted components landed on the right
+strata. Scoring is permutation-aware: a fit that is correct only up to a
+within-cell relabeling counts as swapped. Replicates run one after another
+in the calling thread, each from its own spawned seed, so a study is
+deterministic given its config.
+
+A disturbance shape is a name in ``SHAPES`` and a parameter: ``normal``
+takes none, ``heavy_tail:df`` is a Student-t with df > 2 and ``skewed:g`` a
+shifted log-normal with skewness g. Every shape is scaled to unit SD, so
+``dispersion_sd`` means the same under each.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import Dataset, ModelParams, StrataGrid
-from .densities import Family, HeavyTail, Skewed, standardized_draws
+from .densities import Family
 from .em import FitConfig, fit
 from .errors import StratfitError
 
@@ -46,32 +53,55 @@ def scenario_probs(scenario: str, k_levels: int) -> np.ndarray:
     raise ValueError(f"unknown probability scenario: {scenario!r}")
 
 
+def _check_shape(shape: str, shape_param: float | None) -> None:
+    """Reject a (shape, parameter) pair that names no disturbance law."""
+    if shape not in SHAPES:
+        raise ValueError(f"unknown disturbance shape: {shape!r}")
+    if shape == "normal":
+        if shape_param is not None:
+            raise ValueError("the normal shape takes no parameter")
+    elif shape_param is None:
+        raise ValueError(f"shape {shape!r} needs a parameter, e.g. '{shape}:3'")
+    elif shape == "heavy_tail" and not shape_param > 2.0:
+        raise ValueError("heavy-tail degrees of freedom must exceed 2")
+
+
 def parse_shape(text: str) -> tuple[str, float | None]:
     """Parse a shape spec like 'normal', 'heavy_tail:3' or 'skewed:1.5'."""
     name, _, param = text.partition(":")
-    if name not in SHAPES:
-        raise ValueError(f"unknown disturbance shape: {name!r}")
-    if name == "normal":
-        if param:
-            raise ValueError("the normal shape takes no parameter")
-        return name, None
-    if not param:
-        raise ValueError(f"shape {name!r} needs a parameter, e.g. '{name}:3'")
-    return name, float(param)
+    value = float(param) if param and name in SHAPES else None
+    _check_shape(name, value)
+    return name, value
 
 
 def shape_label(shape: str, shape_param: float | None) -> str:
     return shape if shape_param is None else f"{shape}:{shape_param:g}"
 
 
-def _shape_object(shape: str, shape_param: float | None):
-    if shape == "normal":
-        return None
+def _lognormal_shape(skew: float) -> float:
+    """Solve (w + 2) sqrt(w - 1) = |skew| for w = exp(sigma_ln^2) >= 1."""
+    s2 = skew * skew
+    # The cubic w^3 + 3w^2 - (4 + s^2) = 0 in v = w + 1 reads v^3 - 3v = 2 + s^2.
+    v = 2.0 * math.cosh(math.acosh((2.0 + s2) / 2.0) / 3.0)
+    return v - 1.0
+
+
+def standardized_draws(shape: str, shape_param: float | None, size,
+                       rng: np.random.Generator) -> np.ndarray:
+    """Mean-zero, unit-SD disturbances: standard normal; ``heavy_tail``, a
+    Student-t with ``shape_param`` > 2 degrees of freedom; or ``skewed``, a
+    shifted log-normal with skewness ``shape_param`` (mirrored when
+    negative, normal at zero)."""
+    _check_shape(shape, shape_param)
     if shape == "heavy_tail":
-        return HeavyTail(df=float(shape_param))
-    if shape == "skewed":
-        return Skewed(skew=float(shape_param))
-    raise ValueError(f"unknown disturbance shape: {shape!r}")
+        df = shape_param
+        return rng.standard_t(df, size=size) / math.sqrt(df / (df - 2.0))
+    if shape == "normal" or shape_param == 0.0:
+        return rng.standard_normal(size)
+    w = _lognormal_shape(shape_param)
+    draws = np.exp(math.sqrt(math.log(w)) * rng.standard_normal(size))
+    std = (draws - math.sqrt(w)) / math.sqrt(w * (w - 1.0))
+    return std if shape_param > 0.0 else -std
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +123,6 @@ class SimConfig:
     sigma: float = 1.0
     replicates: int = 100
     seed: int = 0
-    fit_family: Family = Family.NORMAL
     starts: str | tuple[str, int] = "all"
     tol: float = 1e-9
     max_iter: int = 2000
@@ -109,7 +138,7 @@ class SimConfig:
             raise ValueError("sigma must be positive")
         if self.prob_scenario not in PROB_SCENARIOS:
             raise ValueError(f"unknown probability scenario: {self.prob_scenario!r}")
-        _shape_object(self.shape, self.shape_param)  # validates
+        _check_shape(self.shape, self.shape_param)
 
 
 def true_model(config: SimConfig) -> ModelParams:
@@ -142,8 +171,8 @@ def _generate_labeled(config: SimConfig, rng: np.random.Generator):
     coords = np.array(grid.strata)  # (S, 2) columns z0, z1
     z = np.where(t == 1, coords[strata, 1], coords[strata, 0])
     table = truth.location_table()
-    shape_obj = _shape_object(config.shape, config.shape_param)
-    y = table[strata, t] + config.sigma * standardized_draws(shape_obj, 2 * n, rng)
+    draws = standardized_draws(config.shape, config.shape_param, 2 * n, rng)
+    y = table[strata, t] + config.sigma * draws
     return Dataset.from_arrays(y, t, z, k_levels=config.k_levels), truth, strata
 
 
@@ -227,11 +256,8 @@ def run_replicate(config: SimConfig, index: int) -> ReplicateResult:
     rng = _replicate_rng(config, index)
     dataset, truth = generate(config, rng)
     try:
-        res = fit(
-            dataset,
-            config.fit_family,
-            config=FitConfig(tol=config.tol, max_iter=config.max_iter, starts=config.starts),
-        )
+        res = fit(dataset, config=FitConfig(tol=config.tol, max_iter=config.max_iter,
+                                            starts=config.starts))
     except StratfitError as exc:
         return ReplicateResult(index=index, ok=False, error=str(exc))
     true_table = truth.location_table()
@@ -283,8 +309,6 @@ def misspecification_study(
 ) -> MisspecStudy:
     """Generate under each disturbance shape (same seeds, so replicates pair
     with the baseline), fit the normal-family model, and compare recovery."""
-    if base.fit_family is not Family.NORMAL:
-        raise ValueError("the misspecification study fits the normal family")
     baseline = run_study(replace(base, shape="normal", shape_param=None))
     shaped = {}
     for shape, param in shapes:

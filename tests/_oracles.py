@@ -8,7 +8,9 @@ one-set functions, against which the batched EM loop is checked, the
 start-set oracle builds one mapping's initial parameters on its own from
 the grid's compatible strata and linear design, against which the stacked
 start sets are checked, and the Hessian oracle evaluates one point at a
-time, against which the stacked finite-difference Hessian is checked.
+time, against which the stacked finite-difference Hessian is checked. The
+per-case score oracle differentiates the likelihood by hand, against which
+the sandwich's finite-difference scores are checked.
 """
 
 import itertools
@@ -54,6 +56,49 @@ def brute_force_loglik(params, dataset) -> float:
             )
         total += float(dataset.w[i]) * math.log(mix)
     return total
+
+
+def case_score_oracle(params, dataset) -> np.ndarray:
+    """Analytic per-case scores in packed coordinates, one row per case: the
+    posterior-weighted complete-data score (Louis 1982, JRSS-B 44:226).
+
+    Logits take ``post - probs``; a case's arm gets ``post * (y - mu) /
+    sigma^2`` at its strata locations (through the linear design's rows
+    (1, z1, z0, z1*z0) under the linear structure) and ``post * ((y - mu)^2 /
+    sigma^2 - 1)`` at its log scale; a censored tobit case takes ``-lambda /
+    sigma`` and ``lambda * mu / sigma`` instead, lambda the inverse Mills
+    ratio at -mu/sigma.
+    """
+    table = params.location_table()
+    strata = params.grid.strata
+    n_s = len(strata)
+    linear = params.mean_structure.value == "linear"
+    n_loc = params.locations.shape[0]
+    out = np.zeros((dataset.n, n_s - 1 + 2 * n_loc + 2))
+    for i in range(dataset.n):
+        t, z, y = int(dataset.t[i]), int(dataset.z[i]), float(dataset.y[i])
+        sigma = float(params.scales[t])
+        terms = {
+            s: float(params.probs[s]) * density_oracle(y, float(table[s, t]), sigma,
+                                                       params.family.value)
+            for s, (z0, z1) in enumerate(strata) if (z1 if t == 1 else z0) == z
+        }
+        total = sum(terms.values())
+        out[i, : n_s - 1] = [terms.get(s, 0.0) / total - float(params.probs[s])
+                             for s in range(n_s - 1)]
+        for s, term in terms.items():
+            post, mu = term / total, float(table[s, t])
+            if params.family.value == "tobit" and y == 0.0:
+                lam = math.exp(-0.5 * (mu / sigma) ** 2) / _SQRT_2PI / phi_oracle(-mu / sigma)
+                d_loc, d_log_scale = -lam / sigma, lam * mu / sigma
+            else:
+                d_loc, d_log_scale = (y - mu) / sigma**2, ((y - mu) / sigma) ** 2 - 1.0
+            z0, z1 = strata[s]
+            rows = enumerate((1.0, z1, z0, z1 * z0)) if linear else [(s, 1.0)]
+            for r, coef in rows:
+                out[i, n_s - 1 + 2 * r + t] += post * coef * d_loc
+            out[i, -2 + t] += post * d_log_scale
+    return out
 
 
 def tobit_grid_mle(y, w, eta_range, zeta_range, refinements=4, grid=41):

@@ -5,21 +5,9 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from stratfit.densities import (
-    ComponentParams,
-    Family,
-    HeavyTail,
-    Skewed,
-    component_logpdf,
-    log_density,
-    norm_cdf,
-    norm_logcdf,
-    sample,
-    sample_misspecified,
-    standardized_draws,
-    tobit_mean,
-)
+from stratfit.densities import Family, component_logpdf, norm_cdf, norm_logcdf, tobit_mean
 from stratfit.errors import DataError
+from stratfit.simulate import standardized_draws
 
 mp.mp.dps = 50
 
@@ -57,30 +45,27 @@ class TestNormalCdf:
 
 class TestLogDensity:
     def test_normal_mode_value(self):
-        cp = ComponentParams(3.2, 1.7, Family.NORMAL)
-        assert log_density(3.2, cp) == pytest.approx(
+        assert component_logpdf(3.2, 3.2, 1.7, Family.NORMAL) == pytest.approx(
             -math.log(1.7) - 0.5 * math.log(2 * math.pi), abs=1e-15
         )
 
     def test_tobit_symmetric_censoring_mass(self):
-        cp = ComponentParams(0.0, 1.0, Family.TOBIT)
-        assert log_density(0.0, cp) == pytest.approx(math.log(0.5), abs=1e-15)
+        assert component_logpdf(0.0, 0.0, 1.0, Family.TOBIT) == pytest.approx(
+            math.log(0.5), abs=1e-15
+        )
 
     def test_tobit_positive_part_matches_mpmath_oracle(self):
         # log of the N(0.7, 1.1^2) density at 1.3, via a 50-digit computation
-        cp = ComponentParams(0.7, 1.1, Family.TOBIT)
-        assert log_density(1.3, cp) == pytest.approx(
+        assert component_logpdf(1.3, 0.7, 1.1, Family.TOBIT) == pytest.approx(
             -1.1630090435875099985, abs=1e-12
         )
 
     def test_tobit_rejects_negative_outcomes(self):
-        cp = ComponentParams(0.5, 1.0, Family.TOBIT)
         with pytest.raises(DataError, match="negative outcome"):
-            log_density(-0.1, cp)
+            component_logpdf(-0.1, 0.5, 1.0, Family.TOBIT)
 
     def test_tobit_censored_mass_uses_location_and_scale(self):
-        cp = ComponentParams(1.4, 0.6, Family.TOBIT)
-        assert log_density(0.0, cp) == pytest.approx(
+        assert component_logpdf(0.0, 1.4, 0.6, Family.TOBIT) == pytest.approx(
             norm_logcdf(-1.4 / 0.6), abs=1e-15
         )
 
@@ -106,66 +91,49 @@ class TestTobitNormalization:
     def test_mass_plus_density_integrates_to_one(self):
         for eta in (-2.0, -0.5, 0.0, 1.0, 3.0):
             for zeta in (0.25, 0.7, 1.0, 2.0, 5.0):
-                cp = ComponentParams(eta, zeta, Family.TOBIT)
-                mass = math.exp(log_density(0.0, cp))
-                integral, err = integrate.quad(
-                    lambda y: math.exp(log_density(y, cp)), 1e-300, np.inf,
-                    limit=200,
-                )
+                def density(y):
+                    return math.exp(component_logpdf(y, eta, zeta, Family.TOBIT))
+
+                mass = density(0.0)
+                integral, err = integrate.quad(density, 1e-300, np.inf, limit=200)
                 assert mass + integral == pytest.approx(1.0, abs=1e-12)
 
     def test_tobit_mean_matches_quadrature(self):
-        cp = ComponentParams(0.8, 1.3, Family.TOBIT)
         integral, _ = integrate.quad(
-            lambda y: y * math.exp(log_density(y, cp)), 0.0, np.inf, limit=200
+            lambda y: y * math.exp(component_logpdf(y, 0.8, 1.3, Family.TOBIT)),
+            0.0, np.inf, limit=200,
         )
         assert tobit_mean(0.8, 1.3) == pytest.approx(integral, abs=1e-10)
 
 
-class TestSampling:
-    def test_degenerate_scale_limit(self):
-        rng = np.random.default_rng(0)
-        assert sample(ComponentParams(2.5, 1e-12), rng) == pytest.approx(2.5, abs=1e-9)
-        assert sample(ComponentParams(-3.0, 1e-12, Family.TOBIT), rng) == 0.0
-
-    def test_tobit_censors_far_negative_location(self):
-        rng = np.random.default_rng(1)
-        draws = sample(ComponentParams(-10.0, 1.0, Family.TOBIT), rng, size=10_000)
-        assert np.mean(draws == 0.0) > 0.999
-
-    def test_normal_mean_clt_bound(self):
-        rng = np.random.default_rng(2)
-        draws = sample(ComponentParams(1.25, 2.0), rng, size=1_000_000)
-        assert abs(draws.mean() - 1.25) < 4 * 2.0 / 1000.0
-
-
 class TestMisspecifiedSampling:
+    """The simulation harness's disturbance shapes (``simulate.standardized_draws``)."""
+
     def test_heavy_tail_requires_df_above_two(self):
         with pytest.raises(ValueError, match="exceed 2"):
-            HeavyTail(df=2.0)
+            standardized_draws("heavy_tail", 2.0, 10, np.random.default_rng(0))
 
     def test_large_df_recovers_normal(self):
         rng = np.random.default_rng(3)
-        draws = standardized_draws(HeavyTail(df=5000.0), 100_000, rng)
+        draws = standardized_draws("heavy_tail", 5000.0, 100_000, rng)
         ks = stats.kstest(draws, stats.norm.cdf)
         assert ks.statistic < 0.01
 
-    @pytest.mark.parametrize("shape", [HeavyTail(df=3.0), Skewed(skew=1.5)])
+    @pytest.mark.parametrize("shape", [("heavy_tail", 3.0), ("skewed", 1.5)])
     def test_moments_match_target(self, shape):
         rng = np.random.default_rng(4)
-        cp = ComponentParams(2.0, 1.5)
-        draws = sample_misspecified(cp, shape, rng, size=1_000_000)
+        draws = 2.0 + 1.5 * standardized_draws(*shape, 1_000_000, rng)
         assert abs(draws.mean() - 2.0) < 0.01 * 1.5 + 0.01
         assert abs(draws.std() - 1.5) < 0.015
 
     def test_zero_skew_is_symmetric(self):
         rng = np.random.default_rng(5)
-        draws = standardized_draws(Skewed(skew=0.0), 1_000_000, rng)
+        draws = standardized_draws("skewed", 0.0, 1_000_000, rng)
         assert abs(stats.skew(draws)) < 0.02
 
     def test_skewness_hits_requested_level(self):
         rng = np.random.default_rng(6)
-        draws = standardized_draws(Skewed(skew=1.0), 2_000_000, rng)
+        draws = standardized_draws("skewed", 1.0, 2_000_000, rng)
         assert stats.skew(draws) == pytest.approx(1.0, abs=0.05)
-        neg = standardized_draws(Skewed(skew=-1.0), 500_000, rng)
+        neg = standardized_draws("skewed", -1.0, 500_000, rng)
         assert stats.skew(neg) == pytest.approx(-1.0, abs=0.1)

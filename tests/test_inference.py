@@ -19,7 +19,7 @@ from stratfit.effects import (
 from stratfit.em import FitConfig, FitResult, case_loglik, fit, log_likelihood
 from stratfit.errors import InferenceError
 
-from _oracles import num_hessian_oracle
+from _oracles import brute_force_loglik, case_score_oracle, num_hessian_oracle
 from test_estimation import simulate_four_strata, simulate_nine_strata
 
 GRID2 = StrataGrid(2)
@@ -264,12 +264,70 @@ class TestClusterSandwich:
         assert not np.allclose(cov_c.cov, cov_n.cov)
 
 
+def score_fixture(family, mean_structure, k_levels, seed):
+    """A small weighted dataset with zeros under tobit, and random parameters."""
+    rng = np.random.default_rng(seed)
+    grid = StrataGrid(k_levels)
+    n = 14
+    y = rng.normal(1.0, 2.0, n)
+    if family is Family.TOBIT:
+        y = np.maximum(y, 0.0)
+    ds = Dataset.from_arrays(y, np.repeat([0, 1], n // 2), rng.integers(0, k_levels, n),
+                             w=rng.uniform(0.2, 3.0, n), k_levels=k_levels, family=family)
+    n_loc = 4 if mean_structure is MeanStructure.LINEAR else grid.n_strata
+    params = ModelParams(grid, rng.dirichlet(np.full(grid.n_strata, 2.0)),
+                         rng.normal(0.5, 1.5, (n_loc, 2)), rng.uniform(0.5, 3.0, 2),
+                         family, mean_structure)
+    return ds, params
+
+
+class TestScoreOracle:
+    """The sandwich's finite-difference per-case scores against the
+    analytic score, which is checked against the scalar likelihood."""
+
+    @pytest.mark.parametrize("k_levels", [2, 3])
+    @pytest.mark.parametrize("mean_structure", list(MeanStructure), ids=lambda m: m.value)
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_analytic_score_is_the_scalar_likelihood_slope(self, family, mean_structure,
+                                                          k_levels):
+        ds, params = score_fixture(family, mean_structure, k_levels, seed=k_levels)
+        scores = case_score_oracle(params, ds)
+        x = pack(params)
+        h = 1e-5 * np.maximum(1.0, np.abs(x))
+        for i in range(ds.n):
+            case = Dataset.from_arrays(ds.y[i:i + 1], ds.t[i:i + 1], ds.z[i:i + 1],
+                                       k_levels=k_levels, family=family)
+            fd = np.empty(len(x))
+            for j in range(len(x)):
+                e = np.zeros(len(x))
+                e[j] = h[j]
+                fd[j] = (brute_force_loglik(unpack(x + e, params), case)
+                         - brute_force_loglik(unpack(x - e, params), case)) / (2.0 * h[j])
+            assert np.max(np.abs(fd - scores[i])) <= 1e-7 * max(1.0, np.max(np.abs(fd)))
+
+    def test_sandwich_is_bread_meat_bread_of_the_analytic_scores(self, fitted):
+        res, ds = fitted
+        rng = np.random.default_rng(9)
+        clustered = Dataset.from_arrays(ds.y, ds.t, ds.z, w=ds.w,
+                                        cluster=rng.integers(0, 30, ds.n),
+                                        k_levels=ds.k_levels, family=res.params.family)
+        cov_n = observed_information_se(res, clustered)
+        cov_c = cluster_sandwich_se(res, clustered, bread=cov_n)
+        scores = case_score_oracle(res.params, clustered)
+        groups = clustered.n_clusters
+        grouped = np.zeros((groups, scores.shape[1]))
+        np.add.at(grouped, clustered.cluster, clustered.w[:, None] * scores)
+        meat = grouped.T @ grouped * (groups / (groups - 1.0))
+        expected = cov_n.cov @ meat @ cov_n.cov
+        assert np.max(np.abs(cov_c.cov - expected)) <= 1e-6 * np.max(np.abs(expected))
+
+
 class TestDeltaMethod:
     def test_effect_se_matches_covariance_identity(self):
         ds, _ = simulate_four_strata(600, seed=42)
         res = fit(ds)
         cov = observed_information_se(res, ds)
-        se, _, _ = effect_ses(res, cov)
+        se, _ = effect_ses(res, cov)
         # packed layout: 3 logits, then locations row-major (stratum, arm)
         for s in range(4):
             i0 = 3 + 2 * s
@@ -283,11 +341,11 @@ class TestDeltaMethod:
         ds, _ = simulate_four_strata(400, seed=43)
         res = fit(ds)
         cov = observed_information_se(res, ds)
-        se, _, _ = effect_ses(res, cov)
+        se, _ = effect_ses(res, cov)
         swapped_ds = Dataset.from_arrays(ds.y, 1 - ds.t, ds.z, w=ds.w, k_levels=2)
         swapped = fake_fit(swap_arms_params(res.params))
         cov_s = observed_information_se(swapped, swapped_ds)
-        se_s, _, _ = effect_ses(swapped, cov_s)
+        se_s, _ = effect_ses(swapped, cov_s)
         perm = [GRID2.index(z1, z0) for z0, z1 in GRID2.strata]
         # repacking permutes the log-ratio coordinates, so the finite
         # differences run at slightly different steps; 2e-4 covers that noise

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from stratfit import em, simulate
-from stratfit.densities import Family
 from stratfit.simulate import (
     MisspecStudy,
     SimConfig,
@@ -12,6 +11,7 @@ from stratfit.simulate import (
     _replicate_rng,
     generate,
     misspecification_study,
+    parse_shape,
     run_grid,
     run_study,
     scenario_probs,
@@ -102,8 +102,30 @@ class TestGenerate:
             SimConfig(100, -0.1)
         with pytest.raises(ValueError):
             SimConfig(100, 1.6, replicates=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exceed 2"):
             SimConfig(100, 1.6, shape="heavy_tail", shape_param=2.0)
+        with pytest.raises(ValueError, match="unknown disturbance shape"):
+            SimConfig(100, 1.6, shape="cauchy", shape_param=1.0)
+
+    @pytest.mark.parametrize("shape", ["heavy_tail", "skewed"])
+    def test_shape_without_parameter_rejected(self, shape):
+        with pytest.raises(ValueError, match="needs a parameter"):
+            SimConfig(100, 1.6, shape=shape)
+
+    def test_normal_shape_with_parameter_rejected(self):
+        with pytest.raises(ValueError, match="takes no parameter"):
+            SimConfig(100, 1.6, shape="normal", shape_param=3.0)
+        with pytest.raises(ValueError, match="takes no parameter"):
+            parse_shape("normal:3")
+
+    def test_parse_shape_checks_what_sim_config_checks(self):
+        assert parse_shape("normal") == ("normal", None)
+        assert parse_shape("skewed:-1.5") == ("skewed", -1.5)
+        for text, message in (("heavy_tail", "needs a parameter"),
+                              ("heavy_tail:2", "exceed 2"),
+                              ("cauchy:1", "unknown disturbance shape")):
+            with pytest.raises(ValueError, match=message):
+                parse_shape(text)
 
 
 class TestRunStudy:
@@ -145,11 +167,6 @@ class TestRunStudy:
 
 
 class TestMisspecification:
-    def test_requires_normal_fit_family(self):
-        cfg = SimConfig(100, 1.6, fit_family=Family.TOBIT)
-        with pytest.raises(ValueError, match="normal"):
-            misspecification_study(cfg, [("heavy_tail", 3.0)])
-
     def test_paired_generation_and_labels(self):
         cfg = SimConfig(150, 2.4, replicates=3, seed=11)
         study = misspecification_study(
