@@ -204,7 +204,6 @@ def load_fit(path: str) -> tuple[FitResult, dict]:
         result = FitResult(
             params=params,
             loglik=float(payload["loglik"]),
-            posterior=np.zeros((0, params.grid.n_strata)),
             mapping_id=int(payload["mapping_id"]),
             iterations=int(payload["iterations"]),
             converged=bool(payload["converged"]),
@@ -214,9 +213,16 @@ def load_fit(path: str) -> tuple[FitResult, dict]:
             floor_active=tuple(payload["floor_active"]),
             frozen=tuple(tuple(f) for f in payload["frozen"]),
         )
-        return result, payload["data_options"]
+        data_options = payload["data_options"]
     except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
         raise DataError(f"invalid fit file {path}: {exc}") from None
+    if not result.tie_ids or result.tie_ids[0] != result.mapping_id:
+        raise DataError(f"invalid fit file {path}: mapping_id {result.mapping_id} is not "
+                        f"the first of tie_ids {list(result.tie_ids)}")
+    if all(r.mapping_id != result.mapping_id for r in trace):
+        raise DataError(f"invalid fit file {path}: mapping_id {result.mapping_id} names "
+                        "no trace record")
+    return result, data_options
 
 
 # --------------------------------------------------------------------------
@@ -408,7 +414,8 @@ def read_sim_config(path: str, seed: int) -> tuple[list[SimConfig], list[tuple[s
 
     Grid keys (comma lists allowed): n_per_arm, dispersion_sd, prob_scenario.
     A ``shapes`` list switches to the misspecification study, always fitting
-    the normal family and pairing each shape with the normal baseline.
+    the normal family and pairing each shape with the normal baseline; it
+    excludes the single ``shape`` key.
     """
     if not os.path.exists(path):
         raise DataError(f"config file not found: {path}")
@@ -441,6 +448,9 @@ def read_sim_config(path: str, seed: int) -> tuple[list[SimConfig], list[tuple[s
             max_iter=int(raw.get("max_iter", "2000")),
             seed=seed,
         )
+        if "shape" in raw and "shapes" in raw:
+            raise DataError("config sets both 'shape' and 'shapes': a 'shapes' study pairs "
+                            "each shape with the normal baseline, so give one of the two")
         shape, shape_param = parse_shape(raw.get("shape", "normal"))
         shapes = None
         if "shapes" in raw:

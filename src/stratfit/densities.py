@@ -1,6 +1,7 @@
 """Component distributions for the strata mixture: normal and zero-censored
-tobit. The disturbance shapes the simulation harness draws from live in
-:mod:`stratfit.simulate`.
+tobit. Their log-density is the EM kernel's (``em._cell_logdens``); this
+module holds the normal CDF it needs and the tobit mean. The disturbance
+shapes the simulation harness draws from live in :mod:`stratfit.simulate`.
 
 The censoring mass at zero enters the likelihood directly, so the normal CDF
 here is a dedicated double-precision rational implementation (Cody-style
@@ -14,8 +15,6 @@ import enum
 import math
 
 import numpy as np
-
-from .errors import DataError
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
@@ -197,28 +196,6 @@ class Family(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
-
-
-def component_logpdf(y, location, scale, family: Family):
-    """Vectorized log density of one component.
-
-    Normal: N(location, scale^2). Tobit: a point mass of the normal CDF at
-    zero for y == 0 and the normal density on y > 0; negative outcomes are
-    rejected. ``y`` and ``location`` broadcast against each other.
-    """
-    scalar = np.ndim(y) == 0 and np.ndim(location) == 0
-    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    loc_arr = np.asarray(location, dtype=float)
-    z = (y_arr - loc_arr) / scale
-    res = -0.5 * z * z - (_LOG_SQRT_2PI + math.log(scale))
-    if family is Family.TOBIT:
-        if np.any(y_arr < 0.0):
-            raise DataError("negative outcome under censored family")
-        mask = np.broadcast_to(y_arr == 0.0, res.shape)
-        if mask.any():
-            locb = np.broadcast_to(loc_arr, res.shape)
-            res[mask] = norm_logcdf(-locb[mask] / scale)
-    return float(res[0]) if scalar else res
 
 
 def tobit_mean(location, scale):

@@ -42,9 +42,7 @@ class CellHistogram:
 
 def posterior_histogram(fit: FitResult, dataset: Dataset) -> list[CellHistogram]:
     """Histogram series of fitted membership probabilities per observed cell."""
-    posterior = fit.posterior
-    if posterior.shape[0] != dataset.n:
-        posterior = e_step(fit.params, dataset)
+    posterior = e_step(fit.params, dataset)
     grid = fit.params.grid
     edges = np.linspace(0.0, 1.0, HIST_BINS + 1)
     out = []

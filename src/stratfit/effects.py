@@ -11,8 +11,10 @@ code path serves both families and mean structures.
 The Hessian's 2p^2 + 1 points run as stacks of parameter sets through the
 likelihood kernel, one :func:`~stratfit.em.log_likelihood` call per block of
 points, and every value and difference rounds exactly as when each point is
-evaluated on its own. The sandwich's 2p per-case score points run one at a
-time: their (2p, n) stack would grow with the sample for little time saved.
+evaluated on its own. One central-difference Jacobian (:func:`_num_jacobian`)
+serves the sandwich's per-case scores, 2p :func:`~stratfit.em.case_loglik`
+calls made one at a time (their (2p, n) stack would grow with the sample for
+little time saved), and the delta method's effect and parameter maps.
 """
 
 from __future__ import annotations
@@ -98,15 +100,8 @@ def treatment_effects(fit: FitResult) -> EffectTable:
     """Arm-1 minus arm-0 location per stratum; adds the observed-scale
     (censored-mean) contrast under the tobit family."""
     params = fit.params
-    table = params.location_table()
-    effect = table[:, 1] - table[:, 0]
-    observed = None
-    if params.family is Family.TOBIT:
-        observed = (
-            tobit_mean(table[:, 1], params.scales[1])
-            - tobit_mean(table[:, 0], params.scales[0])
-        )
-    return EffectTable(params=params, effect=effect, effect_observed=observed)
+    observed = _observed_effects(params) if params.family is Family.TOBIT else None
+    return EffectTable(params=params, effect=_latent_effects(params), effect_observed=observed)
 
 
 def _check_interior(fit: FitResult) -> None:
@@ -163,15 +158,17 @@ def _num_hessian(fun, x: np.ndarray, block: int) -> np.ndarray:
     return hess
 
 
-def _num_jacobian(fun, x: np.ndarray) -> np.ndarray:
-    h = _steps(x, JAC_STEP)
-    f0 = np.asarray(fun(x), dtype=float)
-    jac = np.empty((f0.size, len(x)))
+def _num_jacobian(fun, x: np.ndarray, rel: float) -> np.ndarray:
+    """Central-difference Jacobian of the vector function ``fun`` at ``x``,
+    with steps ``rel * max(1, |x_j|)``: 2p calls, coordinate by coordinate,
+    the upper point first."""
+    h = _steps(x, rel)
+    cols = []
     for j in range(len(x)):
         ej = np.zeros(len(x))
         ej[j] = h[j]
-        jac[:, j] = (np.asarray(fun(x + ej)) - np.asarray(fun(x - ej))) / (2.0 * h[j])
-    return jac
+        cols.append((np.asarray(fun(x + ej)) - np.asarray(fun(x - ej))) / (2.0 * h[j]))
+    return np.stack(cols, axis=-1)
 
 
 def _hessian_and_bread(fit: FitResult, dataset: Dataset):
@@ -229,16 +226,7 @@ def cluster_sandwich_se(
     else:
         x, hess, bread_m = pack(fit.params), bread.hessian, bread.cov
 
-    like = fit.params
-    h = _steps(x, HESS_STEP)
-    scores = np.empty((dataset.n, len(x)))
-    for j in range(len(x)):
-        ej = np.zeros(len(x))
-        ej[j] = h[j]
-        up = case_loglik(unpack(x + ej, like), dataset)
-        dn = case_loglik(unpack(x - ej, like), dataset)
-        scores[:, j] = (up - dn) / (2.0 * h[j])
-
+    scores = _num_jacobian(lambda v: case_loglik(unpack(v, fit.params), dataset), x, HESS_STEP)
     grouped = np.zeros((n_clusters, len(x)))
     np.add.at(grouped, codes, dataset.w[:, None] * scores)
     meat = grouped.T @ grouped * (n_clusters / (n_clusters - 1.0))
@@ -252,17 +240,24 @@ def cluster_sandwich_se(
     )
 
 
-def _latent_effects_at(v: np.ndarray, like: ModelParams) -> np.ndarray:
-    table = unpack(v, like).location_table()
+def _latent_effects(params: ModelParams) -> np.ndarray:
+    table = params.location_table()
     return table[:, 1] - table[:, 0]
 
 
-def _observed_effects_at(v: np.ndarray, like: ModelParams) -> np.ndarray:
-    params = unpack(v, like)
+def _observed_effects(params: ModelParams) -> np.ndarray:
     table = params.location_table()
     return tobit_mean(table[:, 1], params.scales[1]) - tobit_mean(
         table[:, 0], params.scales[0]
     )
+
+
+def _delta_se(fit: FitResult, cov: ParamCovariance, fun) -> np.ndarray:
+    """Delta-method SEs of ``fun(params)`` under ``cov``, differentiated in
+    the packed coordinates at the optimum."""
+    like = fit.params
+    jac = _num_jacobian(lambda v: fun(unpack(v, like)), pack(like), JAC_STEP)
+    return np.sqrt(np.maximum(np.diag(jac @ cov.cov @ jac.T), 0.0))
 
 
 def effect_ses(fit: FitResult, cov: ParamCovariance):
@@ -270,46 +265,28 @@ def effect_ses(fit: FitResult, cov: ParamCovariance):
 
     Returns (latent SEs, observed-scale SEs or None).
     """
-    x = pack(fit.params)
-    like = fit.params
-    jac = _num_jacobian(lambda v: _latent_effects_at(v, like), x)
-    se = np.sqrt(np.maximum(np.diag(jac @ cov.cov @ jac.T), 0.0))
-    se_obs = None
-    if fit.params.family is Family.TOBIT:
-        jac_o = _num_jacobian(lambda v: _observed_effects_at(v, like), x)
-        se_obs = np.sqrt(np.maximum(np.diag(jac_o @ cov.cov @ jac_o.T), 0.0))
-    return se, se_obs
+    se = _delta_se(fit, cov, _latent_effects)
+    tobit = fit.params.family is Family.TOBIT
+    return se, _delta_se(fit, cov, _observed_effects) if tobit else None
 
 
 def natural_param_ses(fit: FitResult, cov: ParamCovariance) -> np.ndarray:
     """Delta-method SEs for the natural parameters (probs, locations, scales)
     in :func:`stratfit.core.param_names` reporting order."""
-    x = pack(fit.params)
-    like = fit.params
-
-    def natural(v):
-        p = unpack(v, like)
-        return np.concatenate([p.probs, p.locations.ravel(), p.scales])
-
-    jac = _num_jacobian(natural, x)
-    return np.sqrt(np.maximum(np.diag(jac @ cov.cov @ jac.T), 0.0))
+    return _delta_se(
+        fit, cov, lambda p: np.concatenate([p.probs, p.locations.ravel(), p.scales])
+    )
 
 
 def effect_table(
-    fit: FitResult,
-    dataset: Dataset,
-    naive: bool = True,
-    cluster: bool = True,
-) -> tuple[EffectTable, ParamCovariance | None, ParamCovariance | None]:
-    """Effects with both SE flavors attached; the workhorse behind the CLI."""
-    table = treatment_effects(fit)
-    cov_n = cov_c = None
-    if naive:
-        cov_n = observed_information_se(fit, dataset)
-        se, se_obs = effect_ses(fit, cov_n)
-        table = replace(table, se_naive=se, se_naive_observed=se_obs)
-    if cluster:
-        cov_c = cluster_sandwich_se(fit, dataset, bread=cov_n)
-        se, se_obs = effect_ses(fit, cov_c)
-        table = replace(table, se_cluster=se, se_cluster_observed=se_obs)
+    fit: FitResult, dataset: Dataset
+) -> tuple[EffectTable, ParamCovariance, ParamCovariance]:
+    """Effects with both SE flavors attached: the naive and the cluster
+    sandwich covariance, which reuses the naive one's Hessian."""
+    cov_n = observed_information_se(fit, dataset)
+    se_n, se_n_obs = effect_ses(fit, cov_n)
+    cov_c = cluster_sandwich_se(fit, dataset, bread=cov_n)
+    se_c, se_c_obs = effect_ses(fit, cov_c)
+    table = replace(treatment_effects(fit), se_naive=se_n, se_naive_observed=se_n_obs,
+                    se_cluster=se_c, se_cluster_observed=se_c_obs)
     return table, cov_n, cov_c

@@ -12,10 +12,11 @@ the best of all starts by more than 0.02 per unit of case weight stops there,
 and the others run on to the stop rule (short-run/long-run EM, see
 :func:`_run_starts`).
 
-Every mixture evaluation (the log-likelihood, the per-case terms, the
-E-step and the EM loop) runs through one kernel over the dataset's cell
-partition, :attr:`Dataset.cells`. The kernel, the sufficient statistics and
-the M-step carry a leading axis over S parameter sets: the public one-set
+Every mixture evaluation (the log-likelihood, the per-case terms, the E-step
+and the EM loop) runs through one kernel over the dataset's cell partition,
+:attr:`Dataset.cells`; start ranking reads its component log-densities
+(:func:`_cell_logdens`) too. The kernel, the sufficient statistics and the
+M-step carry a leading axis over S parameter sets: the public one-set
 functions use S = 1, :func:`log_likelihood` also takes a sequence of sets,
 and the EM loop advances a block of starts together (see
 :func:`_run_starts`), so each iteration costs one pass over the cells for
@@ -65,7 +66,7 @@ from .core import (
     cell_order,
     linear_design,
 )
-from .densities import Family, component_logpdf, norm_logcdf, norm_logpdf
+from .densities import Family, norm_logcdf, norm_logpdf
 from .errors import (
     ConvergenceError,
     DataError,
@@ -713,7 +714,8 @@ def _initial_logliks(dataset, warm, grid, family, mean_structure, scales):
 
     Mappings are ranked in blocks of ids, so the working set does not grow
     with the mapping count. Under the saturated structure a cell's component
-    density columns do not depend on the mapping, so each cell's row maxima
+    density columns (the kernel's :func:`_cell_logdens` at the warm-start
+    means) do not depend on the mapping, so each cell's row maxima
     ``top`` and scaled densities ``E = exp(ld - top)`` are computed once; a
     mapping with cell priors ``p`` then contributes ``w @ top + w @ log(E @
     p)``. A block's strata probabilities come from one batched IPF, and the
@@ -734,7 +736,7 @@ def _initial_logliks(dataset, warm, grid, family, mean_structure, scales):
         for c, cell in enumerate(dataset.cells):
             if cell.y.size:
                 cs = warm[(cell.t, cell.z)]
-                ld = component_logpdf(cell.y[:, None], cs.means, scales[cell.t], family)
+                ld = _cell_logdens(cell, cs.means[None], scales[[cell.t]], family)[0]
                 top = _row_max(ld)
                 bad = ~np.isfinite(top)
                 if bad.any():
@@ -801,6 +803,8 @@ def select_starts(
     kind, count = strategy
     if kind not in ("topk", "spread"):
         raise ValueError(f"unknown start-selection strategy: {kind!r}")
+    if family is Family.TOBIT and np.any(dataset.y < 0.0):
+        raise DataError("negative outcome under censored family")
     total = n_mappings(grid.k_levels)
     if count >= total:
         return np.arange(total)
@@ -864,11 +868,11 @@ class StartRecord:
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
-    """Best solution across all starting mappings, with the full trace."""
+    """Best solution across all starting mappings, with the full trace.
+    Its posterior memberships are ``e_step(params, dataset)``."""
 
     params: ModelParams
     loglik: float
-    posterior: np.ndarray
     mapping_id: int
     iterations: int
     converged: bool
@@ -1076,11 +1080,9 @@ def fit(
             f"no starting mapping converged within {config.max_iter} iterations",
             trace=records,
         )
-    posterior = e_step(winner.params, dataset)
     return FitResult(
         params=winner.params,
         loglik=winner.loglik,
-        posterior=posterior,
         mapping_id=winner.mapping_id,
         iterations=winner.iterations,
         converged=winner.converged,

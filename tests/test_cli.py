@@ -9,6 +9,7 @@ import pytest
 from stratfit import cli
 from stratfit.cli import load_fit, main, read_dataset, read_sim_config, save_fit
 from stratfit.densities import Family
+from stratfit.effects import effect_table, natural_param_ses
 from stratfit.em import fit
 from stratfit.errors import DataError
 
@@ -37,6 +38,21 @@ def data_csv(tmp_path_factory):
     clusters = rng.integers(0, 12, ds.n)
     write_data_csv(path, ds, cluster=clusters)
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def tobit_csv(tmp_path_factory):
+    ds, _ = simulate_four_strata(250, seed=71, dispersion=2.4, sigma=2.0, effect=3.0,
+                                 censor=True)
+    path = tmp_path_factory.mktemp("data") / "tobit.csv"
+    write_data_csv(path, ds, cluster=np.random.default_rng(1).integers(0, 12, ds.n))
+    return str(path)
+
+
+def read_csv_columns(path) -> dict[str, list[str]]:
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    return {key: [r[key] for r in rows] for key in rows[0]}
 
 
 class TestReadDataset:
@@ -190,6 +206,28 @@ class TestCmdFit:
             rows = list(csv.DictReader(fh))
         assert "effect_observed" in rows[0]
 
+    @pytest.mark.parametrize("family", ["normal", "tobit"])
+    def test_ses_equal_the_library_pipeline(self, data_csv, tobit_csv, tmp_path, family):
+        # cmd_fit runs its own SE sequence; it must give effect_table's and
+        # natural_param_ses's numbers bit for bit (the CSVs hold float reprs)
+        path = tobit_csv if family == "tobit" else data_csv
+        out = tmp_path / "out"
+        assert main(["fit", path, "--family", family, "--out-dir", str(out)]) == 0
+        ds = read_dataset(path, 2, False, Family(family))
+        res = fit(ds, Family(family))
+        table, cov_n, cov_c = effect_table(res, ds)
+        assert cov_c.n_clusters == 12
+        effects = read_csv_columns(out / "effects.csv")
+        columns = ["se_naive", "se_cluster"]
+        if family == "tobit":
+            columns += ["effect_observed", "se_naive_observed", "se_cluster_observed"]
+        for name in ["effect"] + columns:
+            assert np.array_equal([float(v) for v in effects[name]], getattr(table, name)), name
+        params = read_csv_columns(out / "params.csv")
+        for name, cov in (("se_naive", cov_n), ("se_cluster", cov_c)):
+            got = [float(v) for v in params[name]]
+            assert np.array_equal(got, natural_param_ses(res, cov)), name
+
 
 class TestCmdDiagnose:
     def test_round_trip_byte_identical(self, data_csv, tmp_path):
@@ -233,6 +271,25 @@ class TestCmdDiagnose:
             path.write_text(json.dumps(broken))
             with pytest.raises(DataError, match="invalid fit file"):
                 load_fit(str(path))
+
+    def test_winner_must_agree_with_ties_and_trace(self, data_csv, tmp_path):
+        fit_dir = tmp_path / "fit"
+        assert main(["fit", data_csv, "--out-dir", str(fit_dir)]) == 0
+        payload = json.loads((fit_dir / "fit.json").read_text())
+        others = sorted({r["mapping_id"] for r in payload["trace"]} - {payload["mapping_id"]})
+        cases = {
+            "is not the first of tie_ids": {"mapping_id": others[0]},
+            "names no trace record": {"mapping_id": 99, "tie_ids": [99]},
+            "tie_ids \\[\\]": {"tie_ids": []},
+        }
+        for message, change in cases.items():
+            path = tmp_path / "broken.json"
+            path.write_text(json.dumps({**payload, **change}))
+            with pytest.raises(DataError, match=f"invalid fit file .*{message}"):
+                load_fit(str(path))
+            assert main(["diagnose", "--fit", str(path), "--data", data_csv,
+                         "--out-dir", str(tmp_path / "diag")]) == 2
+        assert not (tmp_path / "diag").exists()
 
     def test_missing_fit_file_exits_2(self, tmp_path):
         assert main(["diagnose", "--fit", str(tmp_path / "none.json"),
@@ -290,6 +347,15 @@ class TestCmdSimulate:
         assert main(["simulate", cfg, "--seed", "1", "--out-dir", str(tmp_path)]) == 2
         cfg = self._config(tmp_path, "n_per_arm = -5\n")
         assert main(["simulate", cfg, "--seed", "1", "--out-dir", str(tmp_path)]) == 2
+
+    def test_shape_and_shapes_together_rejected(self, tmp_path):
+        cfg = self._config(tmp_path, "n_per_arm = 60\nshape = skewed:1.5\n"
+                                     "shapes = heavy_tail:10\n")
+        with pytest.raises(DataError, match="both 'shape' and 'shapes'"):
+            read_sim_config(cfg, seed=1)
+        out = tmp_path / "out"
+        assert main(["simulate", cfg, "--seed", "1", "--out-dir", str(out)]) == 2
+        assert not out.exists()
 
     def test_read_sim_config_defaults(self, tmp_path):
         cfg = self._config(tmp_path, "n_per_arm = 100\n# comment\n")

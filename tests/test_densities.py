@@ -5,11 +5,26 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from stratfit.densities import Family, component_logpdf, norm_cdf, norm_logcdf, tobit_mean
+from stratfit.core import Cell, Dataset, ModelParams, StrataGrid
+from stratfit.densities import Family, norm_cdf, norm_logcdf, tobit_mean
+from stratfit.em import _cell_logdens, log_likelihood
 from stratfit.errors import DataError
 from stratfit.simulate import standardized_draws
 
 mp.mp.dps = 50
+
+
+def kernel_logpdf(y, location, scale, family):
+    """The EM kernel's component log-density (``em._cell_logdens``) of the
+    outcomes ``y`` under one location per column of ``location`` and one
+    scale: a float for scalars, else (cases, locations)."""
+    ys = np.ravel(np.asarray(y, dtype=float))
+    locs = np.atleast_1d(np.asarray(location, dtype=float))
+    cell = Cell(t=0, z=0, rows=np.arange(ys.size), strata=np.arange(locs.size), y=ys,
+                y2=ys * ys, w=np.ones(ys.size), zero=np.flatnonzero(ys == 0.0),
+                pos=np.flatnonzero(ys > 0.0))
+    out = _cell_logdens(cell, locs[None], np.array([float(scale)]), family)[0]
+    return float(out[0, 0]) if np.ndim(y) == 0 and np.ndim(location) == 0 else out
 
 
 class TestNormalCdf:
@@ -45,32 +60,37 @@ class TestNormalCdf:
 
 class TestLogDensity:
     def test_normal_mode_value(self):
-        assert component_logpdf(3.2, 3.2, 1.7, Family.NORMAL) == pytest.approx(
+        assert kernel_logpdf(3.2, 3.2, 1.7, Family.NORMAL) == pytest.approx(
             -math.log(1.7) - 0.5 * math.log(2 * math.pi), abs=1e-15
         )
 
     def test_tobit_symmetric_censoring_mass(self):
-        assert component_logpdf(0.0, 0.0, 1.0, Family.TOBIT) == pytest.approx(
+        assert kernel_logpdf(0.0, 0.0, 1.0, Family.TOBIT) == pytest.approx(
             math.log(0.5), abs=1e-15
         )
 
     def test_tobit_positive_part_matches_mpmath_oracle(self):
         # log of the N(0.7, 1.1^2) density at 1.3, via a 50-digit computation
-        assert component_logpdf(1.3, 0.7, 1.1, Family.TOBIT) == pytest.approx(
+        assert kernel_logpdf(1.3, 0.7, 1.1, Family.TOBIT) == pytest.approx(
             -1.1630090435875099985, abs=1e-12
         )
 
     def test_tobit_rejects_negative_outcomes(self):
+        # the kernel's callers check the outcomes before any density is taken
+        ds = Dataset.from_arrays([-0.1, 0.2, 0.3, 0.4], [0, 0, 1, 1], [0, 1, 0, 1],
+                                 k_levels=2)
+        params = ModelParams(StrataGrid(2), np.full(4, 0.25), np.full((4, 2), 0.5),
+                             np.ones(2), Family.TOBIT)
         with pytest.raises(DataError, match="negative outcome"):
-            component_logpdf(-0.1, 0.5, 1.0, Family.TOBIT)
+            log_likelihood(params, ds)
 
     def test_tobit_censored_mass_uses_location_and_scale(self):
-        assert component_logpdf(0.0, 1.4, 0.6, Family.TOBIT) == pytest.approx(
+        assert kernel_logpdf(0.0, 1.4, 0.6, Family.TOBIT) == pytest.approx(
             norm_logcdf(-1.4 / 0.6), abs=1e-15
         )
 
     def test_broadcasting(self):
-        out = component_logpdf(
+        out = kernel_logpdf(
             np.array([[0.0], [1.5], [0.0]]), np.array([0.5, -0.2]), 1.3, Family.TOBIT
         )
         assert out.shape == (3, 2)
@@ -81,9 +101,9 @@ class TestLogDensity:
         y = np.array([0.0, 0.3, 2.0, 40.0])
         for loc in (-5.0, 0.0, 5.0):
             for scale in (0.05, 1.0, 20.0):
-                vals = component_logpdf(y, loc, scale, Family.TOBIT)
+                vals = kernel_logpdf(y, loc, scale, Family.TOBIT)
                 assert np.all(np.isfinite(vals))
-                nudged = component_logpdf(y, loc + 1e-9, scale * (1 + 1e-9), Family.TOBIT)
+                nudged = kernel_logpdf(y, loc + 1e-9, scale * (1 + 1e-9), Family.TOBIT)
                 assert np.max(np.abs(nudged - vals) / np.maximum(1.0, np.abs(vals))) < 1e-6
 
 
@@ -92,7 +112,7 @@ class TestTobitNormalization:
         for eta in (-2.0, -0.5, 0.0, 1.0, 3.0):
             for zeta in (0.25, 0.7, 1.0, 2.0, 5.0):
                 def density(y):
-                    return math.exp(component_logpdf(y, eta, zeta, Family.TOBIT))
+                    return math.exp(kernel_logpdf(y, eta, zeta, Family.TOBIT))
 
                 mass = density(0.0)
                 integral, err = integrate.quad(density, 1e-300, np.inf, limit=200)
@@ -100,7 +120,7 @@ class TestTobitNormalization:
 
     def test_tobit_mean_matches_quadrature(self):
         integral, _ = integrate.quad(
-            lambda y: y * math.exp(component_logpdf(y, 0.8, 1.3, Family.TOBIT)),
+            lambda y: y * math.exp(kernel_logpdf(y, 0.8, 1.3, Family.TOBIT)),
             0.0, np.inf, limit=200,
         )
         assert tobit_mean(0.8, 1.3) == pytest.approx(integral, abs=1e-10)

@@ -515,6 +515,12 @@ class TestSelectStarts:
                 select_starts(ds, warm, GRID2, Family.NORMAL,
                               MeanStructure.SATURATED, ("bogus", count))
 
+    @pytest.mark.parametrize("structure", list(MeanStructure))
+    def test_negative_outcome_rejected_under_tobit(self, structure):
+        ds, warm = self._setup()
+        with pytest.raises(DataError, match="negative outcome"):
+            select_starts(ds, warm, GRID2, Family.TOBIT, structure, ("topk", 3))
+
     def test_spread_contains_best_and_requested_count(self):
         ds, warm = self._setup()
         chosen = select_starts(ds, warm, GRID2, Family.NORMAL,

@@ -1,4 +1,5 @@
-"""Every module-level import in the package and the tests is used.
+"""Every module-level import in the package, the tests and the benchmark
+scripts is used.
 
 A short AST scan stands in for a linter: it collects the names that
 top-level ``import`` and ``from ... import`` statements bind and fails on
@@ -14,7 +15,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
-    p for p in [*(ROOT / "src" / "stratfit").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    p for p in [*(ROOT / "src" / "stratfit").glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                *(ROOT / "bench").rglob("*.py")]
     if p.name != "__init__.py"
 )
 
@@ -42,6 +44,7 @@ def test_scan_sees_an_unused_import():
     assert unused_imports("import os\nimport math\nx = math.pi\n") == ["line 1: os"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+@pytest.mark.parametrize("path", MODULES,
+                         ids=lambda p: p.relative_to(ROOT).as_posix().removeprefix("src/"))
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []

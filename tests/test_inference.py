@@ -29,7 +29,6 @@ def fake_fit(params, floor_active=(False, False)) -> FitResult:
     return FitResult(
         params=params,
         loglik=0.0,
-        posterior=np.zeros((0, params.grid.n_strata)),
         mapping_id=0,
         iterations=1,
         converged=True,
