@@ -415,11 +415,12 @@ def read_sim_config(path: str, seed: int) -> tuple[list[SimConfig], list[tuple[s
     Grid keys (comma lists allowed): n_per_arm, dispersion_sd, prob_scenario.
     A ``shapes`` list switches to the misspecification study, always fitting
     the normal family and pairing each shape with the normal baseline; it
-    excludes the single ``shape`` key.
+    excludes the single ``shape`` key. Each key may appear once.
     """
     if not os.path.exists(path):
         raise DataError(f"config file not found: {path}")
     raw: dict[str, str] = {}
+    seen: dict[str, int] = {}  # the line of each key
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -433,6 +434,10 @@ def read_sim_config(path: str, seed: int) -> tuple[list[SimConfig], list[tuple[s
             key = key.strip()
             if key not in _CONFIG_KEYS:
                 raise DataError(f"config line {lineno}: unknown key '{key}'")
+            if key in seen:
+                raise DataError(f"config line {lineno}: key '{key}' already set on line "
+                                f"{seen[key]}")
+            seen[key] = lineno
             raw[key] = value.strip()
     try:
         n_list = [int(v) for v in raw.get("n_per_arm", "1000").split(",")]

@@ -32,6 +32,14 @@ its cases are column-wise reductions (``_row_max``, ``_row_sum``,
 reduces a 2-3 wide axis with one inner loop per row, which costs far more
 than the arithmetic.
 
+The warm starts run every cell's mixture EM in lockstep on one padded stack
+(see :func:`_lockstep_em`), so a dataset needs as many Python iterations as
+its slowest cell. They keep their own arithmetic rather than going through
+:func:`_mix`, whose two-column log-sum-exp rounds differently, and each
+cell's components are bit for bit those of its EM run alone: padded cases
+carry weight 0, case sums add in case order, and the stop test's
+log-likelihood is one dot per cell over its own cases.
+
 Starts are numbered by mapping id, and :func:`_start_sets` builds the
 initial parameter sets of a block of ids as stacked arrays. With three
 levels there are (3!)^6 = 46,656 assignments, so ``topk`` and ``spread``
@@ -499,22 +507,15 @@ def _weighted_sd(y: np.ndarray, w: np.ndarray) -> float:
     return math.sqrt(max(float(w @ (y - mean) ** 2) / total, 0.0))
 
 
-def _cell_mixture_em(y: np.ndarray, w: np.ndarray, k: int, max_iter: int = 300):
-    """Unstructured k-component univariate normal mixture, weighted EM.
+# The iteration cap of a cell's warm-start EM.
+_WARM_MAX_ITER = 300
 
-    Initialization splits the cell at weighted quantiles, so the procedure
-    is fully deterministic. Returns means/sds/props sorted by mean.
-    """
-    order = np.argsort(y, kind="stable")
-    ys = y[order]
-    ws = w[order]
+
+def _warm_init(ys: np.ndarray, ws: np.ndarray, k: int, overall_sd: float):
+    """The deterministic initialization of one cell's k-component mixture:
+    split the cases, ascending, at weighted quantiles. Returns means, sds
+    (floored at ``1e-6 * overall_sd``) and props, each (k,)."""
     total = float(ws.sum())
-    overall_sd = _weighted_sd(ys, ws)
-    if overall_sd == 0.0:
-        val = float(ys[0])
-        floor = max(1e-8, 1e-8 * abs(val))
-        return (np.full(k, val), np.full(k, floor), np.full(k, 1.0 / k), True)
-
     mid = np.cumsum(ws) - 0.5 * ws
     block = np.minimum((mid / total * k).astype(int), k - 1)
     means = np.empty(k)
@@ -532,35 +533,126 @@ def _cell_mixture_em(y: np.ndarray, w: np.ndarray, k: int, max_iter: int = 300):
             sds[j] = overall_sd
             props[j] = 1.0 / (10.0 * k)
     props /= props.sum()
-    sd_floor = 1e-6 * overall_sd
-    sds = np.maximum(sds, sd_floor)
+    return means, np.maximum(sds, 1e-6 * overall_sd), props
 
+
+def _warm_groups(sizes: np.ndarray, k: int) -> list[list[int]]:
+    """Cells grouped for :func:`_lockstep_em`, largest first, so that each
+    group's padded (cells, k, longest cell) stack has at most ``_EM_BLOCK``
+    entries; a larger cell runs alone. With one component every cell runs
+    alone, unpadded (see :func:`_lane_sum`)."""
+    groups: list[list[int]] = []
+    for i in np.argsort(-sizes, kind="stable").tolist():
+        if k > 1 and groups and (len(groups[-1]) + 1) * k * sizes[groups[-1][0]] <= _EM_BLOCK:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return groups
+
+
+def _lane_sum(a: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Sums over the case axis (the last) of a (cells, k, cases) stack, each
+    rounded as :func:`_case_sum` rounds one cell's (cases, k) array: added
+    in case order (accumulated in ``buf``, whose last column is returned),
+    or with one component pairwise."""
+    if a.shape[1] == 1:
+        return a.sum(axis=-1)
+    return np.add.accumulate(a, axis=2, out=buf)[..., -1]
+
+
+def _lockstep_em(ys, ws, totals, floors, means, sds, props):
+    """Weighted EM for the k-component normal mixtures of a group of cells,
+    all advancing together.
+
+    ``ys`` and ``ws`` hold each cell's outcomes, ascending, and weights;
+    ``totals`` and ``floors`` (C,) each cell's total weight and SD floor;
+    ``means``, ``sds`` and ``props`` (C, k) the initial components. Returns
+    the final (means, sds, props).
+
+    The cells are stacked as (cells, k, cases), cases on the contiguous last
+    axis, so numpy's inner loops run over cases. A shorter cell is padded
+    with weight 0 and its own last outcome: the padding's terms stay finite
+    and its weighted terms are exact zeros, and the case sums add in case
+    order (:func:`_lane_sum`), so every sum rounds as over the cell alone.
+    Each cell's arithmetic is that of a one-cell EM, term for term: the log
+    densities are ``((log p - log s) - log(2 pi)/2) - z^2/2``, then the row
+    maximum is shifted out and the columns are added left to right. (The
+    mixture kernel :func:`_mix` adds two columns by ``np.logaddexp``, which
+    rounds differently.) The stop test's log-likelihood is one BLAS dot per
+    cell over its own cases: a dot over the padded length would block the
+    sum differently. A cell stops once its log-likelihood changes by at most
+    1e-8 relative, keeping the components of its last M-step, or after
+    ``_WARM_MAX_ITER`` iterations, and then leaves the stack.
+    """
+    n = np.array([len(v) for v in ys])
+    y = np.empty((len(ys), n.max()))
+    w = np.zeros((len(ys), n.max()))
+    for c, (yc, wc) in enumerate(zip(ys, ws)):
+        y[c, :n[c]] = yc
+        y[c, n[c]:] = yc[-1]
+        w[c, :n[c]] = wc
+    out = [means.copy(), sds.copy(), props.copy()]
+    pos = np.arange(len(ys))  # the running cells' places in the group
+    totals, floors = totals[:, None], floors[:, None]
+
+    def stack():
+        """Views of the running cells' cases, and (cells, k, cases) buffers."""
+        shape = (len(pos), means.shape[1], y.shape[1])
+        return (y[:, None, :], w[:, None, :], [w[c, :m] for c, m in enumerate(n[pos].tolist())],
+                np.empty(shape), np.empty(shape), np.empty(shape))
+
+    y3, w3, w_rows, dens, work, buf = stack()
     ll_prev = None
-    for _ in range(max_iter):
+    for _ in range(_WARM_MAX_ITER):
         with np.errstate(divide="ignore"):
-            lm = (
-                np.log(props)
-                - np.log(sds)
-                - 0.5 * _LOG_2PI
-                - 0.5 * ((ys[:, None] - means) / sds) ** 2
-            )
-        m = _row_max(lm)
-        shifted = np.exp(lm - m[:, None])
-        ssum = _row_sum(shifted)
-        ll = float(ws @ (m + np.log(ssum)))
-        resp = shifted / ssum[:, None]
-        wr = ws[:, None] * resp
-        comp_w = _case_sum(wr)
+            base = (np.log(props) - np.log(sds)) - 0.5 * _LOG_2PI
+        np.subtract(y3, means[..., None], out=dens)
+        dens /= sds[..., None]
+        np.square(dens, out=dens)
+        dens *= 0.5
+        np.subtract(base[..., None], dens, out=dens)
+        top = _row_max(dens.swapaxes(1, 2))
+        dens -= top[:, None, :]
+        np.exp(dens, out=dens)
+        ssum = _row_sum(dens.swapaxes(1, 2))
+        terms = np.log(ssum)
+        terms += top
+        ll = [float(wc @ t[:len(wc)]) for wc, t in zip(w_rows, terms)]
+        dens /= ssum[:, None, :]
+        dens *= w3  # the weighted responsibilities
+        comp_w = _lane_sum(dens, buf).copy()
         live = comp_w > 1e-12
-        props = np.maximum(comp_w / total, 1e-300)
-        props /= props.sum()
-        means = np.where(live, _case_sum(wr * ys[:, None]) / np.maximum(comp_w, 1e-300), means)
-        var = _case_sum(wr * (ys[:, None] - means) ** 2) / np.maximum(comp_w, 1e-300)
-        sds = np.where(live, np.maximum(np.sqrt(var), sd_floor), sds)
-        if ll_prev is not None and abs(ll - ll_prev) <= 1e-8 * max(1.0, abs(ll)):
-            break
+        props = np.maximum(comp_w / totals, 1e-300)
+        props /= props.sum(axis=1, keepdims=True)
+        kept = np.maximum(comp_w, 1e-300)
+        np.multiply(dens, y3, out=work)
+        means = np.where(live, _lane_sum(work, buf) / kept, means)
+        np.subtract(y3, means[..., None], out=work)
+        np.square(work, out=work)
+        work *= dens
+        sds = np.where(live, np.maximum(np.sqrt(_lane_sum(work, buf) / kept), floors), sds)
+        if ll_prev is not None:
+            stop = np.array([abs(v - u) <= 1e-8 * max(1.0, abs(v)) for v, u in zip(ll, ll_prev)])
+            if stop.any():
+                for final, now in zip(out, (means, sds, props)):
+                    final[pos[stop]] = now[stop]
+                if stop.all():
+                    return out
+                keep = ~stop
+                pos, totals, floors = pos[keep], totals[keep], floors[keep]
+                means, sds, props = means[keep], sds[keep], props[keep]
+                ll = [v for v, done in zip(ll, stop) if not done]
+                y, w = y[keep, :n[pos].max()].copy(), w[keep, :n[pos].max()].copy()
+                y3, w3, w_rows, dens, work, buf = stack()
         ll_prev = ll
+    for final, now in zip(out, (means, sds, props)):
+        final[pos] = now
+    return out
 
+
+def _sorted_components(means, sds, props, overall_sd):
+    """A cell's final components sorted by mean, and whether they are
+    degenerate (their means about equal)."""
     order = np.argsort(means, kind="stable")
     means, sds, props = means[order], sds[order], props[order]
     degenerate = (means[-1] - means[0]) <= 1e-6 * max(1.0, abs(means).max(), overall_sd)
@@ -570,26 +662,55 @@ def _cell_mixture_em(y: np.ndarray, w: np.ndarray, k: int, max_iter: int = 300):
 def warm_start_cells(dataset: Dataset, family: Family) -> dict[tuple[int, int], CellStart]:
     """Preliminary per-cell mixtures seeding the starting-value enumeration.
 
-    Every (arm, z) cell gets an unstructured k-component normal mixture; under
-    the tobit family the mixture is fit on the positive outcomes only (the
-    censored share is absorbed once the full EM runs).
+    Every (arm, z) cell gets an unstructured k-component normal mixture,
+    fitted by weighted EM from a split at weighted quantiles, so the
+    procedure is deterministic; under the tobit family the mixture is fit on
+    the positive outcomes only (the censored share is absorbed once the full
+    EM runs). A cell whose outcomes are all equal gets k equal components
+    and is flagged degenerate, as is one whose components end with about
+    equal means. Components are sorted by mean, ascending.
+
+    The cells' EMs run in lockstep (see :func:`_lockstep_em`), in groups
+    bounded by ``_EM_BLOCK`` (see :func:`_warm_groups`), so a dataset costs
+    as many iterations as its slowest cell, not the sum over its cells. Each
+    cell's components are the ones its EM gives when run alone.
     """
     k = dataset.k_levels
-    out = {}
+    cases = []  # per cell: its usable outcomes, ascending, and their weights
     for cell in dataset.cells:
-        t, z = cell.t, cell.z
         live = cell.w > 0.0
-        weight = float(cell.w[live].sum())
         if family is Family.TOBIT:
             live &= cell.y > 0.0
-        y, w = cell.y[live], cell.w[live]
-        if len(y) < k:
+        live = np.flatnonzero(live)
+        if len(live) < k:
             raise WarmStartError(
-                f"cell too small for warm start: t={t}, z={z} has {len(y)} usable "
+                f"cell too small for warm start: t={cell.t}, z={cell.z} has {len(live)} usable "
                 f"cases but needs at least {k}"
             )
-        means, sds, props, degenerate = _cell_mixture_em(y, w, k)
-        out[(t, z)] = CellStart(t, z, means, sds, props, weight, degenerate)
+        live = live[np.argsort(cell.y[live], kind="stable")]
+        cases.append((cell.y[live], cell.w[live]))
+    overall_sd = [_weighted_sd(ys, ws) for ys, ws in cases]
+
+    fits = {}
+    for i, (ys, _) in enumerate(cases):
+        if overall_sd[i] == 0.0:
+            val = float(ys[0])
+            floor = max(1e-8, 1e-8 * abs(val))
+            fits[i] = (np.full(k, val), np.full(k, floor), np.full(k, 1.0 / k), True)
+    varied = [i for i in range(len(cases)) if i not in fits]
+    for group in _warm_groups(np.array([len(cases[i][0]) for i in varied], dtype=int), k):
+        index = [varied[g] for g in group]
+        ys, ws = zip(*(cases[i] for i in index))
+        sd = np.array([overall_sd[i] for i in index])
+        start = zip(*(_warm_init(y, w, k, s) for y, w, s in zip(ys, ws, sd.tolist())))
+        result = _lockstep_em(ys, ws, np.array([float(w.sum()) for w in ws]), 1e-6 * sd,
+                              *map(np.array, start))
+        for c, i in enumerate(index):
+            fits[i] = _sorted_components(*(a[c] for a in result), overall_sd[i])
+    out = {}
+    for i, cell in enumerate(dataset.cells):
+        weight = float(cell.w[cell.w > 0.0].sum())
+        out[(cell.t, cell.z)] = CellStart(cell.t, cell.z, *fits[i][:3], weight, fits[i][3])
     return out
 
 

@@ -1,6 +1,6 @@
 """Independent scalar oracles used by the test suite.
 
-Everything here except the EM loop oracle deliberately avoids the
+Everything here except the EM loop oracles deliberately avoids the
 package's own numerical paths: densities go through math.erf/erfc, sums are
 plain Python loops over the mixture definition, and optima come from grid
 refinement. The EM loop oracle runs one start at a time through the public
@@ -10,7 +10,10 @@ the grid's compatible strata and linear design, against which the stacked
 start sets are checked, and the Hessian oracle evaluates one point at a
 time, against which the stacked finite-difference Hessian is checked. The
 per-case score oracle differentiates the likelihood by hand, against which
-the sandwich's finite-difference scores are checked.
+the sandwich's finite-difference scores are checked. The cell mixture EM
+oracle is the warm-start EM of one cell on its own, one iteration at a time
+with the package's exact reductions, as it ran before the cells ran in
+lockstep; ``warm_start_cells`` must reproduce it bit for bit.
 """
 
 import itertools
@@ -265,6 +268,76 @@ def em_one_start_oracle(dataset, params, family, mean_structure, tol, max_iter, 
         "converged": converged, "frozen": frozen, "floor_active": floor,
         "history": tuple(history),
     }
+
+
+def cell_mixture_em_oracle(y: np.ndarray, w: np.ndarray, k: int, max_iter: int = 300):
+    """Unstructured k-component univariate normal mixture, weighted EM.
+
+    Initialization splits the cell at weighted quantiles, so the procedure
+    is fully deterministic. Returns means/sds/props sorted by mean.
+    """
+    from stratfit.em import _LOG_2PI, _case_sum, _row_max, _row_sum, _weighted_sd
+
+    order = np.argsort(y, kind="stable")
+    ys = y[order]
+    ws = w[order]
+    total = float(ws.sum())
+    overall_sd = _weighted_sd(ys, ws)
+    if overall_sd == 0.0:
+        val = float(ys[0])
+        floor = max(1e-8, 1e-8 * abs(val))
+        return (np.full(k, val), np.full(k, floor), np.full(k, 1.0 / k), True)
+
+    mid = np.cumsum(ws) - 0.5 * ws
+    block = np.minimum((mid / total * k).astype(int), k - 1)
+    means = np.empty(k)
+    sds = np.empty(k)
+    props = np.empty(k)
+    for j in range(k):
+        sel = block == j
+        bw = float(ws[sel].sum())
+        if bw > 0.0:
+            means[j] = float(ws[sel] @ ys[sel]) / bw
+            sds[j] = _weighted_sd(ys[sel], ws[sel])
+            props[j] = bw / total
+        else:
+            means[j] = float(np.quantile(ys, (j + 0.5) / k))
+            sds[j] = overall_sd
+            props[j] = 1.0 / (10.0 * k)
+    props /= props.sum()
+    sd_floor = 1e-6 * overall_sd
+    sds = np.maximum(sds, sd_floor)
+
+    ll_prev = None
+    for _ in range(max_iter):
+        with np.errstate(divide="ignore"):
+            lm = (
+                np.log(props)
+                - np.log(sds)
+                - 0.5 * _LOG_2PI
+                - 0.5 * ((ys[:, None] - means) / sds) ** 2
+            )
+        m = _row_max(lm)
+        shifted = np.exp(lm - m[:, None])
+        ssum = _row_sum(shifted)
+        ll = float(ws @ (m + np.log(ssum)))
+        resp = shifted / ssum[:, None]
+        wr = ws[:, None] * resp
+        comp_w = _case_sum(wr)
+        live = comp_w > 1e-12
+        props = np.maximum(comp_w / total, 1e-300)
+        props /= props.sum()
+        means = np.where(live, _case_sum(wr * ys[:, None]) / np.maximum(comp_w, 1e-300), means)
+        var = _case_sum(wr * (ys[:, None] - means) ** 2) / np.maximum(comp_w, 1e-300)
+        sds = np.where(live, np.maximum(np.sqrt(var), sd_floor), sds)
+        if ll_prev is not None and abs(ll - ll_prev) <= 1e-8 * max(1.0, abs(ll)):
+            break
+        ll_prev = ll
+
+    order = np.argsort(means, kind="stable")
+    means, sds, props = means[order], sds[order], props[order]
+    degenerate = (means[-1] - means[0]) <= 1e-6 * max(1.0, abs(means).max(), overall_sd)
+    return means, sds, props, bool(degenerate)
 
 
 def tobit_newton_oracle(design, mpos, s1, s2, mzero, gamma0, delta0):

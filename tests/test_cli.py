@@ -357,6 +357,18 @@ class TestCmdSimulate:
         assert main(["simulate", cfg, "--seed", "1", "--out-dir", str(out)]) == 2
         assert not out.exists()
 
+    def test_repeated_key_rejected(self, tmp_path):
+        cfg = self._config(tmp_path, "n_per_arm = 100\n# comment\nreplicates = 2\n"
+                                     "n_per_arm = 300\n")
+        with pytest.raises(DataError, match="line 4: key 'n_per_arm' already set on line 1"):
+            read_sim_config(cfg, seed=1)
+        # ':' and '=' set the same key
+        cfg = self._config(tmp_path, "tol = 1e-6\ntol: 1e-7\n")
+        with pytest.raises(DataError, match="line 2: key 'tol' already set on line 1"):
+            read_sim_config(cfg, seed=1)
+        out = tmp_path / "out"
+        assert main(["simulate", cfg, "--seed", "1", "--out-dir", str(out)]) == 2
+
     def test_read_sim_config_defaults(self, tmp_path):
         cfg = self._config(tmp_path, "n_per_arm = 100\n# comment\n")
         configs, shapes = read_sim_config(cfg, seed=5)

@@ -44,6 +44,14 @@ class TestNormalCdf:
             got = norm_logcdf(float(x))
             assert abs(got - exact) <= 1e-13 * max(1.0, abs(exact))
 
+    def test_logcdf_relative_accuracy_against_mpmath(self):
+        # relative, since log Phi(x) -> 0 as x grows: at x = 8 it is -6e-16
+        xs = np.concatenate([np.linspace(-38.0, 8.0, 2301),
+                             [-0.6629, 0.6629, -1e-12, 1e-12, 0.0]])
+        exact = [mp.log(mp.ncdf(mp.mpf(float(x)))) for x in xs]
+        worst = max(abs((mp.mpf(float(g)) - e) / e) for g, e in zip(norm_logcdf(xs), exact))
+        assert worst <= 1e-14
+
     def test_symmetry_and_bounds(self):
         x = np.linspace(-8.0, 8.0, 161)
         p = norm_cdf(x)

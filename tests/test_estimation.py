@@ -1,11 +1,14 @@
 import dataclasses
+import importlib
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stratfit import em
+from stratfit import em, simulate
 from stratfit.core import Dataset, MeanStructure, ModelParams, StrataGrid
 from stratfit.densities import Family
 from stratfit.em import (
@@ -39,6 +42,7 @@ from stratfit.errors import (
 
 from _oracles import (
     brute_force_loglik,
+    cell_mixture_em_oracle,
     combo_oracle,
     density_oracle,
     em_one_start_oracle,
@@ -432,6 +436,145 @@ class TestWarmStarts:
         ds = Dataset.from_arrays(y_all, t_all, z_all, k_levels=2, family=Family.TOBIT)
         warm = warm_start_cells(ds, Family.TOBIT)
         assert warm[(1, 0)].means.min() > 2.0  # zeros excluded from the mixture
+
+
+def dataset_of_cells(cells, k_levels):
+    """A dataset from each (t, z) cell's outcomes and weights."""
+    keys = sorted(cells)
+    y, w = (np.concatenate([np.asarray(cells[key][i], dtype=float) for key in keys])
+            for i in (0, 1))
+    t, z = (np.concatenate([np.full(len(cells[key][0]), key[i]) for key in keys])
+            for i in (0, 1))
+    return Dataset.from_arrays(y, t, z, w=w, k_levels=k_levels)
+
+
+def random_cells(rng, k_levels, n=60):
+    return {(t, z): (rng.normal(2.0 * z + t, 1.0 + 0.2 * z, n), np.ones(n))
+            for t in (0, 1) for z in range(k_levels)}
+
+
+def assert_warm_matches_oracle(ds, family):
+    """Every cell's warm start equals the one-cell oracle, bit for bit."""
+    warm = warm_start_cells(ds, family)
+    for cell in ds.cells:
+        live = cell.w > 0.0
+        if family is Family.TOBIT:
+            live &= cell.y > 0.0
+        means, sds, props, degenerate = cell_mixture_em_oracle(
+            cell.y[live], cell.w[live], ds.k_levels)
+        cs = warm[(cell.t, cell.z)]
+        assert np.array_equal(cs.means, means), (cell.t, cell.z)
+        assert np.array_equal(cs.sds, sds), (cell.t, cell.z)
+        assert np.array_equal(cs.props, props), (cell.t, cell.z)
+        assert cs.degenerate == degenerate, (cell.t, cell.z)
+    return warm
+
+
+class TestLockstepWarmStarts:
+    """The cells' warm-start EMs run in lockstep on a padded stack, and every
+    cell's components equal those of its own EM run alone, bit for bit."""
+
+    @pytest.mark.parametrize("k_levels", [2, 3])
+    @pytest.mark.parametrize("family", [Family.NORMAL, Family.TOBIT], ids=lambda f: f.value)
+    def test_matches_oracle(self, family, k_levels):
+        for seed in range(3):
+            config = simulate.SimConfig(n_per_arm=400, dispersion_sd=1.5 + seed, k_levels=k_levels)
+            ds, _ = simulate.generate(config, np.random.default_rng(seed))
+            if family is Family.TOBIT:
+                ds = Dataset.from_arrays(np.maximum(ds.y - 2.0, 0.0), ds.t, ds.z,
+                                         k_levels=k_levels, family=family)
+            assert_warm_matches_oracle(ds, family)
+
+    def test_one_level(self):
+        rng = np.random.default_rng(3)
+        assert_warm_matches_oracle(dataset_of_cells(random_cells(rng, 1), 1), Family.NORMAL)
+
+    def test_zero_weight_rows(self):
+        rng = np.random.default_rng(4)
+        cells = random_cells(rng, 2, n=80)
+        for y, w in cells.values():
+            w[rng.random(len(w)) < 0.3] = 0.0
+            w[w > 0.0] = rng.exponential(size=int((w > 0.0).sum()))
+        assert_warm_matches_oracle(dataset_of_cells(cells, 2), Family.NORMAL)
+
+    def test_constant_cell_stacked_with_live_cells(self):
+        cells = random_cells(np.random.default_rng(5), 2)
+        cells[(1, 1)] = (np.full(30, 4.5), np.ones(30))
+        warm = assert_warm_matches_oracle(dataset_of_cells(cells, 2), Family.NORMAL)
+        assert warm[(1, 1)].degenerate
+        assert not warm[(0, 0)].degenerate
+
+    def test_cells_of_five_fold_sizes(self):
+        rng = np.random.default_rng(6)
+        cells = random_cells(rng, 3, n=40)
+        for key in ((1, 0), (0, 2)):
+            cells[key] = (rng.normal(key[1], 1.0, 200), np.ones(200))
+        assert_warm_matches_oracle(dataset_of_cells(cells, 3), Family.NORMAL)
+
+    def test_component_below_the_live_weight(self):
+        # a far outlier draws one component, whose weight, 5e-13, is below
+        # the 1e-12 at which a component stops moving
+        y = np.concatenate([np.random.default_rng(5).normal(size=19), [1e3]])
+        cells = random_cells(np.random.default_rng(7), 2)
+        cells[(0, 1)] = (y, np.full(20, 5e-13))
+        warm = assert_warm_matches_oracle(dataset_of_cells(cells, 2), Family.NORMAL)
+        weight = warm[(0, 1)].props * 1e-11
+        assert weight.min() < 1e-12 < weight.max()
+
+    def test_cell_at_the_iteration_cap(self):
+        y = np.random.default_rng(1).normal(size=60)
+        w = np.ones(60)
+        # the oracle's result moves with each of its last iterations
+        last = [cell_mixture_em_oracle(y, w, 3, cap)[:3] for cap in (299, 300, 301)]
+        for a, b in zip(last, last[1:]):
+            assert not all(np.array_equal(u, v) for u, v in zip(a, b))
+        assert em._WARM_MAX_ITER == 300
+        cells = random_cells(np.random.default_rng(8), 3)
+        cells[(1, 2)] = (y, w)
+        assert_warm_matches_oracle(dataset_of_cells(cells, 3), Family.NORMAL)
+
+    def test_groups_under_a_small_block(self, monkeypatch):
+        # a block of 500 entries puts a 200-case cell (k = 2) alone and the
+        # three 40-case cells together
+        monkeypatch.setattr(em, "_EM_BLOCK", 500)
+        rng = np.random.default_rng(9)
+        cells = random_cells(rng, 2, n=40)
+        cells[(1, 0)] = (rng.normal(0.0, 1.0, 200), np.ones(200))
+        assert em._warm_groups(np.array([40, 200, 40, 40]), 2) == [[1], [0, 2, 3]]
+        assert_warm_matches_oracle(dataset_of_cells(cells, 2), Family.NORMAL)
+
+    @pytest.mark.parametrize("workload", ["normal-cli", "recovery-small", "tobit",
+                                          "nine-strata-topk"])
+    def test_bench_tiny_inputs(self, workload, tmp_path):
+        bench_dir = str(Path(__file__).resolve().parents[1] / "bench")
+        sys.path.insert(0, bench_dir)
+        try:
+            workloads = importlib.import_module("workloads")
+        finally:
+            sys.path.remove(bench_dir)
+        for seed in range(2):
+            inputs = workloads.build_inputs(workload, seed, str(tmp_path), size="tiny")
+            spec = inputs.spec
+            for arr in inputs.arrays:
+                ds = Dataset.from_arrays(arr["y"], arr["t"], arr["z"], k_levels=spec.k_levels,
+                                         family=spec.family)
+                assert_warm_matches_oracle(ds, spec.family)
+
+    @pytest.mark.parametrize("k_levels", [2, 3])
+    def test_memory_stays_bounded(self, k_levels):
+        # 20k cases per arm: the padded stacks stay within _EM_BLOCK entries
+        if k_levels == 2:
+            ds, _ = simulate_four_strata(20_000, seed=3)
+        else:
+            ds = simulate_nine_strata(20_000, seed=3)
+        ds.cells  # the partition is the dataset's, not the warm starts'
+        tracemalloc.start()
+        try:
+            warm_start_cells(ds, Family.NORMAL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 2**20
 
 
 def start_params(ds, warm, ids, family=Family.NORMAL, mean_structure=SATURATED,
