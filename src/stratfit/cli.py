@@ -29,7 +29,6 @@ from .core import (
 from .densities import Family
 from .diagnostics import marginal_fit_table, posterior_histogram, solution_trace_table
 from .effects import (
-    EffectTable,
     cluster_sandwich_se,
     effect_ses,
     natural_param_ses,
@@ -63,12 +62,13 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: str, rows: list[dict]) -> None:
+    """Write rows (at least one) under the first row's keys as header."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(list(rows[0]))
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([_fmt(v) for v in row.values()])
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -155,21 +155,13 @@ def _params_from_dict(d: dict) -> ModelParams:
 def save_fit(path: str, result: FitResult, data_options: dict) -> None:
     payload = {
         "data_options": data_options,
-        "params": _params_to_dict(result.params),
-        "loglik": result.loglik,
-        "mapping_id": result.mapping_id,
-        "iterations": result.iterations,
-        "converged": result.converged,
         "tie_ids": list(result.tie_ids),
         "scale_floor": list(result.scale_floor),
-        "floor_active": list(result.floor_active),
-        "frozen": [list(f) for f in result.frozen],
         "trace": [
             {
                 "mapping_id": r.mapping_id,
                 "loglik": r.loglik,
                 "iterations": r.iterations,
-                "converged": r.converged,
                 "floor_active": list(r.floor_active),
                 "frozen": [list(f) for f in r.frozen],
                 "stop_reason": r.stop_reason,
@@ -182,46 +174,29 @@ def save_fit(path: str, result: FitResult, data_options: dict) -> None:
 
 
 def load_fit(path: str) -> tuple[FitResult, dict]:
+    """Read a fit written by :func:`save_fit`. The winner's top-level copy
+    and the per-start ``converged`` flags of older files are ignored."""
     if not os.path.exists(path):
         raise DataError(f"fit file not found: {path}")
     try:
         with open(path) as fh:
             payload = json.load(fh)
-        params = _params_from_dict(payload["params"])
         trace = tuple(
             StartRecord(
                 mapping_id=int(r["mapping_id"]),
                 loglik=float(r["loglik"]),
                 params=_params_from_dict(r["params"]),
                 iterations=int(r["iterations"]),
-                converged=bool(r["converged"]),
                 floor_active=tuple(r["floor_active"]),
                 frozen=tuple(tuple(f) for f in r["frozen"]),
                 stop_reason=str(r["stop_reason"]),
             )
             for r in payload["trace"]
         )
-        result = FitResult(
-            params=params,
-            loglik=float(payload["loglik"]),
-            mapping_id=int(payload["mapping_id"]),
-            iterations=int(payload["iterations"]),
-            converged=bool(payload["converged"]),
-            trace=trace,
-            tie_ids=tuple(payload["tie_ids"]),
-            scale_floor=tuple(payload["scale_floor"]),
-            floor_active=tuple(payload["floor_active"]),
-            frozen=tuple(tuple(f) for f in payload["frozen"]),
-        )
+        result = FitResult(trace, tuple(payload["tie_ids"]), tuple(payload["scale_floor"]))
         data_options = payload["data_options"]
     except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
         raise DataError(f"invalid fit file {path}: {exc}") from None
-    if not result.tie_ids or result.tie_ids[0] != result.mapping_id:
-        raise DataError(f"invalid fit file {path}: mapping_id {result.mapping_id} is not "
-                        f"the first of tie_ids {list(result.tie_ids)}")
-    if all(r.mapping_id != result.mapping_id for r in trace):
-        raise DataError(f"invalid fit file {path}: mapping_id {result.mapping_id} names "
-                        "no trace record")
     return result, data_options
 
 
@@ -229,55 +204,33 @@ def load_fit(path: str) -> tuple[FitResult, dict]:
 # shared writers
 # --------------------------------------------------------------------------
 
-def _write_effects(path: str, table: EffectTable) -> None:
-    rows = table.rows()
-    header = list(rows[0].keys())
-    _write_csv(path, header, [[r[h] for h in header] for r in rows])
-
-
-def _write_trace(path: str, result: FitResult) -> None:
-    rows = solution_trace_table(result)
-    header = list(rows[0].keys())
-    _write_csv(path, header, [[r[h] for h in header] for r in rows])
-
-
 def _write_histogram(path: str, result: FitResult, dataset: Dataset) -> None:
-    hists = posterior_histogram(result, dataset)
     rows = []
-    for h in hists:
+    for h in posterior_histogram(result, dataset):
         for b in range(len(h.counts)):
-            rows.append(
-                [h.t, h.z, h.stratum[0], h.stratum[1],
-                 float(h.edges[b]), float(h.edges[b + 1]), int(h.counts[b])]
-            )
-    _write_csv(
-        path,
-        ["t", "z", "stratum_z0", "stratum_z1", "bin_lo", "bin_hi", "count"],
-        rows,
-    )
+            rows.append({"t": h.t, "z": h.z, "stratum_z0": h.stratum[0],
+                         "stratum_z1": h.stratum[1], "bin_lo": float(h.edges[b]),
+                         "bin_hi": float(h.edges[b + 1]), "count": int(h.counts[b])})
+    _write_csv(path, rows)
 
 
 def _write_marginals(path: str, result: FitResult, dataset: Dataset) -> None:
     table = marginal_fit_table(result, dataset)
-    rows = [[r.arm, r.quantity, r.predicted, r.observed] for r in table.rows]
-    for arm in table.excluded_arms:
-        rows.append([arm, "excluded_zero_weight_arm", None, None])
-    _write_csv(path, ["arm", "quantity", "predicted", "observed"], rows)
+    rows = [(r.arm, r.quantity, r.predicted, r.observed) for r in table.rows]
+    rows += [(arm, "excluded_zero_weight_arm", None, None) for arm in table.excluded_arms]
+    _write_csv(path, [dict(zip(("arm", "quantity", "predicted", "observed"), r)) for r in rows])
 
 
 def _write_params(path: str, result: FitResult, se_naive, se_cluster) -> None:
-    names = param_names(result.params)
     values = np.concatenate(
         [result.params.probs, result.params.locations.ravel(), result.params.scales]
     )
-    rows = []
-    for i, name in enumerate(names):
-        rows.append(
-            [name, float(values[i]),
-             None if se_naive is None else float(se_naive[i]),
-             None if se_cluster is None else float(se_cluster[i])]
-        )
-    _write_csv(path, ["name", "value", "se_naive", "se_cluster"], rows)
+    _write_csv(path, [
+        {"name": name, "value": float(values[i]),
+         "se_naive": None if se_naive is None else float(se_naive[i]),
+         "se_cluster": None if se_cluster is None else float(se_cluster[i])}
+        for i, name in enumerate(param_names(result.params))
+    ])
 
 
 def _diagnostics_files(out_dir: str, result: FitResult, dataset: Dataset) -> dict:
@@ -286,7 +239,7 @@ def _diagnostics_files(out_dir: str, result: FitResult, dataset: Dataset) -> dic
         "posterior_hist": os.path.join(out_dir, "posterior_hist.csv"),
         "marginal_fit": os.path.join(out_dir, "marginal_fit.csv"),
     }
-    _write_trace(paths["trace"], result)
+    _write_csv(paths["trace"], solution_trace_table(result))
     _write_histogram(paths["posterior_hist"], result, dataset)
     _write_marginals(paths["marginal_fit"], result, dataset)
     return paths
@@ -345,7 +298,7 @@ def cmd_fit(args) -> int:
         "summary": os.path.join(out_dir, "summary.json"),
     }
     _write_params(paths["params"], result, nat_naive, nat_cluster)
-    _write_effects(paths["effects"], table)
+    _write_csv(paths["effects"], table.rows())
     paths.update(_diagnostics_files(out_dir, result, dataset))
     save_fit(paths["fit"], result, data_options)
 
@@ -370,7 +323,7 @@ def cmd_fit(args) -> int:
     print(f"fit {status}: loglik={result.loglik!r}, mapping={result.mapping_id}, "
           f"outputs in {out_dir}")
     if not result.converged:
-        reason = next(r.stop_reason for r in result.trace if r.mapping_id == result.mapping_id)
+        reason = result.winner.stop_reason
         how = f"at --max-iter {args.max_iter}" if reason == "max_iter" else f"as '{reason}'"
         print(f"warning: the best start (mapping {result.mapping_id}) stopped {how} "
               "without converging", file=sys.stderr)
@@ -474,11 +427,7 @@ def read_sim_config(path: str, seed: int) -> tuple[list[SimConfig], list[tuple[s
     return configs, shapes
 
 
-_REP_FIXED = ["n_per_arm", "dispersion_sd", "prob_scenario", "shape", "replicate",
-              "ok", "error", "loglik", "mapping_id", "label_correct", "n_near_ties"]
-
-
-def _replicate_rows(report: RecoveryReport) -> list[list]:
+def _replicate_rows(report: RecoveryReport) -> list[dict]:
     cfg = report.config
     label = shape_label(cfg.shape, cfg.shape_param)
     truth = report.truth
@@ -486,32 +435,20 @@ def _replicate_rows(report: RecoveryReport) -> list[list]:
     true_table = truth.location_table()
     rows = []
     for r in report.replicates:
-        row = [cfg.n_per_arm, cfg.dispersion_sd, cfg.prob_scenario, label,
-               r.index, r.ok, r.error, r.loglik, r.mapping_id, r.label_correct,
-               r.n_near_ties]
-        for s in range(len(strata)):
+        row = {"n_per_arm": cfg.n_per_arm, "dispersion_sd": cfg.dispersion_sd,
+               "prob_scenario": cfg.prob_scenario, "shape": label, "replicate": r.index,
+               "ok": r.ok, "error": r.error, "loglik": r.loglik, "mapping_id": r.mapping_id,
+               "label_correct": r.label_correct, "n_near_ties": r.n_near_ties}
+        for s, (z0, z1) in enumerate(strata):
             for t in (0, 1):
-                if r.ok:
-                    row.append(float(true_table[s, t] + r.location_error[s, t]))
-                else:
-                    row.append(None)
-                row.append(float(true_table[s, t]))
-        for s in range(len(strata)):
-            row.append(float(truth.probs[s] + r.prob_error[s]) if r.ok else None)
-            row.append(float(truth.probs[s]))
+                row[f"loc_z0{z0}_z1{z1}_t{t}"] = (
+                    float(true_table[s, t] + r.location_error[s, t]) if r.ok else None)
+                row[f"true_loc_z0{z0}_z1{z1}_t{t}"] = float(true_table[s, t])
+        for s, (z0, z1) in enumerate(strata):
+            row[f"p_z0{z0}_z1{z1}"] = float(truth.probs[s] + r.prob_error[s]) if r.ok else None
+            row[f"true_p_z0{z0}_z1{z1}"] = float(truth.probs[s])
         rows.append(row)
     return rows
-
-
-def _replicate_header(k_levels: int) -> list[str]:
-    grid = StrataGrid(k_levels)
-    header = list(_REP_FIXED)
-    for z0, z1 in grid.strata:
-        for t in (0, 1):
-            header += [f"loc_z0{z0}_z1{z1}_t{t}", f"true_loc_z0{z0}_z1{z1}_t{t}"]
-    for z0, z1 in grid.strata:
-        header += [f"p_z0{z0}_z1{z1}", f"true_p_z0{z0}_z1{z1}"]
-    return header
 
 
 def _nanmax(arr: np.ndarray) -> float:
@@ -520,22 +457,17 @@ def _nanmax(arr: np.ndarray) -> float:
     return float(np.nanmax(arr))
 
 
-def _summary_row(report: RecoveryReport) -> list:
+def _summary_row(report: RecoveryReport) -> dict:
     cfg = report.config
-    return [
-        cfg.n_per_arm, cfg.dispersion_sd, cfg.prob_scenario,
-        shape_label(cfg.shape, cfg.shape_param), cfg.replicates,
-        report.n_failed, report.fraction_label_correct, report.near_tie_fraction,
-        report.prob_mae, _nanmax(report.location_rmse(correct_only=False)),
-        _nanmax(report.location_rmse(correct_only=True)),
-    ]
-
-
-_SUMMARY_HEADER = [
-    "n_per_arm", "dispersion_sd", "prob_scenario", "shape", "replicates",
-    "n_failed", "fraction_label_correct", "near_tie_fraction", "prob_mae",
-    "location_rmse_max", "location_rmse_correct_max",
-]
+    return {
+        "n_per_arm": cfg.n_per_arm, "dispersion_sd": cfg.dispersion_sd,
+        "prob_scenario": cfg.prob_scenario, "shape": shape_label(cfg.shape, cfg.shape_param),
+        "replicates": cfg.replicates, "n_failed": report.n_failed,
+        "fraction_label_correct": report.fraction_label_correct,
+        "near_tie_fraction": report.near_tie_fraction, "prob_mae": report.prob_mae,
+        "location_rmse_max": _nanmax(report.location_rmse(correct_only=False)),
+        "location_rmse_correct_max": _nanmax(report.location_rmse(correct_only=True)),
+    }
 
 
 def cmd_simulate(args) -> int:
@@ -553,16 +485,10 @@ def cmd_simulate(args) -> int:
             reports.append(study.baseline)
             reports.extend(study.shaped.values())
 
-    k_levels = configs[0].k_levels
-    rep_rows = []
-    sum_rows = []
-    for report in reports:
-        rep_rows += _replicate_rows(report)
-        sum_rows.append(_summary_row(report))
     rep_path = os.path.join(out_dir, "replicates.csv")
     sum_path = os.path.join(out_dir, "summary.csv")
-    _write_csv(rep_path, _replicate_header(k_levels), rep_rows)
-    _write_csv(sum_path, _SUMMARY_HEADER, sum_rows)
+    _write_csv(rep_path, [row for report in reports for row in _replicate_rows(report)])
+    _write_csv(sum_path, [_summary_row(report) for report in reports])
 
     payload = {
         "command": "simulate",

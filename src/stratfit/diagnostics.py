@@ -145,8 +145,6 @@ def solution_trace_table(fit: FitResult) -> list[dict]:
     short phase stopped there as ``"pruned"``: its log-likelihood is a lower
     bound on where it would have ended, and its locations are where it
     stood."""
-    if not fit.trace:
-        raise ValueError("fit carries no per-start trace")
     nll = np.array([-r.loglik for r in fit.trace])
     best = nll.min()
     denom = max(abs(best), 1e-300)

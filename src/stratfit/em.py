@@ -60,7 +60,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -88,14 +88,18 @@ FROZEN_WEIGHT_TOL = 1e-8
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
+def _check_censored(dataset: Dataset, family: Family) -> None:
+    if family is Family.TOBIT and np.any(dataset.y < 0.0):
+        raise DataError("negative outcome under censored family")
+
+
 def _check_inputs(params: ModelParams, dataset: Dataset) -> None:
     if params.grid.k_levels != dataset.k_levels:
         raise DataError(
             f"dataset has {dataset.k_levels} levels but parameters use "
             f"{params.grid.k_levels}"
         )
-    if params.family is Family.TOBIT and np.any(dataset.y < 0.0):
-        raise DataError("negative outcome under censored family")
+    _check_censored(dataset, params.family)
 
 
 # --------------------------------------------------------------------------
@@ -488,7 +492,9 @@ def _m_step_core(stats, grid, family, mean_structure, prev, scale_floor):
 
 @dataclass(frozen=True, eq=False)
 class CellStart:
-    """Per-cell preliminary component estimates, sorted by mean ascending."""
+    """Per-cell preliminary component estimates, sorted by mean ascending.
+    ``capped`` is true when the cell's EM stopped at ``_WARM_MAX_ITER``
+    iterations without meeting its stop rule."""
 
     t: int
     z: int
@@ -497,6 +503,7 @@ class CellStart:
     props: np.ndarray
     weight: float
     degenerate: bool
+    capped: bool
 
 
 def _weighted_sd(y: np.ndarray, w: np.ndarray) -> float:
@@ -567,7 +574,8 @@ def _lockstep_em(ys, ws, totals, floors, means, sds, props):
     ``ys`` and ``ws`` hold each cell's outcomes, ascending, and weights;
     ``totals`` and ``floors`` (C,) each cell's total weight and SD floor;
     ``means``, ``sds`` and ``props`` (C, k) the initial components. Returns
-    the final (means, sds, props).
+    the final (means, sds, props) and, (C,), whether each cell stopped at
+    the iteration cap.
 
     The cells are stacked as (cells, k, cases), cases on the contiguous last
     axis, so numpy's inner loops run over cases. A shorter cell is padded
@@ -591,7 +599,7 @@ def _lockstep_em(ys, ws, totals, floors, means, sds, props):
         y[c, :n[c]] = yc
         y[c, n[c]:] = yc[-1]
         w[c, :n[c]] = wc
-    out = [means.copy(), sds.copy(), props.copy()]
+    out = [means.copy(), sds.copy(), props.copy(), np.zeros(len(ys), dtype=bool)]
     pos = np.arange(len(ys))  # the running cells' places in the group
     totals, floors = totals[:, None], floors[:, None]
 
@@ -645,7 +653,7 @@ def _lockstep_em(ys, ws, totals, floors, means, sds, props):
                 y, w = y[keep, :n[pos].max()].copy(), w[keep, :n[pos].max()].copy()
                 y3, w3, w_rows, dens, work, buf = stack()
         ll_prev = ll
-    for final, now in zip(out, (means, sds, props)):
+    for final, now in zip(out, (means, sds, props, True)):  # the rest reached the cap
         final[pos] = now
     return out
 
@@ -696,21 +704,22 @@ def warm_start_cells(dataset: Dataset, family: Family) -> dict[tuple[int, int], 
         if overall_sd[i] == 0.0:
             val = float(ys[0])
             floor = max(1e-8, 1e-8 * abs(val))
-            fits[i] = (np.full(k, val), np.full(k, floor), np.full(k, 1.0 / k), True)
+            fits[i] = (np.full(k, val), np.full(k, floor), np.full(k, 1.0 / k), True, False)
     varied = [i for i in range(len(cases)) if i not in fits]
     for group in _warm_groups(np.array([len(cases[i][0]) for i in varied], dtype=int), k):
         index = [varied[g] for g in group]
         ys, ws = zip(*(cases[i] for i in index))
         sd = np.array([overall_sd[i] for i in index])
         start = zip(*(_warm_init(y, w, k, s) for y, w, s in zip(ys, ws, sd.tolist())))
-        result = _lockstep_em(ys, ws, np.array([float(w.sum()) for w in ws]), 1e-6 * sd,
-                              *map(np.array, start))
+        *result, capped = _lockstep_em(ys, ws, np.array([float(w.sum()) for w in ws]),
+                                       1e-6 * sd, *map(np.array, start))
         for c, i in enumerate(index):
-            fits[i] = _sorted_components(*(a[c] for a in result), overall_sd[i])
+            fits[i] = (*_sorted_components(*(a[c] for a in result), overall_sd[i]),
+                       bool(capped[c]))
     out = {}
     for i, cell in enumerate(dataset.cells):
         weight = float(cell.w[cell.w > 0.0].sum())
-        out[(cell.t, cell.z)] = CellStart(cell.t, cell.z, *fits[i][:3], weight, fits[i][3])
+        out[(cell.t, cell.z)] = CellStart(cell.t, cell.z, *fits[i][:3], weight, *fits[i][3:])
     return out
 
 
@@ -924,8 +933,7 @@ def select_starts(
     kind, count = strategy
     if kind not in ("topk", "spread"):
         raise ValueError(f"unknown start-selection strategy: {kind!r}")
-    if family is Family.TOBIT and np.any(dataset.y < 0.0):
-        raise DataError("negative outcome under censored family")
+    _check_censored(dataset, family)
     total = n_mappings(grid.k_levels)
     if count >= total:
         return np.arange(total)
@@ -974,34 +982,50 @@ class StartRecord:
     (trailed the leader after the short phase, see :func:`_run_starts`; its
     log-likelihood is a lower bound on where the start would have ended) or
     ``"nonmonotone"`` (its log-likelihood dropped, see :func:`_run_starts`).
-    Only ``"tol"`` counts as converged."""
+    It is the start's only status: only ``"tol"`` counts as converged."""
 
     mapping_id: int
     loglik: float
     params: ModelParams
     iterations: int
-    converged: bool
     floor_active: tuple[bool, bool]
     frozen: tuple[tuple[int, int], ...]
     stop_reason: str
     history: tuple[float, ...] = ()
 
+    converged = property(lambda self: self.stop_reason == "tol")
+
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
     """Best solution across all starting mappings, with the full trace.
-    Its posterior memberships are ``e_step(params, dataset)``."""
 
-    params: ModelParams
-    loglik: float
-    mapping_id: int
-    iterations: int
-    converged: bool
+    The winner is the record of ``tie_ids[0]``, the lowest mapping id within
+    ``LOGLIK_TIE_TOL`` of the best; ``params``, ``loglik``, ``mapping_id``,
+    ``iterations``, ``converged``, ``floor_active`` and ``frozen`` are read
+    from it, so a fit cannot contradict its trace (ValueError when
+    ``tie_ids`` is empty or its first id names no record). Its posterior
+    memberships are ``e_step(params, dataset)``."""
+
     trace: tuple[StartRecord, ...]
     tie_ids: tuple[int, ...]
     scale_floor: tuple[float, float]
-    floor_active: tuple[bool, bool]
-    frozen: tuple[tuple[int, int], ...]
+    winner: StartRecord = field(init=False, repr=False)
+
+    def __post_init__(self):
+        first = self.tie_ids[0] if self.tie_ids else None
+        winner = next((r for r in self.trace if r.mapping_id == first), None)
+        if winner is None:
+            raise ValueError(f"the first of tie_ids {list(self.tie_ids)} names no trace record")
+        object.__setattr__(self, "winner", winner)
+
+    params = property(lambda self: self.winner.params)
+    loglik = property(lambda self: self.winner.loglik)
+    mapping_id = property(lambda self: self.winner.mapping_id)
+    iterations = property(lambda self: self.winner.iterations)
+    converged = property(lambda self: self.winner.converged)
+    floor_active = property(lambda self: self.winner.floor_active)
+    frozen = property(lambda self: self.winner.frozen)
 
 
 # Short-run/long-run EM (Biernacki, Celeux & Govaert 2003, CSDA 41:561):
@@ -1083,8 +1107,8 @@ def _run_starts(dataset, ids, probs, coef, scales, family, mean_structure, tol, 
                                  mean_structure)
             frozen_j = tuple((int(s), int(t)) for t, s in np.argwhere(run.frozen[j]))
             records[i] = StartRecord(int(ids[i]), float(run.ll[j]), params, iterations,
-                                     reason == "tol", tuple(map(bool, run.floor[j])), frozen_j,
-                                     reason, tuple(history[i]))
+                                     tuple(map(bool, run.floor[j])), frozen_j, reason,
+                                     tuple(history[i]))
 
     def advance(run, it, last):
         """Take one block from evaluation ``it`` through evaluation ``last``
@@ -1168,8 +1192,7 @@ def fit(
     """
     config = config or FitConfig()
     grid = StrataGrid(dataset.k_levels)
-    if family is Family.TOBIT and np.any(dataset.y < 0.0):
-        raise DataError("negative outcome under censored family")
+    _check_censored(dataset, family)
     empty = dataset.empty_cells()
     if empty:
         raise DataError(
@@ -1195,21 +1218,10 @@ def fit(
     tied = sorted(
         r.mapping_id for r in records if best_ll - r.loglik <= LOGLIK_TIE_TOL
     )
-    winner = next(r for r in records if r.mapping_id == tied[0])
-    if winner.stop_reason == "max_iter" and not any(r.converged for r in records):
+    result = FitResult(tuple(records), tuple(tied), scale_floor)
+    if result.winner.stop_reason == "max_iter" and not any(r.converged for r in records):
         raise ConvergenceError(
             f"no starting mapping converged within {config.max_iter} iterations",
             trace=records,
         )
-    return FitResult(
-        params=winner.params,
-        loglik=winner.loglik,
-        mapping_id=winner.mapping_id,
-        iterations=winner.iterations,
-        converged=winner.converged,
-        trace=tuple(records),
-        tie_ids=tuple(tied),
-        scale_floor=scale_floor,
-        floor_active=winner.floor_active,
-        frozen=winner.frozen,
-    )
+    return result

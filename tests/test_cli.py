@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -158,34 +159,35 @@ class TestCmdFit:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["converged"] is False
 
+    @staticmethod
+    def _winner_stops_as(monkeypatch, reason):
+        """Make the CLI's fit report its winner as stopped for ``reason``."""
+        real_fit = cli.fit
+
+        def unconverged(*a, **k):
+            res = real_fit(*a, **k)
+            trace = tuple(dataclasses.replace(r, stop_reason=reason) if r is res.winner else r
+                          for r in res.trace)
+            return dataclasses.replace(res, trace=trace)
+
+        monkeypatch.setattr(cli, "fit", unconverged)
+
     def test_nonconverged_winner_not_reported_converged(self, data_csv, tmp_path,
                                                         monkeypatch, capsys):
-        real_fit = cli.fit
-        monkeypatch.setattr(
-            cli, "fit",
-            lambda *a, **k: dataclasses.replace(real_fit(*a, **k), converged=False),
-        )
+        self._winner_stops_as(monkeypatch, "nonmonotone")
         out = tmp_path / "unconverged"
         assert main(["fit", data_csv, "--out-dir", str(out)]) == 0
         captured = capsys.readouterr()
         assert "fit did not converge" in captured.out
         assert "fit converged" not in captured.out
         assert "warning" in captured.err
+        assert "stopped as 'nonmonotone' without converging" in captured.err
         assert json.loads((out / "summary.json").read_text())["converged"] is False
 
     @pytest.mark.parametrize("reason", ["max_iter", "nonmonotone"])
     def test_warning_names_the_winners_stop_reason(self, data_csv, tmp_path, monkeypatch,
                                                    capsys, reason):
-        real_fit = cli.fit
-
-        def unconverged(*a, **k):
-            res = real_fit(*a, **k)
-            trace = tuple(
-                dataclasses.replace(r, converged=False, stop_reason=reason)
-                if r.mapping_id == res.mapping_id else r for r in res.trace)
-            return dataclasses.replace(res, converged=False, trace=trace)
-
-        monkeypatch.setattr(cli, "fit", unconverged)
+        self._winner_stops_as(monkeypatch, reason)
         out = tmp_path / "unconverged"
         assert main(["fit", data_csv, "--out-dir", str(out)]) == 0
         err = capsys.readouterr().err
@@ -193,6 +195,21 @@ class TestCmdFit:
         assert (f"'{reason}'" in err) == (reason != "max_iter")
         summary = json.loads((out / "summary.json").read_text())
         assert summary["stop_reasons"][reason] >= 1
+
+    def test_one_cluster_keeps_the_naive_ses(self, tmp_path, capsys):
+        # the sandwich needs two clusters; the fit and its naive SEs still go out
+        ds, _ = simulate_four_strata(250, seed=70, dispersion=2.4)
+        path = tmp_path / "one_cluster.csv"
+        write_data_csv(path, ds, cluster=np.zeros(ds.n, dtype=int))
+        out = tmp_path / "out"
+        assert main(["fit", str(path), "--out-dir", str(out)]) == 0
+        for name in ("params.csv", "effects.csv"):
+            columns = read_csv_columns(out / name)
+            assert all(float(v) > 0.0 for v in columns["se_naive"]), name
+            assert set(columns["se_cluster"]) == {""}, name
+        summary = json.loads((out / "summary.json").read_text())
+        assert "at least 2 clusters" in summary["se_error"]
+        assert "standard errors unavailable" in capsys.readouterr().err
 
     def test_tobit_end_to_end(self, tmp_path):
         ds, _ = simulate_four_strata(250, seed=71, dispersion=2.4, sigma=2.0,
@@ -276,20 +293,46 @@ class TestCmdDiagnose:
         fit_dir = tmp_path / "fit"
         assert main(["fit", data_csv, "--out-dir", str(fit_dir)]) == 0
         payload = json.loads((fit_dir / "fit.json").read_text())
-        others = sorted({r["mapping_id"] for r in payload["trace"]} - {payload["mapping_id"]})
-        cases = {
-            "is not the first of tie_ids": {"mapping_id": others[0]},
-            "names no trace record": {"mapping_id": 99, "tie_ids": [99]},
-            "tie_ids \\[\\]": {"tie_ids": []},
-        }
-        for message, change in cases.items():
+        for ties in ([99], []):
             path = tmp_path / "broken.json"
-            path.write_text(json.dumps({**payload, **change}))
+            path.write_text(json.dumps({**payload, "tie_ids": ties}))
+            message = re.escape(f"tie_ids {ties} names no trace record")
             with pytest.raises(DataError, match=f"invalid fit file .*{message}"):
                 load_fit(str(path))
             assert main(["diagnose", "--fit", str(path), "--data", data_csv,
                          "--out-dir", str(tmp_path / "diag")]) == 2
         assert not (tmp_path / "diag").exists()
+
+    def test_each_start_stored_once_and_previous_layout_read(self, data_csv, tmp_path):
+        fit_dir = tmp_path / "fit"
+        assert main(["fit", data_csv, "--out-dir", str(fit_dir)]) == 0
+        payload = json.loads((fit_dir / "fit.json").read_text())
+        assert set(payload) == {"data_options", "tie_ids", "scale_floor", "trace"}
+        assert all("converged" not in r for r in payload["trace"])
+        # earlier releases also wrote the winner's fields at the top level
+        # and a converged flag per start
+        res, _ = load_fit(str(fit_dir / "fit.json"))
+        old = dict(payload, params=cli._params_to_dict(res.params), loglik=res.loglik,
+                   mapping_id=res.mapping_id, iterations=res.iterations,
+                   converged=res.converged, floor_active=list(res.floor_active),
+                   frozen=[list(f) for f in res.frozen],
+                   trace=[dict(r, converged=r["stop_reason"] == "tol")
+                          for r in payload["trace"]])
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(old))
+        got, options = load_fit(str(path))
+        assert options == payload["data_options"]
+        assert got.tie_ids == res.tie_ids and got.mapping_id == res.mapping_id
+        assert got.loglik == res.loglik and got.converged == res.converged
+        np.testing.assert_array_equal(got.params.locations, res.params.locations)
+        assert [(r.mapping_id, r.loglik, r.stop_reason) for r in got.trace] == [
+            (r.mapping_id, r.loglik, r.stop_reason) for r in res.trace]
+        diag_new, diag_old = tmp_path / "diag_new", tmp_path / "diag_old"
+        for fit_path, out in ((fit_dir / "fit.json", diag_new), (path, diag_old)):
+            assert main(["diagnose", "--fit", str(fit_path), "--data", data_csv,
+                         "--out-dir", str(out)]) == 0
+        for name in ("trace.csv", "posterior_hist.csv", "marginal_fit.csv"):
+            assert (diag_new / name).read_bytes() == (diag_old / name).read_bytes()
 
     def test_missing_fit_file_exits_2(self, tmp_path):
         assert main(["diagnose", "--fit", str(tmp_path / "none.json"),

@@ -12,7 +12,6 @@ from stratfit import em, simulate
 from stratfit.core import Dataset, MeanStructure, ModelParams, StrataGrid
 from stratfit.densities import Family
 from stratfit.em import (
-    CellStart,
     FitConfig,
     case_loglik,
     cell_order,
@@ -454,7 +453,8 @@ def random_cells(rng, k_levels, n=60):
 
 
 def assert_warm_matches_oracle(ds, family):
-    """Every cell's warm start equals the one-cell oracle, bit for bit."""
+    """Every cell's warm start equals the one-cell oracle, bit for bit, and
+    is flagged capped exactly when the oracle still moves after its cap."""
     warm = warm_start_cells(ds, family)
     for cell in ds.cells:
         live = cell.w > 0.0
@@ -467,6 +467,10 @@ def assert_warm_matches_oracle(ds, family):
         assert np.array_equal(cs.sds, sds), (cell.t, cell.z)
         assert np.array_equal(cs.props, props), (cell.t, cell.z)
         assert cs.degenerate == degenerate, (cell.t, cell.z)
+        longer = cell_mixture_em_oracle(cell.y[live], cell.w[live], ds.k_levels,
+                                        em._WARM_MAX_ITER + 1)
+        moves = not all(np.array_equal(u, v) for u, v in zip((means, sds, props), longer))
+        assert cs.capped == moves, (cell.t, cell.z)
     return warm
 
 
@@ -531,7 +535,8 @@ class TestLockstepWarmStarts:
         assert em._WARM_MAX_ITER == 300
         cells = random_cells(np.random.default_rng(8), 3)
         cells[(1, 2)] = (y, w)
-        assert_warm_matches_oracle(dataset_of_cells(cells, 3), Family.NORMAL)
+        warm = assert_warm_matches_oracle(dataset_of_cells(cells, 3), Family.NORMAL)
+        assert warm[(1, 2)].capped and not warm[(0, 0)].capped
 
     def test_groups_under_a_small_block(self, monkeypatch):
         # a block of 500 entries puts a 200-case cell (k = 2) alone and the
@@ -826,6 +831,18 @@ class TestFit:
             diffs = np.diff(rec.history)
             assert diffs.min() >= -1e-8
 
+    def test_the_winner_is_the_record_of_the_first_tie(self):
+        ds, _ = simulate_four_strata(200, seed=21)
+        res = fit(ds)
+        assert res.winner is next(r for r in res.trace if r.mapping_id == res.tie_ids[0])
+        for name in ("params", "loglik", "mapping_id", "iterations", "converged",
+                     "floor_active", "frozen"):
+            assert getattr(res, name) == getattr(res.winner, name), name
+        assert res.converged == (res.winner.stop_reason == "tol")
+        for ties in ((), (99,)):
+            with pytest.raises(ValueError, match="names no trace record"):
+                em.FitResult(res.trace, ties, res.scale_floor)
+
     def test_empty_cell_aborts(self):
         ds = Dataset.from_arrays(
             [1.0, 2.0, 3.0, 4.0], [0, 0, 1, 1], [0, 1, 0, 0], k_levels=2
@@ -860,9 +877,9 @@ class TestFit:
         def relabelled(*args):
             records = real(*args)
             best = max(r.loglik for r in records)
-            return [dataclasses.replace(r, stop_reason=losers, converged=losers == "tol")
+            return [dataclasses.replace(r, stop_reason=losers)
                     if best - r.loglik > em.LOGLIK_TIE_TOL else
-                    dataclasses.replace(r, stop_reason=winner, converged=False)
+                    dataclasses.replace(r, stop_reason=winner)
                     for r in records]
 
         monkeypatch.setattr(em, "_run_starts", relabelled)
@@ -878,9 +895,8 @@ class TestFit:
         warm = warm_start_cells(ds, Family.NORMAL)
         swapped = dict(warm)
         cs = warm[(1, 0)]
-        swapped[(1, 0)] = CellStart(
-            t=cs.t, z=cs.z, means=cs.means[::-1].copy(), sds=cs.sds[::-1].copy(),
-            props=cs.props[::-1].copy(), weight=cs.weight, degenerate=cs.degenerate,
+        swapped[(1, 0)] = dataclasses.replace(
+            cs, means=cs.means[::-1].copy(), sds=cs.sds[::-1].copy(), props=cs.props[::-1].copy()
         )
 
         def best_loglik(warm_dict):

@@ -16,7 +16,7 @@ from stratfit.effects import (
     observed_information_se,
     treatment_effects,
 )
-from stratfit.em import FitConfig, FitResult, case_loglik, fit, log_likelihood
+from stratfit.em import FitConfig, FitResult, StartRecord, case_loglik, fit, log_likelihood
 from stratfit.errors import InferenceError
 
 from _oracles import brute_force_loglik, case_score_oracle, num_hessian_oracle
@@ -26,18 +26,9 @@ GRID2 = StrataGrid(2)
 
 
 def fake_fit(params, floor_active=(False, False)) -> FitResult:
-    return FitResult(
-        params=params,
-        loglik=0.0,
-        mapping_id=0,
-        iterations=1,
-        converged=True,
-        trace=(),
-        tie_ids=(0,),
-        scale_floor=(0.0, 0.0),
-        floor_active=floor_active,
-        frozen=(),
-    )
+    record = StartRecord(mapping_id=0, loglik=0.0, params=params, iterations=1,
+                         floor_active=floor_active, frozen=(), stop_reason="tol")
+    return FitResult(trace=(record,), tie_ids=(0,), scale_floor=(0.0, 0.0))
 
 
 def swap_arms_params(params: ModelParams) -> ModelParams:
