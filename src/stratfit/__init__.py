@@ -51,12 +51,9 @@ from .errors import (
     WarmStartError,
 )
 from .simulate import (
-    MisspecStudy,
     RecoveryReport,
     SimConfig,
     generate,
-    misspecification_study,
-    run_grid,
     run_study,
     scenario_probs,
     true_model,

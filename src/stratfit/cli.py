@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -37,15 +38,7 @@ from .effects import (
 )
 from .em import FitConfig, FitResult, StartRecord, fit, parse_starts
 from .errors import ConvergenceError, DataError, EstimationError, InferenceError, StratfitError
-from .simulate import (
-    MisspecStudy,
-    RecoveryReport,
-    SimConfig,
-    misspecification_study,
-    parse_shape,
-    run_grid,
-    shape_label,
-)
+from .simulate import RecoveryReport, SimConfig, parse_shape, run_study, shape_label
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -102,13 +95,14 @@ def read_dataset(path: str, levels: int, dichotomize: bool, family: Family) -> D
                 y.append(float(row["y"]))
                 t.append(int(row["t"]))
                 z_raw = float(row["z"])
-                if z_raw != int(z_raw):
+                if not z_raw.is_integer():
                     raise ValueError("z must be an integer level")
                 z.append(int(z_raw))
                 w.append(float(row["w"]) if has_w and row["w"] != "" else 1.0)
             except (TypeError, ValueError, KeyError) as exc:
                 raise DataError(f"row {line}: {exc}") from None
-            cluster.append(row["cluster"] if has_cluster and row["cluster"] != "" else str(line))
+            # values are stripped, so a leading space marks a row's own cluster
+            cluster.append(row["cluster"] if has_cluster and row["cluster"] != "" else f" {line}")
     if not y:
         raise DataError("input file has no data rows")
     z_arr = np.array(z)
@@ -356,19 +350,29 @@ def cmd_diagnose(args) -> int:
 # simulate
 # --------------------------------------------------------------------------
 
-_CONFIG_LIST_KEYS = {"n_per_arm", "dispersion_sd", "prob_scenario", "shapes"}
-_CONFIG_KEYS = _CONFIG_LIST_KEYS | {
-    "replicates", "k_levels", "effect", "sigma", "shape", "starts", "tol", "max_iter",
+def _comma_list(parse):
+    return lambda text: [parse(v.strip()) for v in text.split(",")]
+
+
+_CONFIG_KEYS = {  # key -> parser of its value
+    "n_per_arm": _comma_list(int), "dispersion_sd": _comma_list(float),
+    "prob_scenario": _comma_list(str), "shapes": _comma_list(parse_shape),
+    "shape": parse_shape, "starts": parse_starts, "tol": float, "max_iter": int,
+    "replicates": int, "k_levels": int, "effect": float, "sigma": float,
 }
 
 
-def read_sim_config(path: str, seed: int) -> tuple[list[SimConfig], list[tuple[str, float | None]] | None]:
-    """Parse the key=value grid file into the config cross product.
+def read_sim_config(path: str, seed: int) -> tuple[list[SimConfig], bool]:
+    """Parse the key=value (or key: value) grid file into the config cross
+    product and whether it is a misspecification study.
 
-    Grid keys (comma lists allowed): n_per_arm, dispersion_sd, prob_scenario.
-    A ``shapes`` list switches to the misspecification study, always fitting
-    the normal family and pairing each shape with the normal baseline; it
-    excludes the single ``shape`` key. Each key may appear once.
+    Grid keys (comma lists allowed): n_per_arm, dispersion_sd,
+    prob_scenario, and the disturbance shape, the innermost axis. A
+    ``shapes`` list makes a paired study: each cell runs the normal baseline
+    first, then each other shape once per :func:`shape_label` (the first
+    occurrence sets its position, the last its parameter). It excludes the
+    single ``shape`` key. Each key may appear once; an absent key takes
+    :class:`SimConfig`'s default.
     """
     if not os.path.exists(path):
         raise DataError(f"config file not found: {path}")
@@ -392,39 +396,27 @@ def read_sim_config(path: str, seed: int) -> tuple[list[SimConfig], list[tuple[s
                                 f"{seen[key]}")
             seen[key] = lineno
             raw[key] = value.strip()
+    if "shape" in raw and "shapes" in raw:
+        raise DataError("config sets both 'shape' and 'shapes': a 'shapes' study pairs "
+                        "each shape with the normal baseline, so give one of the two")
     try:
-        n_list = [int(v) for v in raw.get("n_per_arm", "1000").split(",")]
-        d_list = [float(v) for v in raw.get("dispersion_sd", "1.6").split(",")]
-        p_list = [v.strip() for v in raw.get("prob_scenario", "unequal").split(",")]
-        base = dict(
-            k_levels=int(raw.get("k_levels", "2")),
-            effect=float(raw.get("effect", "2.0")),
-            sigma=float(raw.get("sigma", "1.0")),
-            replicates=int(raw.get("replicates", "100")),
-            starts=parse_starts(raw.get("starts", "all")),
-            tol=float(raw.get("tol", "1e-9")),
-            max_iter=int(raw.get("max_iter", "2000")),
-            seed=seed,
-        )
-        if "shape" in raw and "shapes" in raw:
-            raise DataError("config sets both 'shape' and 'shapes': a 'shapes' study pairs "
-                            "each shape with the normal baseline, so give one of the two")
-        shape, shape_param = parse_shape(raw.get("shape", "normal"))
-        shapes = None
-        if "shapes" in raw:
-            shapes = [parse_shape(v.strip()) for v in raw["shapes"].split(",")]
+        values = {key: _CONFIG_KEYS[key](text) for key, text in raw.items()}
+        axes = [values.pop(key, [getattr(SimConfig, key)])
+                for key in ("n_per_arm", "dispersion_sd", "prob_scenario")]
+        paired = "shapes" in values
+        if paired:
+            shaped = {shape_label(*s): s for s in values.pop("shapes") if s[0] != "normal"}
+            shapes = [("normal", None), *shaped.values()]
+        else:
+            shapes = [values.pop("shape", (SimConfig.shape, SimConfig.shape_param))]
         configs = [
-            SimConfig(
-                n_per_arm=n, dispersion_sd=d, prob_scenario=p,
-                shape=shape, shape_param=shape_param, **base,
-            )
-            for n in n_list
-            for d in d_list
-            for p in p_list
+            SimConfig(n_per_arm=n, dispersion_sd=d, prob_scenario=p, shape=shape,
+                      shape_param=param, seed=seed, **values)
+            for n, d, p, (shape, param) in itertools.product(*axes, shapes)
         ]
     except ValueError as exc:
         raise DataError(f"invalid config value: {exc}") from None
-    return configs, shapes
+    return configs, paired
 
 
 def _replicate_rows(report: RecoveryReport) -> list[dict]:
@@ -471,42 +463,43 @@ def _summary_row(report: RecoveryReport) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    configs, shapes = read_sim_config(args.config, args.seed)
+    """Run one recovery study per config of the grid file and write the
+    replicate rows, the per-config summary and ``grid_summary.json``. A
+    paired study's summary adds each cell's label-correct fraction under
+    normal disturbances and its drop under each other shape."""
+    configs, paired = read_sim_config(args.config, args.seed)
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    reports: list[RecoveryReport] = []
-    studies: list[MisspecStudy] = []
-    if shapes is None:
-        reports = run_grid(configs)
-    else:
-        for cfg in configs:
-            study = misspecification_study(cfg, shapes)
-            studies.append(study)
-            reports.append(study.baseline)
-            reports.extend(study.shaped.values())
+    reports = [run_study(cfg) for cfg in configs]
 
     rep_path = os.path.join(out_dir, "replicates.csv")
     sum_path = os.path.join(out_dir, "summary.csv")
     _write_csv(rep_path, [row for report in reports for row in _replicate_rows(report)])
     _write_csv(sum_path, [_summary_row(report) for report in reports])
 
+    # a paired cell is its normal baseline and the shaped reports after it
+    cells: list[tuple[RecoveryReport, list[RecoveryReport]]] = []
+    for report in reports:
+        if paired and report.config.shape != "normal":
+            cells[-1][1].append(report)
+        else:
+            cells.append((report, []))
     payload = {
         "command": "simulate",
         "seed": args.seed,
-        "n_configs": len(configs),
+        "n_configs": len(cells),
         "files": {"replicates": os.path.basename(rep_path),
                   "summary": os.path.basename(sum_path)},
     }
-    if studies:
+    if paired:
         payload["misspecification"] = [
-            {
-                "n_per_arm": st.baseline.config.n_per_arm,
-                "dispersion_sd": st.baseline.config.dispersion_sd,
-                "prob_scenario": st.baseline.config.prob_scenario,
-                "baseline_label_correct": st.baseline.fraction_label_correct,
-                "degradation": {lbl: st.degradation(lbl) for lbl in st.shaped},
-            }
-            for st in studies
+            {"n_per_arm": base.config.n_per_arm, "dispersion_sd": base.config.dispersion_sd,
+             "prob_scenario": base.config.prob_scenario,
+             "baseline_label_correct": base.fraction_label_correct,
+             "degradation": {shape_label(r.config.shape, r.config.shape_param):
+                             base.fraction_label_correct - r.fraction_label_correct
+                             for r in shaped}}
+            for base, shaped in cells
         ]
     _write_json(os.path.join(out_dir, "grid_summary.json"), payload)
     print(f"simulation outputs in {out_dir} ({len(reports)} report(s))")
@@ -533,9 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="collapse z > 0 to 1 before fitting (implies --levels 2)")
     p_fit.add_argument("--mean-structure", choices=["saturated", "linear"],
                        default="saturated")
-    p_fit.add_argument("--tol", type=float, default=1e-9)
-    p_fit.add_argument("--max-iter", type=int, default=2000)
-    p_fit.add_argument("--starts", default="all",
+    p_fit.add_argument("--tol", type=float, default=FitConfig.tol)
+    p_fit.add_argument("--max-iter", type=int, default=FitConfig.max_iter)
+    p_fit.add_argument("--starts", default=FitConfig.starts,
                        help="'all', 'topk:N' or 'spread:N' (default all)")
     p_fit.add_argument("--out-dir", default=".")
     p_fit.set_defaults(func=cmd_fit)
@@ -560,13 +553,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (EstimationError, InferenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
+    except (DataError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except StratfitError as exc:

@@ -171,25 +171,6 @@ def _num_jacobian(fun, x: np.ndarray, rel: float) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def _hessian_and_bread(fit: FitResult, dataset: Dataset):
-    x = pack(fit.params)
-    like = fit.params
-
-    def packed_logliks(points):
-        return log_likelihood([unpack(v, like) for v in points], dataset)
-
-    hess = _num_hessian(packed_logliks, x, _em_block(dataset))
-    hess = 0.5 * (hess + hess.T)
-    eigs = np.linalg.eigvalsh(hess)
-    if eigs.max() > 1e-8 * abs(eigs.min()):
-        raise InferenceError(
-            "not at an interior maximum: Hessian is not negative definite "
-            f"(eigenvalues {np.array2string(eigs, precision=4)})"
-        )
-    bread = np.linalg.inv(-hess)
-    return x, hess, 0.5 * (bread + bread.T)
-
-
 def observed_information_se(fit: FitResult, dataset: Dataset) -> ParamCovariance:
     """Naive MLE covariance: inverse negative numerical Hessian of the
     weighted log-likelihood at the packed optimum.
@@ -198,44 +179,54 @@ def observed_information_se(fit: FitResult, dataset: Dataset) -> ParamCovariance
     probabilities) and non-negative-definite Hessians.
     """
     _check_interior(fit)
-    _, hess, bread = _hessian_and_bread(fit, dataset)
+    like = fit.params
+
+    def packed_logliks(points):
+        return log_likelihood([unpack(v, like) for v in points], dataset)
+
+    hess = _num_hessian(packed_logliks, pack(like), _em_block(dataset))
+    hess = 0.5 * (hess + hess.T)
+    eigs = np.linalg.eigvalsh(hess)
+    if eigs.max() > 1e-8 * abs(eigs.min()):
+        raise InferenceError(
+            "not at an interior maximum: Hessian is not negative definite "
+            f"(eigenvalues {np.array2string(eigs, precision=4)})"
+        )
+    bread = np.linalg.inv(-hess)
     return ParamCovariance(
         kind="observed_information",
-        names=tuple(param_names(fit.params, packed=True)),
-        cov=bread,
+        names=tuple(param_names(like, packed=True)),
+        cov=0.5 * (bread + bread.T),
         hessian=hess,
     )
 
 
 def cluster_sandwich_se(
-    fit: FitResult, dataset: Dataset, bread: ParamCovariance | None = None
+    fit: FitResult, dataset: Dataset, bread: ParamCovariance
 ) -> ParamCovariance:
     """Huber-White sandwich covariance with scores summed within clusters.
 
     meat = sum over clusters of the outer product of the cluster's weighted
-    score sum, times the G/(G-1) small-sample factor; bread is the inverse
-    negative Hessian (reused from ``bread`` when provided).
+    score sum, times the G/(G-1) small-sample factor; the bread is the naive
+    covariance ``bread`` from :func:`observed_information_se`, whose Hessian
+    the result carries.
     """
     _check_interior(fit)
     codes = dataset.cluster
     n_clusters = dataset.n_clusters
     if n_clusters < 2:
         raise InferenceError("clustered variance needs at least 2 clusters")
-    if bread is None:
-        x, hess, bread_m = _hessian_and_bread(fit, dataset)
-    else:
-        x, hess, bread_m = pack(fit.params), bread.hessian, bread.cov
-
+    x = pack(fit.params)
     scores = _num_jacobian(lambda v: case_loglik(unpack(v, fit.params), dataset), x, HESS_STEP)
     grouped = np.zeros((n_clusters, len(x)))
     np.add.at(grouped, codes, dataset.w[:, None] * scores)
     meat = grouped.T @ grouped * (n_clusters / (n_clusters - 1.0))
-    cov = bread_m @ meat @ bread_m
+    cov = bread.cov @ meat @ bread.cov
     return ParamCovariance(
         kind="cluster_sandwich",
         names=tuple(param_names(fit.params, packed=True)),
         cov=0.5 * (cov + cov.T),
-        hessian=hess,
+        hessian=bread.hessian,
         n_clusters=n_clusters,
     )
 

@@ -1,13 +1,16 @@
 """Parameter-recovery studies for the strata mixture estimator.
 
-Generates data from a known four- or nine-strata model over grids of sample
-size, within-cell mean dispersion, strata-probability scenarios and
-disturbance shapes, refits the normal family with the full starting-mapping
-machinery, and scores whether the fitted components landed on the right
-strata. Scoring is permutation-aware: a fit that is correct only up to a
-within-cell relabeling counts as swapped. Replicates run one after another
-in the calling thread, each from its own spawned seed, so a study is
-deterministic given its config.
+Generates data from a known four- or nine-strata model, refits the normal
+family with the full starting-mapping machinery, and scores whether the
+fitted components landed on the right strata. Scoring is permutation-aware:
+a fit that is correct only up to a within-cell relabeling counts as swapped.
+:func:`run_study` runs the replicates of one :class:`SimConfig` one after
+another in the calling thread, each from its own spawned seed, so a study
+is deterministic given its config. A grid of sample sizes, dispersions,
+probability scenarios and disturbance shapes is a list of configs, one
+study each. Configs that differ only in shape share their replicate seeds,
+so a non-normal shape's report pairs replicate by replicate with the normal
+one: the misspecification comparison.
 
 A disturbance shape is a name in ``SHAPES`` and a parameter: ``normal``
 takes none, ``heavy_tail:df`` is a Student-t with df > 2 and ``skewed:g`` a
@@ -18,7 +21,7 @@ shifted log-normal with skewness g. Every shape is scaled to unit SD, so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,8 +116,8 @@ class SimConfig:
     built-in arm contrast shared by every stratum.
     """
 
-    n_per_arm: int
-    dispersion_sd: float
+    n_per_arm: int = 1000
+    dispersion_sd: float = 1.6
     prob_scenario: str = "unequal"
     shape: str = "normal"
     shape_param: float | None = None
@@ -123,9 +126,9 @@ class SimConfig:
     sigma: float = 1.0
     replicates: int = 100
     seed: int = 0
-    starts: str | tuple[str, int] = "all"
-    tol: float = 1e-9
-    max_iter: int = 2000
+    starts: str | tuple[str, int] = FitConfig.starts
+    tol: float = FitConfig.tol
+    max_iter: int = FitConfig.max_iter
 
     def __post_init__(self):
         if self.n_per_arm < 2 * self.k_levels**2:
@@ -284,36 +287,3 @@ def run_study(config: SimConfig) -> RecoveryReport:
     """All replicates of one config; deterministic given the config seed."""
     recs = [run_replicate(config, i) for i in range(config.replicates)]
     return RecoveryReport(config=config, truth=true_model(config), replicates=tuple(recs))
-
-
-def run_grid(configs: list[SimConfig]) -> list[RecoveryReport]:
-    """Recovery reports for every config, in order; replicate fit failures
-    are recorded in the reports, not raised."""
-    return [run_study(c) for c in configs]
-
-
-@dataclass(frozen=True, eq=False)
-class MisspecStudy:
-    """Recovery under non-normal generation, always fit with the normal model."""
-
-    baseline: RecoveryReport
-    shaped: dict[str, RecoveryReport]
-
-    def degradation(self, label: str) -> float:
-        """Drop in label-correct fraction relative to normal generation."""
-        return self.baseline.fraction_label_correct - self.shaped[label].fraction_label_correct
-
-
-def misspecification_study(
-    base: SimConfig, shapes: list[tuple[str, float | None]]
-) -> MisspecStudy:
-    """Generate under each disturbance shape (same seeds, so replicates pair
-    with the baseline), fit the normal-family model, and compare recovery."""
-    baseline = run_study(replace(base, shape="normal", shape_param=None))
-    shaped = {}
-    for shape, param in shapes:
-        if shape == "normal":
-            continue
-        label = shape_label(shape, param)
-        shaped[label] = run_study(replace(base, shape=shape, shape_param=param))
-    return MisspecStudy(baseline=baseline, shaped=shaped)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import json
 import re
 from collections import Counter
@@ -11,8 +12,9 @@ from stratfit import cli
 from stratfit.cli import load_fit, main, read_dataset, read_sim_config, save_fit
 from stratfit.densities import Family
 from stratfit.effects import effect_table, natural_param_ses
-from stratfit.em import fit
-from stratfit.errors import DataError
+from stratfit.em import FitConfig, fit
+from stratfit.errors import DataError, EstimationError, InferenceError, WarmStartError
+from stratfit.simulate import SimConfig
 
 from test_estimation import simulate_four_strata
 
@@ -93,6 +95,36 @@ class TestReadDataset:
         ds = read_dataset(str(path), 2, False, Family.NORMAL)
         assert np.all(ds.w == 1.0)
         assert ds.n_clusters == 2
+
+    @pytest.mark.parametrize("level", ["inf", "-inf", "nan"])
+    def test_non_finite_level_reports_row(self, tmp_path, level):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"y,t,z\n1.0,0,0\n2.0,1,1\n3.0,0,{level}\n4.0,1,0\n")
+        with pytest.raises(DataError, match="row 4: z must be an integer level"):
+            read_dataset(str(path), 2, False, Family.NORMAL)
+        assert main(["fit", str(path), "--out-dir", str(tmp_path)]) == 2
+
+    def test_blank_cluster_cell_is_a_cluster_of_its_own(self, tmp_path):
+        # the blank cell sits on line 5, and another row's cluster is 5
+        path = tmp_path / "ok.csv"
+        path.write_text("y,t,z,cluster\n1.0,0,0,5\n2.0,1,1,6\n3.0,0,1,7\n4.0,1,0,\n")
+        ds = read_dataset(str(path), 2, False, Family.NORMAL)
+        assert ds.n_clusters == 4
+
+    def test_cluster_codes_follow_the_label_order(self, tmp_path):
+        # no blank cell, or no column: codes number the sorted labels, the
+        # row's line number standing in for an absent column
+        rows = [(float(i), i % 2, 0) for i in range(12)]
+        labels = [str(line) for line in range(2, 14)]
+        expected = np.unique(labels, return_inverse=True)[1]
+        path = tmp_path / "ok.csv"
+        path.write_text("y,t,z\n" + "".join(f"{y},{t},{z}\n" for y, t, z in rows))
+        assert np.array_equal(read_dataset(str(path), 2, False, Family.NORMAL).cluster,
+                              expected)
+        path.write_text("y,t,z,cluster\n" + "".join(
+            f"{y},{t},{z},{label}\n" for (y, t, z), label in zip(rows, labels)))
+        assert np.array_equal(read_dataset(str(path), 2, False, Family.NORMAL).cluster,
+                              expected)
 
 
 class TestCmdFit:
@@ -376,14 +408,24 @@ class TestCmdSimulate:
     def test_misspec_shapes_run_against_baseline(self, tmp_path):
         cfg = self._config(
             tmp_path,
-            "n_per_arm = 60\ndispersion_sd = 2.4\nreplicates = 1\n"
+            "n_per_arm = 60, 80\ndispersion_sd = 2.4\nreplicates = 2\n"
             "shapes = heavy_tail:10, skewed:1\n",
         )
         out = tmp_path / "mis"
-        assert main(["simulate", cfg, "--seed", "4", "--out-dir", str(out)]) == 0
+        assert main(["simulate", cfg, "--seed", "7", "--out-dir", str(out)]) == 0
         payload = json.loads((out / "grid_summary.json").read_text())
-        deg = payload["misspecification"][0]["degradation"]
-        assert set(deg) == {"heavy_tail:10", "skewed:1"}
+        with open(out / "summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        labels = ["normal", "heavy_tail:10", "skewed:1"]
+        assert [r["shape"] for r in rows] == labels * 2
+        assert payload["n_configs"] == 2
+        for n, study, cell in zip((60, 80), payload["misspecification"],
+                                  (rows[:3], rows[3:])):
+            frac = {r["shape"]: float(r["fraction_label_correct"]) for r in cell}
+            assert study["n_per_arm"] == n
+            assert study["baseline_label_correct"] == frac["normal"]
+            assert study["degradation"] == {
+                label: frac["normal"] - frac[label] for label in labels[1:]}
 
     def test_invalid_config_exits_2(self, tmp_path):
         cfg = self._config(tmp_path, "翻 = 1\n")
@@ -414,11 +456,45 @@ class TestCmdSimulate:
 
     def test_read_sim_config_defaults(self, tmp_path):
         cfg = self._config(tmp_path, "n_per_arm = 100\n# comment\n")
-        configs, shapes = read_sim_config(cfg, seed=5)
-        assert shapes is None
+        configs, paired = read_sim_config(cfg, seed=5)
+        assert paired is False
         assert len(configs) == 1
         assert configs[0].seed == 5
         assert configs[0].prob_scenario == "unequal"
+        defaults = SimConfig()
+        for key in ("dispersion_sd", "shape", "shape_param", "replicates", "k_levels",
+                    "effect", "sigma", "starts", "tol", "max_iter"):
+            assert getattr(configs[0], key) == getattr(defaults, key)
+        assert (defaults.tol, defaults.max_iter, defaults.starts) == (
+            FitConfig.tol, FitConfig.max_iter, FitConfig.starts)
+
+    def test_read_sim_config_grid_order(self, tmp_path):
+        cfg = self._config(
+            tmp_path,
+            "n_per_arm = 60, 80\ndispersion_sd = 1.6, 2.4\nprob_scenario = unequal, uniform\n"
+            "shapes = skewed:1, heavy_tail:10, normal, skewed:1\n",
+        )
+        configs, paired = read_sim_config(cfg, seed=3)
+        assert paired is True
+        # the shape is the innermost axis, the normal baseline first, and a
+        # repeated label runs once
+        shapes = [("normal", None), ("skewed", 1.0), ("heavy_tail", 10.0)]
+        assert [(c.n_per_arm, c.dispersion_sd, c.prob_scenario, (c.shape, c.shape_param))
+                for c in configs] == list(itertools.product(
+                    [60, 80], [1.6, 2.4], ["unequal", "uniform"], shapes))
+        # a label keeps its first position and its last parameter
+        cfg = self._config(tmp_path, "n_per_arm = 60\n"
+                                     "shapes = heavy_tail:10.0000001, skewed:1, heavy_tail:10\n")
+        configs, _ = read_sim_config(cfg, seed=3)
+        assert [(c.shape, c.shape_param) for c in configs] == [
+            ("normal", None), ("heavy_tail", 10.0), ("skewed", 1.0)]
+        # 'shapes = normal' is a study of the baseline alone; 'shape' is no study
+        for text, paired_want, shape in (("shapes = normal", True, ("normal", None)),
+                                         ("shape = skewed:1.5", False, ("skewed", 1.5))):
+            cfg = self._config(tmp_path, f"n_per_arm = 60\n{text}\n")
+            configs, paired = read_sim_config(cfg, seed=3)
+            assert paired is paired_want
+            assert [(c.shape, c.shape_param) for c in configs] == [shape]
 
     def test_smoke_run_is_fast(self, tmp_path):
         import time
@@ -430,3 +506,16 @@ class TestCmdSimulate:
         start = time.time()
         assert main(["simulate", cfg, "--seed", "2", "--out-dir", str(out)]) == 0
         assert time.time() - start < 5.0
+
+
+@pytest.mark.parametrize("error, code", [
+    (DataError, 2), (WarmStartError, 2), (ValueError, 2),
+    (EstimationError, 3), (InferenceError, 3),
+])
+def test_exit_code_per_error(tmp_path, monkeypatch, capsys, error, code):
+    def fail(args):
+        raise error("no luck")
+
+    monkeypatch.setattr(cli, "cmd_diagnose", fail)
+    assert main(["diagnose", "--fit", "fit.json", "--out-dir", str(tmp_path)]) == code
+    assert capsys.readouterr().err == "error: no luck\n"

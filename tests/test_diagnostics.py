@@ -56,6 +56,7 @@ class TestPosteriorHistogram:
 
 
 class TestMarginalFit:
+    @pytest.mark.slow
     def test_self_consistency_on_large_sample(self):
         ds, _ = simulate_four_strata(100_000, seed=54, dispersion=2.4, effect=5.0)
         res = fit(ds)

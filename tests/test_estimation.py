@@ -780,7 +780,9 @@ class TestStartRanking:
             select_starts(far, warm, StrataGrid(levels), Family.NORMAL,
                           MeanStructure.SATURATED, ("topk", 3))
 
-    @STRUCTURES
+    @pytest.mark.parametrize(
+        "mean_structure", [SATURATED, pytest.param(LINEAR, marks=pytest.mark.slow)],
+        ids=lambda m: m.value)
     def test_three_level_ranking_memory_stays_bounded(self, mean_structure):
         ds = simulate_nine_strata(1500, seed=26)
         warm = warm_start_cells(ds, Family.NORMAL)

@@ -189,7 +189,7 @@ class TestStackedHessian:
     def test_equals_one_point_oracle(self, fitted, monkeypatch):
         res, ds = fitted
         naive = observed_information_se(res, ds)
-        sandwich = cluster_sandwich_se(res, ds)
+        sandwich = cluster_sandwich_se(res, ds, bread=naive)
 
         def oracle(fun, x, block):
             return num_hessian_oracle(
@@ -197,7 +197,9 @@ class TestStackedHessian:
 
         monkeypatch.setattr(effects, "_num_hessian", oracle)
         assert np.array_equal(naive.hessian, observed_information_se(res, ds).hessian)
-        assert np.array_equal(sandwich.cov, cluster_sandwich_se(res, ds).cov)
+        assert np.array_equal(
+            sandwich.cov,
+            cluster_sandwich_se(res, ds, bread=observed_information_se(res, ds)).cov)
 
     def test_working_set_stays_bounded(self):
         ds, truth = simulate_four_strata(20_000, seed=45)
@@ -216,7 +218,7 @@ class TestClusterSandwich:
         one = Dataset.from_arrays(ds.y, ds.t, ds.z, cluster=np.zeros(ds.n), k_levels=2)
         res = fit(one)
         with pytest.raises(InferenceError, match="clusters"):
-            cluster_sandwich_se(res, one)
+            cluster_sandwich_se(res, one, bread=observed_information_se(res, one))
 
     def test_singleton_clusters_equal_classic_robust(self):
         ds, _ = simulate_four_strata(300, seed=40)

@@ -5,14 +5,11 @@ import pytest
 
 from stratfit import em, simulate
 from stratfit.simulate import (
-    MisspecStudy,
     SimConfig,
     _generate_labeled,
     _replicate_rng,
     generate,
-    misspecification_study,
     parse_shape,
-    run_grid,
     run_study,
     scenario_probs,
     true_model,
@@ -151,32 +148,11 @@ class TestRunStudy:
         failed = [r for r in report.replicates if not r.ok]
         assert all(r.error for r in failed)
 
-    def test_run_grid_orders_reports(self):
-        configs = [
-            SimConfig(60, 2.4, replicates=2, seed=8),
-            SimConfig(80, 2.4, replicates=2, seed=9),
-        ]
-        reports = run_grid(configs)
-        assert [r.config.n_per_arm for r in reports] == [60, 80]
-
     def test_well_separated_recovery(self):
         cfg = SimConfig(1000, 2.4, replicates=5, seed=10)
         report = run_study(cfg)
         assert report.fraction_label_correct == 1.0
         assert report.location_rmse(correct_only=True).max() < 0.2
-
-
-class TestMisspecification:
-    def test_paired_generation_and_labels(self):
-        cfg = SimConfig(150, 2.4, replicates=3, seed=11)
-        study = misspecification_study(
-            cfg, [("heavy_tail", 10.0), ("skewed", 1.0)]
-        )
-        assert isinstance(study, MisspecStudy)
-        assert set(study.shaped) == {"heavy_tail:10", "skewed:1"}
-        assert study.baseline.config.shape == "normal"
-        for label in study.shaped:
-            assert np.isfinite(study.degradation(label))
 
 
 class TestPruningLeavesTheAnswer:
@@ -189,6 +165,7 @@ class TestPruningLeavesTheAnswer:
         # than _PRUNE_FLOOR relative, whatever the units of y
         assert em._PRUNE_FLOOR >= simulate.NEAR_TIE_REL > em.LOGLIK_TIE_TOL
 
+    @pytest.mark.slow
     def test_small_grid_same_answers_with_and_without_pruning(self, monkeypatch):
         fits = []
         real_fit = simulate.fit
