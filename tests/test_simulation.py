@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stratfit import em, simulate
+from stratfit.cli import read_sim_config
 from stratfit.simulate import (
     SimConfig,
     _generate_labeled,
@@ -12,6 +13,7 @@ from stratfit.simulate import (
     parse_shape,
     run_study,
     scenario_probs,
+    shape_label,
     true_model,
 )
 
@@ -153,6 +155,25 @@ class TestRunStudy:
         report = run_study(cfg)
         assert report.fraction_label_correct == 1.0
         assert report.location_rmse(correct_only=True).max() < 0.2
+
+
+class TestMisspecification:
+    def test_paired_generation_and_labels(self, tmp_path):
+        cfg_path = tmp_path / "mis.cfg"
+        cfg_path.write_text("n_per_arm = 150\ndispersion_sd = 2.4\nreplicates = 3\n"
+                            "shapes = heavy_tail:10, skewed:1\n")
+        configs, paired = read_sim_config(str(cfg_path), 11)
+        assert paired
+        # one cell: the normal baseline first, then each shape on the same seed
+        assert [shape_label(c.shape, c.shape_param) for c in configs] == [
+            "normal", "heavy_tail:10", "skewed:1"]
+        assert {(c.n_per_arm, c.dispersion_sd, c.seed, c.replicates) for c in configs} == {
+            (150, 2.4, 11, 3)}
+        baseline, *shaped = [run_study(c) for c in configs]
+        assert baseline.config.shape == "normal"
+        for report in shaped:
+            degradation = baseline.fraction_label_correct - report.fraction_label_correct
+            assert np.isfinite(degradation)
 
 
 class TestPruningLeavesTheAnswer:
