@@ -105,6 +105,15 @@ def read_dataset(path: str, levels: int, dichotomize: bool, family: Family) -> D
             cluster.append(row["cluster"] if has_cluster and row["cluster"] != "" else f" {line}")
     if not y:
         raise DataError("input file has no data rows")
+    y, t, w = np.array(y), np.array(t), np.array(w)
+    for bad, message in (
+        (~np.isfinite(y), "outcomes must be finite"),
+        ((t != 0) & (t != 1), "arm indicator must be 0 or 1"),
+        (~np.isfinite(w) | (w < 0.0), "weights must be finite and nonnegative"),
+        ((y < 0.0) & (family is Family.TOBIT), "negative outcome under censored family"),
+    ):
+        if bad.any():
+            raise DataError(f"row {int(np.flatnonzero(bad)[0]) + 2}: {message}")
     z_arr = np.array(z)
     if dichotomize:
         z_arr = np.where(z_arr > 0, 1, 0)
@@ -115,7 +124,7 @@ def read_dataset(path: str, levels: int, dichotomize: bool, family: Family) -> D
             "(use --dichotomize to collapse levels above 0)"
         )
     return Dataset.from_arrays(
-        np.array(y), np.array(t), z_arr, np.array(w), np.array(cluster, dtype=object),
+        y, t, z_arr, w, np.array(cluster, dtype=object),
         k_levels=levels, family=family,
     )
 

@@ -7,9 +7,9 @@ stages: per-cell warm starts (a plain univariate normal-mixture EM), an
 exhaustive enumeration of the component-to-stratum assignments those warm
 starts admit (16 in the four-strata model), and an EM run from every
 assignment, keeping the solution with the highest weighted log-likelihood.
-Every start runs a short phase of ten evaluations; a start that then trails
-the best of all starts by more than 0.02 per unit of case weight stops there,
-and the others run on to the stop rule (short-run/long-run EM, see
+All starts run together in one EM loop; at its tenth evaluation, a start
+that trails the best of all starts by more than 0.02 per unit of case weight
+stops, and the others run on to the stop rule (short-run/long-run EM, see
 :func:`_run_starts`).
 
 Every mixture evaluation (the log-likelihood, the per-case terms, the E-step
@@ -18,19 +18,20 @@ and the EM loop) runs through one kernel over the dataset's cell partition,
 (:func:`_cell_logdens`) too. The kernel, the sufficient statistics and the
 M-step carry a leading axis over S parameter sets: the public one-set
 functions use S = 1, :func:`log_likelihood` also takes a sequence of sets,
-and the EM loop advances a block of starts together (see
-:func:`_run_starts`), so each iteration costs one pass over the cells for
-all of them rather than one per start. Each set is rounded exactly as when
-it is evaluated alone (``_dot``, ``_matvec`` and C-ordered buffers keep BLAS
-on one code path for every S) and as in earlier releases, which ran one
-start at a time (``math.log`` for scales): the finite-difference standard
-errors in :mod:`.effects` move by up to 1% when an optimum moves in its
-13th digit, so fits must not move with the batching. For the same reason
-the row maxima and sums over a cell's 2-3 strata columns and the sums over
-its cases are column-wise reductions (``_row_max``, ``_row_sum``,
-``_case_sum``) that round exactly as numpy's ``max`` and ``sum`` do: numpy
-reduces a 2-3 wide axis with one inner loop per row, which costs far more
-than the arithmetic.
+and the EM loop advances all running starts together (see
+:func:`_run_starts`). One evaluator, :func:`_evaluate`, runs a stack of
+sets through the kernel in blocks (see ``_EM_BLOCK``), so an iteration costs
+one pass over the cells per block of starts rather than one per start. Each
+set is rounded exactly as when it is evaluated alone (``_dot``, ``_matvec``
+and C-ordered buffers keep BLAS on one code path for every S) and as in
+earlier releases, which ran one start at a time (``math.log`` for scales):
+the finite-difference standard errors in :mod:`.effects` move by up to 1%
+when an optimum moves in its 13th digit, so fits must not move with the
+batching. For the same reason the row maxima and sums over a cell's 2-3
+strata columns and the sums over its cases are column-wise reductions
+(``_row_max``, ``_row_sum``, ``_case_sum``) that round exactly as numpy's
+``max`` and ``sum`` do: numpy reduces a 2-3 wide axis with one inner loop
+per row, which costs far more than the arithmetic.
 
 The warm starts run every cell's mixture EM in lockstep on one padded stack
 (see :func:`_lockstep_em`), so a dataset needs as many Python iterations as
@@ -48,7 +49,7 @@ blocks of mapping ids whose working set does not grow with the mapping
 count. Under the saturated structure a mapping costs about one logarithm
 per case (see ``_RANK_BLOCK``); under the linear structure the projection
 moves every density column with the mapping, so each block of start sets
-goes through the EM kernel (see ``_EM_BLOCK``).
+goes through :func:`_evaluate`.
 
 Fitting is deterministic: warm starts initialize from weighted quantile
 splits and no stage consumes random numbers. Everything runs in the calling
@@ -61,7 +62,6 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -93,13 +93,18 @@ def _check_censored(dataset: Dataset, family: Family) -> None:
         raise DataError("negative outcome under censored family")
 
 
-def _check_inputs(params: ModelParams, dataset: Dataset) -> None:
-    if params.grid.k_levels != dataset.k_levels:
-        raise DataError(
-            f"dataset has {dataset.k_levels} levels but parameters use "
-            f"{params.grid.k_levels}"
-        )
-    _check_censored(dataset, params.family)
+def _check_inputs(sets: Sequence[ModelParams], dataset: Dataset) -> Family:
+    """Check parameter sets of one family against the dataset; return it."""
+    family = sets[0].family
+    for p in sets:
+        if p.family is not family:
+            raise ValueError("parameter sets of different families")
+        if p.grid.k_levels != dataset.k_levels:
+            raise DataError(
+                f"dataset has {dataset.k_levels} levels but parameters use {p.grid.k_levels}"
+            )
+    _check_censored(dataset, family)
+    return family
 
 
 # --------------------------------------------------------------------------
@@ -203,12 +208,26 @@ def _stack(sets: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray, np.ndar
             np.stack([p.scales for p in sets]))
 
 
-def _total(terms):
-    """Weighted sums of the log mixture terms, (S,), accumulated cell by cell."""
-    total = 0.0
-    for cell, lse, _ in terms:
-        total = total + _dot(lse, cell.w)
-    return total
+def _evaluate(dataset: Dataset, logp, table, scales, family: Family, stats=None) -> np.ndarray:
+    """Weighted log-likelihoods (S,) of S parameter sets stacked as for
+    :func:`_mixture`. Given ``stats``, zeros of shape (S, 2, n_strata, 3 or
+    4), it also writes the sets' posterior-weighted statistics into it (see
+    :func:`_accumulate`).
+
+    The sets run through the kernel in blocks of ``_em_block(dataset)``, so
+    the working set does not grow with S; a set's values do not depend on
+    the block it runs in.
+    """
+    block = _em_block(dataset)
+    ll = np.zeros(len(logp))
+    for lo in range(0, len(logp), block):
+        s = slice(lo, lo + block)
+        for cell, lse, post in _mixture(dataset, logp[s], table[s], scales[s], family,
+                                        stats is not None):
+            ll[s] += _dot(lse, cell.w)
+            if stats is not None:
+                _accumulate(stats[s], cell, post, family)
+    return ll
 
 
 def log_likelihood(params: ModelParams | Sequence[ModelParams],
@@ -222,25 +241,17 @@ def log_likelihood(params: ModelParams | Sequence[ModelParams],
     Given one parameter set, returns a float. Given a sequence of sets of
     one family, returns an array with one value per set, each equal bit for
     bit to the set's own value: the sets run together through the kernel's
-    set axis, in blocks sized as the EM loop's (see ``_EM_BLOCK``).
+    set axis (see :func:`_evaluate`).
     """
     if isinstance(params, ModelParams):
         return float(log_likelihood([params], dataset)[0])
-    family = params[0].family
-    for p in params:
-        if p.family is not family:
-            raise ValueError("parameter sets of different families")
-        _check_inputs(p, dataset)
-    block = _em_block(dataset)
-    return np.concatenate([
-        _total(_mixture(dataset, *_stack(params[lo:lo + block]), family, False))
-        for lo in range(0, len(params), block)
-    ])
+    family = _check_inputs(params, dataset)
+    return _evaluate(dataset, *_stack(params), family)
 
 
 def case_loglik(params: ModelParams, dataset: Dataset) -> np.ndarray:
     """Per-case unweighted log mixture terms, aligned with the dataset rows."""
-    _check_inputs(params, dataset)
+    _check_inputs([params], dataset)
     out = np.zeros(dataset.n)
     for cell, lse, _ in _mixture(dataset, *_stack([params]), params.family, False):
         out[cell.rows] = lse[0]
@@ -254,7 +265,7 @@ def e_step(params: ModelParams, dataset: Dataset) -> np.ndarray:
     compatible entries are the normalized prior-times-density terms computed
     in log space with max subtraction.
     """
-    _check_inputs(params, dataset)
+    _check_inputs([params], dataset)
     out = np.zeros((dataset.n, params.grid.n_strata))
     for cell, _, post in _mixture(dataset, *_stack([params]), params.family, True):
         out[np.ix_(cell.rows, cell.strata)] = post[0]
@@ -826,10 +837,9 @@ def _start_sets(warm, ids, grid: StrataGrid, mean_structure: MeanStructure,
 # float64, 256 KiB.
 _RANK_BLOCK = 1 << 15
 
-# The largest (sets x cases x strata) array the EM loop, linear start
-# ranking and a stacked log_likelihood build, in float64 entries: 2^16,
-# 512 KiB. Sets run in blocks sized to the widest cell, so the working set
-# does not grow with the number of sets or the sample size.
+# The largest (sets x cases x strata) array _evaluate builds, in float64
+# entries: 2^16, 512 KiB. Sets run in blocks sized to the widest cell, so
+# the working set does not grow with the number of sets or the sample size.
 _EM_BLOCK = 1 << 16
 
 
@@ -852,15 +862,13 @@ def _initial_logliks(dataset, warm, grid, family, mean_structure, scales):
     ``E @ p`` products are formed at most ``_RANK_BLOCK`` entries at a time
     (or one mapping at a time for a larger cell). Under the linear structure
     the projection moves the columns with the mapping, so each block of
-    start sets (see :func:`_start_sets`) goes through the EM kernel, in
-    blocks sized as the EM loop's.
+    start sets (see :func:`_start_sets`) goes through :func:`_evaluate`.
     """
     k = grid.k_levels
     total = n_mappings(k)
     linear = mean_structure is MeanStructure.LINEAR
     if linear:
         design_t = linear_design(grid).T
-        block = _em_block(dataset)
     else:
         terms = []
         for c, cell in enumerate(dataset.cells):
@@ -873,7 +881,7 @@ def _initial_logliks(dataset, warm, grid, family, mean_structure, scales):
                     raise DegenerateMixtureError(int(cell.rows[np.flatnonzero(bad)[0]]))
                 # the row maximum's column has E == 1, so E @ p > 0
                 terms.append((c, cell, np.exp(ld - top[:, None]), float(cell.w @ top)))
-        block = _RANK_BLOCK // grid.n_strata
+    block = _RANK_BLOCK // grid.n_strata
     perms = _perm_table(k)
     lls = np.zeros(total)
     for lo in range(0, total, block):
@@ -881,8 +889,7 @@ def _initial_logliks(dataset, warm, grid, family, mean_structure, scales):
         out = lls[lo:lo + len(ids)]
         if linear:
             probs, coef, sets = _start_sets(warm, ids, grid, mean_structure, scales)
-            out[:] = _total(_mixture(dataset, _log_probs(probs), coef @ design_t, sets,
-                                     family, False))
+            out[:] = _evaluate(dataset, _log_probs(probs), coef @ design_t, sets, family)
         else:
             digits = _digits(ids, k)
             probs = _initial_probs(warm, perms[digits], grid)
@@ -1050,124 +1057,83 @@ _PRUNE_FLOOR = 1e-4
 _DROP_TOL = 1e-10
 
 
-class _Running(NamedTuple):
-    """The running starts of one block: positions in the fit's start list,
-    the current sets (probs (S, n_strata), coef (S, 2, n_loc), scales (S,
-    2)), the frozen and scale-floor flags of the M-step that made them and,
-    once they are evaluated, their location tables (S, 2, n_strata),
-    statistics and log-likelihoods (S,)."""
-
-    pos: np.ndarray
-    probs: np.ndarray
-    coef: np.ndarray
-    scales: np.ndarray
-    frozen: np.ndarray
-    floor: np.ndarray
-    table: np.ndarray | None = None
-    stats: np.ndarray | None = None
-    ll: np.ndarray | None = None
-
-    def take(self, index) -> _Running:
-        return _Running(*(None if a is None else a[index] for a in self))
-
-
 def _run_starts(dataset, ids, probs, coef, scales, family, mean_structure, tol, max_iter,
                 scale_floor, keep_history) -> list[StartRecord]:
     """Run EM from the starts with mapping ids ``ids`` and initial sets
     ``probs`` (S, n_strata), ``coef`` (S, 2, n_loc) and ``scales`` (S, 2),
     as :func:`_start_sets` builds them, and return their records in order.
 
-    The starts of a block (see ``_EM_BLOCK``) advance together through one
-    kernel and one M-step per iteration. A start stops once its
-    log-likelihood changes by at most ``tol * max(1, |ll|)`` (``"tol"``),
-    else once it drops by more than ``_DROP_TOL * |ll|``
-    (``"nonmonotone"``), or after ``max_iter`` M-steps and one more
-    evaluation (``"max_iter"``), and leaves the block.
+    All running starts advance together, one iteration at a time: the
+    M-step, a block of ``_em_block(dataset)`` starts at a time (the tobit
+    Newton's Hessian stack grows with the sets it holds), and then one
+    :func:`_evaluate`. A start stops once its log-likelihood changes by at
+    most ``tol * max(1, |ll|)`` (``"tol"``), else once it drops by more
+    than ``_DROP_TOL * |ll|`` (``"nonmonotone"``), or after ``max_iter``
+    M-steps and one more evaluation (``"max_iter"``).
 
-    Every block first runs a short phase of ``_SHORT_PHASE`` evaluations.
-    Then each running start that trails the best log-likelihood of all the
-    starts, running or stopped, by more than ``_PRUNE_MARGIN`` per unit of
-    case weight (and by more than ``_PRUNE_FLOOR`` relative) stops as
-    ``"pruned"``, with the record EM would give it with
-    ``max_iter = _SHORT_PHASE - 1`` apart from its stop reason. The
-    survivors of all blocks are regrouped into blocks and run on to the
-    stop rule. A set is rounded alike in any block, so every record that is
+    At evaluation ``_SHORT_PHASE``, each running start that trails the best
+    log-likelihood of all the starts, running or stopped, by more than
+    ``_PRUNE_MARGIN`` per unit of case weight (and by more than
+    ``_PRUNE_FLOOR`` relative) stops as ``"pruned"``, with the record EM
+    would give it with ``max_iter = _SHORT_PHASE - 1`` apart from its stop
+    reason. A set is rounded alike in any block, so every record that is
     not pruned is the one the start would get running on its own.
     """
     grid = StrataGrid(dataset.k_levels)
     design = _design(grid, mean_structure)
-    n_stats = 4 if family is Family.TOBIT else 3
-    history: list[list[float]] = [[] for _ in ids]
-    records: list[StartRecord] = [None] * len(ids)
-
-    def finish(run, done, iterations, reason):
-        for j in np.flatnonzero(done):
-            i = run.pos[j]
-            params = ModelParams(grid, run.probs[j], run.coef[j].T, run.scales[j], family,
-                                 mean_structure)
-            frozen_j = tuple((int(s), int(t)) for t, s in np.argwhere(run.frozen[j]))
-            records[i] = StartRecord(int(ids[i]), float(run.ll[j]), params, iterations,
-                                     tuple(map(bool, run.floor[j])), frozen_j, reason,
-                                     tuple(history[i]))
-
-    def advance(run, it, last):
-        """Take one block from evaluation ``it`` through evaluation ``last``
-        and return its starts still running then, or None."""
-        while True:
-            ll_prev = run.ll
-            if ll_prev is not None:  # the M-step after the last evaluation
-                run = _Running(run.pos, *_m_step_core(
-                    run.stats, grid, family, mean_structure, (run.table, run.scales),
-                    scale_floor))
-            table = run.coef if mean_structure is MeanStructure.SATURATED else run.coef @ design.T
-            ll = 0.0
-            stats = np.zeros((len(run.pos), 2, grid.n_strata, n_stats))
-            for cell, lse, post in _mixture(dataset, _log_probs(run.probs), table, run.scales,
-                                            family, True):
-                ll = ll + _dot(lse, cell.w)
-                _accumulate(stats, cell, post, family)
-            run = run._replace(table=table, stats=stats, ll=ll)
-            if keep_history:
-                for i, value in zip(run.pos, ll.tolist()):
-                    history[i].append(value)
-            if it > max_iter:  # the evaluation after the last M-step
-                finish(run, run.pos >= 0, max_iter, "max_iter")
-                return None
-            if ll_prev is not None:
-                gain = ll - ll_prev
-                size = np.abs(ll)
-                met = np.abs(gain) <= tol * np.maximum(1.0, size)
-                drop = (gain < -_DROP_TOL * size) & ~met
-                stop = drop | met
-                if stop.any():
-                    finish(run, drop, it, "nonmonotone")
-                    finish(run, stop & ~drop, it, "tol")
-                    if stop.all():
-                        return None
-                    run = run.take(~stop)
-            if it == last:
-                return run
-            it += 1
-
     block = _em_block(dataset)
-
-    def blocks(run):
-        return [run.take(slice(lo, lo + block)) for lo in range(0, len(run.pos), block)]
-
     n = len(ids)
-    run = _Running(np.arange(n), probs, coef, scales,
-                   np.zeros((n, 2, grid.n_strata), dtype=bool), np.zeros((n, 2), dtype=bool))
-    paused = [r for r in (advance(b, 1, _SHORT_PHASE) for b in blocks(run)) if r is not None]
-    if not paused:
-        return records
-    run = _Running(*map(np.concatenate, zip(*paused)))
-    lead = max([run.ll.max()] + [r.loglik for r in records if r is not None])
-    margin = max(_PRUNE_MARGIN * float(dataset.w.sum()), _PRUNE_FLOOR * abs(lead))
-    cut = run.ll < lead - margin
-    finish(run, cut, _SHORT_PHASE - 1, "pruned")
-    for b in blocks(run.take(~cut)):
-        advance(b, _SHORT_PHASE + 1, math.inf)
-    return records
+    pos = np.arange(n)  # the running starts' places in ``ids``
+    frozen = np.zeros((n, 2, grid.n_strata), dtype=bool)
+    floor = np.zeros((n, 2), dtype=bool)
+    stats = np.zeros((n, 2, grid.n_strata, 4 if family is Family.TOBIT else 3))
+    history: list[list[float]] = [[] for _ in ids]
+    records: list[StartRecord] = [None] * n
+    ll = None
+
+    def finish(done, iterations, reason):
+        for j in np.flatnonzero(done):
+            i = pos[j]
+            params = ModelParams(grid, probs[j], coef[j].T, scales[j], family, mean_structure)
+            records[i] = StartRecord(int(ids[i]), float(ll[j]), params, iterations,
+                                     tuple(map(bool, floor[j])),
+                                     tuple((int(s), int(t)) for t, s in np.argwhere(frozen[j])),
+                                     reason, tuple(history[i]))
+
+    for it in itertools.count(1):
+        if not pos.size:
+            return records
+        if ll is not None:  # the M-step after the last evaluation
+            probs, coef, scales, frozen, floor = map(np.concatenate, zip(*(
+                _m_step_core(stats[lo:lo + block], grid, family, mean_structure,
+                             (table[lo:lo + block], scales[lo:lo + block]), scale_floor)
+                for lo in range(0, len(pos), block))))
+        table = coef if mean_structure is MeanStructure.SATURATED else coef @ design.T
+        ll_prev, ll = ll, _evaluate(dataset, _log_probs(probs), table, scales, family, stats)
+        if keep_history:
+            for i, value in zip(pos, ll.tolist()):
+                history[i].append(value)
+        if it > max_iter:  # the evaluation after the last M-step
+            finish(pos >= 0, max_iter, "max_iter")
+            return records
+        stop = np.zeros(len(pos), dtype=bool)
+        if ll_prev is not None:
+            gain = ll - ll_prev
+            size = np.abs(ll)
+            met = np.abs(gain) <= tol * np.maximum(1.0, size)
+            drop = (gain < -_DROP_TOL * size) & ~met
+            finish(drop, it, "nonmonotone")
+            finish(met, it, "tol")
+            stop = met | drop
+        if it == _SHORT_PHASE:
+            lead = max([ll.max()] + [r.loglik for r in records if r is not None])
+            margin = max(_PRUNE_MARGIN * float(dataset.w.sum()), _PRUNE_FLOOR * abs(lead))
+            cut = (ll < lead - margin) & ~stop
+            finish(cut, _SHORT_PHASE - 1, "pruned")
+            stop |= cut
+        if stop.any():
+            pos, probs, coef, scales, frozen, floor, table, stats, ll = (
+                a[~stop] for a in (pos, probs, coef, scales, frozen, floor, table, stats, ll))
 
 
 def fit(

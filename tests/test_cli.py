@@ -104,6 +104,21 @@ class TestReadDataset:
             read_dataset(str(path), 2, False, Family.NORMAL)
         assert main(["fit", str(path), "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("row, family, message", [
+        ("nan,1,1,1.0", "normal", "outcomes must be finite"),
+        ("inf,1,1,1.0", "normal", "outcomes must be finite"),
+        ("3.0,1,1,-0.5", "normal", "weights must be finite and nonnegative"),
+        ("3.0,1,1,inf", "normal", "weights must be finite and nonnegative"),
+        ("3.0,2,1,1.0", "normal", "arm indicator must be 0 or 1"),
+        ("-3.0,1,1,1.0", "tobit", "negative outcome under censored family"),
+    ], ids=["nan_y", "inf_y", "negative_w", "inf_w", "arm_2", "tobit_negative_y"])
+    def test_bad_value_reports_row(self, tmp_path, row, family, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"y,t,z,w\n1.0,0,0,1.0\n2.0,1,0,1.0\n3.0,0,1,1.0\n{row}\n")
+        with pytest.raises(DataError, match=f"^row 5: {message}$"):
+            read_dataset(str(path), 2, False, Family(family))
+        assert main(["fit", str(path), "--family", family, "--out-dir", str(tmp_path)]) == 2
+
     def test_blank_cluster_cell_is_a_cluster_of_its_own(self, tmp_path):
         # the blank cell sits on line 5, and another row's cluster is 5
         path = tmp_path / "ok.csv"

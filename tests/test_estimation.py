@@ -1151,6 +1151,28 @@ class TestBatchedEM:
         assert records[3].params.locations[3, 1] == table[3, 1]
         assert_records_match_oracle(records, ids, sets, ds, family, SATURATED, config, floor)
 
+    @pytest.mark.parametrize("case", ["pruned", "pruned_linear", "pruned_tobit"])
+    def test_records_do_not_depend_on_the_block_size(self, case, monkeypatch):
+        # one start per block, three per block and every start in one block
+        make, family, mean_structure, config = ORACLE_CASES[case]
+        ds = make()
+        ids, sets, floor = fit_starts(ds, family, mean_structure, config)
+        widest = max(cell.y.size * cell.strata.size for cell in ds.cells)
+        assert em._em_block(ds) >= len(ids)
+
+        def records(block):
+            monkeypatch.setattr(em, "_EM_BLOCK", block)
+            return [(r.mapping_id, r.loglik, r.iterations, r.stop_reason, r.frozen,
+                     r.floor_active, r.params.probs.tolist(), r.params.locations.tolist(),
+                     r.params.scales.tolist())
+                    for r in _run_starts(ds, ids, *sets, family, mean_structure, config.tol,
+                                         config.max_iter, floor, False)]
+
+        want = records(em._EM_BLOCK)
+        assert "pruned" in {r[3] for r in want}
+        assert records(widest) == want
+        assert records(3 * widest) == want
+
     def test_em_working_set_stays_bounded(self):
         ds, _ = simulate_four_strata(20_000, seed=45)
         ids, sets, floor = fit_starts(ds, Family.NORMAL, SATURATED, FitConfig())

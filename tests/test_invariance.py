@@ -1,5 +1,8 @@
-"""Exact invariances of the model: case weights, rows, censoring and the
-packed parameter transform."""
+"""Invariances of the model: case weights, rows, censoring, level labels
+and the packed parameter transform."""
+
+import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 from stratfit import effects
 from stratfit.core import Dataset, MeanStructure, ModelParams, StrataGrid, pack, unpack
 from stratfit.densities import Family
-from stratfit.em import fit, log_likelihood
+from stratfit.em import FitResult, StartRecord, e_step, fit, log_likelihood
 
 from _oracles import random_small_dataset
 from test_estimation import simulate_four_strata
@@ -22,24 +25,30 @@ def with_rows(ds: Dataset, y, t, z, w, family) -> Dataset:
     return Dataset.from_arrays(y, t, z, w=w, k_levels=ds.k_levels, family=family)
 
 
+@functools.cache
+def weighted_fit(censor: bool, c: float):
+    """A fit and its effect table with every case weight times ``c``."""
+    ds, _ = simulate_four_strata(300, seed=23 if censor else 19, dispersion=3.0, censor=censor)
+    family = Family.TOBIT if censor else Family.NORMAL
+    rng = np.random.default_rng(7)
+    w = rng.uniform(0.5, 2.0, ds.n)
+    cluster = rng.integers(0, 30, ds.n)
+    data = Dataset.from_arrays(ds.y, ds.t, ds.z, w=c * w, cluster=cluster, k_levels=2,
+                               family=family)
+    res = fit(data, family)
+    return res, effects.effect_table(res, data)
+
+
 class TestWeightScaling:
-    """Weights times 4, a power of two, scale every weighted sum exactly, so
-    the whole fit and its SEs follow bit for bit."""
+    """Weights times c scale every weighted sum by c: the loglik scales by c,
+    the optimum stays put and the naive SEs scale by 1/sqrt(c). Times 4, a
+    power of two, each sum scales exactly, so the fit and its SEs follow bit
+    for bit."""
 
     @pytest.mark.parametrize("censor", [False, True], ids=["normal", "tobit"])
     def test_weights_times_four(self, censor):
-        ds, _ = simulate_four_strata(300, seed=23 if censor else 19, dispersion=3.0,
-                                     censor=censor)
-        family = Family.TOBIT if censor else Family.NORMAL
-        rng = np.random.default_rng(7)
-        w = rng.uniform(0.5, 2.0, ds.n)
-        cluster = rng.integers(0, 30, ds.n)
-        one, four = (
-            Dataset.from_arrays(ds.y, ds.t, ds.z, w=c * w, cluster=cluster, k_levels=2,
-                                family=family)
-            for c in (1.0, 4.0)
-        )
-        r1, r4 = fit(one, family), fit(four, family)
+        r1, (t1, naive1, cluster1) = weighted_fit(censor, 1.0)
+        r4, (t4, naive4, cluster4) = weighted_fit(censor, 4.0)
         assert np.array_equal(pack(r4.params), pack(r1.params))
         assert r4.iterations == r1.iterations
         assert [r.iterations for r in r4.trace] == [r.iterations for r in r1.trace]
@@ -47,12 +56,79 @@ class TestWeightScaling:
         assert r4.tie_ids == r1.tie_ids
         assert r4.loglik == 4.0 * r1.loglik
 
-        t1, naive1, cluster1 = effects.effect_table(r1, one)
-        t4, naive4, cluster4 = effects.effect_table(r4, four)
         assert np.array_equal(naive4.se, naive1.se / 2.0)
         assert np.array_equal(t4.se_naive, t1.se_naive / 2.0)
         assert np.array_equal(cluster4.cov, cluster1.cov)
         assert np.array_equal(t4.se_cluster, t1.se_cluster)
+
+    @pytest.mark.parametrize("c", [0.3, 7.0, 1e3])
+    @pytest.mark.parametrize("censor", [False, True], ids=["normal", "tobit"])
+    def test_weights_times_any_c(self, censor, c):
+        # the effect SEs carry the finite-difference Hessian's noise, up to
+        # 4e-5 relative here (the packed parameters' own SEs up to 4e-4)
+        r1, (t1, _, _) = weighted_fit(censor, 1.0)
+        rc, (tc, _, _) = weighted_fit(censor, c)
+        assert (rc.mapping_id, rc.tie_ids) == (r1.mapping_id, r1.tie_ids)
+        assert rc.loglik / c == pytest.approx(r1.loglik, rel=1e-12, abs=0)
+        np.testing.assert_allclose(pack(rc.params), pack(r1.params), rtol=0, atol=1e-9)
+        for kind in ("", "_observed") if censor else ("",):
+            np.testing.assert_allclose(getattr(tc, "se_naive" + kind) * np.sqrt(c),
+                                       getattr(t1, "se_naive" + kind), rtol=1e-4, atol=0)
+            np.testing.assert_allclose(getattr(tc, "se_cluster" + kind),
+                                       getattr(t1, "se_cluster" + kind), rtol=1e-4, atol=0)
+
+
+def moved_strata(grid: StrataGrid, perm) -> list[int]:
+    """Where each stratum (z0, z1) goes when level z is relabelled perm[z]."""
+    return [grid.index(perm[z0], perm[z1]) for z0, z1 in grid.strata]
+
+
+def relabelled(params: ModelParams, to: list[int]) -> ModelParams:
+    """``params`` with stratum s moved to ``to[s]``."""
+    probs, locations = np.empty_like(params.probs), np.empty_like(params.locations)
+    probs[to], locations[to] = params.probs, params.locations
+    return ModelParams(params.grid, probs, locations, params.scales, params.family)
+
+
+def as_fit(params: ModelParams) -> FitResult:
+    record = StartRecord(0, 0.0, params, 1, (False, False), (), "tol")
+    return FitResult((record,), (0,), (0.0, 0.0))
+
+
+class TestRelabelling:
+    """The level labels carry no meaning: relabelling the levels by a
+    permutation in the data and in the strata moves every stratum's terms
+    and leaves the likelihood alone, up to the order of its sums."""
+
+    @pytest.mark.parametrize("family", ["normal", "tobit"])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_level_permutation(self, k, family):
+        rng = np.random.default_rng(10 * k + (family == "tobit"))
+        n = 80
+        y = rng.normal(1.0, 2.0, n)
+        if family == "tobit":
+            y = np.maximum(y, 0.0)
+        t, z, w = rng.integers(0, 2, n), rng.integers(0, k, n), rng.uniform(0.2, 3.0, n)
+        grid = StrataGrid(k)
+        params = ModelParams(grid, rng.dirichlet(np.full(grid.n_strata, 2.0)),
+                             rng.normal(0.5, 1.5, (grid.n_strata, 2)), rng.uniform(0.5, 3.0, 2),
+                             Family(family))
+        ds = Dataset.from_arrays(y, t, z, w=w, k_levels=k, family=Family(family))
+        base_ll, base_post = log_likelihood(params, ds), e_step(params, ds)
+        base_effects = effects.treatment_effects(as_fit(params))
+        for perm in itertools.permutations(range(k)):
+            to = moved_strata(grid, perm)
+            moved = relabelled(params, to)
+            moved_ds = Dataset.from_arrays(y, t, np.array(perm)[z], w=w, k_levels=k,
+                                           family=Family(family))
+            assert log_likelihood(moved, moved_ds) == pytest.approx(base_ll, rel=1e-13, abs=0)
+            np.testing.assert_allclose(e_step(moved, moved_ds)[:, to], base_post,
+                                       rtol=0, atol=1e-13)
+            table = effects.treatment_effects(as_fit(moved))
+            assert np.array_equal(table.effect[to], base_effects.effect)
+            if family == "tobit":
+                np.testing.assert_allclose(table.effect_observed[to],
+                                           base_effects.effect_observed, rtol=1e-15, atol=0)
 
 
 class TestRows:
