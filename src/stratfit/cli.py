@@ -75,7 +75,9 @@ def _write_json(path: str, payload: dict) -> None:
 # --------------------------------------------------------------------------
 
 def read_dataset(path: str, levels: int, dichotomize: bool, family: Family) -> Dataset:
-    """Read the y,t,z[,w,cluster] CSV, reporting violations with row numbers."""
+    """Read the y,t,z[,w,cluster] CSV, reporting violations with the file's
+    line numbers (``csv.DictReader`` skips blank lines, so records are not
+    lines)."""
     if not os.path.exists(path):
         raise DataError(f"input file not found: {path}")
     with open(path, newline="") as fh:
@@ -88,8 +90,10 @@ def read_dataset(path: str, levels: int, dichotomize: bool, family: Family) -> D
                 raise DataError(f"missing required column '{required}'")
         has_w = "w" in cols
         has_cluster = "cluster" in cols
-        y, t, z, w, cluster = [], [], [], [], []
-        for line, row in enumerate(reader, start=2):
+        y, t, z, w, cluster, lines = [], [], [], [], [], []
+        for row in reader:
+            line = reader.line_num
+            lines.append(line)
             row = {k.strip(): (v.strip() if v is not None else "") for k, v in row.items()}
             try:
                 y.append(float(row["y"]))
@@ -113,14 +117,14 @@ def read_dataset(path: str, levels: int, dichotomize: bool, family: Family) -> D
         ((y < 0.0) & (family is Family.TOBIT), "negative outcome under censored family"),
     ):
         if bad.any():
-            raise DataError(f"row {int(np.flatnonzero(bad)[0]) + 2}: {message}")
+            raise DataError(f"row {lines[int(np.flatnonzero(bad)[0])]}: {message}")
     z_arr = np.array(z)
     if dichotomize:
         z_arr = np.where(z_arr > 0, 1, 0)
     if np.any((z_arr < 0) | (z_arr >= levels)):
         bad = int(np.flatnonzero((z_arr < 0) | (z_arr >= levels))[0])
         raise DataError(
-            f"row {bad + 2}: z={z_arr[bad]} outside [0, {levels}) "
+            f"row {lines[bad]}: z={z_arr[bad]} outside [0, {levels}) "
             "(use --dichotomize to collapse levels above 0)"
         )
     return Dataset.from_arrays(

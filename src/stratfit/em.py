@@ -33,6 +33,19 @@ strata columns and the sums over its cases are column-wise reductions
 ``max`` and ``sum`` do: numpy reduces a 2-3 wide axis with one inner loop
 per row, which costs far more than the arithmetic.
 
+Under tobit, the M-step maximizes each (set, arm) problem by a damped
+Newton (:func:`_tobit_newton`), and its cost is the number of
+``norm_logcdf`` calls on a few elements each, not their size. So the line
+search tries the full step alone and then the 32 halvings 2^-1 ... 2^-32 of
+every problem it did not settle in one stacked objective evaluation (see
+:func:`_line_search`); each problem takes the fraction that trying them one
+at a time would take. The inverse Mills ratio reuses the current point's
+``log Phi(-g)`` from its objective evaluation, and the E-step computes
+``log Phi(-location/scale)`` once for all cells. None of this moves a bit:
+the fractions are exact powers of two, and a trial point's objective is
+elementwise work plus a row-wise ``_dot``/``_matvec``, which rounds the same
+in any stack.
+
 The warm starts run every cell's mixture EM in lockstep on one padded stack
 (see :func:`_lockstep_em`), so a dataset needs as many Python iterations as
 its slowest cell. They keep their own arithmetic rather than going through
@@ -155,16 +168,21 @@ def _case_sum(a: np.ndarray) -> np.ndarray:
     return np.cumsum(a, axis=-2)[..., -1, :]
 
 
-def _cell_logdens(cell: Cell, locs: np.ndarray, scale: np.ndarray, family: Family) -> np.ndarray:
+def _cell_logdens(cell: Cell, locs: np.ndarray, scale: np.ndarray, family: Family,
+                  cens: np.ndarray | None = None) -> np.ndarray:
     """Component log-densities of one cell's cases under S parameter sets:
-    ``locs`` (S, c) and ``scale`` (S,) in, (S, n_cell, c) out."""
+    ``locs`` (S, c) and ``scale`` (S,) in, (S, n_cell, c) out. Under tobit a
+    zero outcome's term is ``log Phi(-loc/scale)``, taken from ``cens`` (S,
+    c) when the caller has computed it, else computed here."""
     ld = np.subtract(cell.y[:, None], locs[:, None, :], order="C")
     ld /= scale[:, None, None]
     ld *= ld
     ld *= -0.5
     ld -= (0.5 * _LOG_2PI + np.array([math.log(v) for v in scale]))[:, None, None]
     if family is Family.TOBIT and cell.zero.size:
-        ld[:, cell.zero] = norm_logcdf(-locs / scale[:, None])[:, None, :]
+        if cens is None:
+            cens = norm_logcdf(-locs / scale[:, None])
+        ld[:, cell.zero] = cens[:, None, :]
     return ld
 
 
@@ -194,10 +212,15 @@ def _mix(cell: Cell, logdens: np.ndarray, logprior: np.ndarray, want_post: bool 
 def _mixture(dataset: Dataset, logp, table, scales, family: Family, want_post: bool):
     """Yield (cell, log mixture terms, posterior or None) for each non-empty
     cell under S parameter sets: log-probabilities ``logp`` (S, n_strata),
-    locations ``table`` (S, 2, n_strata), arm first, and ``scales`` (S, 2)."""
+    locations ``table`` (S, 2, n_strata), arm first, and ``scales`` (S, 2).
+    Under tobit, one ``norm_logcdf`` call serves every cell's zero outcomes."""
+    cens = None
+    if family is Family.TOBIT and any(cell.zero.size for cell in dataset.cells):
+        cens = norm_logcdf(-table / scales[:, :, None])
     for cell in dataset.cells:
         if cell.y.size:
-            ld = _cell_logdens(cell, table[:, cell.t, cell.strata], scales[:, cell.t], family)
+            ld = _cell_logdens(cell, table[:, cell.t, cell.strata], scales[:, cell.t], family,
+                               None if cens is None else cens[:, cell.t, cell.strata])
             yield (cell, *_mix(cell, ld, logp[:, cell.strata], want_post))
 
 
@@ -316,22 +339,67 @@ def _solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
-def _inverse_mills(a: np.ndarray) -> np.ndarray:
-    """phi(a)/Phi(a), stable for very negative a."""
-    return np.exp(norm_logpdf(a) - norm_logcdf(a))
-
-
 def _tobit_objective(g, delta, mpos, s1, mzero, mpos_tot, s2_tot):
     """Aggregated weighted tobit log-likelihood of each problem at linear
-    predictors ``g`` (P, n_strata) and inverse scales ``delta`` (P,)."""
-    val = mpos_tot * (np.array([math.log(d) for d in delta]) - 0.5 * _LOG_2PI)
+    predictors ``g`` (P, n_strata) and inverse scales ``delta`` (P,), and
+    the censored terms ``log Phi(-g)`` (P, n_strata), 0 where ``mzero`` is
+    0. A row's values do not depend on the other rows."""
+    val = mpos_tot * (np.array([math.log(d) for d in delta.tolist()]) - 0.5 * _LOG_2PI)
     val = val - 0.5 * (delta * delta * s2_tot - 2.0 * delta * _dot(g, s1) + _dot(g * g, mpos))
+    cens = np.zeros_like(g)
     active = mzero > 0.0
     if active.any():
-        cens = np.zeros_like(g)
         cens[active] = norm_logcdf(-g[active])
         val = val + _dot(np.where(active, mzero, 0.0), cens)
-    return val
+    return val, cens
+
+
+# The fractions of a Newton step that _tobit_newton tries, in groups that
+# are evaluated together: the full step alone, then 2^-1 ... 2^-32 in one
+# stack, then 2^-33 ... 2^-53 one at a time (the halving stops below 1e-16).
+_RUNGS = [np.ldexp(1.0, -np.arange(lo, hi))
+          for lo, hi in [(0, 1), (1, 33)] + [(j, j + 1) for j in range(33, 54)]]
+
+
+def _line_search(design, point, step, sub, live, fracs):
+    """Try the fractions ``fracs`` of the Newton ``step`` of each ``live``
+    problem in one stacked objective evaluation (a chunk of problems at a
+    time, under ``_EM_BLOCK`` entries), settling each as the serial halving
+    would: it moves to its first trial point with a positive inverse scale
+    and a higher objective, unless an earlier trial point rounds to its
+    current point, where the search stops. ``point`` (beta, delta,
+    objective, censored terms) is updated in place. Returns the problems
+    that moved and the ones that no fraction settled."""
+    b, d, o, c = point
+    q, r = b.shape[1], len(fracs)
+    per = max(1, _EM_BLOCK // (r * design.shape[0]))
+    moved, unsettled = [live[:0]], [live[:0]]
+    for lo in range(0, len(live), per):
+        part = live[lo:lo + per]
+        b_n = b[part, None] + fracs[:, None] * step[part, None, :q]
+        d_n = d[part, None] + fracs * step[part, None, q]
+        # a trial point that rounds to the current one cannot improve it, and
+        # neither can any shorter step, so it is not evaluated
+        stuck = (b_n == b[part, None]).all(axis=2) & (d_n == d[part, None])
+        b_n, d_n, gain = b_n.reshape(-1, q), d_n.ravel(), np.zeros(stuck.size, dtype=bool)
+        rows = np.flatnonzero((d_n > 0.0) & ~stuck.ravel())
+        if rows.size:
+            owner = part[rows // r]
+            o_n, c_n = _tobit_objective(_matvec(design, b_n[rows]), d_n[rows],
+                                        *(a[owner] for a in sub))
+            gain[rows] = o_n > o[owner]
+        gain = gain.reshape(stuck.shape)
+        settled = gain | stuck
+        first = settled.argmax(axis=1)
+        took = np.flatnonzero(gain[np.arange(len(part)), first])
+        if took.size:
+            pick = took * r + first[took]
+            at = np.searchsorted(rows, pick)
+            dst = part[took]
+            b[dst], d[dst], o[dst], c[dst] = b_n[pick], d_n[pick], o_n[at], c_n[at]
+        moved.append(part[took])
+        unsettled.append(part[~settled.any(axis=1)])
+    return np.concatenate(moved), np.concatenate(unsettled)
 
 
 def _tobit_newton(design, mpos, s1, s2, mzero, gamma0, delta0, pinned=None):
@@ -340,27 +408,34 @@ def _tobit_newton(design, mpos, s1, s2, mzero, gamma0, delta0, pinned=None):
     Each problem works in the (gamma, delta) = (location/scale, 1/scale)
     parameterization, in which the censored-normal log-likelihood is
     globally concave, so a damped Newton with step halving converges to the
-    unique maximum. Statistics and ``gamma0`` are (P, n_strata). ``pinned``
-    (P, q) marks coefficients held at their start (zero gradient, unit
-    Hessian row and column), whose statistics the caller zeroes. A problem
-    stops on a small gradient, a failed line search or after 100 steps; the
-    others go on together. Returns (beta (P, q), delta (P,)) with
-    locations = design @ beta / delta.
+    unique maximum. Statistics and ``gamma0`` are (P, n_strata); ``mzero``
+    is a weight, at least 0. ``pinned`` (P, q) marks coefficients held at
+    their start (zero gradient, unit Hessian row and column), whose
+    statistics the caller zeroes. A problem stops on a small gradient, a
+    failed line search or after 100 steps; the others go on together.
+    Returns (beta (P, q), delta (P,)) with locations = design @ beta / delta.
+
+    The line search tries the step fractions 1, 2^-1, ..., 2^-53 in the
+    groups of ``_RUNGS`` (see :func:`_line_search`), the 32 halvings after
+    the full step in one stacked evaluation, and each problem takes the
+    fraction that halving one at a time would take. The inverse Mills ratio
+    reuses the current point's ``log Phi(-g)`` from its objective.
     """
     q = design.shape[1]
     beta = _matvec(np.linalg.pinv(design), gamma0)
     delta = np.array(delta0, dtype=float)
     data = (mpos, s1, mzero, mpos.sum(axis=1), s2.sum(axis=1))
-    obj = _tobit_objective(_matvec(design, beta), delta, *data)
+    obj, cens = _tobit_objective(_matvec(design, beta), delta, *data)
     todo = np.arange(len(beta))
     for _ in range(100):
         if not todo.size:
             break
-        b, d, o = beta[todo], delta[todo], obj[todo]
+        b, d, o, c = beta[todo], delta[todo], obj[todo], cens[todo]
         sub = tuple(a[todo] for a in data)
         mp, s1_, mz, mt, st = sub
         g = _matvec(design, b)
-        lam = _inverse_mills(-g)
+        # phi(-g)/Phi(-g); finite where mz is 0 and c holds 0
+        lam = np.exp(norm_logpdf(-g) - c)
         grad_g = d[:, None] * s1_ - g * mp - mz * lam
         grad = np.column_stack([_matvec(design.T, grad_g), mt / d - d * st + _dot(g, s1_)])
         h_gg = -(mp + mz * lam * (lam - g))
@@ -376,25 +451,12 @@ def _tobit_newton(design, mpos, s1, s2, mzero, gamma0, delta0, pinned=None):
         step = _solve(hess, -grad)
         live = np.flatnonzero(np.abs(grad).max(axis=1) >= 1e-9 * np.maximum(1.0, np.abs(o)))
         moved = np.zeros(len(todo), dtype=bool)
-        frac = 1.0
-        while live.size and frac > 1e-16:
-            b_n = b[live] + frac * step[live, :q]
-            d_n = d[live] + frac * step[live, q]
-            # a trial point that rounds to the current one cannot improve it,
-            # and neither can any shorter step
-            stuck = (b_n == b[live]).all(axis=1) & (d_n == d[live])
-            up = np.flatnonzero(d_n > 0.0)
-            if up.size:
-                o_n = _tobit_objective(_matvec(design, b_n[up]), d_n[up],
-                                       *(a[live[up]] for a in sub))
-                gain = o_n > o[live[up]]
-                up, o_n = up[gain], o_n[gain]
-                b[live[up]], d[live[up]], o[live[up]] = b_n[up], d_n[up], o_n
-                moved[live[up]] = True
-                stuck[up] = True
-            live = live[~stuck]
-            frac *= 0.5
-        beta[todo], delta[todo], obj[todo] = b, d, o
+        for fracs in _RUNGS:
+            if not live.size:
+                break
+            took, live = _line_search(design, (b, d, o, c), step, sub, live, fracs)
+            moved[took] = True
+        beta[todo], delta[todo], obj[todo], cens[todo] = b, d, o, c
         todo = todo[moved]
     return beta, delta
 

@@ -13,7 +13,10 @@ per-case score oracle differentiates the likelihood by hand, against which
 the sandwich's finite-difference scores are checked. The cell mixture EM
 oracle is the warm-start EM of one cell on its own, one iteration at a time
 with the package's exact reductions, as it ran before the cells ran in
-lockstep; ``warm_start_cells`` must reproduce it bit for bit.
+lockstep; ``warm_start_cells`` must reproduce it bit for bit. The serial
+tobit Newton oracle tries one step fraction per objective evaluation, as the
+M-step did before its line search stacked the halvings; the stacked line
+search must reproduce it bit for bit.
 """
 
 import itertools
@@ -395,6 +398,80 @@ def tobit_newton_oracle(design, mpos, s1, s2, mzero, gamma0, delta0):
         if not improved:
             break
     return beta, delta, evaluations
+
+
+def tobit_newton_serial_oracle(design, mpos, s1, s2, mzero, gamma0, delta0, pinned=None):
+    """The batched tobit Newton as it ran before its line search stacked
+    the halvings: every step fraction is its own objective evaluation, and
+    the inverse Mills ratio its own ``norm_logcdf``. ``em._tobit_newton``
+    must reproduce it bit for bit. Returns (beta (P, q), delta (P,))."""
+    from stratfit.densities import norm_logcdf, norm_logpdf
+    from stratfit.em import _LOG_2PI, _dot, _matvec, _solve
+
+    def _inverse_mills(a):
+        return np.exp(norm_logpdf(a) - norm_logcdf(a))
+
+    def _tobit_objective(g, delta, mpos, s1, mzero, mpos_tot, s2_tot):
+        val = mpos_tot * (np.array([math.log(d) for d in delta]) - 0.5 * _LOG_2PI)
+        val = val - 0.5 * (delta * delta * s2_tot - 2.0 * delta * _dot(g, s1)
+                           + _dot(g * g, mpos))
+        active = mzero > 0.0
+        if active.any():
+            cens = np.zeros_like(g)
+            cens[active] = norm_logcdf(-g[active])
+            val = val + _dot(np.where(active, mzero, 0.0), cens)
+        return val
+
+    q = design.shape[1]
+    beta = _matvec(np.linalg.pinv(design), gamma0)
+    delta = np.array(delta0, dtype=float)
+    data = (mpos, s1, mzero, mpos.sum(axis=1), s2.sum(axis=1))
+    obj = _tobit_objective(_matvec(design, beta), delta, *data)
+    todo = np.arange(len(beta))
+    for _ in range(100):
+        if not todo.size:
+            break
+        b, d, o = beta[todo], delta[todo], obj[todo]
+        sub = tuple(a[todo] for a in data)
+        mp, s1_, mz, mt, st = sub
+        g = _matvec(design, b)
+        lam = _inverse_mills(-g)
+        grad_g = d[:, None] * s1_ - g * mp - mz * lam
+        grad = np.column_stack([_matvec(design.T, grad_g), mt / d - d * st + _dot(g, s1_)])
+        h_gg = -(mp + mz * lam * (lam - g))
+        hess = np.empty((len(todo), q + 1, q + 1))
+        hess[:, :q, :q] = design.T @ (h_gg[..., None] * design)
+        hess[:, :q, q] = hess[:, q, :q] = _matvec(design.T, s1_)
+        hess[:, q, q] = -mt / d**2 - st
+        if pinned is not None:
+            pin = np.zeros(grad.shape, dtype=bool)
+            pin[:, :q] = pinned[todo]
+            grad[pin] = 0.0
+            hess = np.where(pin[:, :, None] | pin[:, None, :], np.eye(q + 1), hess)
+        step = _solve(hess, -grad)
+        live = np.flatnonzero(np.abs(grad).max(axis=1) >= 1e-9 * np.maximum(1.0, np.abs(o)))
+        moved = np.zeros(len(todo), dtype=bool)
+        frac = 1.0
+        while live.size and frac > 1e-16:
+            b_n = b[live] + frac * step[live, :q]
+            d_n = d[live] + frac * step[live, q]
+            # a trial point that rounds to the current one cannot improve it,
+            # and neither can any shorter step
+            stuck = (b_n == b[live]).all(axis=1) & (d_n == d[live])
+            up = np.flatnonzero(d_n > 0.0)
+            if up.size:
+                o_n = _tobit_objective(_matvec(design, b_n[up]), d_n[up],
+                                       *(a[live[up]] for a in sub))
+                gain = o_n > o[live[up]]
+                up, o_n = up[gain], o_n[gain]
+                b[live[up]], d[live[up]], o[live[up]] = b_n[up], d_n[up], o_n
+                moved[live[up]] = True
+                stuck[up] = True
+            live = live[~stuck]
+            frac *= 0.5
+        beta[todo], delta[todo], obj[todo] = b, d, o
+        todo = todo[moved]
+    return beta, delta
 
 
 def num_hessian_oracle(fun, x, rel_step):

@@ -119,6 +119,18 @@ class TestReadDataset:
             read_dataset(str(path), 2, False, Family(family))
         assert main(["fit", str(path), "--family", family, "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("row, message", [
+        ("nan,0,1", "outcomes must be finite"),
+        ("ouch,0,1", "could not convert string to float: 'ouch'"),
+        ("2.0,0,4", r"z=4 outside \[0, 2\) \(use --dichotomize to collapse levels above 0\)"),
+    ], ids=["post_read_check", "per_row_error", "z_range"])
+    def test_rows_after_a_blank_line_report_their_file_line(self, tmp_path, row, message):
+        # the bad row is the third record but sits on line 5
+        path = tmp_path / "bad.csv"
+        path.write_text(f"y,t,z\n1.0,0,0\n\n2.0,1,1\n{row}\n")
+        with pytest.raises(DataError, match=f"^row 5: {message}$"):
+            read_dataset(str(path), 2, False, Family.NORMAL)
+
     def test_blank_cluster_cell_is_a_cluster_of_its_own(self, tmp_path):
         # the blank cell sits on line 5, and another row's cluster is 5
         path = tmp_path / "ok.csv"

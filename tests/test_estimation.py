@@ -50,6 +50,7 @@ from _oracles import (
     start_params_oracle,
     tobit_grid_mle,
     tobit_newton_oracle,
+    tobit_newton_serial_oracle,
 )
 
 GRID2 = StrataGrid(2)
@@ -383,7 +384,84 @@ class TestTobitNewton:
                 ours += evaluations[0] - before
                 theirs += n
         assert len(calls) > 20
-        assert ours < 0.8 * theirs
+        assert ours < 0.5 * theirs
+
+    def test_stacked_line_search_equals_the_serial_halving(self, monkeypatch):
+        # the stacked halvings take, bit for bit, the step fraction the
+        # one-fraction-per-evaluation halving takes, on every M-step problem
+        # of a tobit fit
+        ds, _ = simulate_four_strata(300, seed=25, dispersion=2.4, sigma=2.0,
+                                     effect=3.0, censor=True)
+        newton, calls = em._tobit_newton, []
+
+        def recorded(*args):
+            out = newton(*args)
+            calls.append((args, out))
+            return out
+
+        monkeypatch.setattr(em, "_tobit_newton", recorded)
+        fit(ds, Family.TOBIT, config=FitConfig(tol=1e-7, starts=("topk", 2)))
+        assert len(calls) > 20
+        for args, (beta, delta) in calls:
+            want_beta, want_delta = tobit_newton_serial_oracle(*args)
+            assert np.array_equal(beta, want_beta)
+            assert np.array_equal(delta, want_delta)
+
+    @staticmethod
+    def crafted_problems():
+        """Problems whose line searches go past 2^-32, try a non-positive
+        inverse scale inside the stacked halvings, and hold a coefficient
+        pinned, as (design, statistics..., gamma0, delta0, pinned)."""
+        rng = np.random.default_rng(14)
+        stats = []
+        for mu in (-0.5, 0.4, 1.1, 2.0):
+            # outcomes 1e4 above their spread: the gains are rounding noise
+            y = rng.normal(1e4 + mu, 1.0, size=150)
+            w = rng.uniform(0.5, 2.0, size=150)
+            stats.append((w.sum(), w @ y, w @ y**2, 0.0))
+        far = [a[None] for a in np.array(stats).T]
+        # nearly all weight censored, started far below: the first steps
+        # overshoot delta to below 0
+        censored = [np.array([[v]]) for v in (1.0, 1.0, 1.0, 1e6)]
+        pin_stats = [np.where([True, True, False, True], a, 0.0) for a in far]
+        pinned = np.array([[False, False, True, False]])
+        return [
+            (np.eye(4), *far, np.full((1, 4), 1e4), np.array([0.2]), None),
+            (np.eye(1), *censored, np.array([[-4.0]]), np.array([1.0]), None),
+            (np.eye(4), *pin_stats, np.array([[1e4, 1e4, 5.0, 1e4]]), np.array([1.0]),
+             pinned),
+        ]
+
+    @pytest.mark.parametrize("block", [em._EM_BLOCK, 64])
+    def test_crafted_line_searches_equal_the_serial_halving(self, monkeypatch, block):
+        # under a 64-entry block every problem's stacked halvings run alone
+        monkeypatch.setattr(em, "_EM_BLOCK", block)
+        search, seen = em._line_search, set()
+
+        def watched(design, point, step, sub, live, fracs):
+            delta = point[1][live, None] + fracs * step[live, None, -1]
+            if len(fracs) > 1 and (delta <= 0.0).any():
+                seen.add("non-positive delta in the stack")
+            if fracs[0] < 2.0**-32:
+                seen.add("past 2^-32")
+            return search(design, point, step, sub, live, fracs)
+
+        monkeypatch.setattr(em, "_line_search", watched)
+        problems = self.crafted_problems()
+        for design, *args, pinned in problems:
+            beta, delta = _tobit_newton(design, *args, pinned=pinned)
+            want_beta, want_delta = tobit_newton_serial_oracle(design, *args, pinned=pinned)
+            assert np.array_equal(beta, want_beta)
+            assert np.array_equal(delta, want_delta)
+            if pinned is not None:
+                assert beta[0, 2] == args[-2][0, 2]
+        # the two 4-stratum problems solved together as one batch
+        batch = [np.concatenate([a, b]) for a, b in zip(problems[0][1:-1], problems[2][1:-1])]
+        pinned = np.concatenate([np.zeros((1, 4), dtype=bool), problems[2][-1]])
+        got = _tobit_newton(np.eye(4), *batch, pinned=pinned)
+        want = tobit_newton_serial_oracle(np.eye(4), *batch, pinned=pinned)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert seen == {"non-positive delta in the stack", "past 2^-32"}
 
 
 class TestWarmStarts:
