@@ -85,6 +85,9 @@ def read_dataset(path: str, levels: int, dichotomize: bool, family: Family) -> D
         if reader.fieldnames is None:
             raise DataError("input file is empty")
         cols = [c.strip() for c in reader.fieldnames]
+        twice = [c for c in cols if cols.count(c) > 1]
+        if twice:
+            raise DataError(f"header names column '{twice[0]}' more than once")
         for required in ("y", "t", "z"):
             if required not in cols:
                 raise DataError(f"missing required column '{required}'")
@@ -94,6 +97,9 @@ def read_dataset(path: str, levels: int, dichotomize: bool, family: Family) -> D
         for row in reader:
             line = reader.line_num
             lines.append(line)
+            if None in row:  # DictReader files a row's surplus fields under None
+                raise DataError(f"row {line}: {len(cols) + len(row[None])} fields, "
+                                f"the header names {len(cols)}")
             row = {k.strip(): (v.strip() if v is not None else "") for k, v in row.items()}
             try:
                 y.append(float(row["y"]))
@@ -201,7 +207,7 @@ def load_fit(path: str) -> tuple[FitResult, dict]:
             for r in payload["trace"]
         )
         result = FitResult(trace, tuple(payload["tie_ids"]), tuple(payload["scale_floor"]))
-        data_options = payload["data_options"]
+        data_options = dict(payload["data_options"])
     except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
         raise DataError(f"invalid fit file {path}: {exc}") from None
     return result, data_options
@@ -344,12 +350,12 @@ def cmd_diagnose(args) -> int:
     data_path = args.data or data_options.get("data")
     if not data_path:
         raise DataError("no dataset path given and none recorded in the fit file")
-    dataset = read_dataset(
-        data_path,
-        int(data_options["levels"]),
-        bool(data_options["dichotomize"]),
-        Family(data_options["family"]),
-    )
+    try:
+        options = (int(data_options["levels"]), bool(data_options["dichotomize"]),
+                   Family(data_options["family"]))
+    except (KeyError, ValueError, TypeError) as exc:
+        raise DataError(f"invalid fit file {args.fit}: missing or bad data option {exc}") from None
+    dataset = read_dataset(data_path, *options)
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
     paths = _diagnostics_files(out_dir, result, dataset)

@@ -20,7 +20,6 @@ little time saved), and the delta method's effect and parameter maps.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import islice
 
 import numpy as np
 
@@ -123,38 +122,26 @@ def _steps(x: np.ndarray, rel: float) -> np.ndarray:
 
 
 def _num_hessian(fun, x: np.ndarray, block: int) -> np.ndarray:
-    """Central-difference Hessian from ``fun``, which maps a list of at most
-    ``block`` points to their values. The 2p^2 + 1 points are built and the
-    differences taken with the same arithmetic, in the same order, as when
-    each point is evaluated on its own."""
+    """Central-difference Hessian from ``fun``, which maps a stack of at most
+    ``block`` points to their values. The 2p^2 + 1 points are x, then
+    x + e_i, then x - e_i, then x + e_i + e_j, x + e_i - e_j, x - e_i + e_j
+    and x - e_i - e_j over i < j; each point and difference rounds as when
+    it is built and evaluated on its own."""
     h = _steps(x, HESS_STEP)
     p = len(x)
-
-    def points():
-        yield x
-        for i in range(p):
-            ei = np.zeros(p)
-            ei[i] = h[i]
-            yield x + ei
-            yield x - ei
-            for j in range(i + 1, p):
-                ej = np.zeros(p)
-                ej[j] = h[j]
-                yield from (x + ei + ej, x + ei - ej, x - ei + ej, x - ei - ej)
-
-    vals, todo = [], points()
-    while chunk := list(islice(todo, block)):
-        vals.extend(fun(chunk))
-    hess = np.empty((p, p))
-    f0 = vals[0]
-    k = 1
-    for i in range(p):
-        hess[i, i] = (vals[k] - 2.0 * f0 + vals[k + 1]) / h[i] ** 2
-        k += 2
-        for j in range(i + 1, p):
-            val = (vals[k] - vals[k + 1] - vals[k + 2] + vals[k + 3]) / (4.0 * h[i] * h[j])
-            hess[i, j] = hess[j, i] = val
-            k += 4
+    e = np.diag(h)
+    i, j = np.triu_indices(p, 1)
+    up, down = x + e, x - e
+    points = np.concatenate(
+        [x[None], up, down, up[i] + e[j], up[i] - e[j], down[i] + e[j], down[i] - e[j]]
+    )
+    vals = np.concatenate([fun(points[k:k + block]) for k in range(0, len(points), block)])
+    f_pp, f_pm, f_mp, f_mm = vals[2 * p + 1:].reshape(4, -1)
+    # squared one scalar at a time, by libm's pow as in earlier releases:
+    # numpy squares an array exactly, which differs in the last place
+    h2 = np.array([v**2 for v in h.tolist()])
+    hess = np.diag((vals[1:p + 1] - 2.0 * vals[0] + vals[p + 1:2 * p + 1]) / h2)
+    hess[i, j] = hess[j, i] = (f_pp - f_pm - f_mp + f_mm) / (4.0 * h[i] * h[j])
     return hess
 
 
@@ -163,11 +150,8 @@ def _num_jacobian(fun, x: np.ndarray, rel: float) -> np.ndarray:
     with steps ``rel * max(1, |x_j|)``: 2p calls, coordinate by coordinate,
     the upper point first."""
     h = _steps(x, rel)
-    cols = []
-    for j in range(len(x)):
-        ej = np.zeros(len(x))
-        ej[j] = h[j]
-        cols.append((np.asarray(fun(x + ej)) - np.asarray(fun(x - ej))) / (2.0 * h[j]))
+    cols = [(np.asarray(fun(x + ej)) - np.asarray(fun(x - ej))) / (2.0 * hj)
+            for ej, hj in zip(np.diag(h), h)]
     return np.stack(cols, axis=-1)
 
 

@@ -36,7 +36,7 @@ per row, which costs far more than the arithmetic.
 Under tobit, the M-step maximizes each (set, arm) problem by a damped
 Newton (:func:`_tobit_newton`), and its cost is the number of
 ``norm_logcdf`` calls on a few elements each, not their size. So the line
-search tries the full step alone and then the 32 halvings 2^-1 ... 2^-32 of
+search tries the full step alone and then the 53 halvings 2^-1 ... 2^-53 of
 every problem it did not settle in one stacked objective evaluation (see
 :func:`_line_search`); each problem takes the fraction that trying them one
 at a time would take. The inverse Mills ratio reuses the current point's
@@ -355,10 +355,9 @@ def _tobit_objective(g, delta, mpos, s1, mzero, mpos_tot, s2_tot):
 
 
 # The fractions of a Newton step that _tobit_newton tries, in groups that
-# are evaluated together: the full step alone, then 2^-1 ... 2^-32 in one
-# stack, then 2^-33 ... 2^-53 one at a time (the halving stops below 1e-16).
-_RUNGS = [np.ldexp(1.0, -np.arange(lo, hi))
-          for lo, hi in [(0, 1), (1, 33)] + [(j, j + 1) for j in range(33, 54)]]
+# are evaluated together: the full step alone, then every halving 2^-1 ...
+# 2^-53 in one stack (the halving stops below 1e-16).
+_RUNGS = [np.ldexp(1.0, -np.arange(lo, hi)) for lo, hi in ((0, 1), (1, 54))]
 
 
 def _line_search(design, point, step, sub, live, fracs):
@@ -416,7 +415,7 @@ def _tobit_newton(design, mpos, s1, s2, mzero, gamma0, delta0, pinned=None):
     Returns (beta (P, q), delta (P,)) with locations = design @ beta / delta.
 
     The line search tries the step fractions 1, 2^-1, ..., 2^-53 in the
-    groups of ``_RUNGS`` (see :func:`_line_search`), the 32 halvings after
+    groups of ``_RUNGS`` (see :func:`_line_search`), the 53 halvings after
     the full step in one stacked evaluation, and each problem takes the
     fraction that halving one at a time would take. The inverse Mills ratio
     reuses the current point's ``log Phi(-g)`` from its objective.

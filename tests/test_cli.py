@@ -52,6 +52,13 @@ def tobit_csv(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def fit_json(data_csv, tmp_path_factory):
+    out = tmp_path_factory.mktemp("fit")
+    assert main(["fit", data_csv, "--out-dir", str(out)]) == 0
+    return out / "fit.json"
+
+
 def read_csv_columns(path) -> dict[str, list[str]]:
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
@@ -401,6 +408,33 @@ class TestCmdDiagnose:
         bad = tmp_path / "fit.json"
         bad.write_text("{\"not\": \"a fit\"}")
         assert main(["diagnose", "--fit", str(bad), "--out-dir", str(tmp_path)]) == 2
+
+    @staticmethod
+    def assert_rejected(argv, diag_dir, capsys, message):
+        capsys.readouterr()
+        assert main([*argv, "--out-dir", str(diag_dir)]) == 2
+        assert re.search(f"^error: {message}", capsys.readouterr().err, re.M)
+        assert not diag_dir.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("y,t,z\n1.0,0,0\n2.0,1,1,7\n", "row 3: 4 fields, the header names 3"),
+        ("y,t,z,y\n1.0,0,0,2\n2.0,1,1,3\n", "header names column 'y' more than once"),
+    ], ids=["surplus-field", "repeated-column"])
+    def test_malformed_csv_exits_2(self, fit_json, tmp_path, capsys, text, message):
+        data = tmp_path / "cases.csv"
+        data.write_text(text)
+        self.assert_rejected(["diagnose", "--fit", str(fit_json), "--data", str(data)],
+                             tmp_path / "diag", capsys, message)
+
+    @pytest.mark.parametrize("key", ["levels", "dichotomize", "family"])
+    def test_fit_file_without_a_data_option_exits_2(self, fit_json, data_csv, tmp_path,
+                                                     capsys, key):
+        payload = json.loads(fit_json.read_text())
+        del payload["data_options"][key]
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(payload))
+        self.assert_rejected(["diagnose", "--fit", str(path), "--data", data_csv],
+                             tmp_path / "diag", capsys, f"invalid fit file .*'{key}'")
 
 
 class TestCmdSimulate:

@@ -11,7 +11,7 @@ from stratfit.core import Dataset
 from stratfit.densities import Family
 from stratfit.effects import effect_table
 from stratfit.em import FitConfig, fit
-from stratfit.errors import WarmStartError
+from stratfit.errors import InferenceError, WarmStartError
 
 from test_estimation import simulate_four_strata
 
@@ -70,3 +70,28 @@ def test_singleton_clusters_give_finite_ses(family):
         ses += [table.se_naive_observed, table.se_cluster_observed]
     for se in ses:
         assert np.isfinite(se).all() and (se > 0.0).all()
+
+
+@pytest.mark.parametrize("family", [Family.NORMAL, Family.TOBIT], ids=lambda f: f.value)
+@pytest.mark.parametrize("p4", [0.0, 0.001])
+def test_near_empty_stratum(family, p4):
+    # the fourth stratum holds no case, or about one in a thousand: the fit
+    # stays finite with that stratum's probability near 0, and its effect
+    # either has no SE (normal, empty) or a huge naive one
+    ds, _ = simulate_four_strata(300, seed=94, sigma=2.0, effect=3.0,
+                                 probs=(0.5, 0.3, 0.2 - p4, p4),
+                                 censor=family is Family.TOBIT)
+    res = fit(ds, family, config=FitConfig(tol=1e-7))
+    assert_finite_fit(res)
+    assert res.converged and 0.0 < res.params.probs[3] < 1e-3
+    if family is Family.NORMAL and p4 == 0.0:
+        with pytest.raises(InferenceError, match="Hessian is not negative definite"):
+            effect_table(res, ds)
+        return
+    table = effect_table(res, ds)[0]
+    ses = [table.se_naive, table.se_cluster]
+    if family is Family.TOBIT:
+        ses += [table.se_naive_observed, table.se_cluster_observed]
+    for se in ses:
+        assert np.isfinite(se).all() and (se > 0.0).all()
+    assert (table.se_naive[:3] < 1.0).all() and 30.0 < table.se_naive[3] < 110.0
