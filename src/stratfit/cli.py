@@ -2,8 +2,10 @@
 diagnostics from a saved fit.
 
 Input CSV schema: columns y,t,z (required) and w,cluster (optional; defaults
-1 and the row index). All outputs are deterministic CSV/JSON given the same
-inputs and seed. Exit codes: 0 success, 2 input error, 3 numerical failure.
+1 and the row index); t and z accept integer-valued floats such as ``1.0``.
+An input error names the file line of its row. All outputs are deterministic
+CSV/JSON given the same inputs and seed. Exit codes: 0 success, 2 input
+error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -75,9 +77,9 @@ def _write_json(path: str, payload: dict) -> None:
 # --------------------------------------------------------------------------
 
 def read_dataset(path: str, levels: int, dichotomize: bool, family: Family) -> Dataset:
-    """Read the y,t,z[,w,cluster] CSV, reporting violations with the file's
-    line numbers (``csv.DictReader`` skips blank lines, so records are not
-    lines)."""
+    """Read the y,t,z[,w,cluster] CSV. :class:`Dataset` checks the values;
+    a violation is reported with the file's line number (``csv.DictReader``
+    skips blank lines, so records are not lines)."""
     if not os.path.exists(path):
         raise DataError(f"input file not found: {path}")
     with open(path, newline="") as fh:
@@ -103,7 +105,7 @@ def read_dataset(path: str, levels: int, dichotomize: bool, family: Family) -> D
             row = {k.strip(): (v.strip() if v is not None else "") for k, v in row.items()}
             try:
                 y.append(float(row["y"]))
-                t.append(int(row["t"]))
+                t.append(float(row["t"]))
                 z_raw = float(row["z"])
                 if not z_raw.is_integer():
                     raise ValueError("z must be an integer level")
@@ -115,15 +117,6 @@ def read_dataset(path: str, levels: int, dichotomize: bool, family: Family) -> D
             cluster.append(row["cluster"] if has_cluster and row["cluster"] != "" else f" {line}")
     if not y:
         raise DataError("input file has no data rows")
-    y, t, w = np.array(y), np.array(t), np.array(w)
-    for bad, message in (
-        (~np.isfinite(y), "outcomes must be finite"),
-        ((t != 0) & (t != 1), "arm indicator must be 0 or 1"),
-        (~np.isfinite(w) | (w < 0.0), "weights must be finite and nonnegative"),
-        ((y < 0.0) & (family is Family.TOBIT), "negative outcome under censored family"),
-    ):
-        if bad.any():
-            raise DataError(f"row {lines[int(np.flatnonzero(bad)[0])]}: {message}")
     z_arr = np.array(z)
     if dichotomize:
         z_arr = np.where(z_arr > 0, 1, 0)
@@ -133,10 +126,11 @@ def read_dataset(path: str, levels: int, dichotomize: bool, family: Family) -> D
             f"row {lines[bad]}: z={z_arr[bad]} outside [0, {levels}) "
             "(use --dichotomize to collapse levels above 0)"
         )
-    return Dataset.from_arrays(
-        y, t, z_arr, w, np.array(cluster, dtype=object),
-        k_levels=levels, family=family,
-    )
+    try:
+        return Dataset.from_arrays(y, t, z_arr, w, np.array(cluster, dtype=object),
+                                   k_levels=levels, family=family)
+    except DataError as exc:  # every rule of a built dataset names its row
+        raise DataError(f"row {lines[exc.row]}: {exc}", row=exc.row) from None
 
 
 # --------------------------------------------------------------------------
@@ -263,14 +257,12 @@ def _diagnostics_files(out_dir: str, result: FitResult, dataset: Dataset) -> dic
 # --------------------------------------------------------------------------
 
 def cmd_fit(args) -> int:
+    config = FitConfig(tol=args.tol, max_iter=args.max_iter, starts=parse_starts(args.starts))
     family = Family(args.family)
     levels = 2 if args.dichotomize else args.levels
     dataset = read_dataset(args.data, levels, args.dichotomize, family)
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    config = FitConfig(
-        tol=args.tol, max_iter=args.max_iter, starts=parse_starts(args.starts)
-    )
     structure = MeanStructure(args.mean_structure)
     try:
         result = fit(dataset, family, structure, config)

@@ -20,6 +20,12 @@ from .errors import DataError
 PROB_TOL = 1e-12
 
 
+def check_censored(y: np.ndarray, family: Family) -> None:
+    """The censored family's rule: no negative outcome (DataError with its row)."""
+    if family is Family.TOBIT and np.any(bad := np.asarray(y) < 0.0):
+        raise DataError("negative outcome under censored family", row=int(np.argmax(bad)))
+
+
 @dataclass(frozen=True)
 class StrataGrid:
     """Enumeration of the (z0, z1) strata for k institutionalization levels.
@@ -197,7 +203,8 @@ class Cell:
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Observed cases: outcome, arm, observed institutionalization level,
-    case weight and cluster code. Arrays are aligned and immutable."""
+    case weight and cluster code. Arrays are aligned and immutable. A case
+    breaking a per-case rule raises DataError with its ``row``."""
 
     y: np.ndarray
     t: np.ndarray
@@ -211,26 +218,24 @@ class Dataset:
         for name in ("t", "z", "w", "cluster"):
             if len(getattr(self, name)) != n:
                 raise DataError(f"column '{name}' length differs from 'y'")
-        for name, arr in (
-            ("y", np.asarray(self.y, dtype=float)),
-            ("t", np.asarray(self.t, dtype=np.int64)),
-            ("z", np.asarray(self.z, dtype=np.int64)),
-            ("w", np.asarray(self.w, dtype=float)),
-            ("cluster", np.asarray(self.cluster, dtype=np.int64)),
+        # each rule reads the raw column, before t and z are cast to int64
+        y, t, z, w = (np.asarray(getattr(self, name), dtype=float) for name in "ytzw")
+        k = self.k_levels
+        for bad, message in (
+            (~np.isfinite(y), "outcomes must be finite"),
+            ((t != 0.0) & (t != 1.0), "arm indicator must be 0 or 1"),
+            (~np.isfinite(w) | (w < 0.0), "weights must be finite and nonnegative"),
+            ((z != np.floor(z)) | (z < 0.0) | (z >= k),
+             f"observed institutionalization level outside the integers in [0, {k})"),
         ):
+            if bad.any():
+                raise DataError(message, row=int(np.argmax(bad)))
+        cluster = np.asarray(self.cluster, dtype=np.int64)
+        for name, arr in zip(("y", "t", "z", "w", "cluster"),
+                             (y, t.astype(np.int64), z.astype(np.int64), w, cluster)):
             arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if np.any((self.t != 0) & (self.t != 1)):
-            raise DataError("arm indicator must be 0 or 1")
-        if np.any((self.z < 0) | (self.z >= self.k_levels)):
-            raise DataError(
-                f"observed institutionalization level outside [0, {self.k_levels})"
-            )
-        if np.any(self.w < 0.0) or not np.all(np.isfinite(self.w)):
-            raise DataError("weights must be finite and nonnegative")
-        if not np.all(np.isfinite(self.y)):
-            raise DataError("outcomes must be finite")
 
     @property
     def n(self) -> int:
@@ -271,8 +276,7 @@ class Dataset:
         zero (the censoring point) and negative outcomes are rejected.
         """
         y = np.asarray(y, dtype=float).copy()
-        t = np.asarray(t)
-        z = np.asarray(z)
+        z = np.asarray(z, dtype=float)
         n = len(y)
         if w is None:
             w = np.ones(n)
@@ -280,11 +284,10 @@ class Dataset:
             cluster_codes = np.arange(n, dtype=np.int64)
         else:
             cluster_codes = np.unique(np.asarray(cluster), return_inverse=True)[1]
-        if k_levels is None:
-            k_levels = int(np.max(z)) + 1 if n else 2
+        if k_levels is None:  # a non-finite level fails the level rule
+            k_levels = int(np.max(z, initial=-1.0, where=np.isfinite(z))) + 1 if n else 2
+        check_censored(y, family)
         if family is Family.TOBIT:
-            if np.any(y < 0.0):
-                raise DataError("negative outcome under censored family")
             y[y < 1e-12] = 0.0
         return cls(y=y, t=t, z=z, w=w, cluster=cluster_codes, k_levels=int(k_levels))
 

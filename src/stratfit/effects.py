@@ -8,13 +8,13 @@ variant inverts the negative Hessian, the cluster variant wraps it around a
 Huber-White meat aggregated over cluster score sums. One finite-difference
 code path serves both families and mean structures.
 
-The Hessian's 2p^2 + 1 points run as stacks of parameter sets through the
-likelihood kernel, one :func:`~stratfit.em.log_likelihood` call per block of
-points, and every value and difference rounds exactly as when each point is
-evaluated on its own. One central-difference Jacobian (:func:`_num_jacobian`)
-serves the sandwich's per-case scores, 2p :func:`~stratfit.em.case_loglik`
-calls made one at a time (their (2p, n) stack would grow with the sample for
-little time saved), and the delta method's effect and parameter maps.
+The Hessian's 2p^2 + 1 points run as one stack of parameter sets through
+one :func:`~stratfit.em.log_likelihood` call, and every value and difference
+rounds exactly as when each point is evaluated on its own. One
+central-difference Jacobian (:func:`_num_jacobian`) serves the sandwich's
+per-case scores, 2p :func:`~stratfit.em.case_loglik` calls made one at a
+time (their (2p, n) stack would grow with the sample for little time
+saved), and the delta method's effect and parameter maps.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import Dataset, ModelParams, pack, param_names, unpack
 from .densities import Family, tobit_mean
-from .em import FitResult, _em_block, case_loglik, log_likelihood
+from .em import FitResult, case_loglik, log_likelihood
 from .errors import InferenceError
 
 Z_5PCT = 1.959963984540054  # two-sided 5% normal quantile
@@ -121,9 +121,9 @@ def _steps(x: np.ndarray, rel: float) -> np.ndarray:
     return rel * np.maximum(1.0, np.abs(x))
 
 
-def _num_hessian(fun, x: np.ndarray, block: int) -> np.ndarray:
-    """Central-difference Hessian from ``fun``, which maps a stack of at most
-    ``block`` points to their values. The 2p^2 + 1 points are x, then
+def _num_hessian(fun, x: np.ndarray) -> np.ndarray:
+    """Central-difference Hessian from ``fun``, which maps a stack of points
+    to their values. The 2p^2 + 1 points are x, then
     x + e_i, then x - e_i, then x + e_i + e_j, x + e_i - e_j, x - e_i + e_j
     and x - e_i - e_j over i < j; each point and difference rounds as when
     it is built and evaluated on its own."""
@@ -135,7 +135,7 @@ def _num_hessian(fun, x: np.ndarray, block: int) -> np.ndarray:
     points = np.concatenate(
         [x[None], up, down, up[i] + e[j], up[i] - e[j], down[i] + e[j], down[i] - e[j]]
     )
-    vals = np.concatenate([fun(points[k:k + block]) for k in range(0, len(points), block)])
+    vals = fun(points)
     f_pp, f_pm, f_mp, f_mm = vals[2 * p + 1:].reshape(4, -1)
     # squared one scalar at a time, by libm's pow as in earlier releases:
     # numpy squares an array exactly, which differs in the last place
@@ -168,7 +168,7 @@ def observed_information_se(fit: FitResult, dataset: Dataset) -> ParamCovariance
     def packed_logliks(points):
         return log_likelihood([unpack(v, like) for v in points], dataset)
 
-    hess = _num_hessian(packed_logliks, pack(like), _em_block(dataset))
+    hess = _num_hessian(packed_logliks, pack(like))
     hess = 0.5 * (hess + hess.T)
     eigs = np.linalg.eigvalsh(hess)
     if eigs.max() > 1e-8 * abs(eigs.min()):

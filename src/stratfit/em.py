@@ -85,6 +85,7 @@ from .core import (
     ModelParams,
     StrataGrid,
     cell_order,
+    check_censored,
     linear_design,
 )
 from .densities import Family, norm_logcdf, norm_logpdf
@@ -101,11 +102,6 @@ FROZEN_WEIGHT_TOL = 1e-8
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _check_censored(dataset: Dataset, family: Family) -> None:
-    if family is Family.TOBIT and np.any(dataset.y < 0.0):
-        raise DataError("negative outcome under censored family")
-
-
 def _check_inputs(sets: Sequence[ModelParams], dataset: Dataset) -> Family:
     """Check parameter sets of one family against the dataset; return it."""
     family = sets[0].family
@@ -116,7 +112,7 @@ def _check_inputs(sets: Sequence[ModelParams], dataset: Dataset) -> Family:
             raise DataError(
                 f"dataset has {dataset.k_levels} levels but parameters use {p.grid.k_levels}"
             )
-    _check_censored(dataset, family)
+    check_censored(dataset.y, family)
     return family
 
 
@@ -962,6 +958,16 @@ def _initial_logliks(dataset, warm, grid, family, mean_structure, scales):
     return lls
 
 
+def _mapping_count(dataset: Dataset, family: Family) -> int:
+    """The starting-mapping count, once the censored rule and the 3-level cap hold."""
+    check_censored(dataset.y, family)
+    k = dataset.k_levels
+    if k > 3:
+        raise DataError(f"{k} levels give {math.factorial(k)}^{2 * k} = {n_mappings(k):,} "
+                        "starting mappings; at most 3 levels can be fitted")
+    return n_mappings(k)
+
+
 def _farthest_points(lls: np.ndarray, count: int) -> np.ndarray:
     """Farthest-point selection on the values: the highest first, then
     repeatedly the id farthest from every id chosen so far, lowest id on
@@ -996,13 +1002,13 @@ def select_starts(
     returned without ranking. Ranking is one batched pass over all mappings
     (see :func:`_initial_logliks`): about one logarithm per case and mapping
     under the saturated structure, and under the linear one an EM-kernel
-    evaluation, one density per case, mapping and compatible stratum.
+    evaluation, one density per case, mapping and compatible stratum. More
+    than three levels raise DataError.
     """
     kind, count = strategy
     if kind not in ("topk", "spread"):
         raise ValueError(f"unknown start-selection strategy: {kind!r}")
-    _check_censored(dataset, family)
-    total = n_mappings(grid.k_levels)
+    total = _mapping_count(dataset, family)
     if count >= total:
         return np.arange(total)
     scales = _pooled_scales(warm, grid.k_levels, scale_floor)
@@ -1024,12 +1030,24 @@ class FitConfig:
     ``max_iter`` caps the EM iterations of each start, ``starts`` is
     ``"all"`` or a ``(kind, n)`` selection (see :func:`parse_starts`), and
     ``keep_history`` records every iteration's log-likelihood in the trace.
-    """
+    ValueError rejects a ``tol`` that is not finite or is below 0, a
+    ``max_iter`` that is not an int of at least 1, and any other ``starts``."""
 
     tol: float = 1e-9
     max_iter: int = 2000
     starts: str | tuple[str, int] = "all"
     keep_history: bool = False
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise ValueError(f"tol must be finite and at least 0, not {self.tol!r}")
+        if not isinstance(self.max_iter, int) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an int of at least 1, not {self.max_iter!r}")
+        match self.starts:
+            case ("topk" | "spread", int(n)) if n >= 1:
+                pass
+            case other if other != "all":
+                raise ValueError(f"invalid starts selection: {other!r}")
 
 
 def parse_starts(text: str) -> str | tuple[str, int]:
@@ -1212,14 +1230,14 @@ def fit(
     phase stop early as ``"pruned"``. Ties within 1e-8 go to the lowest
     mapping id and are recorded. Raises ConvergenceError (carrying the
     trace) when the best start stopped at ``max_iter`` and no start
-    converged, DataError on empty cells. A pruned start never counts as
-    converged (run on, it might have converged and let the capped winner
-    return unconverged); a best start that stopped as ``"nonmonotone"``
-    returns unconverged.
+    converged, DataError on empty cells or more than three levels. A pruned
+    start never counts as converged (run on, it might have converged and let
+    the capped winner return unconverged); a best start that stopped as
+    ``"nonmonotone"`` returns unconverged.
     """
     config = config or FitConfig()
+    total = _mapping_count(dataset, family)
     grid = StrataGrid(dataset.k_levels)
-    _check_censored(dataset, family)
     empty = dataset.empty_cells()
     if empty:
         raise DataError(
@@ -1232,7 +1250,7 @@ def fit(
     )
     warm = warm_start_cells(dataset, family)
     if config.starts == "all":
-        ids = np.arange(n_mappings(grid.k_levels))
+        ids = np.arange(total)
     else:
         ids = select_starts(
             dataset, warm, grid, family, mean_structure, config.starts, scale_floor

@@ -12,7 +12,12 @@ class StratfitError(Exception):
 
 class DataError(StratfitError):
     """Invalid or degenerate input data (bad schema, empty cells, negative
-    outcomes under a censored family, zero-weight arms)."""
+    outcomes under a censored family, zero-weight arms). ``row`` is the
+    0-based index of the first case that breaks a per-case rule, else None."""
+
+    def __init__(self, message: str, row: int | None = None):
+        self.row = row
+        super().__init__(message)
 
 
 class WarmStartError(DataError):

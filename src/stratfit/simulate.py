@@ -142,6 +142,7 @@ class SimConfig:
         if self.prob_scenario not in PROB_SCENARIOS:
             raise ValueError(f"unknown probability scenario: {self.prob_scenario!r}")
         _check_shape(self.shape, self.shape_param)
+        FitConfig(tol=self.tol, max_iter=self.max_iter, starts=self.starts)  # checks fit fields
 
 
 def true_model(config: SimConfig) -> ModelParams:

@@ -138,6 +138,25 @@ class TestReadDataset:
         with pytest.raises(DataError, match=f"^row 5: {message}$"):
             read_dataset(str(path), 2, False, Family.NORMAL)
 
+    def test_arm_written_as_float_reads_as_the_integer(self, tmp_path):
+        rows = "1.0,{},0\n2.0,{},1\n3.0,{},1\n4.0,{},0\n"
+        path = tmp_path / "ints.csv"
+        path.write_text("y,t,z\n" + rows.format(0, 1, 0, 1))
+        expected = read_dataset(str(path), 2, False, Family.NORMAL)
+        path.write_text("y,t,z\n" + rows.format("0.0", "1.0", "0.", "1e0"))
+        got = read_dataset(str(path), 2, False, Family.NORMAL)
+        for name in ("y", "t", "z", "w", "cluster"):
+            assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+            assert getattr(got, name).dtype == getattr(expected, name).dtype, name
+
+    def test_fractional_arm_reports_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("y,t,z\n1.0,0,0\n2.0,1,1\n3.0,0.5,1\n")
+        with pytest.raises(DataError, match=r"^row 4: arm indicator must be 0 or 1$") as err:
+            read_dataset(str(path), 2, False, Family.NORMAL)
+        assert err.value.row == 2
+        assert main(["fit", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+
     def test_blank_cluster_cell_is_a_cluster_of_its_own(self, tmp_path):
         # the blank cell sits on line 5, and another row's cluster is 5
         path = tmp_path / "ok.csv"
@@ -162,6 +181,16 @@ class TestReadDataset:
 
 
 class TestCmdFit:
+    @pytest.mark.parametrize("option", [
+        ["--tol", "nan"], ["--tol", "inf"], ["--tol", "-1"], ["--max-iter", "0"],
+    ], ids=["tol_nan", "tol_inf", "tol_negative", "max_iter_0"])
+    def test_bad_fit_setting_exits_2_before_any_output(self, data_csv, tmp_path, capsys,
+                                                       option):
+        out = tmp_path / "out"
+        assert main(["fit", data_csv, *option, "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        assert "must be" in capsys.readouterr().err
+
     def test_end_to_end_outputs(self, data_csv, tmp_path):
         out = tmp_path / "fit_out"
         code = main(["fit", data_csv, "--out-dir", str(out)])
@@ -493,6 +522,19 @@ class TestCmdSimulate:
         assert main(["simulate", cfg, "--seed", "1", "--out-dir", str(tmp_path)]) == 2
         cfg = self._config(tmp_path, "n_per_arm = -5\n")
         assert main(["simulate", cfg, "--seed", "1", "--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("line", ["tol = nan", "tol = -1", "max_iter = 0"])
+    def test_bad_fit_setting_exits_2_before_any_replicate(self, tmp_path, line, monkeypatch):
+        def no_replicate(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(cli, "run_study", no_replicate)
+        cfg = self._config(tmp_path, f"n_per_arm = 60\nreplicates = 2\n{line}\n")
+        with pytest.raises(DataError, match="invalid config value"):
+            read_sim_config(cfg, seed=1)
+        out = tmp_path / "out"
+        assert main(["simulate", cfg, "--seed", "1", "--out-dir", str(out)]) == 2
+        assert not out.exists()
 
     def test_shape_and_shapes_together_rejected(self, tmp_path):
         cfg = self._config(tmp_path, "n_per_arm = 60\nshape = skewed:1.5\n"

@@ -179,6 +179,46 @@ class TestDataset:
         with pytest.raises(DataError, match="arm"):
             Dataset.from_arrays([1.0], [2], [0], k_levels=2)
 
+    @pytest.mark.parametrize("t, z, message", [
+        ([0, 1, 0.7, 1], [0, 1, 1, 0], "arm indicator must be 0 or 1"),
+        ([0, 1, np.nan, 1], [0, 1, 1, 0], "arm indicator must be 0 or 1"),
+        ([0, 1, 0, 1], [0, 1, 1.9, 0], "level outside"),
+        ([0, 1, 0, 1], [0, 1, -0.5, 0], "level outside"),
+    ], ids=["t_fraction", "t_nan", "z_fraction", "z_negative_fraction"])
+    def test_non_integer_arm_or_level_names_its_row(self, t, z, message):
+        # cast to int64 first, these would land the case in another cell
+        with pytest.raises(DataError, match=message) as err:
+            Dataset.from_arrays([1.0, 2.0, 3.0, 4.0], t, z, k_levels=2)
+        assert err.value.row == 2
+
+    @pytest.mark.parametrize("z", [np.nan, np.inf, -np.inf])
+    def test_non_finite_level_with_inferred_levels_names_its_row(self, z):
+        with pytest.raises(DataError, match="level outside") as err:
+            Dataset.from_arrays([1.0, 2.0, 3.0], [0, 1, 0], [1, z, 0])
+        assert err.value.row == 1
+
+    @pytest.mark.parametrize("column, value, family, message", [
+        ("y", np.inf, None, "outcomes must be finite"),
+        ("w", -1.0, None, "weights must be finite and nonnegative"),
+        ("w", np.nan, None, "weights must be finite and nonnegative"),
+        ("y", -1.0, Family.TOBIT, "negative outcome under censored family"),
+    ], ids=["y_inf", "w_negative", "w_nan", "tobit_negative_y"])
+    def test_each_case_rule_names_the_first_bad_row(self, column, value, family, message):
+        cols = {"y": [1.0, 2.0, 3.0, 4.0], "w": [1.0, 1.0, 1.0, 1.0]}
+        cols[column][1] = cols[column][3] = value
+        with pytest.raises(DataError, match=f"^{message}$") as err:
+            Dataset.from_arrays(cols["y"], [0, 1, 0, 1], [0, 1, 1, 0], w=cols["w"],
+                                k_levels=2, family=family)
+        assert err.value.row == 1
+
+    def test_integer_valued_float_columns_equal_int_columns(self):
+        as_int = Dataset.from_arrays([1.0, 2.0, 3.0], [0, 1, 1], [2, 0, 1], k_levels=3)
+        as_float = Dataset.from_arrays([1.0, 2.0, 3.0], [0.0, 1.0, 1.0], [2.0, 0.0, 1.0])
+        assert as_float.k_levels == 3
+        for name in ("t", "z"):
+            assert getattr(as_float, name).dtype == np.int64
+            assert np.array_equal(getattr(as_float, name), getattr(as_int, name))
+
     def test_empty_cells_flagged(self):
         ds = Dataset.from_arrays(
             [1.0, 2.0, 3.0], [0, 0, 1], [0, 1, 0], w=[1.0, 0.0, 1.0], k_levels=2

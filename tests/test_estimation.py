@@ -934,6 +934,34 @@ class TestFit:
         with pytest.raises(DataError, match="empty"):
             fit(ds)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": math.nan}, {"tol": math.inf}, {"tol": -1e-9}, {"max_iter": 0},
+        {"max_iter": 10.0}, {"starts": "top"}, {"starts": ("topk", 0)},
+        {"starts": ("best", 3)}, {"starts": ("spread", 2.0)},
+    ], ids=["tol_nan", "tol_inf", "tol_negative", "max_iter_0", "max_iter_float",
+            "starts_text", "starts_topk_0", "starts_kind", "starts_float_count"])
+    def test_config_rejects_bad_values(self, kwargs):
+        with pytest.raises(ValueError):
+            FitConfig(**kwargs)
+        with pytest.raises(ValueError):
+            simulate.SimConfig(**kwargs)
+
+    def test_more_than_three_levels_rejected_before_warm_starts(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        ds = Dataset.from_arrays(rng.normal(size=400), np.arange(400) % 2,
+                                 (np.arange(400) // 2) % 4, k_levels=4)
+
+        def no_warm_start(*args, **kwargs):
+            raise AssertionError("warm starts ran")
+
+        monkeypatch.setattr(em, "warm_start_cells", no_warm_start)
+        for starts in ("all", ("topk", 3)):
+            with pytest.raises(DataError, match=r"4 levels give 24\^8 = 110,075,314,176"):
+                fit(ds, config=FitConfig(starts=starts))
+        with pytest.raises(DataError, match="at most 3 levels"):
+            select_starts(ds, None, StrataGrid(4), Family.NORMAL, MeanStructure.SATURATED,
+                          ("topk", 3))
+
     def test_no_convergence_carries_trace(self):
         ds, _ = simulate_four_strata(200, seed=22)
         with pytest.raises(ConvergenceError) as err:

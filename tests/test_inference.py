@@ -191,7 +191,7 @@ class TestStackedHessian:
         naive = observed_information_se(res, ds)
         sandwich = cluster_sandwich_se(res, ds, bread=naive)
 
-        def oracle(fun, x, block):
+        def oracle(fun, x):
             return num_hessian_oracle(
                 lambda v: log_likelihood(unpack(v, res.params), ds), x, HESS_STEP)
 
