@@ -8,13 +8,14 @@ variant inverts the negative Hessian, the cluster variant wraps it around a
 Huber-White meat aggregated over cluster score sums. One finite-difference
 code path serves both families and mean structures.
 
-The Hessian's 2p^2 + 1 points run as one stack of parameter sets through
-one :func:`~stratfit.em.log_likelihood` call, and every value and difference
-rounds exactly as when each point is evaluated on its own. One
-central-difference Jacobian (:func:`_num_jacobian`) serves the sandwich's
-per-case scores, 2p :func:`~stratfit.em.case_loglik` calls made one at a
-time (their (2p, n) stack would grow with the sample for little time
-saved), and the delta method's effect and parameter maps.
+The Hessian's 2p^2 + 1 points run as one stack through one
+:func:`~stratfit.em.log_likelihood` call, in which each cell runs only the
+points that move its inputs. Every value and difference rounds exactly as
+when each point is evaluated on its own. One central-difference Jacobian
+(:func:`_num_jacobian`) serves the sandwich's per-case scores, 2p
+:func:`~stratfit.em.case_loglik` calls made one at a time (their (2p, n)
+stack would grow with the sample for little time saved), and the delta
+method's effect and parameter maps.
 """
 
 from __future__ import annotations
@@ -123,10 +124,10 @@ def _steps(x: np.ndarray, rel: float) -> np.ndarray:
 
 def _num_hessian(fun, x: np.ndarray) -> np.ndarray:
     """Central-difference Hessian from ``fun``, which maps a stack of points
-    to their values. The 2p^2 + 1 points are x, then
-    x + e_i, then x - e_i, then x + e_i + e_j, x + e_i - e_j, x - e_i + e_j
-    and x - e_i - e_j over i < j; each point and difference rounds as when
-    it is built and evaluated on its own."""
+    to their values. The 2p^2 + 1 points are x, then x + e_i, then x - e_i,
+    then x + e_i + e_j, x + e_i - e_j, x - e_i + e_j and x - e_i - e_j over
+    i < j; each point and difference rounds as when it is built and evaluated
+    on its own. A cell reached by a coordinates runs only 2a^2 + 1 of them."""
     h = _steps(x, HESS_STEP)
     p = len(x)
     e = np.diag(h)

@@ -19,19 +19,20 @@ and the EM loop) runs through one kernel over the dataset's cell partition,
 M-step carry a leading axis over S parameter sets: the public one-set
 functions use S = 1, :func:`log_likelihood` also takes a sequence of sets,
 and the EM loop advances all running starts together (see
-:func:`_run_starts`). One evaluator, :func:`_evaluate`, runs a stack of
-sets through the kernel in blocks (see ``_EM_BLOCK``), so an iteration costs
-one pass over the cells per block of starts rather than one per start. Each
-set is rounded exactly as when it is evaluated alone (``_dot``, ``_matvec``
-and C-ordered buffers keep BLAS on one code path for every S) and as in
-earlier releases, which ran one start at a time (``math.log`` for scales):
-the finite-difference standard errors in :mod:`.effects` move by up to 1%
-when an optimum moves in its 13th digit, so fits must not move with the
-batching. For the same reason the row maxima and sums over a cell's 2-3
-strata columns and the sums over its cases are column-wise reductions
-(``_row_max``, ``_row_sum``, ``_case_sum``) that round exactly as numpy's
-``max`` and ``sum`` do: numpy reduces a 2-3 wide axis with one inner loop
-per row, which costs far more than the arithmetic.
+:func:`_run_starts`). One evaluator, :func:`_evaluate`, runs a stack of sets
+through the kernel in blocks (see ``_EM_BLOCK``), so an iteration costs one
+pass over the cells per block of starts rather than one per start. Without
+an E-step (the EM starts differ everywhere), a cell runs once per distinct
+input among the sets. Each set is rounded exactly as when it is evaluated
+alone (``_dot``, ``_matvec`` and C-ordered buffers keep BLAS on one code
+path for every S) and as in earlier releases, which ran one start at a time
+(``math.log`` for scales): the finite-difference standard errors in
+:mod:`.effects` move by up to 1% when an optimum moves in its 13th digit, so
+fits must not move with the batching. For the same reason the row maxima and
+sums over a cell's 2-3 strata columns and the sums over its cases are
+column-wise reductions (``_row_max``, ``_row_sum``, ``_case_sum``) that
+round exactly as numpy's ``max`` and ``sum`` do: numpy reduces a 2-3 wide
+axis with one inner loop per row, which costs far more than the arithmetic.
 
 Under tobit, the M-step maximizes each (set, arm) problem by a damped
 Newton (:func:`_tobit_newton`), and its cost is the number of
@@ -205,14 +206,17 @@ def _mix(cell: Cell, logdens: np.ndarray, logprior: np.ndarray, want_post: bool 
     return lse, np.exp(lm, out=lm)
 
 
+def _censored(dataset: Dataset, table, scales, family: Family) -> np.ndarray | None:
+    """Under tobit with zeros, log Phi(-location/scale) (S, 2, n_strata) in one call."""
+    tobit = family is Family.TOBIT and any(cell.zero.size for cell in dataset.cells)
+    return norm_logcdf(-table / scales[:, :, None]) if tobit else None
+
+
 def _mixture(dataset: Dataset, logp, table, scales, family: Family, want_post: bool):
     """Yield (cell, log mixture terms, posterior or None) for each non-empty
     cell under S parameter sets: log-probabilities ``logp`` (S, n_strata),
-    locations ``table`` (S, 2, n_strata), arm first, and ``scales`` (S, 2).
-    Under tobit, one ``norm_logcdf`` call serves every cell's zero outcomes."""
-    cens = None
-    if family is Family.TOBIT and any(cell.zero.size for cell in dataset.cells):
-        cens = norm_logcdf(-table / scales[:, :, None])
+    locations ``table`` (S, 2, n_strata), arm first, and ``scales`` (S, 2)."""
+    cens = _censored(dataset, table, scales, family)
     for cell in dataset.cells:
         if cell.y.size:
             ld = _cell_logdens(cell, table[:, cell.t, cell.strata], scales[:, cell.t], family,
@@ -235,17 +239,34 @@ def _evaluate(dataset: Dataset, logp, table, scales, family: Family, stats=None)
 
     The sets run through the kernel in blocks of ``_em_block(dataset)``, so
     the working set does not grow with S; a set's values do not depend on
-    the block it runs in.
+    the block it runs in. Given ``stats`` (the EM loop, whose starts differ)
+    or one set, each block runs every cell; else each cell runs only on the
+    distinct rows of its columns of the stacks.
     """
     block = _em_block(dataset)
     ll = np.zeros(len(logp))
-    for lo in range(0, len(logp), block):
-        s = slice(lo, lo + block)
-        for cell, lse, post in _mixture(dataset, logp[s], table[s], scales[s], family,
-                                        stats is not None):
-            ll[s] += _dot(lse, cell.w)
-            if stats is not None:
-                _accumulate(stats[s], cell, post, family)
+    if stats is not None or len(logp) < 2:
+        for lo in range(0, len(logp), block):
+            s = slice(lo, lo + block)
+            for cell, lse, post in _mixture(dataset, logp[s], table[s], scales[s], family,
+                                            stats is not None):
+                ll[s] += _dot(lse, cell.w)
+                if stats is not None:
+                    _accumulate(stats[s], cell, post, family)
+        return ll
+    cens = _censored(dataset, table, scales, family)
+    for cell in filter(lambda c: c.y.size, dataset.cells):
+        key = np.ascontiguousarray(np.concatenate(  # compared by bytes: -0.0 is not 0.0
+            [logp[:, cell.strata], table[:, cell.t, cell.strata], scales[:, cell.t, None]], 1))
+        first, inv = np.unique(key.view(np.dtype((np.void, key[0].nbytes)))[:, 0],
+                               return_index=True, return_inverse=True)[1:]
+        terms = np.empty(len(first))
+        for lo in range(0, len(first), block):
+            ids = first[lo:lo + block]  # a block of the distinct sets
+            ld = _cell_logdens(cell, table[ids, cell.t][:, cell.strata], scales[ids, cell.t],
+                               family, None if cens is None else cens[ids, cell.t][:, cell.strata])
+            terms[lo:lo + block] = _dot(_mix(cell, ld, logp[ids][:, cell.strata])[0], cell.w)
+        ll += terms[inv]
     return ll
 
 
@@ -258,12 +279,14 @@ def log_likelihood(params: ModelParams | Sequence[ModelParams],
     unobserved control-side level, a control case over the treated side.
 
     Given one parameter set, returns a float. Given a sequence of sets of
-    one family, returns an array with one value per set, each equal bit for
-    bit to the set's own value: the sets run together through the kernel's
-    set axis (see :func:`_evaluate`).
+    one family, returns an array with one value per set (empty for none),
+    each equal bit for bit to the set's own value: a cell runs once per
+    distinct input among the sets (see :func:`_evaluate`).
     """
     if isinstance(params, ModelParams):
         return float(log_likelihood([params], dataset)[0])
+    if not len(params):
+        return np.zeros(0)
     family = _check_inputs(params, dataset)
     return _evaluate(dataset, *_stack(params), family)
 
@@ -958,14 +981,19 @@ def _initial_logliks(dataset, warm, grid, family, mean_structure, scales):
     return lls
 
 
+def check_level_count(k: int, error: type[Exception] = DataError) -> None:
+    """Raise ``error`` unless a fit can take k levels: 1, 2 or 3."""
+    if not 1 <= k <= 3:
+        count = f"{math.factorial(k)}^{2 * k} = {n_mappings(k):,}" if k > 3 else "no"
+        raise error(f"{k} levels give {count} starting mappings; at least 1 and at most 3 "
+                    "levels can be fitted")
+
+
 def _mapping_count(dataset: Dataset, family: Family) -> int:
     """The starting-mapping count, once the censored rule and the 3-level cap hold."""
     check_censored(dataset.y, family)
-    k = dataset.k_levels
-    if k > 3:
-        raise DataError(f"{k} levels give {math.factorial(k)}^{2 * k} = {n_mappings(k):,} "
-                        "starting mappings; at most 3 levels can be fitted")
-    return n_mappings(k)
+    check_level_count(dataset.k_levels)
+    return n_mappings(dataset.k_levels)
 
 
 def _farthest_points(lls: np.ndarray, count: int) -> np.ndarray:

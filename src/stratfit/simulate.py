@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import Dataset, ModelParams, StrataGrid
 from .densities import Family
-from .em import FitConfig, fit
+from .em import FitConfig, check_level_count, fit
 from .errors import StratfitError
 
 PROB_SCENARIOS = ("unequal", "one_small", "uniform")
@@ -131,6 +131,7 @@ class SimConfig:
     max_iter: int = FitConfig.max_iter
 
     def __post_init__(self):
+        check_level_count(self.k_levels, ValueError)
         if self.n_per_arm < 2 * self.k_levels**2:
             raise ValueError("n_per_arm must be at least twice the strata count")
         if self.dispersion_sd < 0.0:

@@ -7,7 +7,6 @@ removing one of them breaks the benchmark without breaking any other test.
 import dataclasses
 import importlib
 import inspect
-import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -58,7 +57,7 @@ def test_m_step_accepts_the_benchmark_call():
 def test_traced_se_counts_see_the_real_path(monkeypatch):
     # The traced run counts effects.loglik_evals and effects.case_loglik_evals
     # through these two names: the stacked Hessian calls log_likelihood once
-    # per block of points, the sandwich case_loglik twice per coordinate.
+    # for all its points, the sandwich case_loglik twice per coordinate.
     calls = Counter()
 
     def counted(name):
@@ -76,5 +75,5 @@ def test_traced_se_counts_see_the_real_path(monkeypatch):
         monkeypatch.setattr(effects, name, counted(name))
     effects.effect_table(res, ds)
     p = len(pack(res.params))
-    assert 1 <= calls["log_likelihood"] <= math.ceil((2 * p * p + 1) / em._em_block(ds)) + 1
+    assert calls["log_likelihood"] == 1
     assert calls["case_loglik"] == 2 * p

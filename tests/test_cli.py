@@ -523,7 +523,8 @@ class TestCmdSimulate:
         cfg = self._config(tmp_path, "n_per_arm = -5\n")
         assert main(["simulate", cfg, "--seed", "1", "--out-dir", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("line", ["tol = nan", "tol = -1", "max_iter = 0"])
+    @pytest.mark.parametrize("line", ["tol = nan", "tol = -1", "max_iter = 0", "k_levels = 0",
+                                      "k_levels = 4"])
     def test_bad_fit_setting_exits_2_before_any_replicate(self, tmp_path, line, monkeypatch):
         def no_replicate(*args, **kwargs):
             raise AssertionError("a replicate ran")

@@ -1,15 +1,17 @@
 import dataclasses
 import importlib
+import itertools
 import math
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stratfit import em, simulate
-from stratfit.core import Dataset, MeanStructure, ModelParams, StrataGrid
+from stratfit.core import Dataset, MeanStructure, ModelParams, StrataGrid, pack, unpack
 from stratfit.densities import Family
 from stratfit.em import (
     FitConfig,
@@ -79,6 +81,14 @@ def simulate_four_strata(n_per_arm, seed, dispersion=2.0, probs=(0.4, 0.3, 0.2, 
     ds = Dataset.from_arrays(y, t, z, k_levels=2, family=family)
     truth = ModelParams(GRID2, probs, locs, np.array([sigma, sigma]), family)
     return ds, truth
+
+
+def cell_inputs(params: ModelParams, cell) -> tuple[bytes, bytes, bytes]:
+    """The bytes of one cell's likelihood inputs under a parameter set: its
+    strata's log-probabilities and arm locations and its arm's scale."""
+    table = params.location_table()
+    return (np.log(params.probs)[cell.strata].tobytes(),
+            table[cell.strata, cell.t].tobytes(), params.scales[cell.t].tobytes())
 
 
 def simulate_nine_strata(n_per_arm, seed, dispersion=2.5):
@@ -171,6 +181,64 @@ class TestLogLikelihoodOracle:
         got = log_likelihood(sets, ds)
         assert got.shape == (5,)
         assert got.tolist() == want
+
+    def test_empty_sequence_gives_no_values(self):
+        ds, _ = simulate_four_strata(50, seed=4)
+        for sets in ([], ()):
+            got = log_likelihood(sets, ds)
+            assert got.dtype == float and got.shape == (0,)
+
+    @pytest.mark.parametrize("case", ["tobit", "linear", "three-level"])
+    def test_repeated_sets_equal_one_set_calls(self, case, monkeypatch):
+        if case == "three-level":
+            ds, grid = simulate_nine_strata(150, seed=61), StrataGrid(3)
+        else:
+            ds, _ = simulate_four_strata(150, seed=61, censor=case == "tobit")
+            grid = GRID2
+        family = Family.TOBIT if case == "tobit" else Family.NORMAL
+        structure = LINEAR if case == "linear" else SATURATED
+        rng = np.random.default_rng(61)
+        n_loc = 4 if structure is LINEAR else grid.n_strata
+        base = ModelParams(grid, rng.dirichlet(np.full(grid.n_strata, 5.0)),
+                           rng.normal(2.0, 1.0, (n_loc, 2)), rng.uniform(0.8, 1.5, 2),
+                           family, structure)
+        # finite-difference points in a logit, a location and a log-scale,
+        # each set twice, shuffled
+        x = pack(base)
+        moves = [np.zeros_like(x)]
+        for j in (0, grid.n_strata - 1, len(x) - 1):
+            moves += [s * 1e-3 * np.eye(len(x))[j] for s in (1.0, -1.0)]
+        moves += [a + b for a, b in itertools.combinations(moves[1:], 2)]
+        sets = [unpack(x + m, base) for m in moves]
+        if structure is SATURATED:  # bit for bit, so -0.0 is not 0.0
+            for zero in (0.0, -0.0):
+                loc = base.locations.copy()
+                loc[0, 0] = zero
+                sets.append(ModelParams(grid, base.probs, loc, base.scales, family))
+        sets = [sets[i] for i in rng.permutation(2 * len(sets)) % len(sets)]
+        want = [log_likelihood(p, ds) for p in sets]
+
+        distinct = {(c.t, c.z): len({cell_inputs(p, c) for p in sets}) for c in ds.cells}
+        seen, blocks, logcdf = Counter(), Counter(), Counter()
+        real_mix, real_logcdf = em._mix, em.norm_logcdf
+
+        def counted_mix(cell, logdens, *args):
+            seen[cell.t, cell.z] += len(logdens)
+            blocks[cell.t, cell.z] += 1
+            return real_mix(cell, logdens, *args)
+
+        def counted_logcdf(v):
+            logcdf["calls"] += 1
+            return real_logcdf(v)
+
+        widest = max(cell.y.size * cell.strata.size for cell in ds.cells)
+        monkeypatch.setattr(em, "_EM_BLOCK", 2 * widest)
+        monkeypatch.setattr(em, "_mix", counted_mix)
+        monkeypatch.setattr(em, "norm_logcdf", counted_logcdf)
+        assert log_likelihood(sets, ds).tolist() == want
+        assert seen == distinct
+        assert max(blocks.values()) > 1
+        assert logcdf["calls"] == (family is Family.TOBIT)
 
     def test_stacked_sets_of_mixed_families_rejected(self):
         ds, truth = simulate_four_strata(50, seed=4, censor=True)

@@ -1,10 +1,11 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from stratfit import effects
+from stratfit import effects, em
 from stratfit.core import Dataset, MeanStructure, ModelParams, StrataGrid, pack, unpack
 from stratfit.densities import Family, tobit_mean
 from stratfit.effects import (
@@ -20,7 +21,7 @@ from stratfit.em import FitConfig, FitResult, StartRecord, case_loglik, fit, log
 from stratfit.errors import InferenceError
 
 from _oracles import brute_force_loglik, case_score_oracle, num_hessian_oracle
-from test_estimation import simulate_four_strata, simulate_nine_strata
+from test_estimation import cell_inputs, simulate_four_strata, simulate_nine_strata
 
 GRID2 = StrataGrid(2)
 
@@ -200,6 +201,34 @@ class TestStackedHessian:
         assert np.array_equal(
             sandwich.cov,
             cluster_sandwich_se(res, ds, bread=observed_information_se(res, ds)).cov)
+
+    # the kernel rows per cell, 2a^2 + 1 for the a packed coordinates reaching it
+    ROWS = {"normal": {73}, "tobit": {73}, "linear": {73, 129}, "three-level": {289}}
+
+    def test_each_cell_runs_only_the_points_that_move_it(self, fitted, request, monkeypatch):
+        res, ds = fitted
+        x = pack(res.params)
+        h = HESS_STEP * np.maximum(1.0, np.abs(x))
+
+        def inputs(v):
+            return {(c.t, c.z): cell_inputs(unpack(v, res.params), c) for c in ds.cells}
+
+        at_x = inputs(x)
+        reach = Counter()
+        for j in range(len(x)):
+            moved = [inputs(x + s * h[j] * np.eye(len(x))[j]) for s in (1.0, -1.0)]
+            reach.update(key for key in at_x if any(m[key] != at_x[key] for m in moved))
+        seen = Counter()
+        real_mix = em._mix
+
+        def counted(cell, logdens, *args, **kwargs):
+            seen[cell.t, cell.z] += len(logdens)
+            return real_mix(cell, logdens, *args, **kwargs)
+
+        monkeypatch.setattr(em, "_mix", counted)
+        observed_information_se(res, ds)
+        assert seen == {key: 2 * reach[key] ** 2 + 1 for key in at_x}
+        assert set(seen.values()) == self.ROWS[request.node.callspec.params["fitted"]]
 
     def test_working_set_stays_bounded(self):
         ds, truth = simulate_four_strata(20_000, seed=45)

@@ -106,6 +106,11 @@ class TestGenerate:
         with pytest.raises(ValueError, match="unknown disturbance shape"):
             SimConfig(100, 1.6, shape="cauchy", shape_param=1.0)
 
+    @pytest.mark.parametrize("k_levels", [-1, 0, 4])
+    def test_level_count_a_fit_cannot_take_rejected(self, k_levels):
+        with pytest.raises(ValueError, match="at least 1 and at most 3 levels"):
+            SimConfig(k_levels=k_levels, replicates=2, n_per_arm=100)
+
     @pytest.mark.parametrize("shape", ["heavy_tail", "skewed"])
     def test_shape_without_parameter_rejected(self, shape):
         with pytest.raises(ValueError, match="needs a parameter"):
