@@ -5,7 +5,8 @@ Input CSV schema: columns y,t,z (required) and w,cluster (optional; defaults
 1 and the row index); t and z accept integer-valued floats such as ``1.0``.
 An input error names the file line of its row. All outputs are deterministic
 CSV/JSON given the same inputs and seed. Exit codes: 0 success, 2 input
-error, 3 numerical failure.
+error (an OS error on a named file, such as a missing input or an output
+directory that is a file, included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -80,9 +81,7 @@ def read_dataset(path: str, levels: int, dichotomize: bool, family: Family) -> D
     """Read the y,t,z[,w,cluster] CSV. :class:`Dataset` checks the values;
     a violation is reported with the file's line number (``csv.DictReader``
     skips blank lines, so records are not lines)."""
-    if not os.path.exists(path):
-        raise DataError(f"input file not found: {path}")
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # Excel may write a BOM
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DataError("input file is empty")
@@ -183,8 +182,6 @@ def save_fit(path: str, result: FitResult, data_options: dict) -> None:
 def load_fit(path: str) -> tuple[FitResult, dict]:
     """Read a fit written by :func:`save_fit`. The winner's top-level copy
     and the per-start ``converged`` flags of older files are ignored."""
-    if not os.path.exists(path):
-        raise DataError(f"fit file not found: {path}")
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -385,8 +382,6 @@ def read_sim_config(path: str, seed: int) -> tuple[list[SimConfig], bool]:
     single ``shape`` key. Each key may appear once; an absent key takes
     :class:`SimConfig`'s default.
     """
-    if not os.path.exists(path):
-        raise DataError(f"config file not found: {path}")
     raw: dict[str, str] = {}
     seen: dict[str, int] = {}  # the line of each key
     with open(path) as fh:
@@ -564,7 +559,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, ValueError) as exc:
+    except (DataError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except StratfitError as exc:

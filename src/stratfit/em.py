@@ -17,22 +17,21 @@ and the EM loop) runs through one kernel over the dataset's cell partition,
 :attr:`Dataset.cells`; start ranking reads its component log-densities
 (:func:`_cell_logdens`) too. The kernel, the sufficient statistics and the
 M-step carry a leading axis over S parameter sets: the public one-set
-functions use S = 1, :func:`log_likelihood` also takes a sequence of sets,
-and the EM loop advances all running starts together (see
-:func:`_run_starts`). One evaluator, :func:`_evaluate`, runs a stack of sets
-through the kernel in blocks (see ``_EM_BLOCK``), so an iteration costs one
-pass over the cells per block of starts rather than one per start. Without
-an E-step (the EM starts differ everywhere), a cell runs once per distinct
-input among the sets. Each set is rounded exactly as when it is evaluated
-alone (``_dot``, ``_matvec`` and C-ordered buffers keep BLAS on one code
-path for every S) and as in earlier releases, which ran one start at a time
-(``math.log`` for scales): the finite-difference standard errors in
-:mod:`.effects` move by up to 1% when an optimum moves in its 13th digit, so
-fits must not move with the batching. For the same reason the row maxima and
-sums over a cell's 2-3 strata columns and the sums over its cases are
-column-wise reductions (``_row_max``, ``_row_sum``, ``_case_sum``) that
-round exactly as numpy's ``max`` and ``sum`` do: numpy reduces a 2-3 wide
-axis with one inner loop per row, which costs far more than the arithmetic.
+functions use S = 1, and :func:`log_likelihood` also takes a sequence of
+sets. The EM loop (:func:`_run_starts`) walks its running starts in blocks
+(see ``_EM_BLOCK``), each block taking its M-step and then its E-step, one
+pass over the cells per block rather than one per start; a stack without an
+E-step (:func:`_evaluate`) runs each cell once per distinct input.
+Each set is rounded exactly as when it is evaluated alone (``_dot``,
+``_matvec`` and C-ordered buffers keep BLAS on one code path for every S)
+and as in earlier releases, which ran one start at a time (``math.log`` for
+scales): the finite-difference standard errors in :mod:`.effects` move by
+up to 1% when an optimum moves in its 13th digit, so fits must not move
+with the batching. For the same reason the row maxima and sums over a
+cell's 2-3 strata columns and the sums over its cases are column-wise
+reductions (``_row_max``, ``_row_sum``, ``_case_sum``) that round exactly
+as numpy's ``max`` and ``sum`` do: numpy reduces a 2-3 wide axis with one
+inner loop per row, which costs far more than the arithmetic.
 
 Under tobit, the M-step maximizes each (set, arm) problem by a damped
 Newton (:func:`_tobit_newton`), and its cost is the number of
@@ -231,29 +230,14 @@ def _stack(sets: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray, np.ndar
             np.stack([p.scales for p in sets]))
 
 
-def _evaluate(dataset: Dataset, logp, table, scales, family: Family, stats=None) -> np.ndarray:
+def _evaluate(dataset: Dataset, logp, table, scales, family: Family) -> np.ndarray:
     """Weighted log-likelihoods (S,) of S parameter sets stacked as for
-    :func:`_mixture`. Given ``stats``, zeros of shape (S, 2, n_strata, 3 or
-    4), it also writes the sets' posterior-weighted statistics into it (see
-    :func:`_accumulate`).
-
-    The sets run through the kernel in blocks of ``_em_block(dataset)``, so
-    the working set does not grow with S; a set's values do not depend on
-    the block it runs in. Given ``stats`` (the EM loop, whose starts differ)
-    or one set, each block runs every cell; else each cell runs only on the
-    distinct rows of its columns of the stacks.
+    :func:`_mixture`, each as when evaluated alone. Each cell runs once per
+    distinct row of its columns of the stacks, in blocks of
+    ``_em_block(dataset)`` such rows, so the working set does not grow with S.
     """
     block = _em_block(dataset)
     ll = np.zeros(len(logp))
-    if stats is not None or len(logp) < 2:
-        for lo in range(0, len(logp), block):
-            s = slice(lo, lo + block)
-            for cell, lse, post in _mixture(dataset, logp[s], table[s], scales[s], family,
-                                            stats is not None):
-                ll[s] += _dot(lse, cell.w)
-                if stats is not None:
-                    _accumulate(stats[s], cell, post, family)
-        return ll
     cens = _censored(dataset, table, scales, family)
     for cell in filter(lambda c: c.y.size, dataset.cells):
         key = np.ascontiguousarray(np.concatenate(  # compared by bytes: -0.0 is not 0.0
@@ -280,8 +264,9 @@ def log_likelihood(params: ModelParams | Sequence[ModelParams],
 
     Given one parameter set, returns a float. Given a sequence of sets of
     one family, returns an array with one value per set (empty for none),
-    each equal bit for bit to the set's own value: a cell runs once per
-    distinct input among the sets (see :func:`_evaluate`).
+    each equal bit for bit to the set's own value and to the log-likelihood
+    the EM loop reports for the set: a cell runs once per distinct input
+    among the sets (see :func:`_evaluate`).
     """
     if isinstance(params, ModelParams):
         return float(log_likelihood([params], dataset)[0])
@@ -917,9 +902,9 @@ def _start_sets(warm, ids, grid: StrataGrid, mean_structure: MeanStructure,
 # float64, 256 KiB.
 _RANK_BLOCK = 1 << 15
 
-# The largest (sets x cases x strata) array _evaluate builds, in float64
-# entries: 2^16, 512 KiB. Sets run in blocks sized to the widest cell, so
-# the working set does not grow with the number of sets or the sample size.
+# The largest (sets x cases x strata) array the EM loop and _evaluate build,
+# in float64 entries: 2^16, 512 KiB. Sets run in blocks sized to the widest
+# cell, so the working set grows with neither the set count nor the cases.
 _EM_BLOCK = 1 << 16
 
 
@@ -1169,14 +1154,16 @@ def _run_starts(dataset, ids, probs, coef, scales, family, mean_structure, tol, 
     """Run EM from the starts with mapping ids ``ids`` and initial sets
     ``probs`` (S, n_strata), ``coef`` (S, 2, n_loc) and ``scales`` (S, 2),
     as :func:`_start_sets` builds them, and return their records in order.
+    The arrays given are copied, not written.
 
-    All running starts advance together, one iteration at a time: the
-    M-step, a block of ``_em_block(dataset)`` starts at a time (the tobit
-    Newton's Hessian stack grows with the sets it holds), and then one
-    :func:`_evaluate`. A start stops once its log-likelihood changes by at
-    most ``tol * max(1, |ll|)`` (``"tol"``), else once it drops by more
-    than ``_DROP_TOL * |ll|`` (``"nonmonotone"``), or after ``max_iter``
-    M-steps and one more evaluation (``"max_iter"``).
+    All running starts advance together, one iteration at a time, in blocks
+    of ``_em_block(dataset)`` starts. Each block takes its M-step, written
+    into the running sets in place, and then its E-step: one pass of the
+    kernel over the cells, adding up the block's log-likelihoods and the
+    statistics of its next M-step. A start stops once its log-likelihood
+    changes by at most ``tol * max(1, |ll|)`` (``"tol"``), else once it drops
+    by more than ``_DROP_TOL * |ll|`` (``"nonmonotone"``), or after
+    ``max_iter`` M-steps and one more evaluation (``"max_iter"``).
 
     At evaluation ``_SHORT_PHASE``, each running start that trails the best
     log-likelihood of all the starts, running or stopped, by more than
@@ -1191,6 +1178,7 @@ def _run_starts(dataset, ids, probs, coef, scales, family, mean_structure, tol, 
     block = _em_block(dataset)
     n = len(ids)
     pos = np.arange(n)  # the running starts' places in ``ids``
+    probs, coef, scales = probs.copy(), coef.copy(), scales.copy()
     frozen = np.zeros((n, 2, grid.n_strata), dtype=bool)
     floor = np.zeros((n, 2), dtype=bool)
     stats = np.zeros((n, 2, grid.n_strata, 4 if family is Family.TOBIT else 3))
@@ -1207,16 +1195,22 @@ def _run_starts(dataset, ids, probs, coef, scales, family, mean_structure, tol, 
                                      tuple((int(s), int(t)) for t, s in np.argwhere(frozen[j])),
                                      reason, tuple(history[i]))
 
+    def table(s):  # the location table (S, 2, n_strata) of the starts in s
+        return coef[s] if mean_structure is MeanStructure.SATURATED else coef[s] @ design.T
+
     for it in itertools.count(1):
         if not pos.size:
             return records
-        if ll is not None:  # the M-step after the last evaluation
-            probs, coef, scales, frozen, floor = map(np.concatenate, zip(*(
-                _m_step_core(stats[lo:lo + block], grid, family, mean_structure,
-                             (table[lo:lo + block], scales[lo:lo + block]), scale_floor)
-                for lo in range(0, len(pos), block))))
-        table = coef if mean_structure is MeanStructure.SATURATED else coef @ design.T
-        ll_prev, ll = ll, _evaluate(dataset, _log_probs(probs), table, scales, family, stats)
+        ll_prev, ll = ll, np.zeros(len(pos))
+        for lo in range(0, len(pos), block):
+            s = slice(lo, lo + block)
+            if ll_prev is not None:  # the M-step after the last evaluation
+                probs[s], coef[s], scales[s], frozen[s], floor[s] = _m_step_core(
+                    stats[s], grid, family, mean_structure, (table(s), scales[s]), scale_floor)
+            for cell, lse, post in _mixture(dataset, _log_probs(probs[s]), table(s), scales[s],
+                                            family, True):
+                ll[s] += _dot(lse, cell.w)
+                _accumulate(stats[s], cell, post, family)
         if keep_history:
             for i, value in zip(pos, ll.tolist()):
                 history[i].append(value)
@@ -1239,8 +1233,8 @@ def _run_starts(dataset, ids, probs, coef, scales, family, mean_structure, tol, 
             finish(cut, _SHORT_PHASE - 1, "pruned")
             stop |= cut
         if stop.any():
-            pos, probs, coef, scales, frozen, floor, table, stats, ll = (
-                a[~stop] for a in (pos, probs, coef, scales, frozen, floor, table, stats, ll))
+            pos, probs, coef, scales, frozen, floor, stats, ll = (
+                a[~stop] for a in (pos, probs, coef, scales, frozen, floor, stats, ll))
 
 
 def fit(

@@ -30,7 +30,6 @@ from .densities import Family
 from .em import FitConfig, check_level_count, fit
 from .errors import StratfitError
 
-PROB_SCENARIOS = ("unequal", "one_small", "uniform")
 SHAPES = ("normal", "heavy_tail", "skewed")
 NEAR_TIE_REL = 1e-4
 
@@ -49,6 +48,9 @@ def scenario_probs(scenario: str, k_levels: int) -> np.ndarray:
         v = np.arange(s, 0, -1, dtype=float)
         return v / v.sum()
     if scenario == "one_small":
+        if s < 2:
+            raise ValueError(f"probability scenario 'one_small' needs at least 2 levels, "
+                             f"not {k_levels}")
         if k_levels == 2:
             return np.array([0.45, 0.30, 0.20, 0.05])
         v = np.arange(s - 1, 0, -1, dtype=float)
@@ -65,6 +67,8 @@ def _check_shape(shape: str, shape_param: float | None) -> None:
             raise ValueError("the normal shape takes no parameter")
     elif shape_param is None:
         raise ValueError(f"shape {shape!r} needs a parameter, e.g. '{shape}:3'")
+    elif not math.isfinite(shape_param):
+        raise ValueError(f"shape {shape!r} needs a finite parameter, not {shape_param!r}")
     elif shape == "heavy_tail" and not shape_param > 2.0:
         raise ValueError("heavy-tail degrees of freedom must exceed 2")
 
@@ -134,14 +138,16 @@ class SimConfig:
         check_level_count(self.k_levels, ValueError)
         if self.n_per_arm < 2 * self.k_levels**2:
             raise ValueError("n_per_arm must be at least twice the strata count")
-        if self.dispersion_sd < 0.0:
-            raise ValueError("dispersion_sd must be nonnegative")
+        if not (math.isfinite(self.dispersion_sd) and self.dispersion_sd >= 0.0):
+            raise ValueError(f"dispersion_sd must be finite and nonnegative, "
+                             f"not {self.dispersion_sd!r}")
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
-        if self.prob_scenario not in PROB_SCENARIOS:
-            raise ValueError(f"unknown probability scenario: {self.prob_scenario!r}")
+        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
+            raise ValueError(f"sigma must be finite and positive, not {self.sigma!r}")
+        if not math.isfinite(self.effect):
+            raise ValueError(f"effect must be finite, not {self.effect!r}")
+        scenario_probs(self.prob_scenario, self.k_levels)
         _check_shape(self.shape, self.shape_param)
         FitConfig(tol=self.tol, max_iter=self.max_iter, starts=self.starts)  # checks fit fields
 

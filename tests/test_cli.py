@@ -179,6 +179,12 @@ class TestReadDataset:
         assert np.array_equal(read_dataset(str(path), 2, False, Family.NORMAL).cluster,
                               expected)
 
+    def test_byte_order_mark_before_the_header_is_skipped(self, tmp_path):
+        path = tmp_path / "excel.csv"
+        path.write_text("\ufeffy,t,z\n1.0,0,0\n2.0,1,1\n", encoding="utf-8")
+        ds = read_dataset(str(path), 2, False, Family.NORMAL)
+        assert ds.y.tolist() == [1.0, 2.0]
+
 
 class TestCmdFit:
     @pytest.mark.parametrize("option", [
@@ -523,8 +529,11 @@ class TestCmdSimulate:
         cfg = self._config(tmp_path, "n_per_arm = -5\n")
         assert main(["simulate", cfg, "--seed", "1", "--out-dir", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("line", ["tol = nan", "tol = -1", "max_iter = 0", "k_levels = 0",
-                                      "k_levels = 4"])
+    @pytest.mark.parametrize("line", [
+        "tol = nan", "tol = -1", "max_iter = 0", "k_levels = 0", "k_levels = 4",
+        "dispersion_sd = nan", "sigma = inf", "effect = nan", "shape = skewed:nan",
+        "shape = skewed:inf", "shapes = heavy_tail:inf", "k_levels = 1\nprob_scenario = one_small",
+    ])
     def test_bad_fit_setting_exits_2_before_any_replicate(self, tmp_path, line, monkeypatch):
         def no_replicate(*args, **kwargs):
             raise AssertionError("a replicate ran")
@@ -623,3 +632,24 @@ def test_exit_code_per_error(tmp_path, monkeypatch, capsys, error, code):
     monkeypatch.setattr(cli, "cmd_diagnose", fail)
     assert main(["diagnose", "--fit", "fit.json", "--out-dir", str(tmp_path)]) == code
     assert capsys.readouterr().err == "error: no luck\n"
+
+
+@pytest.mark.parametrize("case", ["fit-directory", "out-dir-is-a-file", "diagnose-directory",
+                                  "simulate-directory", "missing-file"])
+def test_os_error_exits_2_naming_the_path(data_csv, tmp_path, capsys, case):
+    taken, out = tmp_path / "taken", str(tmp_path / "out")
+    taken.write_text("")
+    argv, path = {
+        "fit-directory": (["fit", str(tmp_path), "--out-dir", out], tmp_path),
+        "out-dir-is-a-file": (["fit", data_csv, "--out-dir", str(taken)], taken),
+        "diagnose-directory": (["diagnose", "--fit", str(tmp_path), "--out-dir", out], tmp_path),
+        "simulate-directory": (["simulate", str(tmp_path), "--seed", "1", "--out-dir", out],
+                               tmp_path),
+        "missing-file": (["fit", str(tmp_path / "none.csv"), "--out-dir", out],
+                         tmp_path / "none.csv"),
+    }[case]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err and "Traceback" not in err

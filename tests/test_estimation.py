@@ -1329,25 +1329,33 @@ class TestBatchedEM:
         assert records[3].params.locations[3, 1] == table[3, 1]
         assert_records_match_oracle(records, ids, sets, ds, family, SATURATED, config, floor)
 
-    @pytest.mark.parametrize("case", ["pruned", "pruned_linear", "pruned_tobit"])
+    @pytest.mark.parametrize("case", ["pruned", "pruned_linear", "pruned_tobit", "three_levels"])
     def test_records_do_not_depend_on_the_block_size(self, case, monkeypatch):
-        # one start per block, three per block and every start in one block
+        # one start per block, three per block and every start in one block;
+        # the EM loop's log-likelihoods are the stacked evaluator's, bit for
+        # bit, and the start arrays are left as they were given
         make, family, mean_structure, config = ORACLE_CASES[case]
         ds = make()
         ids, sets, floor = fit_starts(ds, family, mean_structure, config)
+        given = [a.copy() for a in sets]
         widest = max(cell.y.size * cell.strata.size for cell in ds.cells)
         assert em._em_block(ds) >= len(ids)
 
         def records(block):
             monkeypatch.setattr(em, "_EM_BLOCK", block)
+            got = _run_starts(ds, ids, *sets, family, mean_structure, config.tol,
+                              config.max_iter, floor, False)
+            stacked = log_likelihood([r.params for r in got], ds)
+            for r, value in zip(got, stacked.tolist()):
+                assert r.loglik == log_likelihood(r.params, ds) == value
+            for a, b in zip(sets, given):
+                np.testing.assert_array_equal(a, b)
             return [(r.mapping_id, r.loglik, r.iterations, r.stop_reason, r.frozen,
                      r.floor_active, r.params.probs.tolist(), r.params.locations.tolist(),
-                     r.params.scales.tolist())
-                    for r in _run_starts(ds, ids, *sets, family, mean_structure, config.tol,
-                                         config.max_iter, floor, False)]
+                     r.params.scales.tolist()) for r in got]
 
         want = records(em._EM_BLOCK)
-        assert "pruned" in {r[3] for r in want}
+        assert ("pruned" in {r[3] for r in want}) == case.startswith("pruned")
         assert records(widest) == want
         assert records(3 * widest) == want
 

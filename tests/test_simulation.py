@@ -106,6 +106,20 @@ class TestGenerate:
         with pytest.raises(ValueError, match="unknown disturbance shape"):
             SimConfig(100, 1.6, shape="cauchy", shape_param=1.0)
 
+    @pytest.mark.parametrize("field, kwargs", [
+        ("dispersion_sd", {"dispersion_sd": float("nan")}),
+        ("sigma", {"sigma": float("inf")}),
+        ("effect", {"effect": float("nan")}),
+        ("shape 'skewed'", {"shape": "skewed", "shape_param": float("nan")}),
+        ("shape 'skewed'", {"shape": "skewed", "shape_param": float("inf")}),
+        ("shape 'heavy_tail'", {"shape": "heavy_tail", "shape_param": float("inf")}),
+        ("'one_small' needs at least 2 levels", {"k_levels": 1, "prob_scenario": "one_small"}),
+    ], ids=["dispersion-nan", "sigma-inf", "effect-nan", "skewed-nan", "skewed-inf",
+            "heavy-tail-inf", "one-small-one-level"])
+    def test_values_that_cannot_generate_data_rejected(self, field, kwargs):
+        with pytest.raises(ValueError, match=field):
+            SimConfig(n_per_arm=100, replicates=2, **kwargs)
+
     @pytest.mark.parametrize("k_levels", [-1, 0, 4])
     def test_level_count_a_fit_cannot_take_rejected(self, k_levels):
         with pytest.raises(ValueError, match="at least 1 and at most 3 levels"):

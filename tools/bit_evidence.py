@@ -1,0 +1,138 @@
+"""Dump every answer of the benchmark workloads bit for bit, and compare two dumps.
+
+    python tools/bit_evidence.py dump OUT.json
+    python tools/bit_evidence.py compare A.json B.json
+
+``dump`` builds the inputs of the four benchmark workloads at data seeds
+0-15 with ``bench/workloads.build_inputs`` and analyses each dataset as its
+workload does: ``normal-cli`` reads the CSV written for the CLI, the others
+build the dataset from the arrays. For each analysis it fits the model and
+computes the effect table with both covariances, and writes every field of
+every ``StartRecord`` (parameters as the bytes of their float64 arrays), the
+tie ids, the naive Hessian, both covariances and the four effect-SE arrays;
+a fit or SE step that raises is written as its error. Values are strings,
+so two dumps are equal exactly when every bit is.
+
+``compare`` prints each key whose value differs or exists in one dump only,
+and exits 1 if there is any.
+
+The code under test is the ``src/`` next to this file's ``tools/``, so to
+dump another checkout, copy this file into that checkout's ``tools/``. BLAS
+runs single-threaded, as in the benchmark.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import numpy as np  # noqa: E402
+
+import workloads as wl  # noqa: E402
+from stratfit import cli, effects, em  # noqa: E402
+from stratfit.core import Dataset  # noqa: E402
+from stratfit.errors import ConvergenceError, StratfitError  # noqa: E402
+
+SEEDS = range(wl.N_REF_SEEDS)
+
+
+def _bits(a) -> str:
+    if a is None:
+        return "None"
+    a = np.ascontiguousarray(a, dtype=float)
+    return f"{a.shape}:{a.tobytes().hex()}"
+
+
+def _record(out: dict, key: str, r: em.StartRecord) -> None:
+    p = r.params
+    out[f"{key}/mapping_id"] = str(r.mapping_id)
+    out[f"{key}/loglik"] = float(r.loglik).hex()
+    for name in ("probs", "locations", "scales"):
+        out[f"{key}/params.{name}"] = _bits(getattr(p, name))
+    out[f"{key}/params.family"] = p.family.value
+    out[f"{key}/params.mean_structure"] = p.mean_structure.value
+    for name in ("iterations", "floor_active", "frozen", "stop_reason"):
+        out[f"{key}/{name}"] = repr(getattr(r, name))
+    out[f"{key}/history"] = repr([float(v).hex() for v in r.history])
+
+
+def _analysis(out: dict, key: str, ds: Dataset, spec: wl.Spec) -> None:
+    config = em.FitConfig(tol=spec.tol, starts=em.parse_starts(spec.starts))
+    try:
+        res = em.fit(ds, spec.family, config=config)
+    except ConvergenceError as exc:
+        out[f"{key}/error"] = f"ConvergenceError: {exc}"
+        for i, r in enumerate(exc.trace):
+            _record(out, f"{key}/record{i}", r)
+        return
+    except StratfitError as exc:
+        out[f"{key}/error"] = f"{type(exc).__name__}: {exc}"
+        return
+    for i, r in enumerate(res.trace):
+        _record(out, f"{key}/record{i}", r)
+    out[f"{key}/tie_ids"] = repr(res.tie_ids)
+    try:
+        table, cov_n, cov_c = effects.effect_table(res, ds)
+    except (StratfitError, np.linalg.LinAlgError) as exc:
+        out[f"{key}/se_error"] = f"{type(exc).__name__}: {exc}"
+        return
+    out[f"{key}/hessian"] = _bits(cov_n.hessian)
+    out[f"{key}/cov_naive"] = _bits(cov_n.cov)
+    out[f"{key}/cov_cluster"] = _bits(cov_c.cov)
+    for name in ("se_naive", "se_cluster", "se_naive_observed", "se_cluster_observed"):
+        out[f"{key}/{name}"] = _bits(getattr(table, name))
+
+
+def dump(path: str) -> None:
+    out: dict[str, str] = {}
+    with tempfile.TemporaryDirectory() as work:
+        for name in wl.WORKLOADS:
+            for seed in SEEDS:
+                inputs = wl.build_inputs(name, seed, work)
+                spec = inputs.spec
+                for i, arr in enumerate(inputs.arrays):
+                    if inputs.csv_paths:
+                        ds = cli.read_dataset(inputs.csv_paths[i], spec.k_levels, False,
+                                              spec.family)
+                    else:
+                        ds = Dataset.from_arrays(arr["y"], arr["t"], arr["z"],
+                                                 cluster=arr["cluster"],
+                                                 k_levels=spec.k_levels, family=spec.family)
+                    _analysis(out, f"{name}/seed{seed}/analysis{i}", ds, spec)
+                print(f"{name} seed {seed}: {len(inputs.arrays)} analyses", file=sys.stderr)
+    with open(path, "w") as fh:
+        json.dump(out, fh, indent=0, sort_keys=True)
+
+
+def compare(path_a: str, path_b: str) -> int:
+    with open(path_a) as fa, open(path_b) as fb:
+        a, b = json.load(fa), json.load(fb)
+    diffs = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+    for key in diffs:
+        print(f"{key}: {a.get(key, '<absent>')[:80]} != {b.get(key, '<absent>')[:80]}")
+    analyses = {k.rsplit("/", 1)[0] for k in a if "/record" not in k}
+    print(f"{len(diffs)} differences over {len(a)} and {len(b)} values "
+          f"({len(analyses)} analyses in {path_a})")
+    return 1 if diffs else 0
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "dump":
+        dump(argv[1])
+        return 0
+    if len(argv) == 3 and argv[0] == "compare":
+        return compare(argv[1], argv[2])
+    print(__doc__.split("\n\n")[1], file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
