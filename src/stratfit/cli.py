@@ -259,17 +259,18 @@ def cmd_fit(args) -> int:
     levels = 2 if args.dichotomize else args.levels
     dataset = read_dataset(args.data, levels, args.dichotomize, family)
     out_dir = args.out_dir
-    os.makedirs(out_dir, exist_ok=True)
     structure = MeanStructure(args.mean_structure)
     try:
         result = fit(dataset, family, structure, config)
     except ConvergenceError as exc:
+        os.makedirs(out_dir, exist_ok=True)
         _write_json(
             os.path.join(out_dir, "summary.json"),
             {"command": "fit", "converged": False, "error": str(exc)},
         )
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    os.makedirs(out_dir, exist_ok=True)  # only once there is something to write
 
     table = treatment_effects(result)
     se_note = None
@@ -384,7 +385,7 @@ def read_sim_config(path: str, seed: int) -> tuple[list[SimConfig], bool]:
     """
     raw: dict[str, str] = {}
     seen: dict[str, int] = {}  # the line of each key
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is not part of a key
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:

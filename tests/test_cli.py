@@ -253,6 +253,13 @@ class TestCmdFit:
         ) + "\n1.0,1,0\n2.0,1,0\n")
         assert main(["fit", str(bad), "--out-dir", str(tmp_path)]) == 2
 
+    def test_rejected_input_leaves_no_output_directory(self, tmp_path):
+        bad = tmp_path / "one_row.csv"
+        bad.write_text("y,t,z\n1.0,0,0\n")
+        out = tmp_path / "out"
+        assert main(["fit", str(bad), "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
     def test_non_convergence_exits_3(self, data_csv, tmp_path):
         out = tmp_path / "nc"
         code = main(["fit", data_csv, "--max-iter", "1", "--out-dir", str(out)])
@@ -358,7 +365,8 @@ class TestCmdDiagnose:
             assert (fit_dir / name).read_bytes() == (diag_dir / name).read_bytes()
 
     def test_fit_json_round_trip_keeps_trace_records(self, tmp_path):
-        ds, _ = simulate_four_strata(100, seed=5, dispersion=3.0)
+        # seed 3: a start other than the first two converges, and some are pruned
+        ds, _ = simulate_four_strata(100, seed=3, dispersion=3.0)
         res = fit(ds)
         flagged = dataclasses.replace(
             res.trace[0], floor_active=(True, False), frozen=((3, 1), (2, 0)),
@@ -580,6 +588,12 @@ class TestCmdSimulate:
             assert getattr(configs[0], key) == getattr(defaults, key)
         assert (defaults.tol, defaults.max_iter, defaults.starts) == (
             FitConfig.tol, FitConfig.max_iter, FitConfig.starts)
+
+    def test_read_sim_config_accepts_a_byte_order_mark(self, tmp_path):
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfn_per_arm = 60\nreplicates = 1\n")
+        configs, _ = read_sim_config(str(cfg), seed=1)
+        assert [(c.n_per_arm, c.replicates) for c in configs] == [(60, 1)]
 
     def test_read_sim_config_grid_order(self, tmp_path):
         cfg = self._config(

@@ -13,6 +13,7 @@ import pytest
 from stratfit import em, simulate
 from stratfit.core import Dataset, MeanStructure, ModelParams, StrataGrid, pack, unpack
 from stratfit.densities import Family
+from stratfit.effects import effect_table
 from stratfit.em import (
     FitConfig,
     case_loglik,
@@ -1116,22 +1117,58 @@ def fit_starts(ds, family, mean_structure, config):
     return ids, _start_sets(warm, ids, grid, mean_structure, scales), floor
 
 
+def pruned_at(histories, ds, config):
+    """The evaluation at which the pruning rule of ``em._run_starts`` stops
+    each start, or None, given each start's log-likelihood at every
+    evaluation it ran (each history ends where its start stopped). The rule
+    is checked from evaluation ``_SHORT_PHASE`` on, at every evaluation up to
+    ``max_iter`` where the start did not meet its own stop rule, against the
+    lead: the best log-likelihood of all starts up to that evaluation. At
+    ``_SHORT_PHASE`` it fires on a lag above the margin per unit of case
+    weight; later, on one above ``_PRUNE_AHEAD`` times the start's projected
+    remaining gain, Aitken's extrapolation capped by the M-steps left (at
+    least ``_PRUNE_FLOOR`` relative either way)."""
+    short = em._SHORT_PHASE
+    out = [None] * len(histories)
+    lead = -math.inf
+    for e in range(1, max(map(len, histories)) + 1):
+        lead = max([lead] + [h[e - 1] for h in histories if len(h) >= e])
+        if not short <= e <= config.max_iter:
+            continue
+        floor = em._PRUNE_FLOOR * abs(lead)
+        for i, h in enumerate(histories):
+            if len(h) < e or out[i] is not None:
+                continue
+            ll, gain = h[e - 1], h[e - 1] - h[e - 2]
+            if abs(gain) <= config.tol * max(1.0, abs(ll)) or gain < -em._DROP_TOL * abs(ll):
+                continue  # it stopped on its own rule
+            if e == short:
+                fires = ll < lead - max(em._PRUNE_MARGIN * ds.w.sum(), floor)
+            else:
+                prev = h[e - 2] - h[e - 3]
+                r = gain / prev if prev else math.inf
+                ahead = min(gain * r / (1.0 - r) if 0.0 <= r < 1.0 else math.inf,
+                            gain * (config.max_iter - e + 1))
+                fires = lead - ll > max(floor, em._PRUNE_AHEAD * ahead)
+            if fires:
+                out[i] = e
+    return out
+
+
 def assert_records_match_oracle(records, ids, sets, ds, family, mean_structure, config, floor):
-    """Each record is EM run from its start alone, and a start is pruned
-    exactly when it still ran after ``_SHORT_PHASE`` evaluations and then
-    trailed the best of all starts by more than the margin (per unit of case
-    weight, at least the relative floor). A pruned record is the one-start
-    run capped at ``_SHORT_PHASE - 1`` M-steps, apart from its stop reason.
-    Returns the stop reasons."""
+    """Each record is EM run from its start alone, and each start is pruned
+    exactly at the evaluation :func:`pruned_at` predicts from the one-start
+    runs' histories, or not at all. A start pruned at evaluation e has the
+    record of the one-start run capped at e - 1 M-steps, apart from its stop
+    reason."""
     assert [r.mapping_id for r in records] == ids.tolist()
     grid = StrataGrid(ds.k_levels)
-    short = em._SHORT_PHASE
-    at_short, running = [], []
+    histories = []
     for rec, probs, coef, scales in zip(records, *sets):
         start = ModelParams(grid, probs, coef.T, scales, family, mean_structure)
         pruned = rec.stop_reason == "pruned"
         want = em_one_start_oracle(ds, start, family, mean_structure, config.tol,
-                                   short - 1 if pruned else config.max_iter, floor)
+                                   rec.iterations if pruned else config.max_iter, floor)
         assert (rec.iterations, rec.converged, rec.frozen, rec.floor_active) == (
             want["iterations"], want["converged"], want["frozen"], want["floor_active"])
         if not pruned:
@@ -1144,43 +1181,50 @@ def assert_records_match_oracle(records, ids, sets, ds, family, mean_structure, 
             np.testing.assert_allclose(rec.history, want["history"], rtol=1e-10, atol=0.0)
         else:
             assert rec.history == ()
-        hist = want["history"]
-        at_short.append(hist[min(short, len(hist)) - 1])
-        # still running after the short phase: it went on, or it was cut
-        # there without meeting the stop rule at that evaluation
-        running.append(len(hist) > short or (
-            pruned and abs(hist[-1] - hist[-2]) > config.tol * max(1.0, abs(hist[-1]))))
-    lead = max(at_short)
-    margin = max(em._PRUNE_MARGIN * ds.w.sum(), em._PRUNE_FLOOR * abs(lead))
-    want_pruned = [run and ll < lead - margin for run, ll in zip(running, at_short)]
-    assert [r.stop_reason == "pruned" for r in records] == want_pruned
-    return [r.stop_reason for r in records]
+        histories.append(want["history"])
+    assert pruned_at(histories, ds, config) == [
+        r.iterations + 1 if r.stop_reason == "pruned" else None for r in records]
 
 
+# (dataset, family, mean structure, config, the kinds of stop its starts
+# show; see stop_kinds)
 ORACLE_CASES = {
     "normal": (lambda: simulate_four_strata(200, seed=41)[0], Family.NORMAL,
-               MeanStructure.SATURATED, FitConfig()),
+               MeanStructure.SATURATED, FitConfig(), {"tol", "late"}),
     "linear": (lambda: simulate_four_strata(200, seed=42)[0], Family.NORMAL,
-               MeanStructure.LINEAR, FitConfig()),
+               MeanStructure.LINEAR, FitConfig(), {"tol", "late"}),
     "tobit": (lambda: simulate_four_strata(150, seed=43, censor=True)[0], Family.TOBIT,
-              MeanStructure.SATURATED, FitConfig(tol=1e-7, starts=("topk", 4))),
+              MeanStructure.SATURATED, FitConfig(tol=1e-7, starts=("topk", 4)), {"tol", "late"}),
     "three_levels": (lambda: simulate_nine_strata(200, seed=27), Family.NORMAL,
-                     MeanStructure.SATURATED, FitConfig(starts=("topk", 3))),
+                     MeanStructure.SATURATED, FitConfig(starts=("topk", 3)), {"tol", "late"}),
     "capped": (lambda: simulate_four_strata(200, seed=22)[0], Family.NORMAL,
-               MeanStructure.SATURATED, FitConfig(max_iter=5)),
+               MeanStructure.SATURATED, FitConfig(max_iter=5), {"max_iter"}),
+    # near max_iter the M-steps left, not Aitken's projection, bound the gain
+    "capped_late": (lambda: simulate_four_strata(200, seed=41)[0], Family.NORMAL,
+                    MeanStructure.SATURATED, FitConfig(max_iter=20), {"max_iter", "late"}),
     "history": (lambda: simulate_four_strata(200, seed=21)[0], Family.NORMAL,
-                MeanStructure.SATURATED, FitConfig(keep_history=True)),
+                MeanStructure.SATURATED, FitConfig(keep_history=True), {"tol", "late"}),
     # well separated, so some starts trail the leader by more than the
     # pruning margin after the short phase
     "pruned": (lambda: simulate_four_strata(200, seed=42, dispersion=3.0)[0], Family.NORMAL,
-               MeanStructure.SATURATED, FitConfig()),
+               MeanStructure.SATURATED, FitConfig(), {"tol", "short", "late"}),
     "pruned_linear": (lambda: simulate_four_strata(200, seed=43, dispersion=3.0)[0],
-                      Family.NORMAL, MeanStructure.LINEAR, FitConfig()),
+                      Family.NORMAL, MeanStructure.LINEAR, FitConfig(), {"tol", "short", "late"}),
     "pruned_tobit": (lambda: simulate_four_strata(150, seed=43, dispersion=3.0, censor=True)[0],
-                     Family.TOBIT, MeanStructure.SATURATED, FitConfig(tol=1e-7)),
+                     Family.TOBIT, MeanStructure.SATURATED, FitConfig(tol=1e-7),
+                     {"tol", "short", "late"}),
     "pruned_history": (lambda: simulate_four_strata(200, seed=21, dispersion=3.0)[0],
-                       Family.NORMAL, MeanStructure.SATURATED, FitConfig(keep_history=True)),
+                       Family.NORMAL, MeanStructure.SATURATED, FitConfig(keep_history=True),
+                       {"tol", "short", "late"}),
 }
+
+
+def stop_kinds(records) -> set[str]:
+    """The stop reasons of the records, a pruned start counted as ``"short"``
+    when the short phase stopped it and as ``"late"`` when a later
+    evaluation did."""
+    return {("short" if r.iterations == em._SHORT_PHASE - 1 else "late")
+            if r.stop_reason == "pruned" else r.stop_reason for r in records}
 
 
 class TestBatchedEM:
@@ -1189,17 +1233,16 @@ class TestBatchedEM:
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_fit_trace_matches_one_start_oracle(self, case):
-        make, family, mean_structure, config = ORACLE_CASES[case]
+        make, family, mean_structure, config, kinds = ORACLE_CASES[case]
         ds = make()
         ids, sets, floor = fit_starts(ds, family, mean_structure, config)
         try:
             records = fit(ds, family, mean_structure, config).trace
         except ConvergenceError as err:
-            assert case == "capped"
+            assert case.startswith("capped")
             records = err.trace
-        reasons = assert_records_match_oracle(records, ids, sets, ds, family, mean_structure,
-                                              config, floor)
-        assert ("pruned" in reasons) == case.startswith("pruned")
+        assert_records_match_oracle(records, ids, sets, ds, family, mean_structure, config, floor)
+        assert stop_kinds(records) == kinds
 
     def test_block_pruned_whole_after_the_leader_stopped(self, monkeypatch):
         ds, _ = simulate_four_strata(200, seed=42, dispersion=3.0)
@@ -1226,6 +1269,33 @@ class TestBatchedEM:
         assert_records_match_oracle(records, ids, sets, ds, Family.NORMAL, SATURATED, config,
                                     floor)
 
+    @pytest.mark.parametrize("case", ["tobit", "three_levels"])
+    def test_late_pruning_leaves_the_answer(self, case, monkeypatch):
+        # the winner's record, the ties and the SEs are those of running
+        # every start that outlives the short phase to its stop rule
+        make, family, mean_structure, config, _ = ORACLE_CASES[case]
+        ds = make()
+
+        def answer():
+            res = fit(ds, family, mean_structure, config)
+            return res, *effect_table(res, ds)
+
+        (on, table_on, *covs_on) = answer()
+        monkeypatch.setattr(em, "_PRUNE_AHEAD", math.inf)
+        (off, table_off, *covs_off) = answer()
+        assert "late" in stop_kinds(on.trace) and "late" not in stop_kinds(off.trace)
+        a, b = on.winner, off.winner
+        assert (a.mapping_id, a.loglik, a.iterations, a.stop_reason, a.frozen,
+                a.floor_active) == (b.mapping_id, b.loglik, b.iterations, b.stop_reason,
+                                    b.frozen, b.floor_active)
+        for name in ("probs", "locations", "scales"):
+            np.testing.assert_array_equal(getattr(a.params, name), getattr(b.params, name))
+        assert on.tie_ids == off.tie_ids
+        for name in ("se_naive", "se_cluster", "se_naive_observed", "se_cluster_observed"):
+            np.testing.assert_array_equal(getattr(table_on, name), getattr(table_off, name))
+        for x, y in zip(covs_on, covs_off):
+            np.testing.assert_array_equal(x.cov, y.cov)
+
     @pytest.mark.parametrize("c", [0.2, 5.0, 1e3])
     def test_pruning_does_not_depend_on_the_units_of_y(self, c):
         # rescaling y by c moves every log-likelihood by -W log c (W the
@@ -1246,9 +1316,11 @@ class TestBatchedEM:
         config = FitConfig()
         ids, sets, floor = fit_starts(ds, Family.NORMAL, SATURATED, config)
         records = fit(ds, config=config).trace
-        reasons = assert_records_match_oracle(records, ids, sets, ds, Family.NORMAL, SATURATED,
-                                              config, floor)
-        assert 0 < reasons.count("pruned") < len(ids) - 1
+        assert_records_match_oracle(records, ids, sets, ds, Family.NORMAL, SATURATED, config,
+                                    floor)
+        short = [r.stop_reason == "pruned" and r.iterations == em._SHORT_PHASE - 1
+                 for r in records]
+        assert 0 < sum(short) < len(ids) - 1
 
     def test_dropping_start_ends_nonmonotone(self, monkeypatch):
         ds, _ = simulate_four_strata(200, seed=42, dispersion=3.0)
@@ -1331,10 +1403,11 @@ class TestBatchedEM:
 
     @pytest.mark.parametrize("case", ["pruned", "pruned_linear", "pruned_tobit", "three_levels"])
     def test_records_do_not_depend_on_the_block_size(self, case, monkeypatch):
-        # one start per block, three per block and every start in one block;
-        # the EM loop's log-likelihoods are the stacked evaluator's, bit for
+        # one start per block, three per block and every start in one block
+        # (a start pruned late trails a lead set in another block); the EM
+        # loop's log-likelihoods are the stacked evaluator's, bit for
         # bit, and the start arrays are left as they were given
-        make, family, mean_structure, config = ORACLE_CASES[case]
+        make, family, mean_structure, config, kinds = ORACLE_CASES[case]
         ds = make()
         ids, sets, floor = fit_starts(ds, family, mean_structure, config)
         given = [a.copy() for a in sets]
@@ -1350,12 +1423,12 @@ class TestBatchedEM:
                 assert r.loglik == log_likelihood(r.params, ds) == value
             for a, b in zip(sets, given):
                 np.testing.assert_array_equal(a, b)
+            assert stop_kinds(got) == kinds
             return [(r.mapping_id, r.loglik, r.iterations, r.stop_reason, r.frozen,
                      r.floor_active, r.params.probs.tolist(), r.params.locations.tolist(),
                      r.params.scales.tolist()) for r in got]
 
         want = records(em._EM_BLOCK)
-        assert ("pruned" in {r[3] for r in want}) == case.startswith("pruned")
         assert records(widest) == want
         assert records(3 * widest) == want
 

@@ -196,9 +196,9 @@ class TestMisspecification:
 
 
 class TestPruningLeavesTheAnswer:
-    """Pruning trailing starts after the short phase changes no recovery
-    answer: the same winner, ties and near ties as running every start to
-    the stop rule."""
+    """Pruning trailing starts, at the short phase or later, changes no
+    recovery answer: the same winner, ties and near ties as running every
+    start to the stop rule."""
 
     def test_margin_exceeds_the_tie_bands(self):
         # a pruned start trails the lead, and so the final winner, by more
@@ -229,6 +229,7 @@ class TestPruningLeavesTheAnswer:
             rep_on, fits_on = study(d, replicates)
             with monkeypatch.context() as off:
                 off.setattr(em, "_PRUNE_MARGIN", math.inf)
+                off.setattr(em, "_PRUNE_AHEAD", math.inf)
                 rep_off, fits_off = study(d, replicates)
             assert rep_on.n_failed == rep_off.n_failed == 0
             assert len(fits_on) == len(fits_off) == replicates

@@ -2,6 +2,7 @@
 
     python tools/bit_evidence.py dump OUT.json
     python tools/bit_evidence.py compare A.json B.json
+    python tools/bit_evidence.py compare --answers A.json B.json
 
 ``dump`` builds the inputs of the four benchmark workloads at data seeds
 0-15 with ``bench/workloads.build_inputs`` and analyses each dataset as its
@@ -14,7 +15,14 @@ a fit or SE step that raises is written as its error. Values are strings,
 so two dumps are equal exactly when every bit is.
 
 ``compare`` prints each key whose value differs or exists in one dump only,
-and exits 1 if there is any.
+and exits 1 if there is any. ``compare --answers`` compares only what an
+analysis answers: its error, if any, the record of its winner (the lowest
+mapping id within ``LOGLIK_TIE_TOL`` of the best log-likelihood), the tie
+ids, the Hessian, both covariances and the SE arrays. It prints each answer
+that differs, then how many other (loser) records differ and in how many
+analyses the count of near ties (starts within ``NEAR_TIE_REL`` of the
+best) changed, and exits 1 if an answer or a near-tie count differs. A
+change that only stops losing starts earlier passes it.
 
 The code under test is the ``src/`` next to this file's ``tools/``, so to
 dump another checkout, copy this file into that checkout's ``tools/``. BLAS
@@ -27,6 +35,7 @@ import json
 import os
 import sys
 import tempfile
+from collections import defaultdict
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -37,7 +46,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import numpy as np  # noqa: E402
 
 import workloads as wl  # noqa: E402
-from stratfit import cli, effects, em  # noqa: E402
+from stratfit import cli, effects, em, simulate  # noqa: E402
 from stratfit.core import Dataset  # noqa: E402
 from stratfit.errors import ConvergenceError, StratfitError  # noqa: E402
 
@@ -124,12 +133,65 @@ def compare(path_a: str, path_b: str) -> int:
     return 1 if diffs else 0
 
 
+def _by_analysis(dump: dict) -> tuple[dict, dict]:
+    """Each analysis's answer values, and its records' fields by mapping id.
+    Every analysis has an answer: its tie ids or its error."""
+    answers, records = defaultdict(dict), defaultdict(lambda: defaultdict(dict))
+    for key, value in dump.items():
+        head, _, name = key.rpartition("/")
+        analysis, _, record = head.rpartition("/")
+        if record.startswith("record"):
+            records[analysis][record][name] = value
+        else:
+            answers[head][name] = value
+    return answers, {analysis: {int(r["mapping_id"]): r for r in recs.values()}
+                     for analysis, recs in records.items()}
+
+
+def _winner_and_near_ties(records: dict) -> tuple[int | None, int]:
+    """The winning mapping id (as ``em.fit`` picks it) and the near-tie count."""
+    if not records:
+        return None, 0
+    lls = {i: float.fromhex(r["loglik"]) for i, r in records.items()}
+    best = max(lls.values())
+    winner = min(i for i, v in lls.items() if best - v <= em.LOGLIK_TIE_TOL)
+    near = sum(best - v <= simulate.NEAR_TIE_REL * max(abs(best), 1e-300) for v in lls.values())
+    return winner, near
+
+
+def compare_answers(path_a: str, path_b: str) -> int:
+    with open(path_a) as fa, open(path_b) as fb:
+        (answers_a, records_a), (answers_b, records_b) = (_by_analysis(json.load(fa)),
+                                                          _by_analysis(json.load(fb)))
+    diffs, losers, near_changed = [], 0, 0
+    for analysis in sorted(answers_a.keys() | answers_b.keys()):
+        ans_a, ans_b = answers_a.get(analysis, {}), answers_b.get(analysis, {})
+        recs_a, recs_b = records_a.get(analysis, {}), records_b.get(analysis, {})
+        (win_a, near_a), (win_b, near_b) = (_winner_and_near_ties(recs_a),
+                                            _winner_and_near_ties(recs_b))
+        diffs += [f"{analysis}/{k}" for k in sorted(ans_a.keys() | ans_b.keys())
+                  if ans_a.get(k) != ans_b.get(k)]
+        if win_a != win_b or recs_a.get(win_a) != recs_b.get(win_b):
+            diffs.append(f"{analysis}/winner: mapping {win_a} != mapping {win_b}"
+                         if win_a != win_b else f"{analysis}/winner record (mapping {win_a})")
+        losers += sum(recs_a.get(i) != recs_b.get(i)
+                      for i in recs_a.keys() | recs_b.keys() if i not in (win_a, win_b))
+        near_changed += near_a != near_b
+    for line in diffs:
+        print(line)
+    print(f"{len(diffs)} answer differences over {len(answers_a)} and {len(answers_b)} analyses; "
+          f"{losers} loser records differ; {near_changed} near-tie counts changed")
+    return 1 if diffs or near_changed else 0
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "dump":
         dump(argv[1])
         return 0
     if len(argv) == 3 and argv[0] == "compare":
         return compare(argv[1], argv[2])
+    if len(argv) == 4 and argv[:2] == ["compare", "--answers"]:
+        return compare_answers(argv[2], argv[3])
     print(__doc__.split("\n\n")[1], file=sys.stderr)
     return 2
 
