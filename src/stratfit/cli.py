@@ -77,57 +77,64 @@ def _write_json(path: str, payload: dict) -> None:
 # dataset ingestion
 # --------------------------------------------------------------------------
 
+def _parse_record(cols: list[str], row: list[str], line: int) -> tuple[float, ...]:
+    """y, t, z and w of one CSV record, or DataError naming its line."""
+    if len(row) > len(cols):
+        raise DataError(f"row {line}: {len(row)} fields, the header names {len(cols)}")
+    values = dict(itertools.zip_longest(cols, map(str.strip, row), fillvalue=""))
+    try:
+        y, t, z = (float(values[name]) for name in "ytz")
+        if not z.is_integer():
+            raise ValueError("z must be an integer level")
+        return y, t, z, float(values.get("w") or 1.0)
+    except ValueError as exc:
+        raise DataError(f"row {line}: {exc}") from None
+
+
 def read_dataset(path: str, levels: int, dichotomize: bool, family: Family) -> Dataset:
-    """Read the y,t,z[,w,cluster] CSV. :class:`Dataset` checks the values;
-    a violation is reported with the file's line number (``csv.DictReader``
-    skips blank lines, so records are not lines)."""
+    """Read the y,t,z[,w,cluster] CSV column by column. :class:`Dataset`
+    checks the values; a violation names its file line (blank lines are
+    skipped, so records are not lines), parsing record by record to find it."""
     with open(path, newline="", encoding="utf-8-sig") as fh:  # Excel may write a BOM
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise DataError("input file is empty")
-        cols = [c.strip() for c in reader.fieldnames]
+        cols = [c.strip() for c in header]
         twice = [c for c in cols if cols.count(c) > 1]
         if twice:
             raise DataError(f"header names column '{twice[0]}' more than once")
         for required in ("y", "t", "z"):
             if required not in cols:
                 raise DataError(f"missing required column '{required}'")
-        has_w = "w" in cols
-        has_cluster = "cluster" in cols
-        y, t, z, w, cluster, lines = [], [], [], [], [], []
-        for row in reader:
-            line = reader.line_num
-            lines.append(line)
-            if None in row:  # DictReader files a row's surplus fields under None
-                raise DataError(f"row {line}: {len(cols) + len(row[None])} fields, "
-                                f"the header names {len(cols)}")
-            row = {k.strip(): (v.strip() if v is not None else "") for k, v in row.items()}
-            try:
-                y.append(float(row["y"]))
-                t.append(float(row["t"]))
-                z_raw = float(row["z"])
-                if not z_raw.is_integer():
-                    raise ValueError("z must be an integer level")
-                z.append(int(z_raw))
-                w.append(float(row["w"]) if has_w and row["w"] != "" else 1.0)
-            except (TypeError, ValueError, KeyError) as exc:
-                raise DataError(f"row {line}: {exc}") from None
-            # values are stripped, so a leading space marks a row's own cluster
-            cluster.append(row["cluster"] if has_cluster and row["cluster"] != "" else f" {line}")
-    if not y:
+        records = [(row, reader.line_num) for row in reader if row]
+    if not records:
         raise DataError("input file has no data rows")
-    z_arr = np.array(z)
+    rows, lines = zip(*records)
+    columns = dict(zip(cols, itertools.zip_longest(*rows, fillvalue="")))  # pads short records
+    try:
+        y, t, z = (np.array(columns[name], dtype=float) for name in "ytz")
+        w = (np.array([v.strip() or "1" for v in columns["w"]], dtype=float)
+             if "w" in columns else np.ones(len(rows)))
+        parsed = (max(map(len, rows)) <= len(cols)
+                  and np.all(np.isfinite(z) & (z == np.floor(z))))
+    except (KeyError, ValueError):  # KeyError: no record reaches a required column
+        parsed = False
+    if not parsed:  # raises at the first bad record
+        y, t, z, w = map(np.array, zip(*(_parse_record(cols, *rec) for rec in records)))
     if dichotomize:
-        z_arr = np.where(z_arr > 0, 1, 0)
-    if np.any((z_arr < 0) | (z_arr >= levels)):
-        bad = int(np.flatnonzero((z_arr < 0) | (z_arr >= levels))[0])
+        z = np.where(z > 0, 1, 0)
+    if np.any((z < 0) | (z >= levels)):
+        bad = int(np.flatnonzero((z < 0) | (z >= levels))[0])
         raise DataError(
-            f"row {lines[bad]}: z={z_arr[bad]} outside [0, {levels}) "
+            f"row {lines[bad]}: z={int(z[bad])} outside [0, {levels}) "
             "(use --dichotomize to collapse levels above 0)"
         )
+    # values are stripped, so a leading space marks a row's own cluster
+    labels = columns.get("cluster", itertools.repeat(""))
+    cluster = np.array([c.strip() or f" {line}" for c, line in zip(labels, lines)], dtype=object)
     try:
-        return Dataset.from_arrays(y, t, z_arr, w, np.array(cluster, dtype=object),
-                                   k_levels=levels, family=family)
+        return Dataset.from_arrays(y, t, z, w, cluster, k_levels=levels, family=family)
     except DataError as exc:  # every rule of a built dataset names its row
         raise DataError(f"row {lines[exc.row]}: {exc}", row=exc.row) from None
 

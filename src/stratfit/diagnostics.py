@@ -141,10 +141,9 @@ def solution_trace_table(fit: FitResult) -> list[dict]:
     the best start, every estimated location, and convergence bookkeeping.
 
     ``stop_reason`` says why each start stopped (see ``StartRecord``). A
-    start that trailed the leader by more than the pruning margin after the
-    short phase, or later by more than its projected remaining gain allows,
-    stopped there as ``"pruned"``: its log-likelihood is a lower bound on
-    where it would have ended, and its locations are where it stood."""
+    start that fell far behind the leader stopped there as ``"pruned"``: its
+    log-likelihood is a lower bound on where it would have ended, and its
+    locations are where it stood."""
     nll = np.array([-r.loglik for r in fit.trace])
     best = nll.min()
     denom = max(abs(best), 1e-300)

@@ -7,13 +7,10 @@ stages: per-cell warm starts (a plain univariate normal-mixture EM), an
 exhaustive enumeration of the component-to-stratum assignments those warm
 starts admit (16 in the four-strata model), and an EM run from every
 assignment, keeping the solution with the highest weighted log-likelihood.
-All starts run together in one EM loop. At its tenth evaluation, a start
-that trails the best log-likelihood of all starts by more than 0.02 per unit
-of case weight stops (short-run/long-run EM); at every later evaluation, so
-does a start whose lag exceeds 200 times its projected remaining gain
-(Aitken's extrapolation, capped by the M-steps left). Such a start stops as
-``"pruned"``, its log-likelihood a lower bound on where it would have ended;
-the others run on to the stop rule (see :func:`_run_starts`).
+All starts run together in one EM loop. From the fifth evaluation on, a
+start that falls far behind the best stops as ``"pruned"`` (short-run/long-run
+EM), its log-likelihood a lower bound on where it would have ended; the
+others run on to the stop rule (see :func:`_run_starts`).
 
 Every mixture evaluation (the log-likelihood, the per-case terms, the E-step
 and the EM loop) runs through one kernel over the dataset's cell partition,
@@ -173,7 +170,9 @@ def _cell_logdens(cell: Cell, locs: np.ndarray, scale: np.ndarray, family: Famil
     ``locs`` (S, c) and ``scale`` (S,) in, (S, n_cell, c) out. Under tobit a
     zero outcome's term is ``log Phi(-loc/scale)``, taken from ``cens`` (S,
     c) when the caller has computed it, else computed here."""
-    ld = np.subtract(cell.y[:, None], locs[:, None, :], order="C")
+    ld = np.empty((len(locs), cell.y.size, locs.shape[1]))
+    for j in range(locs.shape[1]):  # by column: a broadcast loops once per case
+        np.subtract(cell.y, locs[:, j, None], out=ld[..., j])
     ld /= scale[:, None, None]
     ld *= ld
     ld *= -0.5
@@ -181,7 +180,8 @@ def _cell_logdens(cell: Cell, locs: np.ndarray, scale: np.ndarray, family: Famil
     if family is Family.TOBIT and cell.zero.size:
         if cens is None:
             cens = norm_logcdf(-locs / scale[:, None])
-        ld[:, cell.zero] = cens[:, None, :]
+        for j in range(locs.shape[1]):
+            ld[:, cell.zero, j] = cens[:, j, None]
     return ld
 
 
@@ -1081,9 +1081,8 @@ class StartRecord:
     """Outcome of one EM run: where it started and where it ended.
 
     ``stop_reason`` is ``"tol"`` (converged), ``"max_iter"``, ``"pruned"``
-    (trailed the leader at the short phase or, at any later evaluation, by
-    more than its projected remaining gain allows, see :func:`_run_starts`;
-    its log-likelihood is a lower bound on where the start would have ended)
+    (fell far behind the leader, see :func:`_run_starts`; its log-likelihood
+    is a lower bound on where the start would have ended)
     or ``"nonmonotone"`` (its log-likelihood dropped, see
     :func:`_run_starts`). It is the start's only status: only ``"tol"``
     counts as converged."""
@@ -1132,37 +1131,24 @@ class FitResult:
     frozen = property(lambda self: self.winner.frozen)
 
 
-# Short-run/long-run EM (Biernacki, Celeux & Govaert 2003, CSDA 41:561):
-# every start runs _SHORT_PHASE evaluations; then a running start whose
-# log-likelihood is below lead - _PRUNE_MARGIN * W, lead being the best
-# log-likelihood of all starts at that point and W the total case weight,
-# stops as "pruned". A lag per unit of case weight does not change with the
-# units of y (rescaling y by c moves every log-likelihood by -W log c), nor,
-# on average, with the number of cases. Both were chosen on recorded EM
-# trajectories of 824 normal and tobit fits (see CHANGES.md): after ten
-# evaluations, no start that ended within 1e-4 (relative) of its fit's winner
-# trailed the lead by more than 6.6e-3 per unit of case weight, a third of
-# the margin. The margin is at least _PRUNE_FLOOR * |lead|, which equals
-# simulate.NEAR_TIE_REL, so a pruned start never counts as a near tie of the
-# winner in any units.
-#
-# After the short phase the check runs at every evaluation, with the lead
-# kept as a running maximum: a start also stops as "pruned" once its lag
-# exceeds both the floor and _PRUNE_AHEAD times its projected remaining
-# gain. The projection is Aitken's delta-squared extrapolation of EM's
-# linear convergence (Boehning et al. 1994, AISM 46:373), g*r/(1 - r) with g
-# and g_prev the start's last two gains and r = g/g_prev, capped by the gain
-# of running every M-step left at the current rate, g*(max_iter - it + 1);
-# the extrapolation is unbounded when r is not in [0, 1). On the benchmark's
-# EM trajectories (its four workloads at data seeds 0-15) and a 96-fit
-# normal and tobit recovery grid run without this rule, no start that ended
-# within NEAR_TIE_REL of its fit's winner, while trailing the lead by more
-# than the floor, trailed it by more than 84.8 times its projected gain
-# (see CHANGES.md), so _PRUNE_AHEAD leaves a safety factor of 2.4. The
-# Aitken term is needed: the cap alone, with a factor of 1, would have
-# pruned 13 of those starts.
-_SHORT_PHASE = 10
-_PRUNE_MARGIN = 2e-2
+# Short-run/long-run EM (Biernacki, Celeux & Govaert 2003, CSDA 41:561); the
+# rules are in the _run_starts docstring. A lag per unit of case weight W does
+# not move with the units of y (rescaling y by c moves every log-likelihood by
+# -W log c), nor, on average, with the number of cases. The projected gain is
+# Aitken's extrapolation of EM's linear convergence (Boehning et al. 1994,
+# AISM 46:373). _PRUNE_FLOOR equals simulate.NEAR_TIE_REL, so a pruned start
+# is never a near tie of the winner. Calibration (tools/prune_calibration.py,
+# CHANGES.md) on runs without pruning of the benchmark's four workloads at
+# data seeds 0-15 and a 96-fit recovery grid: starts that ended within
+# NEAR_TIE_REL of their winner trailed by at most 1.95e-2 per unit of case
+# weight at evaluation 5, falling to 3.1e-3 at evaluation 10, so the margin is
+# at least 2.05 times that at each evaluation (later such lags stop shrinking:
+# 2.0e-3 at evaluation 30); and, above the floor, by at most 84.8 times their
+# projected gain (40.6 at evaluations 6-10), so _PRUNE_AHEAD leaves 2.36.
+_SHORT_PHASE = 5
+_SHORT_END = 10
+_PRUNE_MARGIN = 4e-2
+_MARGIN_DECAY = 0.7
 _PRUNE_FLOOR = 1e-4
 _PRUNE_AHEAD = 200.0
 
@@ -1187,12 +1173,17 @@ def _run_starts(dataset, ids, probs, coef, scales, family, mean_structure, tol, 
     by more than ``_DROP_TOL * |ll|`` (``"nonmonotone"``), or after
     ``max_iter`` M-steps and one more evaluation (``"max_iter"``).
 
-    From evaluation ``_SHORT_PHASE`` on, a running start that did not meet
-    the stop rule may stop as ``"pruned"``: the lead is the best
-    log-likelihood any start has reached so far, and the start's lag behind
-    it must exceed ``_PRUNE_FLOOR`` relative and, at ``_SHORT_PHASE``,
-    ``_PRUNE_MARGIN`` per unit of case weight, or later ``_PRUNE_AHEAD``
-    times the gain the start is projected to have left (see the note on
+    From evaluation ``_SHORT_PHASE`` (5) on, a running start that did not
+    meet the stop rule stops as ``"pruned"`` once its lag behind the lead
+    (the best log-likelihood any start has reached) exceeds ``_PRUNE_FLOOR``
+    relative and either, up to evaluation ``_SHORT_END`` (10), a margin per
+    unit of case weight, ``_PRUNE_MARGIN`` (0.04, 2.05 times the largest lag
+    of a start that ended a near tie, 1.95e-2) times ``_MARGIN_DECAY`` (0.7)
+    per evaluation after 5, or, after 5, ``_PRUNE_AHEAD`` (200, 2.36 times
+    the largest such ratio, 84.8, evaluations 6-10 included) times its
+    projected remaining gain: g*r/(1 - r) from its last two gains g and
+    g_prev, r = g/g_prev (unbounded unless 0 <= r < 1), capped by
+    g*(max_iter - it + 1), the gain of every M-step left (see the note on
     these constants). A start pruned at evaluation ``it`` gets the record EM
     would give it with ``max_iter = it - 1`` apart from its stop reason; its
     log-likelihood is a lower bound on where it would have ended. A set is
@@ -1254,16 +1245,16 @@ def _run_starts(dataset, ids, probs, coef, scales, family, mean_structure, tol, 
             finish(met, it, "tol")
             stop = met | drop
         lead = max(lead, ll.max())
-        if it == _SHORT_PHASE:
-            margin = max(_PRUNE_MARGIN * float(dataset.w.sum()), _PRUNE_FLOOR * abs(lead))
-            cut = (ll < lead - margin) & ~stop
-        elif it > _SHORT_PHASE:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r = gain / gain_prev
-                aitken = np.where((r >= 0.0) & (r < 1.0), gain * r / (1.0 - r), np.inf)
-            ahead = np.minimum(aitken, gain * (max_iter - it + 1))
-            cut = (lead - ll > np.maximum(_PRUNE_FLOOR * abs(lead), _PRUNE_AHEAD * ahead)) & ~stop
         if it >= _SHORT_PHASE:
+            bound = (_PRUNE_MARGIN * _MARGIN_DECAY ** (it - _SHORT_PHASE) * float(dataset.w.sum())
+                     if it <= _SHORT_END else np.inf)
+            if it > _SHORT_PHASE:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    r = gain / gain_prev
+                    aitken = np.where((r >= 0.0) & (r < 1.0), gain * r / (1.0 - r), np.inf)
+                ahead = np.minimum(aitken, gain * (max_iter - it + 1))
+                bound = np.minimum(bound, _PRUNE_AHEAD * ahead)
+            cut = (lead - ll > np.maximum(_PRUNE_FLOOR * abs(lead), bound)) & ~stop
             finish(cut, it - 1, "pruned")
             stop |= cut
         gain_prev = gain
@@ -1283,11 +1274,13 @@ def fit(
     Runs EM from every enumerated (or selected) component-to-stratum
     assignment, all starts advancing together (see :func:`_run_starts`), and
     returns the best final log-likelihood, with the complete per-start
-    trace. Starts that trail the leader by more than a margin after a short
-    phase, or later by more than their projected remaining gain allows,
-    stop early as ``"pruned"``, with a log-likelihood that is a lower bound
-    on where they would have ended. Ties within 1e-8 go to the lowest
-    mapping id and are recorded. Raises ConvergenceError (carrying the
+    trace. Starts that trail the leader by more than a margin at evaluations
+    5 to 10 (at least twice the largest lag of a start that ended a near tie
+    in calibration) or, after evaluation 5, by more than 200 times their
+    projected remaining gain (2.36 times the largest such ratio, evaluations
+    6-10 included) stop early as ``"pruned"``, with a log-likelihood that is
+    a lower bound on where they would have ended. Ties within 1e-8 go to the
+    lowest mapping id and are recorded. Raises ConvergenceError (carrying the
     trace) when the best start stopped at ``max_iter`` and no start
     converged, DataError on empty cells or more than three levels. A pruned
     start never counts as converged (run on, it might have converged and let

@@ -10,6 +10,7 @@ import pytest
 
 from stratfit import cli
 from stratfit.cli import load_fit, main, read_dataset, read_sim_config, save_fit
+from stratfit.core import Dataset
 from stratfit.densities import Family
 from stratfit.effects import effect_table, natural_param_ses
 from stratfit.em import FitConfig, fit
@@ -178,6 +179,37 @@ class TestReadDataset:
             f"{y},{t},{z},{label}\n" for (y, t, z), label in zip(rows, labels)))
         assert np.array_equal(read_dataset(str(path), 2, False, Family.NORMAL).cluster,
                               expected)
+
+    def test_columns_equal_the_record_by_record_parse(self, tmp_path):
+        # odd spellings and spaces, a blank line, empty and missing weights
+        # and clusters: the arrays are those of a csv.DictReader pass, one
+        # record at a time, given to Dataset.from_arrays, bit for bit
+        rng = np.random.default_rng(3)
+        text = ["y, t ,z,w ,cluster"]
+        for i in range(2000):
+            y = repr(float(rng.normal(2.0, 3.0)))
+            w = repr(float(rng.uniform(0.5, 2.0)))
+            text.append(f"{y},{i % 2},{(i // 2) % 2},{w},c{rng.integers(40)}")
+        text[5:5] = ["", " 2.5 ,1.0, 0. ,,", "-0.0,0,1e0, 1.5 , c3 ", "+3,1,1", "1_0,0,0,2"]
+        path = tmp_path / "cases.csv"
+        path.write_text("\n".join(text) + "\n")
+        y, t, z, w, cluster = [], [], [], [], []
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            for row in reader:
+                row = {k.strip(): (v or "").strip() for k, v in row.items()}
+                y.append(float(row["y"]))
+                t.append(float(row["t"]))
+                z.append(int(float(row["z"])))
+                w.append(float(row["w"]) if row["w"] else 1.0)
+                cluster.append(row["cluster"] or f" {reader.line_num}")
+        want = Dataset.from_arrays(y, t, np.array(z), w, np.array(cluster, dtype=object),
+                                   k_levels=2)
+        got = read_dataset(str(path), 2, False, Family.NORMAL)
+        assert got.n == 2004
+        for name in ("y", "t", "z", "w", "cluster"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
 
     def test_byte_order_mark_before_the_header_is_skipped(self, tmp_path):
         path = tmp_path / "excel.csv"
@@ -365,8 +397,8 @@ class TestCmdDiagnose:
             assert (fit_dir / name).read_bytes() == (diag_dir / name).read_bytes()
 
     def test_fit_json_round_trip_keeps_trace_records(self, tmp_path):
-        # seed 3: a start other than the first two converges, and some are pruned
-        ds, _ = simulate_four_strata(100, seed=3, dispersion=3.0)
+        # seed 4: a start other than the first two converges, and some are pruned
+        ds, _ = simulate_four_strata(100, seed=4, dispersion=3.0)
         res = fit(ds)
         flagged = dataclasses.replace(
             res.trace[0], floor_active=(True, False), frozen=((3, 1), (2, 0)),

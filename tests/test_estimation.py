@@ -12,7 +12,7 @@ import pytest
 
 from stratfit import em, simulate
 from stratfit.core import Dataset, MeanStructure, ModelParams, StrataGrid, pack, unpack
-from stratfit.densities import Family
+from stratfit.densities import Family, norm_logcdf
 from stratfit.effects import effect_table
 from stratfit.em import (
     FitConfig,
@@ -278,6 +278,32 @@ class TestColumnReductions:
         # a tobit cell whose every outcome is censored has no positive cases
         empty = np.zeros((2, 0, 3))
         assert np.array_equal(em._case_sum(empty), empty.sum(axis=-2))
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    @pytest.mark.parametrize("family", [Family.NORMAL, Family.TOBIT], ids=lambda f: f.value)
+    def test_cell_logdens_equals_the_broadcast_form(self, family, levels):
+        # the column-by-column densities equal one broadcast over all columns
+        # with the censored zeros overwritten afterwards, bit for bit
+        ds = simulate_four_strata(200, seed=4)[0] if levels == 2 else simulate_nine_strata(200, 4)
+        if family is Family.TOBIT:
+            ds = Dataset.from_arrays(np.maximum(ds.y - 2.0, 0.0), ds.t, ds.z,
+                                     k_levels=levels, family=family)
+            assert any(cell.zero.size and cell.pos.size for cell in ds.cells)
+        rng = np.random.default_rng(levels)
+        for cell in ds.cells:
+            locs = rng.normal(2.0, 2.0, (5, levels))
+            scale = rng.uniform(0.5, 2.0, 5)
+            want = np.subtract(cell.y[:, None], locs[:, None, :], order="C")
+            want /= scale[:, None, None]
+            want *= want
+            want *= -0.5
+            want -= (0.5 * math.log(2.0 * math.pi) + np.array([math.log(v) for v in scale]))[
+                :, None, None]
+            if family is Family.TOBIT:
+                want[:, cell.zero] = norm_logcdf(-locs / scale[:, None])[:, None, :]
+            got = em._cell_logdens(cell, locs, scale, family)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
 
 
 class TestEStep:
@@ -1123,11 +1149,12 @@ def pruned_at(histories, ds, config):
     evaluation it ran (each history ends where its start stopped). The rule
     is checked from evaluation ``_SHORT_PHASE`` on, at every evaluation up to
     ``max_iter`` where the start did not meet its own stop rule, against the
-    lead: the best log-likelihood of all starts up to that evaluation. At
-    ``_SHORT_PHASE`` it fires on a lag above the margin per unit of case
-    weight; later, on one above ``_PRUNE_AHEAD`` times the start's projected
-    remaining gain, Aitken's extrapolation capped by the M-steps left (at
-    least ``_PRUNE_FLOOR`` relative either way)."""
+    lead: the best log-likelihood of all starts up to that evaluation. Up to
+    ``_SHORT_END`` it fires on a lag above the margin per unit of case weight,
+    ``_PRUNE_MARGIN`` shrinking by ``_MARGIN_DECAY`` per evaluation; after
+    ``_SHORT_PHASE``, also on one above ``_PRUNE_AHEAD`` times the start's
+    projected remaining gain, Aitken's extrapolation capped by the M-steps
+    left (at least ``_PRUNE_FLOOR`` relative either way)."""
     short = em._SHORT_PHASE
     out = [None] * len(histories)
     lead = -math.inf
@@ -1136,20 +1163,21 @@ def pruned_at(histories, ds, config):
         if not short <= e <= config.max_iter:
             continue
         floor = em._PRUNE_FLOOR * abs(lead)
+        margin = (em._PRUNE_MARGIN * em._MARGIN_DECAY ** (e - short) * ds.w.sum()
+                  if e <= em._SHORT_END else math.inf)
         for i, h in enumerate(histories):
             if len(h) < e or out[i] is not None:
                 continue
             ll, gain = h[e - 1], h[e - 1] - h[e - 2]
             if abs(gain) <= config.tol * max(1.0, abs(ll)) or gain < -em._DROP_TOL * abs(ll):
                 continue  # it stopped on its own rule
-            if e == short:
-                fires = ll < lead - max(em._PRUNE_MARGIN * ds.w.sum(), floor)
-            else:
+            fires = lead - ll > max(floor, margin)
+            if e > short:
                 prev = h[e - 2] - h[e - 3]
                 r = gain / prev if prev else math.inf
                 ahead = min(gain * r / (1.0 - r) if 0.0 <= r < 1.0 else math.inf,
                             gain * (config.max_iter - e + 1))
-                fires = lead - ll > max(floor, em._PRUNE_AHEAD * ahead)
+                fires |= lead - ll > max(floor, em._PRUNE_AHEAD * ahead)
             if fires:
                 out[i] = e
     return out
@@ -1191,9 +1219,9 @@ def assert_records_match_oracle(records, ids, sets, ds, family, mean_structure, 
 ORACLE_CASES = {
     "normal": (lambda: simulate_four_strata(200, seed=41)[0], Family.NORMAL,
                MeanStructure.SATURATED, FitConfig(), {"tol", "late"}),
-    "linear": (lambda: simulate_four_strata(200, seed=42)[0], Family.NORMAL,
+    "linear": (lambda: simulate_four_strata(200, seed=43)[0], Family.NORMAL,
                MeanStructure.LINEAR, FitConfig(), {"tol", "late"}),
-    "tobit": (lambda: simulate_four_strata(150, seed=43, censor=True)[0], Family.TOBIT,
+    "tobit": (lambda: simulate_four_strata(150, seed=44, censor=True)[0], Family.TOBIT,
               MeanStructure.SATURATED, FitConfig(tol=1e-7, starts=("topk", 4)), {"tol", "late"}),
     "three_levels": (lambda: simulate_nine_strata(200, seed=27), Family.NORMAL,
                      MeanStructure.SATURATED, FitConfig(starts=("topk", 3)), {"tol", "late"}),
@@ -1202,7 +1230,7 @@ ORACLE_CASES = {
     # near max_iter the M-steps left, not Aitken's projection, bound the gain
     "capped_late": (lambda: simulate_four_strata(200, seed=41)[0], Family.NORMAL,
                     MeanStructure.SATURATED, FitConfig(max_iter=20), {"max_iter", "late"}),
-    "history": (lambda: simulate_four_strata(200, seed=21)[0], Family.NORMAL,
+    "history": (lambda: simulate_four_strata(200, seed=22)[0], Family.NORMAL,
                 MeanStructure.SATURATED, FitConfig(keep_history=True), {"tol", "late"}),
     # well separated, so some starts trail the leader by more than the
     # pruning margin after the short phase
@@ -1210,7 +1238,7 @@ ORACLE_CASES = {
                MeanStructure.SATURATED, FitConfig(), {"tol", "short", "late"}),
     "pruned_linear": (lambda: simulate_four_strata(200, seed=43, dispersion=3.0)[0],
                       Family.NORMAL, MeanStructure.LINEAR, FitConfig(), {"tol", "short", "late"}),
-    "pruned_tobit": (lambda: simulate_four_strata(150, seed=43, dispersion=3.0, censor=True)[0],
+    "pruned_tobit": (lambda: simulate_four_strata(150, seed=44, dispersion=3.0, censor=True)[0],
                      Family.TOBIT, MeanStructure.SATURATED, FitConfig(tol=1e-7),
                      {"tol", "short", "late"}),
     "pruned_history": (lambda: simulate_four_strata(200, seed=21, dispersion=3.0)[0],
@@ -1221,8 +1249,8 @@ ORACLE_CASES = {
 
 def stop_kinds(records) -> set[str]:
     """The stop reasons of the records, a pruned start counted as ``"short"``
-    when the short phase stopped it and as ``"late"`` when a later
-    evaluation did."""
+    when the short phase's first check stopped it and as ``"late"`` when a
+    later evaluation did."""
     return {("short" if r.iterations == em._SHORT_PHASE - 1 else "late")
             if r.stop_reason == "pruned" else r.stop_reason for r in records}
 
@@ -1283,7 +1311,11 @@ class TestBatchedEM:
         (on, table_on, *covs_on) = answer()
         monkeypatch.setattr(em, "_PRUNE_AHEAD", math.inf)
         (off, table_off, *covs_off) = answer()
-        assert "late" in stop_kinds(on.trace) and "late" not in stop_kinds(off.trace)
+        # the projected-gain rule stops some start before the margins do, and
+        # without it no start is pruned after the short phase
+        assert any(a.stop_reason == "pruned" and a.iterations < b.iterations
+                   for a, b in zip(on.trace, off.trace))
+        assert all(r.iterations < em._SHORT_END for r in off.trace if r.stop_reason == "pruned")
         a, b = on.winner, off.winner
         assert (a.mapping_id, a.loglik, a.iterations, a.stop_reason, a.frozen,
                 a.floor_active) == (b.mapping_id, b.loglik, b.iterations, b.stop_reason,
@@ -1312,7 +1344,7 @@ class TestBatchedEM:
         # with a margin per unit of case weight far inside the near-tie
         # band, the relative floor decides which starts are pruned
         monkeypatch.setattr(em, "_PRUNE_MARGIN", 1e-6)
-        ds, _ = simulate_four_strata(200, seed=21, dispersion=1.6)
+        ds, _ = simulate_four_strata(200, seed=22, dispersion=1.6)
         config = FitConfig()
         ids, sets, floor = fit_starts(ds, Family.NORMAL, SATURATED, config)
         records = fit(ds, config=config).trace

@@ -1,6 +1,7 @@
 """Dump every answer of the benchmark workloads bit for bit, and compare two dumps.
 
     python tools/bit_evidence.py dump OUT.json
+    python tools/bit_evidence.py dump --grid OUT.json
     python tools/bit_evidence.py compare A.json B.json
     python tools/bit_evidence.py compare --answers A.json B.json
 
@@ -12,7 +13,9 @@ computes the effect table with both covariances, and writes every field of
 every ``StartRecord`` (parameters as the bytes of their float64 arrays), the
 tie ids, the naive Hessian, both covariances and the four effect-SE arrays;
 a fit or SE step that raises is written as its error. Values are strings,
-so two dumps are equal exactly when every bit is.
+so two dumps are equal exactly when every bit is. ``dump --grid`` writes
+the fits of the recovery grid instead (see :func:`grid_analyses`): every
+record and the tie ids, without SEs.
 
 ``compare`` prints each key whose value differs or exists in one dump only,
 and exits 1 if there is any. ``compare --answers`` compares only what an
@@ -31,6 +34,7 @@ runs single-threaded, as in the benchmark.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import sys
@@ -48,9 +52,13 @@ import numpy as np  # noqa: E402
 import workloads as wl  # noqa: E402
 from stratfit import cli, effects, em, simulate  # noqa: E402
 from stratfit.core import Dataset  # noqa: E402
+from stratfit.densities import Family  # noqa: E402
 from stratfit.errors import ConvergenceError, StratfitError  # noqa: E402
 
 SEEDS = range(wl.N_REF_SEEDS)
+GRID_N = (500, 2000)
+GRID_DISPERSION = (1.0, 1.6, 2.4)
+GRID_REPLICATES = 8
 
 
 def _bits(a) -> str:
@@ -73,10 +81,10 @@ def _record(out: dict, key: str, r: em.StartRecord) -> None:
     out[f"{key}/history"] = repr([float(v).hex() for v in r.history])
 
 
-def _analysis(out: dict, key: str, ds: Dataset, spec: wl.Spec) -> None:
-    config = em.FitConfig(tol=spec.tol, starts=em.parse_starts(spec.starts))
+def _analysis(out: dict, key: str, ds: Dataset, family: Family, config: em.FitConfig,
+              ses: bool = True) -> None:
     try:
-        res = em.fit(ds, spec.family, config=config)
+        res = em.fit(ds, family, config=config)
     except ConvergenceError as exc:
         out[f"{key}/error"] = f"ConvergenceError: {exc}"
         for i, r in enumerate(exc.trace):
@@ -88,6 +96,8 @@ def _analysis(out: dict, key: str, ds: Dataset, spec: wl.Spec) -> None:
     for i, r in enumerate(res.trace):
         _record(out, f"{key}/record{i}", r)
     out[f"{key}/tie_ids"] = repr(res.tie_ids)
+    if not ses:
+        return
     try:
         table, cov_n, cov_c = effects.effect_table(res, ds)
     except (StratfitError, np.linalg.LinAlgError) as exc:
@@ -100,23 +110,48 @@ def _analysis(out: dict, key: str, ds: Dataset, spec: wl.Spec) -> None:
         out[f"{key}/{name}"] = _bits(getattr(table, name))
 
 
-def dump(path: str) -> None:
+def bench_analyses(work: str):
+    """Yield (key, dataset, family, FitConfig) for every analysis of the
+    four benchmark workloads at data seeds 0-15, built as each workload
+    builds them; CSVs are written under ``work``."""
+    for name in wl.WORKLOADS:
+        for seed in SEEDS:
+            inputs = wl.build_inputs(name, seed, work)
+            spec = inputs.spec
+            config = em.FitConfig(tol=spec.tol, starts=em.parse_starts(spec.starts))
+            for i, arr in enumerate(inputs.arrays):
+                if inputs.csv_paths:
+                    ds = cli.read_dataset(inputs.csv_paths[i], spec.k_levels, False, spec.family)
+                else:
+                    ds = Dataset.from_arrays(arr["y"], arr["t"], arr["z"], cluster=arr["cluster"],
+                                             k_levels=spec.k_levels, family=spec.family)
+                yield f"{name}/seed{seed}/analysis{i}", ds, spec.family, config
+            print(f"{name} seed {seed}: {len(inputs.arrays)} analyses", file=sys.stderr)
+
+
+def grid_analyses():
+    """Yield (key, dataset, family, FitConfig) for the 96 fits of the recovery
+    grid: ``n_per_arm`` 500 and 2000 x ``dispersion_sd`` 1.0, 1.6 and 2.4 x
+    the normal outcome and the tobit outcome max(y - 2, 0) x replicates 0-7
+    of ``SimConfig(seed=0)``, each fitted with the default ``FitConfig``."""
+    for n, d, family in itertools.product(GRID_N, GRID_DISPERSION,
+                                          (Family.NORMAL, Family.TOBIT)):
+        config = simulate.SimConfig(n_per_arm=n, dispersion_sd=d, replicates=GRID_REPLICATES)
+        for i in range(GRID_REPLICATES):
+            ds, _ = simulate.generate(config, simulate._replicate_rng(config, i))
+            if family is Family.TOBIT:
+                ds = Dataset.from_arrays(np.maximum(ds.y - wl.TOBIT_SHIFT, 0.0), ds.t, ds.z,
+                                         k_levels=ds.k_levels, family=family)
+            yield f"grid/n{n}/d{d}/{family.value}/rep{i}", ds, family, em.FitConfig()
+        print(f"grid n {n} dispersion {d} {family.value}: {GRID_REPLICATES} fits",
+              file=sys.stderr)
+
+
+def dump(path: str, grid: bool = False) -> None:
     out: dict[str, str] = {}
     with tempfile.TemporaryDirectory() as work:
-        for name in wl.WORKLOADS:
-            for seed in SEEDS:
-                inputs = wl.build_inputs(name, seed, work)
-                spec = inputs.spec
-                for i, arr in enumerate(inputs.arrays):
-                    if inputs.csv_paths:
-                        ds = cli.read_dataset(inputs.csv_paths[i], spec.k_levels, False,
-                                              spec.family)
-                    else:
-                        ds = Dataset.from_arrays(arr["y"], arr["t"], arr["z"],
-                                                 cluster=arr["cluster"],
-                                                 k_levels=spec.k_levels, family=spec.family)
-                    _analysis(out, f"{name}/seed{seed}/analysis{i}", ds, spec)
-                print(f"{name} seed {seed}: {len(inputs.arrays)} analyses", file=sys.stderr)
+        for key, ds, family, config in grid_analyses() if grid else bench_analyses(work):
+            _analysis(out, key, ds, family, config, ses=not grid)
     with open(path, "w") as fh:
         json.dump(out, fh, indent=0, sort_keys=True)
 
@@ -187,6 +222,9 @@ def compare_answers(path_a: str, path_b: str) -> int:
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "dump":
         dump(argv[1])
+        return 0
+    if len(argv) == 3 and argv[:2] == ["dump", "--grid"]:
+        dump(argv[2], grid=True)
         return 0
     if len(argv) == 3 and argv[0] == "compare":
         return compare(argv[1], argv[2])
