@@ -203,8 +203,9 @@ class Cell:
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Observed cases: outcome, arm, observed institutionalization level,
-    case weight and cluster code. Arrays are aligned and immutable. A case
-    breaking a per-case rule raises DataError with its ``row``."""
+    case weight and cluster label. Arrays are aligned and immutable; the
+    cluster labels are stored as dense codes 0, 1, ... in label order. A
+    case breaking a per-case rule raises DataError with its ``row``."""
 
     y: np.ndarray
     t: np.ndarray
@@ -230,7 +231,7 @@ class Dataset:
         ):
             if bad.any():
                 raise DataError(message, row=int(np.argmax(bad)))
-        cluster = np.asarray(self.cluster, dtype=np.int64)
+        cluster = np.unique(np.asarray(self.cluster), return_inverse=True)[1].astype(np.int64)
         for name, arr in zip(("y", "t", "z", "w", "cluster"),
                              (y, t.astype(np.int64), z.astype(np.int64), w, cluster)):
             arr = arr.copy()
@@ -243,7 +244,7 @@ class Dataset:
 
     @property
     def n_clusters(self) -> int:
-        return len(np.unique(self.cluster))
+        return int(self.cluster.max(initial=-1)) + 1
 
     @cached_property
     def cells(self) -> tuple[Cell, ...]:
@@ -281,15 +282,13 @@ class Dataset:
         if w is None:
             w = np.ones(n)
         if cluster is None:
-            cluster_codes = np.arange(n, dtype=np.int64)
-        else:
-            cluster_codes = np.unique(np.asarray(cluster), return_inverse=True)[1]
+            cluster = np.arange(n)
         if k_levels is None:  # a non-finite level fails the level rule
             k_levels = int(np.max(z, initial=-1.0, where=np.isfinite(z))) + 1 if n else 2
         check_censored(y, family)
         if family is Family.TOBIT:
             y[y < 1e-12] = 0.0
-        return cls(y=y, t=t, z=z, w=w, cluster=cluster_codes, k_levels=int(k_levels))
+        return cls(y=y, t=t, z=z, w=w, cluster=cluster, k_levels=int(k_levels))
 
 
 def effective_sample_size(dataset: Dataset, arm: int) -> float:

@@ -7,10 +7,9 @@ stages: per-cell warm starts (a plain univariate normal-mixture EM), an
 exhaustive enumeration of the component-to-stratum assignments those warm
 starts admit (16 in the four-strata model), and an EM run from every
 assignment, keeping the solution with the highest weighted log-likelihood.
-All starts run together in one EM loop. From the fifth evaluation on, a
-start that falls far behind the best stops as ``"pruned"`` (short-run/long-run
-EM), its log-likelihood a lower bound on where it would have ended; the
-others run on to the stop rule (see :func:`_run_starts`).
+All starts run together in one EM loop; a start that falls far behind the
+best stops early as ``"pruned"`` (short-run/long-run EM, see
+:func:`_run_starts`), the others run on to the stop rule.
 
 Every mixture evaluation (the log-likelihood, the per-case terms, the E-step
 and the EM loop) runs through one kernel over the dataset's cell partition,
@@ -98,6 +97,7 @@ from .errors import (
 )
 
 LOGLIK_TIE_TOL = 1e-8
+NEAR_TIE_REL = 1e-4
 FROZEN_WEIGHT_TOL = 1e-8
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -1103,12 +1103,12 @@ class StartRecord:
 class FitResult:
     """Best solution across all starting mappings, with the full trace.
 
-    The winner is the record of ``tie_ids[0]``, the lowest mapping id within
-    ``LOGLIK_TIE_TOL`` of the best; ``params``, ``loglik``, ``mapping_id``,
-    ``iterations``, ``converged``, ``floor_active`` and ``frozen`` are read
-    from it, so a fit cannot contradict its trace (ValueError when
-    ``tie_ids`` is empty or its first id names no record). Its posterior
-    memberships are ``e_step(params, dataset)``."""
+    The winner is the record of ``tie_ids[0]`` (see :func:`tie_ids`);
+    ``params``, ``loglik``, ``mapping_id``, ``iterations``, ``converged``,
+    ``floor_active`` and ``frozen`` are read from it, so a fit cannot
+    contradict its trace (ValueError when ``tie_ids`` is empty or its first
+    id names no record). Its posterior memberships are
+    ``e_step(params, dataset)``."""
 
     trace: tuple[StartRecord, ...]
     tie_ids: tuple[int, ...]
@@ -1131,26 +1131,62 @@ class FitResult:
     frozen = property(lambda self: self.winner.frozen)
 
 
+def tie_ids(ids: Sequence[int], lls: Sequence[float]) -> tuple[int, ...]:
+    """The ids within ``LOGLIK_TIE_TOL`` of the best of ``lls``, ascending; the first wins."""
+    best = max(lls)
+    return tuple(sorted(i for i, v in zip(ids, lls) if best - v <= LOGLIK_TIE_TOL))
+
+
+def near_ties(lls, best) -> np.ndarray:
+    """Which ``lls`` lie within ``NEAR_TIE_REL`` of ``best``, relative: a fit's near ties."""
+    return best - np.asarray(lls) <= NEAR_TIE_REL * np.maximum(np.abs(best), 1e-300)
+
+
 # Short-run/long-run EM (Biernacki, Celeux & Govaert 2003, CSDA 41:561); the
-# rules are in the _run_starts docstring. A lag per unit of case weight W does
-# not move with the units of y (rescaling y by c moves every log-likelihood by
-# -W log c), nor, on average, with the number of cases. The projected gain is
-# Aitken's extrapolation of EM's linear convergence (Boehning et al. 1994,
-# AISM 46:373). _PRUNE_FLOOR equals simulate.NEAR_TIE_REL, so a pruned start
-# is never a near tie of the winner. Calibration (tools/prune_calibration.py,
-# CHANGES.md) on runs without pruning of the benchmark's four workloads at
-# data seeds 0-15 and a 96-fit recovery grid: starts that ended within
-# NEAR_TIE_REL of their winner trailed by at most 1.95e-2 per unit of case
-# weight at evaluation 5, falling to 3.1e-3 at evaluation 10, so the margin is
-# at least 2.05 times that at each evaluation (later such lags stop shrinking:
-# 2.0e-3 at evaluation 30); and, above the floor, by at most 84.8 times their
-# projected gain (40.6 at evaluations 6-10), so _PRUNE_AHEAD leaves 2.36.
+# rule is _pruned. A lag per unit of case weight W does not move with the
+# units of y (rescaling y by c moves every log-likelihood by -W log c), nor,
+# on average, with the number of cases. The projected gain is Aitken's
+# extrapolation of EM's linear convergence (Boehning et al. 1994, AISM
+# 46:373). Calibration (tools/prune_calibration.py, CHANGES.md) on runs
+# without pruning of the benchmark's four workloads at data seeds 0-15 and a
+# 96-fit recovery grid: starts that ended a near tie trailed by at most
+# 1.95e-2 per unit of case weight at evaluation 5 and 3.1e-3 at 10 (2.0e-3 at
+# 30), so the margin, 0.04 at 5 and 0.7 times that per evaluation after, is
+# at least 2.05 times that lag at each; and, outside the near-tie band of the
+# lead (the floor), by at most 84.8 times their projected gain (40.6 at 6-10),
+# so _PRUNE_AHEAD = 200 leaves 2.36.
 _SHORT_PHASE = 5
 _SHORT_END = 10
 _PRUNE_MARGIN = 4e-2
 _MARGIN_DECAY = 0.7
-_PRUNE_FLOOR = 1e-4
 _PRUNE_AHEAD = 200.0
+
+
+def _margin(it):
+    """The margin per unit of case weight at evaluations ``it`` (ints or an
+    array) from ``_SHORT_PHASE`` on; unbounded after ``_SHORT_END``."""
+    return np.where(it <= _SHORT_END, _PRUNE_MARGIN * _MARGIN_DECAY ** (it - _SHORT_PHASE), np.inf)
+
+
+def _projected_gain(gain, gain_prev, it, max_iter):
+    """The remaining gain at evaluation ``it`` projected from the last two
+    gains g and g_prev: Aitken's g*r/(1 - r), r = g/g_prev (unbounded unless
+    0 <= r < 1), capped by g*(max_iter - it + 1), that of every M-step left."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = gain / gain_prev
+        aitken = np.where((r >= 0.0) & (r < 1.0), gain * r / (1.0 - r), np.inf)
+    return np.minimum(aitken, gain * (max_iter - it + 1))
+
+
+def _pruned(lead, ll, gain, gain_prev, it, max_iter, weight):
+    """Whether starts running at evaluation ``it`` >= ``_SHORT_PHASE`` stop as
+    pruned: ``ll`` is no near tie of ``lead`` (the best any start has reached)
+    and trails it by more than the margin times the total case weight or,
+    after ``_SHORT_PHASE``, ``_PRUNE_AHEAD`` times the projected gain."""
+    ahead = np.where(it > _SHORT_PHASE, _projected_gain(gain, gain_prev, it, max_iter), np.inf)
+    bound = np.minimum(_margin(it) * weight, _PRUNE_AHEAD * ahead)
+    return (lead - ll > bound) & ~near_ties(ll, lead)
+
 
 # A start whose log-likelihood drops by more than _DROP_TOL * |ll| between
 # two evaluations stops as "nonmonotone": EM never lowers the likelihood.
@@ -1173,22 +1209,13 @@ def _run_starts(dataset, ids, probs, coef, scales, family, mean_structure, tol, 
     by more than ``_DROP_TOL * |ll|`` (``"nonmonotone"``), or after
     ``max_iter`` M-steps and one more evaluation (``"max_iter"``).
 
-    From evaluation ``_SHORT_PHASE`` (5) on, a running start that did not
-    meet the stop rule stops as ``"pruned"`` once its lag behind the lead
-    (the best log-likelihood any start has reached) exceeds ``_PRUNE_FLOOR``
-    relative and either, up to evaluation ``_SHORT_END`` (10), a margin per
-    unit of case weight, ``_PRUNE_MARGIN`` (0.04, 2.05 times the largest lag
-    of a start that ended a near tie, 1.95e-2) times ``_MARGIN_DECAY`` (0.7)
-    per evaluation after 5, or, after 5, ``_PRUNE_AHEAD`` (200, 2.36 times
-    the largest such ratio, 84.8, evaluations 6-10 included) times its
-    projected remaining gain: g*r/(1 - r) from its last two gains g and
-    g_prev, r = g/g_prev (unbounded unless 0 <= r < 1), capped by
-    g*(max_iter - it + 1), the gain of every M-step left (see the note on
-    these constants). A start pruned at evaluation ``it`` gets the record EM
-    would give it with ``max_iter = it - 1`` apart from its stop reason; its
-    log-likelihood is a lower bound on where it would have ended. A set is
-    rounded alike in any block, so every record that is not pruned is the
-    one the start would get running on its own.
+    A running start that did not meet the stop rule stops as ``"pruned"``
+    where :func:`_pruned` says (calibrated above its constants). A start
+    pruned at evaluation ``it`` gets the record EM would give it with
+    ``max_iter = it - 1`` apart from its stop reason; its log-likelihood is a
+    lower bound on where it would have ended. A set is rounded alike in any
+    block, so every record that is not pruned is the one the start would get
+    running on its own.
     """
     grid = StrataGrid(dataset.k_levels)
     design = _design(grid, mean_structure)
@@ -1201,7 +1228,7 @@ def _run_starts(dataset, ids, probs, coef, scales, family, mean_structure, tol, 
     stats = np.zeros((n, 2, grid.n_strata, 4 if family is Family.TOBIT else 3))
     history: list[list[float]] = [[] for _ in ids]
     records: list[StartRecord] = [None] * n
-    ll = gain = None
+    ll = gain = np.full(n, np.nan)  # before the first evaluation; NaN meets no stop rule
     lead = -np.inf  # the best log-likelihood any start has reached
 
     def finish(done, iterations, reason):
@@ -1222,7 +1249,7 @@ def _run_starts(dataset, ids, probs, coef, scales, family, mean_structure, tol, 
         ll_prev, ll = ll, np.zeros(len(pos))
         for lo in range(0, len(pos), block):
             s = slice(lo, lo + block)
-            if ll_prev is not None:  # the M-step after the last evaluation
+            if it > 1:  # the M-step after the last evaluation
                 probs[s], coef[s], scales[s], frozen[s], floor[s] = _m_step_core(
                     stats[s], grid, family, mean_structure, (table(s), scales[s]), scale_floor)
             for cell, lse, post in _mixture(dataset, _log_probs(probs[s]), table(s), scales[s],
@@ -1235,32 +1262,21 @@ def _run_starts(dataset, ids, probs, coef, scales, family, mean_structure, tol, 
         if it > max_iter:  # the evaluation after the last M-step
             finish(pos >= 0, max_iter, "max_iter")
             return records
-        stop = np.zeros(len(pos), dtype=bool)
-        if ll_prev is not None:
-            gain = ll - ll_prev
-            size = np.abs(ll)
-            met = np.abs(gain) <= tol * np.maximum(1.0, size)
-            drop = (gain < -_DROP_TOL * size) & ~met
-            finish(drop, it, "nonmonotone")
-            finish(met, it, "tol")
-            stop = met | drop
+        gain_prev, gain = gain, ll - ll_prev
+        size = np.abs(ll)
+        met = np.abs(gain) <= tol * np.maximum(1.0, size)
+        drop = (gain < -_DROP_TOL * size) & ~met
+        finish(drop, it, "nonmonotone")
+        finish(met, it, "tol")
+        stop = met | drop
         lead = max(lead, ll.max())
         if it >= _SHORT_PHASE:
-            bound = (_PRUNE_MARGIN * _MARGIN_DECAY ** (it - _SHORT_PHASE) * float(dataset.w.sum())
-                     if it <= _SHORT_END else np.inf)
-            if it > _SHORT_PHASE:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    r = gain / gain_prev
-                    aitken = np.where((r >= 0.0) & (r < 1.0), gain * r / (1.0 - r), np.inf)
-                ahead = np.minimum(aitken, gain * (max_iter - it + 1))
-                bound = np.minimum(bound, _PRUNE_AHEAD * ahead)
-            cut = (lead - ll > np.maximum(_PRUNE_FLOOR * abs(lead), bound)) & ~stop
+            cut = _pruned(lead, ll, gain, gain_prev, it, max_iter, float(dataset.w.sum())) & ~stop
             finish(cut, it - 1, "pruned")
             stop |= cut
-        gain_prev = gain
         if stop.any():
-            pos, probs, coef, scales, frozen, floor, stats, ll, gain_prev = (
-                a[~stop] for a in (pos, probs, coef, scales, frozen, floor, stats, ll, gain_prev))
+            pos, probs, coef, scales, frozen, floor, stats, ll, gain = (
+                a[~stop] for a in (pos, probs, coef, scales, frozen, floor, stats, ll, gain))
 
 
 def fit(
@@ -1274,13 +1290,9 @@ def fit(
     Runs EM from every enumerated (or selected) component-to-stratum
     assignment, all starts advancing together (see :func:`_run_starts`), and
     returns the best final log-likelihood, with the complete per-start
-    trace. Starts that trail the leader by more than a margin at evaluations
-    5 to 10 (at least twice the largest lag of a start that ended a near tie
-    in calibration) or, after evaluation 5, by more than 200 times their
-    projected remaining gain (2.36 times the largest such ratio, evaluations
-    6-10 included) stop early as ``"pruned"``, with a log-likelihood that is
-    a lower bound on where they would have ended. Ties within 1e-8 go to the
-    lowest mapping id and are recorded. Raises ConvergenceError (carrying the
+    trace. Starts that fall far behind stop early as ``"pruned"`` (see
+    :func:`_run_starts`). Ties (see :func:`tie_ids`) go to the lowest
+    mapping id and are recorded. Raises ConvergenceError (carrying the
     trace) when the best start stopped at ``max_iter`` and no start
     converged, DataError on empty cells or more than three levels. A pruned
     start never counts as converged (run on, it might have converged and let
@@ -1311,11 +1323,8 @@ def fit(
     records = _run_starts(dataset, ids, *_start_sets(warm, ids, grid, mean_structure, scales),
                           family, mean_structure, config.tol, config.max_iter, scale_floor,
                           config.keep_history)
-    best_ll = max(r.loglik for r in records)
-    tied = sorted(
-        r.mapping_id for r in records if best_ll - r.loglik <= LOGLIK_TIE_TOL
-    )
-    result = FitResult(tuple(records), tuple(tied), scale_floor)
+    tied = tie_ids([r.mapping_id for r in records], [r.loglik for r in records])
+    result = FitResult(tuple(records), tied, scale_floor)
     if result.winner.stop_reason == "max_iter" and not any(r.converged for r in records):
         raise ConvergenceError(
             f"no starting mapping converged within {config.max_iter} iterations",

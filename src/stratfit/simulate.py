@@ -27,11 +27,13 @@ import numpy as np
 
 from .core import Dataset, ModelParams, StrataGrid
 from .densities import Family
-from .em import FitConfig, check_level_count, fit
+from .em import NEAR_TIE_REL, FitConfig, check_level_count, fit, near_ties
 from .errors import StratfitError
 
+__all__ = ["NEAR_TIE_REL", "SHAPES", "RecoveryReport", "ReplicateResult", "SimConfig", "generate",
+           "parse_shape", "run_replicate", "run_study", "scenario_probs", "shape_label",
+           "standardized_draws", "true_model"]  # NEAR_TIE_REL is em's, re-exported
 SHAPES = ("normal", "heavy_tail", "skewed")
-NEAR_TIE_REL = 1e-4
 
 
 def scenario_probs(scenario: str, k_levels: int) -> np.ndarray:
@@ -250,7 +252,8 @@ class RecoveryReport:
     @property
     def near_tie_fraction(self) -> float:
         """Share of replicates in which at least one other starting mapping
-        landed within 1e-4 relative log-likelihood of the winner."""
+        landed within ``NEAR_TIE_REL`` of the winner's log-likelihood (see
+        :func:`em.near_ties`)."""
         ok = self.ok
         if not ok:
             return float("nan")
@@ -275,10 +278,7 @@ def run_replicate(config: SimConfig, index: int) -> ReplicateResult:
     loc_err = res.params.location_table() - true_table
     gap = config.dispersion_sd * config.sigma
     label_correct = bool(gap > 0.0 and np.all(np.abs(loc_err) < 0.5 * gap))
-    best = res.loglik
-    near = sum(
-        1 for r in res.trace if (best - r.loglik) <= NEAR_TIE_REL * max(abs(best), 1e-300)
-    )
+    near = int(near_ties([r.loglik for r in res.trace], res.loglik).sum())
     return ReplicateResult(
         index=index,
         ok=True,

@@ -1154,7 +1154,7 @@ def pruned_at(histories, ds, config):
     ``_PRUNE_MARGIN`` shrinking by ``_MARGIN_DECAY`` per evaluation; after
     ``_SHORT_PHASE``, also on one above ``_PRUNE_AHEAD`` times the start's
     projected remaining gain, Aitken's extrapolation capped by the M-steps
-    left (at least ``_PRUNE_FLOOR`` relative either way)."""
+    left (at least ``NEAR_TIE_REL`` relative either way)."""
     short = em._SHORT_PHASE
     out = [None] * len(histories)
     lead = -math.inf
@@ -1162,7 +1162,7 @@ def pruned_at(histories, ds, config):
         lead = max([lead] + [h[e - 1] for h in histories if len(h) >= e])
         if not short <= e <= config.max_iter:
             continue
-        floor = em._PRUNE_FLOOR * abs(lead)
+        floor = em.NEAR_TIE_REL * abs(lead)
         margin = (em._PRUNE_MARGIN * em._MARGIN_DECAY ** (e - short) * ds.w.sum()
                   if e <= em._SHORT_END else math.inf)
         for i, h in enumerate(histories):

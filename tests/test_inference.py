@@ -284,6 +284,23 @@ class TestClusterSandwich:
         assert cov_c.n_clusters == 10
         assert not np.allclose(cov_c.cov, cov_n.cov)
 
+    def test_any_labels_give_the_ses_of_their_dense_codes(self):
+        # a Dataset built directly numbers its clusters 0, 1, ... in label
+        # order: sparse labels index no array past the cluster count, and
+        # fractional labels that share an integer part stay apart
+        ds, _ = simulate_four_strata(300, seed=41)
+        codes = np.random.default_rng(0).integers(0, 30, ds.n)
+        res = fit(ds)
+
+        def cluster_ses(labels):
+            table, _, cov_c = effect_table(res, Dataset(ds.y, ds.t, ds.z, ds.w, labels, 2))
+            assert cov_c.n_clusters == 30
+            return table.se_cluster
+
+        want = cluster_ses(codes)
+        for labels in (codes * 10, codes * 0.1 + 0.05):
+            np.testing.assert_array_equal(cluster_ses(labels), want)
+
 
 def score_fixture(family, mean_structure, k_levels, seed):
     """A small weighted dataset with zeros under tobit, and random parameters."""

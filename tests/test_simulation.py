@@ -201,9 +201,13 @@ class TestPruningLeavesTheAnswer:
     start to the stop rule."""
 
     def test_margin_exceeds_the_tie_bands(self):
-        # a pruned start trails the lead, and so the final winner, by more
-        # than _PRUNE_FLOOR relative, whatever the units of y
-        assert em._PRUNE_FLOOR >= simulate.NEAR_TIE_REL > em.LOGLIK_TIE_TOL
+        # a pruned start is no near tie of the lead, and so of the final
+        # winner, whatever the units of y; the near-tie band holds the ties
+        assert simulate.NEAR_TIE_REL is em.NEAR_TIE_REL > em.LOGLIK_TIE_TOL
+        lead = -1e3
+        lag = np.array([0.5, 2.0]) * em.NEAR_TIE_REL * abs(lead)
+        assert em._pruned(lead, lead - lag, 1.0, 2.0, em._SHORT_PHASE, 100, 0.0).tolist() == [
+            False, True]
 
     @pytest.mark.slow
     def test_small_grid_same_answers_with_and_without_pruning(self, monkeypatch):

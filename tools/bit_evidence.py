@@ -19,13 +19,12 @@ record and the tie ids, without SEs.
 
 ``compare`` prints each key whose value differs or exists in one dump only,
 and exits 1 if there is any. ``compare --answers`` compares only what an
-analysis answers: its error, if any, the record of its winner (the lowest
-mapping id within ``LOGLIK_TIE_TOL`` of the best log-likelihood), the tie
-ids, the Hessian, both covariances and the SE arrays. It prints each answer
-that differs, then how many other (loser) records differ and in how many
-analyses the count of near ties (starts within ``NEAR_TIE_REL`` of the
-best) changed, and exits 1 if an answer or a near-tie count differs. A
-change that only stops losing starts earlier passes it.
+analysis answers: its error, if any, its winner's record and its tie ids
+(``em.tie_ids``), the Hessian, both covariances and the SE arrays. It prints
+each answer that differs, then how many other (loser) records differ and in
+how many analyses the count of near ties (``em.near_ties``) changed, and
+exits 1 if an answer or a near-tie count differs. A change that only stops
+losing starts earlier passes it.
 
 The code under test is the ``src/`` next to this file's ``tools/``, so to
 dump another checkout, copy this file into that checkout's ``tools/``. BLAS
@@ -51,6 +50,7 @@ import numpy as np  # noqa: E402
 
 import workloads as wl  # noqa: E402
 from stratfit import cli, effects, em, simulate  # noqa: E402
+from stratfit.em import near_ties, tie_ids  # noqa: E402
 from stratfit.core import Dataset  # noqa: E402
 from stratfit.densities import Family  # noqa: E402
 from stratfit.errors import ConvergenceError, StratfitError  # noqa: E402
@@ -187,11 +187,8 @@ def _winner_and_near_ties(records: dict) -> tuple[int | None, int]:
     """The winning mapping id (as ``em.fit`` picks it) and the near-tie count."""
     if not records:
         return None, 0
-    lls = {i: float.fromhex(r["loglik"]) for i, r in records.items()}
-    best = max(lls.values())
-    winner = min(i for i, v in lls.items() if best - v <= em.LOGLIK_TIE_TOL)
-    near = sum(best - v <= simulate.NEAR_TIE_REL * max(abs(best), 1e-300) for v in lls.values())
-    return winner, near
+    lls = [float.fromhex(r["loglik"]) for r in records.values()]
+    return tie_ids(list(records), lls)[0], int(near_ties(lls, max(lls)).sum())
 
 
 def compare_answers(path_a: str, path_b: str) -> int:

@@ -11,29 +11,27 @@ evaluation's log-likelihood kept. It turns the rules off by setting
 the library has no option for it. It writes, per analysis, the total case
 weight, ``max_iter`` and each start's mapping id and log-likelihood history.
 
-``report`` reads those trajectories and takes every start that ends within
-``NEAR_TIE_REL`` of its analysis's best log-likelihood: the starts that
-pruning must never stop. With the short phase starting at evaluation
-``SHORT_PHASE`` (default: ``em._SHORT_PHASE``) and the library's other
-pruning constants, it prints:
+``report`` replays the library's own rule, ``em._pruned``, on those
+trajectories; a ``SHORT_PHASE`` argument sets ``em._SHORT_PHASE`` in its own
+process. The starts that end a near tie of their analysis's best
+(``em.near_ties``) are those the rule must never stop. ``report`` prints:
 
 - at each evaluation of the short phase, the largest lag of such a start
   behind the running lead (the best log-likelihood any start has reached so
-  far), per unit of case weight, and the factor by which the margin there
-  exceeds it;
+  far), per unit of case weight, and the factor by which ``em._margin``
+  there exceeds it;
 - the largest ratio of such a lag to the start's projected remaining gain
-  (the Aitken projection of ``em._run_starts``, capped by the M-steps left)
-  at any later evaluation where the lag exceeds ``em._PRUNE_FLOOR``
-  relative, for the evaluations up to ``em._SHORT_END`` and after it apart,
-  and the factor by which ``em._PRUNE_AHEAD`` exceeds it;
+  (``em._projected_gain``) at any later evaluation where the start is past
+  the rule's floor (no near tie of the lead), for the evaluations up to
+  ``em._SHORT_END`` and after it apart, and the factor by which
+  ``em._PRUNE_AHEAD`` exceeds it;
 
-each with the analysis, mapping id and evaluation where it occurs. It then
-replays both rules on every start and prints how many near-tie starts they
-would stop and the EM iterations each workload (and each family of the
-grid) would run. A start is checked only at evaluations where it is still
-running: it neither met its stop rule there nor reached ``max_iter``. The
-exit status is 1 when a near-tie start would be stopped or a factor is
-below 2.
+each with the analysis, mapping id and evaluation where it occurs; then how
+many near-tie starts the rule would stop and the EM iterations each workload
+(and each family of the grid) would run. A start is checked only at
+evaluations where it is still running: it neither met its stop rule there
+nor reached ``max_iter``. The exit status is 1 when a near-tie start would
+be stopped or a factor is below 2.
 """
 
 from __future__ import annotations
@@ -51,7 +49,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import bit_evidence as be  # noqa: E402  (sets up the paths to src/ and bench/)
-from stratfit import em, simulate  # noqa: E402
+from stratfit import em  # noqa: E402
+from stratfit.em import _margin, _projected_gain, _pruned, near_ties  # noqa: E402
 from stratfit.errors import ConvergenceError  # noqa: E402
 
 
@@ -77,28 +76,22 @@ def record(path: str) -> None:
 
 def _leads(histories: list[list[float]]) -> np.ndarray:
     """The running lead at each evaluation 1, 2, ... (index 0 is evaluation 1)."""
-    longest = max(map(len, histories))
-    padded = np.full((len(histories), longest), -np.inf)
+    padded = np.full((len(histories), max(map(len, histories))), -np.inf)
     for row, h in zip(padded, histories):
         row[:len(h)] = h
     return np.maximum.accumulate(padded.max(axis=0))
 
 
-def _ahead(h: np.ndarray, ev: np.ndarray, max_iter: int) -> np.ndarray:
-    """The projected remaining gain at evaluations ``ev``, as ``_run_starts``
-    computes it from the last two gains."""
+def replay(h: np.ndarray, leads: np.ndarray, weight: float, max_iter: int):
+    """Replay ``em._pruned`` on one start's history ``h`` in its analysis.
+    Return the evaluations at which it is running, its projected gain at
+    each, the one at which the rule stops it (or None) and its EM iterations."""
+    ev = np.arange(em._SHORT_PHASE, len(h))
     gain, gain_prev = h[ev - 1] - h[ev - 2], h[ev - 2] - h[ev - 3]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = gain / gain_prev
-        aitken = np.where((r >= 0.0) & (r < 1.0), gain * r / (1.0 - r), np.inf)
-    return np.minimum(aitken, gain * (max_iter - ev + 1))
-
-
-def _margins(short: int, evaluations: np.ndarray) -> np.ndarray:
-    """The margin per unit of case weight at each evaluation, as
-    ``em._run_starts`` sets it with its short phase starting at ``short``."""
-    return np.where(evaluations <= em._SHORT_END,
-                    em._PRUNE_MARGIN * em._MARGIN_DECAY ** (evaluations - short), np.inf)
+    ahead = _projected_gain(gain, gain_prev, ev, max_iter)
+    cut = np.flatnonzero(_pruned(leads[ev - 1], h[ev - 1], gain, gain_prev, ev, max_iter, weight))
+    stop = int(ev[cut[0]]) if cut.size else None
+    return ev, ahead, stop, min(len(h), max_iter) if stop is None else stop - 1
 
 
 def _group(key: str) -> str:
@@ -107,9 +100,10 @@ def _group(key: str) -> str:
     return f"grid {parts[3]}" if parts[0] == "grid" else parts[0]
 
 
-def report(path: str, short: int) -> int:
+def report(path: str) -> int:
     with open(path) as fh:
         traj = json.load(fh)
+    short = em._SHORT_PHASE
     window = np.arange(short, max(short, em._SHORT_END) + 1)
     lag_max = {int(e): (0.0, None) for e in window}
     ratio_max = {"early": (0.0, None), "late": (0.0, None)}
@@ -120,25 +114,22 @@ def report(path: str, short: int) -> int:
         leads = _leads(histories)
         best = max(h[-1] for h in histories)
         for i, h in zip(ids, histories):
-            ev = np.arange(short, len(h))  # the evaluations at which it is running
-            lag = leads[ev - 1] - h[ev - 1]
-            floor = em._PRUNE_FLOOR * np.abs(leads[ev - 1])
-            ahead = np.full(ev.size, np.inf)
-            ahead[1:] = em._PRUNE_AHEAD * _ahead(h, ev[1:], a["max_iter"])
-            bound = np.minimum(_margins(short, ev) * a["weight"], ahead)
-            cut = np.flatnonzero(lag > np.maximum(floor, bound))
-            iterations[_group(key)] += ev[cut[0]] - 1 if cut.size else min(len(h), a["max_iter"])
-            if best - h[-1] > simulate.NEAR_TIE_REL * max(abs(best), 1e-300):
+            ev, ahead, stop, its = replay(h, leads, a["weight"], a["max_iter"])
+            iterations[_group(key)] += its
+            if not near_ties(h[-1], best):
                 continue
             near_starts += 1
-            near_cut += bool(cut.size)
+            near_cut += stop is not None
+            lag = leads[ev - 1] - h[ev - 1]
             for e, value in zip(ev, lag / a["weight"]):
                 if e in lag_max and value > lag_max[e][0]:
                     lag_max[e] = (float(value), (key, i, int(e)))
-            with np.errstate(divide="ignore"):
-                ratio = np.where(ahead > 0.0, em._PRUNE_AHEAD * lag / ahead, np.inf)
+            with np.errstate(divide="ignore", invalid="ignore"):  # rounded as the rule's bound
+                ratio = np.where(ahead > 0.0, em._PRUNE_AHEAD * lag / (em._PRUNE_AHEAD * ahead),
+                                 np.inf)
+            past_floor = ~near_ties(h[ev - 1], leads[ev - 1])
             for span, part in (("early", ev <= em._SHORT_END), ("late", ev > em._SHORT_END)):
-                sel = np.flatnonzero((lag > floor) & part & (ev > short))
+                sel = np.flatnonzero(past_floor & part & (ev > short))
                 if sel.size and ratio[sel].max() > ratio_max[span][0]:
                     j = sel[np.argmax(ratio[sel])]
                     ratio_max[span] = (float(ratio[j]), (key, i, int(ev[j])))
@@ -150,7 +141,7 @@ def report(path: str, short: int) -> int:
     print(f"{len(traj)} analyses, {near_starts} starts within NEAR_TIE_REL of their best; "
           f"short phase at evaluations {short}-{window[-1]}")
     for e, (value, at) in lag_max.items():
-        margin = float(_margins(short, np.array([e]))[0])
+        margin = float(_margin(np.array([e]))[0])
         factors.append(margin / value if value else math.inf)
         print(f"evaluation {e}: largest near-tie lag {value:.3g} per unit of case weight "
               f"({where(at)}); margin {margin:.3g} is {factors[-1]:.2f}x")
@@ -172,7 +163,9 @@ def main(argv: list[str]) -> int:
         record(argv[1])
         return 0
     if len(argv) in (2, 3) and argv[0] == "report":
-        return report(argv[1], int(argv[2]) if len(argv) == 3 else em._SHORT_PHASE)
+        if len(argv) == 3:
+            em._SHORT_PHASE = int(argv[2])
+        return report(argv[1])
     print(__doc__.split("\n\n")[1], file=sys.stderr)
     return 2
 
