@@ -231,7 +231,13 @@ class Dataset:
         ):
             if bad.any():
                 raise DataError(message, row=int(np.argmax(bad)))
-        cluster = np.unique(np.asarray(self.cluster), return_inverse=True)[1].astype(np.int64)
+        labels = np.asarray(self.cluster)
+        if labels.dtype == object:  # np.unique would sort by Python comparisons
+            labels = labels.tolist()
+            code = {v: i for i, v in enumerate(sorted(set(labels)))}
+            cluster = np.array([code[v] for v in labels], dtype=np.int64)
+        else:
+            cluster = np.unique(labels, return_inverse=True)[1].astype(np.int64)
         for name, arr in zip(("y", "t", "z", "w", "cluster"),
                              (y, t.astype(np.int64), z.astype(np.int64), w, cluster)):
             arr = arr.copy()

@@ -45,13 +45,16 @@ the fractions are exact powers of two, and a trial point's objective is
 elementwise work plus a row-wise ``_dot``/``_matvec``, which rounds the same
 in any stack.
 
-The warm starts run every cell's mixture EM in lockstep on one padded stack
-(see :func:`_lockstep_em`), so a dataset needs as many Python iterations as
-its slowest cell. They keep their own arithmetic rather than going through
-:func:`_mix`, whose two-column log-sum-exp rounds differently, and each
-cell's components are bit for bit those of its EM run alone: padded cases
-carry weight 0, case sums add in case order, and the stop test's
-log-likelihood is one dot per cell over its own cases.
+The warm starts run the cells' mixture EMs in lockstep on padded stacks of
+at most ``_WARM_BLOCK`` entries (see :func:`_lockstep_em`), so a group of
+cells needs as many Python iterations as its slowest cell. The cells of many
+datasets can share the stacks (:func:`warm_start_cells` takes a sequence),
+which is how a recovery study warm-starts a chunk of its replicates at once.
+They keep their own arithmetic rather than going through :func:`_mix`,
+whose two-column log-sum-exp rounds differently, and each cell's components
+are bit for bit those of its EM run alone, whatever cells share its stack:
+padded cases carry weight 0, case sums add in case order, and the stop
+test's log-likelihood is one dot per cell over its own cases.
 
 Starts are numbered by mapping id, and :func:`_start_sets` builds the
 initial parameter sets of a block of ids as stacked arrays. With three
@@ -72,6 +75,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -137,19 +141,21 @@ def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (a @ x[..., None])[..., 0]
 
 
-def _row_max(a: np.ndarray) -> np.ndarray:
-    """``a.max(axis=-1)`` as chained column maxima, exact in any order."""
-    out = a[..., 0].copy()
+def _row_max(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a.max(axis=-1)`` as chained column maxima, exact in any order;
+    written into ``out`` when given."""
+    out = np.positive(a[..., 0], out=out)
     for j in range(1, a.shape[-1]):
         np.maximum(out, a[..., j], out=out)
     return out
 
 
-def _row_sum(a: np.ndarray) -> np.ndarray:
-    """``a.sum(axis=-1)``: numpy adds fewer than 8 columns left to right."""
+def _row_sum(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a.sum(axis=-1)``: numpy adds fewer than 8 columns left to right;
+    written into ``out`` when given."""
     if a.shape[-1] >= 8:
-        return a.sum(axis=-1)
-    out = a[..., 0].copy()
+        return a.sum(axis=-1, out=out)
+    out = np.positive(a[..., 0], out=out)
     for j in range(1, a.shape[-1]):
         out += a[..., j]
     return out
@@ -596,6 +602,17 @@ def _weighted_sd(y: np.ndarray, w: np.ndarray) -> float:
 # The iteration cap of a cell's warm-start EM.
 _WARM_MAX_ITER = 300
 
+# The largest padded (cells x components x cases) stack of a lockstep group
+# of warm starts, in float64 entries: 2^15, 256 KiB. The group holds three
+# such buffers and the padded cases. On the 20 replicates of a recovery
+# study at 500 cases per arm, 2^16 was no faster and 2^14 was slower.
+_WARM_BLOCK = 1 << 15
+
+# The lane count (cells x components) from which a lockstep case sum adds
+# the rows of a (cases, lanes) copy instead of accumulating along each lane
+# (see _lane_sum): numpy then adds one row of every lane per inner loop.
+_WIDE_LANES = 32
+
 
 def _warm_init(ys: np.ndarray, ws: np.ndarray, k: int, overall_sd: float):
     """The deterministic initialization of one cell's k-component mixture:
@@ -624,26 +641,44 @@ def _warm_init(ys: np.ndarray, ws: np.ndarray, k: int, overall_sd: float):
 
 def _warm_groups(sizes: np.ndarray, k: int) -> list[list[int]]:
     """Cells grouped for :func:`_lockstep_em`, largest first, so that each
-    group's padded (cells, k, longest cell) stack has at most ``_EM_BLOCK``
+    group's padded (cells, k, longest cell) stack has at most ``_WARM_BLOCK``
     entries; a larger cell runs alone. With one component every cell runs
     alone, unpadded (see :func:`_lane_sum`)."""
     groups: list[list[int]] = []
     for i in np.argsort(-sizes, kind="stable").tolist():
-        if k > 1 and groups and (len(groups[-1]) + 1) * k * sizes[groups[-1][0]] <= _EM_BLOCK:
+        if k > 1 and groups and (len(groups[-1]) + 1) * k * sizes[groups[-1][0]] <= _WARM_BLOCK:
             groups[-1].append(i)
         else:
             groups.append([i])
     return groups
 
 
+def _one_warm_group(datasets: Sequence[Dataset]) -> bool:
+    """Whether one padded stack of :func:`_warm_groups` holds every cell of
+    ``datasets`` (of one level count), counting all of a cell's cases, the
+    most it can use (with one level each cell still runs alone): a recovery
+    study warm-starts such a chunk of replicates with one
+    :func:`warm_start_cells` call."""
+    sizes = [cell.y.size for ds in datasets for cell in ds.cells]
+    return datasets[0].k_levels * len(sizes) * max(sizes) <= _WARM_BLOCK
+
+
 def _lane_sum(a: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """Sums over the case axis (the last) of a (cells, k, cases) stack, each
-    rounded as :func:`_case_sum` rounds one cell's (cases, k) array: added
-    in case order (accumulated in ``buf``, whose last column is returned),
-    or with one component pairwise."""
-    if a.shape[1] == 1:
+    """Sums over the case axis (the last) of a C-ordered (cells, k, cases)
+    stack, each rounded as :func:`_case_sum` rounds one cell's (cases, k)
+    array: added in case order, or with one component pairwise. Below
+    ``_WIDE_LANES`` lanes each lane accumulates in ``buf`` (of a's shape),
+    whose last column is returned; from there the lanes are copied into
+    ``buf`` as the columns of a C-ordered (cases, lanes) array, whose sum
+    over its rows adds them one row at a time, in case order."""
+    cells, k, n = a.shape
+    if k == 1:
         return a.sum(axis=-1)
-    return np.add.accumulate(a, axis=2, out=buf)[..., -1]
+    if cells * k < _WIDE_LANES:
+        return np.add.accumulate(a, axis=2, out=buf)[..., -1]
+    rows = buf.reshape(n, cells * k)
+    rows[...] = a.reshape(cells * k, n).T
+    return rows.sum(axis=0).reshape(cells, k)
 
 
 def _lockstep_em(ys, ws, totals, floors, means, sds, props):
@@ -683,12 +718,13 @@ def _lockstep_em(ys, ws, totals, floors, means, sds, props):
     totals, floors = totals[:, None], floors[:, None]
 
     def stack():
-        """Views of the running cells' cases, and (cells, k, cases) buffers."""
+        """Views of the running cells' cases, three (cells, k, cases) buffers
+        and two (cells, cases) ones."""
         shape = (len(pos), means.shape[1], y.shape[1])
         return (y[:, None, :], w[:, None, :], [w[c, :m] for c, m in enumerate(n[pos].tolist())],
-                np.empty(shape), np.empty(shape), np.empty(shape))
+                *(np.empty(shape) for _ in range(3)), *(np.empty(shape[::2]) for _ in range(2)))
 
-    y3, w3, w_rows, dens, work, buf = stack()
+    y3, w3, w_rows, dens, work, buf, top, ssum = stack()
     ll_prev = None
     for _ in range(_WARM_MAX_ITER):
         with np.errstate(divide="ignore"):
@@ -698,15 +734,14 @@ def _lockstep_em(ys, ws, totals, floors, means, sds, props):
         np.square(dens, out=dens)
         dens *= 0.5
         np.subtract(base[..., None], dens, out=dens)
-        top = _row_max(dens.swapaxes(1, 2))
+        _row_max(dens.swapaxes(1, 2), top)
         dens -= top[:, None, :]
         np.exp(dens, out=dens)
-        ssum = _row_sum(dens.swapaxes(1, 2))
-        terms = np.log(ssum)
-        terms += top
-        ll = [float(wc @ t[:len(wc)]) for wc, t in zip(w_rows, terms)]
+        _row_sum(dens.swapaxes(1, 2), ssum)
         dens /= ssum[:, None, :]
         dens *= w3  # the weighted responsibilities
+        top += np.log(ssum, out=ssum)  # the log mixture terms
+        ll = [float(wc @ t[:len(wc)]) for wc, t in zip(w_rows, top)]
         comp_w = _lane_sum(dens, buf).copy()
         live = comp_w > 1e-12
         props = np.maximum(comp_w / totals, 1e-300)
@@ -729,8 +764,10 @@ def _lockstep_em(ys, ws, totals, floors, means, sds, props):
                 pos, totals, floors = pos[keep], totals[keep], floors[keep]
                 means, sds, props = means[keep], sds[keep], props[keep]
                 ll = [v for v, done in zip(ll, stop) if not done]
+                # the old stack is freed before the smaller one is built
+                del y3, w3, w_rows, dens, work, buf, top, ssum
                 y, w = y[keep, :n[pos].max()].copy(), w[keep, :n[pos].max()].copy()
-                y3, w3, w_rows, dens, work, buf = stack()
+                y3, w3, w_rows, dens, work, buf, top, ssum = stack()
         ll_prev = ll
     for final, now in zip(out, (means, sds, props, True)):  # the rest reached the cap
         final[pos] = now
@@ -746,24 +783,12 @@ def _sorted_components(means, sds, props, overall_sd):
     return means, sds, props, bool(degenerate)
 
 
-def warm_start_cells(dataset: Dataset, family: Family) -> dict[tuple[int, int], CellStart]:
-    """Preliminary per-cell mixtures seeding the starting-value enumeration.
-
-    Every (arm, z) cell gets an unstructured k-component normal mixture,
-    fitted by weighted EM from a split at weighted quantiles, so the
-    procedure is deterministic; under the tobit family the mixture is fit on
-    the positive outcomes only (the censored share is absorbed once the full
-    EM runs). A cell whose outcomes are all equal gets k equal components
-    and is flagged degenerate, as is one whose components end with about
-    equal means. Components are sorted by mean, ascending.
-
-    The cells' EMs run in lockstep (see :func:`_lockstep_em`), in groups
-    bounded by ``_EM_BLOCK`` (see :func:`_warm_groups`), so a dataset costs
-    as many iterations as its slowest cell, not the sum over its cells. Each
-    cell's components are the ones its EM gives when run alone.
-    """
+def _usable_cases(dataset: Dataset, family: Family) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each cell's usable outcomes, ascending, and their weights: the
+    positive-weight cases, and under tobit only the positive outcomes.
+    WarmStartError names the first cell with fewer than k of them."""
     k = dataset.k_levels
-    cases = []  # per cell: its usable outcomes, ascending, and their weights
+    cases = []
     for cell in dataset.cells:
         live = cell.w > 0.0
         if family is Family.TOBIT:
@@ -776,30 +801,77 @@ def warm_start_cells(dataset: Dataset, family: Family) -> dict[tuple[int, int], 
             )
         live = live[np.argsort(cell.y[live], kind="stable")]
         cases.append((cell.y[live], cell.w[live]))
-    overall_sd = [_weighted_sd(ys, ws) for ys, ws in cases]
+    return cases
 
-    fits = {}
-    for i, (ys, _) in enumerate(cases):
-        if overall_sd[i] == 0.0:
-            val = float(ys[0])
-            floor = max(1e-8, 1e-8 * abs(val))
-            fits[i] = (np.full(k, val), np.full(k, floor), np.full(k, 1.0 / k), True, False)
-    varied = [i for i in range(len(cases)) if i not in fits]
-    for group in _warm_groups(np.array([len(cases[i][0]) for i in varied], dtype=int), k):
-        index = [varied[g] for g in group]
-        ys, ws = zip(*(cases[i] for i in index))
-        sd = np.array([overall_sd[i] for i in index])
-        start = zip(*(_warm_init(y, w, k, s) for y, w, s in zip(ys, ws, sd.tolist())))
-        *result, capped = _lockstep_em(ys, ws, np.array([float(w.sum()) for w in ws]),
-                                       1e-6 * sd, *map(np.array, start))
-        for c, i in enumerate(index):
-            fits[i] = (*_sorted_components(*(a[c] for a in result), overall_sd[i]),
-                       bool(capped[c]))
-    out = {}
-    for i, cell in enumerate(dataset.cells):
-        weight = float(cell.w[cell.w > 0.0].sum())
-        out[(cell.t, cell.z)] = CellStart(cell.t, cell.z, *fits[i][:3], weight, *fits[i][3:])
+
+def warm_start_cells(datasets: Dataset | Sequence[Dataset], family: Family):
+    """Preliminary per-cell mixtures seeding the starting-value enumeration.
+
+    Every (arm, z) cell gets an unstructured k-component normal mixture,
+    fitted by weighted EM from a split at weighted quantiles, so the
+    procedure is deterministic; under the tobit family the mixture is fit on
+    the positive outcomes only (the censored share is absorbed once the full
+    EM runs). A cell whose outcomes are all equal gets k equal components
+    and is flagged degenerate, as is one whose components end with about
+    equal means. Components are sorted by mean, ascending.
+
+    Given one dataset, returns its ``CellStart`` by (t, z) and raises
+    WarmStartError for a cell with fewer than k usable cases. Given a
+    sequence of datasets, returns a list with one slot per dataset: its
+    starts, or the WarmStartError it alone would raise, which leaves the
+    other datasets' slots as they would be without it.
+
+    The cells' EMs run in lockstep (see :func:`_lockstep_em`), the cells of
+    every dataset together, in groups bounded by ``_WARM_BLOCK`` (see
+    :func:`_warm_groups`), so a group costs as many iterations as its
+    slowest cell, not the sum over its cells. Each cell's components are the
+    ones its EM gives when run alone, bit for bit, in any group.
+    """
+    if not isinstance(datasets, Dataset):
+        return _warm_slots(datasets, family)
+    (out,) = _warm_slots([datasets], family)
+    if isinstance(out, WarmStartError):
+        raise out
     return out
+
+
+def _warm_slots(datasets: Sequence[Dataset], family: Family) -> list:
+    """:func:`warm_start_cells` of a sequence of datasets."""
+    slots: list = []
+    fits = {}  # (dataset, cell) -> (means, sds, props, degenerate, capped)
+    varied = defaultdict(list)  # k -> ((dataset, cell), outcomes, weights, overall SD)
+    for d, dataset in enumerate(datasets):
+        k = dataset.k_levels
+        try:
+            cases = _usable_cases(dataset, family)
+        except WarmStartError as exc:
+            slots.append(exc)
+            continue
+        slots.append(None)
+        for i, (ys, ws) in enumerate(cases):
+            sd = _weighted_sd(ys, ws)
+            if sd == 0.0:
+                val = float(ys[0])
+                floor = max(1e-8, 1e-8 * abs(val))
+                fits[d, i] = (np.full(k, val), np.full(k, floor), np.full(k, 1.0 / k), True, False)
+            else:
+                varied[k].append(((d, i), ys, ws, sd))
+    for k, cells in varied.items():
+        for group in _warm_groups(np.array([len(c[1]) for c in cells], dtype=int), k):
+            keys, ys, ws, sd = zip(*(cells[g] for g in group))
+            start = zip(*(_warm_init(y, w, k, s) for y, w, s in zip(ys, ws, sd)))
+            *result, capped = _lockstep_em(ys, ws, np.array([float(w.sum()) for w in ws]),
+                                           1e-6 * np.array(sd), *map(np.array, start))
+            for c, key in enumerate(keys):
+                fits[key] = (*_sorted_components(*(a[c] for a in result), sd[c]),
+                             bool(capped[c]))
+    for d, dataset in enumerate(datasets):
+        if slots[d] is None:
+            slots[d] = {(cell.t, cell.z): CellStart(cell.t, cell.z, *fits[d, i][:3],
+                                                    float(cell.w[cell.w > 0.0].sum()),
+                                                    *fits[d, i][3:])
+                        for i, cell in enumerate(dataset.cells)}
+    return slots
 
 
 # --------------------------------------------------------------------------
@@ -1284,6 +1356,7 @@ def fit(
     family: Family = Family.NORMAL,
     mean_structure: MeanStructure = MeanStructure.SATURATED,
     config: FitConfig | None = None,
+    warm: dict[tuple[int, int], CellStart] | None = None,
 ) -> FitResult:
     """Maximize the weighted mixture likelihood over all starting mappings.
 
@@ -1298,6 +1371,12 @@ def fit(
     start never counts as converged (run on, it might have converged and let
     the capped winner return unconverged); a best start that stopped as
     ``"nonmonotone"`` returns unconverged.
+
+    ``warm`` is the dataset's cell starts, ``warm_start_cells(dataset,
+    family)`` or its slot of a call on several datasets, for a caller that
+    has computed them already (a recovery study warm-starts a chunk of
+    replicates at once); None computes them here, after the checks above.
+    The fit is the same, bit for bit.
     """
     config = config or FitConfig()
     total = _mapping_count(dataset, family)
@@ -1312,7 +1391,8 @@ def fit(
         1e-3 * _weighted_sd(dataset.y[dataset.t == t], dataset.w[dataset.t == t])
         for t in (0, 1)
     )
-    warm = warm_start_cells(dataset, family)
+    if warm is None:
+        warm = warm_start_cells(dataset, family)
     if config.starts == "all":
         ids = np.arange(total)
     else:

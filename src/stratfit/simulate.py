@@ -4,9 +4,12 @@ Generates data from a known four- or nine-strata model, refits the normal
 family with the full starting-mapping machinery, and scores whether the
 fitted components landed on the right strata. Scoring is permutation-aware:
 a fit that is correct only up to a within-cell relabeling counts as swapped.
-:func:`run_study` runs the replicates of one :class:`SimConfig` one after
-another in the calling thread, each from its own spawned seed, so a study
-is deterministic given its config. A grid of sample sizes, dispersions,
+:func:`run_study` runs the replicates of one :class:`SimConfig` in the
+calling thread, each from its own spawned seed, so a study is deterministic
+given its config. It draws them in chunks whose cells fill one lockstep
+group of warm starts, warm-starts each chunk at once and then fits its
+replicates one after another; every replicate's result is the one it gets
+alone (:func:`run_replicate`). A grid of sample sizes, dispersions,
 probability scenarios and disturbance shapes is a list of configs, one
 study each. Configs that differ only in shape share their replicate seeds,
 so a non-normal shape's report pairs replicate by replicate with the normal
@@ -25,10 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import em
 from .core import Dataset, ModelParams, StrataGrid
 from .densities import Family
 from .em import NEAR_TIE_REL, FitConfig, check_level_count, fit, near_ties
-from .errors import StratfitError
+from .errors import StratfitError, WarmStartError
 
 __all__ = ["NEAR_TIE_REL", "SHAPES", "RecoveryReport", "ReplicateResult", "SimConfig", "generate",
            "parse_shape", "run_replicate", "run_study", "scenario_probs", "shape_label",
@@ -266,12 +270,15 @@ def _replicate_rng(config: SimConfig, index: int) -> np.random.Generator:
     )
 
 
-def run_replicate(config: SimConfig, index: int) -> ReplicateResult:
-    rng = _replicate_rng(config, index)
-    dataset, truth = generate(config, rng)
+def run_replicate(config: SimConfig, index: int, drawn=None) -> ReplicateResult:
+    """Fit and score replicate ``index``. ``drawn`` is its (dataset, truth,
+    warm starts or None) where :func:`run_study` has drawn it and
+    warm-started it with its chunk; by default it is drawn here and ``fit``
+    computes its warm starts. The result is the same either way."""
+    dataset, truth, warm = drawn or (*generate(config, _replicate_rng(config, index)), None)
     try:
         res = fit(dataset, config=FitConfig(tol=config.tol, max_iter=config.max_iter,
-                                            starts=config.starts))
+                                            starts=config.starts), warm=warm)
     except StratfitError as exc:
         return ReplicateResult(index=index, ok=False, error=str(exc))
     true_table = truth.location_table()
@@ -291,7 +298,37 @@ def run_replicate(config: SimConfig, index: int) -> ReplicateResult:
     )
 
 
+def _chunks(config: SimConfig):
+    """The replicates, drawn in order, as lists of (index, dataset, truth)
+    whose cells fit one lockstep group of warm starts (see
+    ``em._one_warm_group``); a replicate too large for one is a chunk alone."""
+    chunk = []
+    for i in range(config.replicates):
+        dataset, truth = generate(config, _replicate_rng(config, i))
+        if chunk and not em._one_warm_group([d for _, d, _ in chunk] + [dataset]):
+            yield chunk
+            chunk = []
+        chunk.append((i, dataset, truth))
+    yield chunk
+
+
 def run_study(config: SimConfig) -> RecoveryReport:
-    """All replicates of one config; deterministic given the config seed."""
-    recs = [run_replicate(config, i) for i in range(config.replicates)]
+    """All replicates of one config; deterministic given the config seed.
+
+    Each chunk of replicates (see :func:`_chunks`) is warm-started by one
+    ``em.warm_start_cells`` call; then :func:`run_replicate` fits and scores
+    its replicates in order, each dataset released after its fit. Every
+    result equals that of ``run_replicate(config, index)`` alone: a
+    replicate whose warm start failed is fitted without one, so ``fit``
+    raises what it raises alone."""
+    recs = []
+    for chunk in _chunks(config):
+        starts = em.warm_start_cells([dataset for _, dataset, _ in chunk], Family.NORMAL)
+        chunk.reverse()  # popped in replicate order, each released after its fit
+        starts.reverse()
+        while chunk:
+            (i, dataset, truth), warm = chunk.pop(), starts.pop()
+            if isinstance(warm, WarmStartError):
+                warm = None
+            recs.append(run_replicate(config, i, (dataset, truth, warm)))
     return RecoveryReport(config=config, truth=true_model(config), replicates=tuple(recs))

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from stratfit import effects, em
+from stratfit import effects, em, simulate
 from stratfit.core import Dataset, pack
 
 from test_estimation import simulate_four_strata
@@ -77,3 +77,29 @@ def test_traced_se_counts_see_the_real_path(monkeypatch):
     p = len(pack(res.params))
     assert calls["log_likelihood"] == 1
     assert calls["case_loglik"] == 2 * p
+
+
+def test_study_reaches_the_traced_bindings(bench, monkeypatch):
+    # The traced run patches em.warm_start_cells and simulate.fit by name, as
+    # here; run_study reaches both through them: one warm-start call per
+    # chunk of replicates and one fit per replicate, in replicate order.
+    measure, workloads = bench
+    monkeypatch.setattr(em, "_WARM_BLOCK", 2000)  # a few replicates a chunk
+    config = simulate.SimConfig(60, 2.4, replicates=7, seed=3)
+    tracer, observer, patches = measure.Tracer(), workloads.FitObserver(), measure.Patches()
+    patches.set(em, "warm_start_cells",
+                tracer.spanned(em.warm_start_cells, "em.warm_start_cells"))
+    patches.set(simulate, "fit", observer.wrap(simulate.fit))
+    try:
+        report = simulate.run_study(config)
+    finally:
+        patches.restore()
+    chunks, chunk = 0, []
+    for i in range(config.replicates):
+        ds, _ = simulate.generate(config, simulate._replicate_rng(config, i))
+        if chunk and not em._one_warm_group(chunk + [ds]):
+            chunks, chunk = chunks + 1, []
+        chunk.append(ds)
+    assert tracer.calls["em.warm_start_cells"] == chunks + 1 >= 2
+    assert [f.loglik for f in observer.fits] == [r.loglik for r in report.replicates]
+    assert len(observer.fits) == config.replicates and report.n_failed == 0

@@ -255,6 +255,21 @@ class TestDataset:
         assert ds.n_clusters == 2
         assert ds.cluster[0] == ds.cluster[2]
 
+    @pytest.mark.parametrize("labels", [
+        ["b", "B", "a b", " a", "a", "B", "a\x00", "a", " a"],
+        [1, 1.0, 2, 0.5, 1],
+    ], ids=["strings", "numbers"])
+    def test_object_labels_get_unique_codes(self, labels):
+        # codes in sorted label order, as np.unique gives them, since the
+        # sandwich sums clusters in code order: "a" and "a\x00" stay two
+        # labels, the objects 1 and 1.0 one
+        n = len(labels)
+        ds = Dataset.from_arrays(np.arange(n, dtype=float), np.arange(n) % 2, np.zeros(n),
+                                 cluster=np.array(labels, dtype=object), k_levels=1)
+        want = np.unique(np.array(labels, dtype=object), return_inverse=True)[1]
+        assert ds.cluster.tolist() == want.tolist()
+        assert ds.n_clusters == len(set(labels))
+
 
 class TestEffectiveSampleSize:
     def test_unit_weights_give_n(self):

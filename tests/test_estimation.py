@@ -718,7 +718,7 @@ class TestLockstepWarmStarts:
     def test_groups_under_a_small_block(self, monkeypatch):
         # a block of 500 entries puts a 200-case cell (k = 2) alone and the
         # three 40-case cells together
-        monkeypatch.setattr(em, "_EM_BLOCK", 500)
+        monkeypatch.setattr(em, "_WARM_BLOCK", 500)
         rng = np.random.default_rng(9)
         cells = random_cells(rng, 2, n=40)
         cells[(1, 0)] = (rng.normal(0.0, 1.0, 200), np.ones(200))
@@ -744,7 +744,7 @@ class TestLockstepWarmStarts:
 
     @pytest.mark.parametrize("k_levels", [2, 3])
     def test_memory_stays_bounded(self, k_levels):
-        # 20k cases per arm: the padded stacks stay within _EM_BLOCK entries
+        # 20k cases per arm: the padded stacks stay within _WARM_BLOCK entries
         if k_levels == 2:
             ds, _ = simulate_four_strata(20_000, seed=3)
         else:
@@ -757,6 +757,93 @@ class TestLockstepWarmStarts:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * 2**20
+
+
+def assert_same_starts(got, want):
+    """Two warm-start results are equal bit for bit: the same CellStart
+    fields, or the same WarmStartError message."""
+    if isinstance(want, WarmStartError):
+        assert isinstance(got, WarmStartError) and str(got) == str(want)
+        return
+    assert got.keys() == want.keys()
+    for key in want:
+        for f in dataclasses.fields(em.CellStart):
+            a, b = getattr(got[key], f.name), getattr(want[key], f.name)
+            assert type(a) is type(b) and np.array_equal(a, b), (key, f.name)
+            if isinstance(a, np.ndarray):
+                assert a.tobytes() == b.tobytes(), (key, f.name)
+
+
+def alone(ds, family):
+    try:
+        return warm_start_cells(ds, family)
+    except WarmStartError as exc:
+        return exc
+
+
+class TestBatchedWarmStarts:
+    """warm_start_cells on a sequence pools every dataset's cells into the
+    lockstep groups, and each slot equals the dataset's own call."""
+
+    def test_mixed_datasets_in_one_call(self):
+        rng = np.random.default_rng(21)
+        datasets = [dataset_of_cells(random_cells(rng, 2, n=n), 2) for n in (40, 200, 90, 41)]
+        constant = random_cells(rng, 2)
+        constant[(0, 1)] = (np.full(25, -1.5), np.ones(25))
+        capped = random_cells(np.random.default_rng(8), 3)
+        capped[(1, 2)] = (np.random.default_rng(1).normal(size=60), np.ones(60))
+        small = random_cells(rng, 2)
+        small[(1, 1)] = (np.array([0.5]), np.ones(1))
+        datasets[2:2] = [dataset_of_cells(constant, 2), dataset_of_cells(capped, 3),
+                         dataset_of_cells(small, 2)]
+        # the 2-level datasets' cells fit one group, and the 19 of them that
+        # run (not the small dataset's four, not the constant cell) make 38
+        # lanes, past _WIDE_LANES: their case sums take the transposed path
+        sizes = [len(c.y) for d in datasets if d.k_levels == 2 for c in d.cells]
+        assert len(sizes) * 2 * max(sizes) <= em._WARM_BLOCK
+        assert 2 * (len(sizes) - 5) >= em._WIDE_LANES
+        got = warm_start_cells(datasets, Family.NORMAL)
+        assert len(got) == len(datasets)
+        for ds, slot in zip(datasets, got):
+            assert_same_starts(slot, alone(ds, Family.NORMAL))
+        assert isinstance(got[4], WarmStartError)
+        assert got[2][(0, 1)].degenerate and got[3][(1, 2)].capped
+        assert_warm_matches_oracle(datasets[0], Family.NORMAL)
+
+    def test_tobit_datasets(self):
+        datasets = []
+        for seed, n in enumerate((150, 400, 90)):
+            config = simulate.SimConfig(n_per_arm=n, dispersion_sd=2.0 + seed)
+            ds, _ = simulate.generate(config, np.random.default_rng(seed))
+            datasets.append(Dataset.from_arrays(np.maximum(ds.y - 2.0, 0.0), ds.t, ds.z,
+                                                k_levels=2, family=Family.TOBIT))
+        got = warm_start_cells(datasets, Family.TOBIT)
+        for ds, slot in zip(datasets, got):
+            assert_same_starts(slot, alone(ds, Family.TOBIT))
+
+    def test_every_dataset_too_small(self):
+        ds = Dataset.from_arrays([1.0, 2.0, 3.0, 4.0, 5.0],
+                                 [1, 1, 0, 0, 1], [0, 0, 0, 1, 1], k_levels=2)
+        got = warm_start_cells([ds, ds], Family.NORMAL)
+        assert [str(e) for e in got] == [str(alone(ds, Family.NORMAL))] * 2
+        assert warm_start_cells([], Family.NORMAL) == []
+
+    @pytest.mark.parametrize("shape", [(16, 2, 37), (11, 3, 250), (40, 2, 1), (16, 2, 2000)])
+    def test_wide_lane_sums_add_in_case_order(self, shape):
+        a = np.random.default_rng(2).standard_normal(shape)
+        a *= np.exp(5.0 * np.random.default_rng(3).standard_normal(shape))
+        want = np.add.accumulate(a, axis=2)[..., -1]
+        assert shape[0] * shape[1] >= em._WIDE_LANES
+        got = em._lane_sum(a, np.empty(shape))
+        assert got.tobytes() == want.tobytes()
+
+    def test_fit_takes_the_warm_starts(self):
+        ds, _ = simulate_four_strata(150, seed=31)
+        warm = warm_start_cells([ds], Family.NORMAL)[0]
+        a, b = fit(ds), fit(ds, warm=warm)
+        assert [(r.mapping_id, r.loglik, r.iterations) for r in a.trace] == [
+            (r.mapping_id, r.loglik, r.iterations) for r in b.trace]
+        assert a.params.locations.tobytes() == b.params.locations.tobytes()
 
 
 def start_params(ds, warm, ids, family=Family.NORMAL, mean_structure=SATURATED,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,12 +6,14 @@ import pytest
 
 from stratfit import em, simulate
 from stratfit.cli import read_sim_config
+from stratfit.core import Dataset
 from stratfit.simulate import (
     SimConfig,
     _generate_labeled,
     _replicate_rng,
     generate,
     parse_shape,
+    run_replicate,
     run_study,
     scenario_probs,
     shape_label,
@@ -174,6 +177,61 @@ class TestRunStudy:
         report = run_study(cfg)
         assert report.fraction_label_correct == 1.0
         assert report.location_rmse(correct_only=True).max() < 0.2
+
+
+def assert_same_replicates(got, want):
+    """Two replicate results agree field for field, arrays bit for bit."""
+    for a, b in zip(got, want, strict=True):
+        for f in dataclasses.fields(a):
+            u, v = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(u, np.ndarray):
+                assert u.tobytes() == v.tobytes(), (a.index, f.name)
+            else:
+                assert type(u) is type(v) and u == v, (a.index, f.name)
+
+
+class TestChunkedStudy:
+    """run_study warm-starts its replicates a chunk at a time, and every
+    result equals that of the replicate run on its own."""
+
+    def warm_calls(self, monkeypatch):
+        calls = []
+        real = em.warm_start_cells
+
+        def counted(datasets, family):  # a chunk's size; None for one dataset
+            calls.append(None if isinstance(datasets, Dataset) else len(datasets))
+            return real(datasets, family)
+
+        monkeypatch.setattr(em, "warm_start_cells", counted)
+        return calls
+
+    def test_chunks_with_a_failing_replicate(self, monkeypatch):
+        # at most 150 entries a group: a chunk holds one to three of these
+        # replicates, and a rare stratum leaves some of their cells empty or
+        # too small
+        monkeypatch.setattr(em, "_WARM_BLOCK", 150)
+        cfg = SimConfig(8, 1.6, "one_small", replicates=12, seed=7)
+        calls = self.warm_calls(monkeypatch)
+        report = run_study(cfg)
+        chunks = [c for c in calls if c is not None]
+        assert len(chunks) >= 4 and max(chunks) >= 2 and sum(chunks) == cfg.replicates
+        errors = [r.error for r in report.replicates if not r.ok]
+        # fit computes the warm starts again only where they failed
+        assert calls.count(None) == sum(e.startswith("cell too small") for e in errors) > 0
+        assert any(e.startswith("empty (t, z) cells") for e in errors)
+        monkeypatch.undo()
+        assert_same_replicates(report.replicates,
+                               [run_replicate(cfg, i) for i in range(cfg.replicates)])
+
+    def test_three_levels(self):
+        cfg = SimConfig(60, 2.4, k_levels=3, replicates=3, seed=4, starts=("topk", 3))
+        assert_same_replicates(run_study(cfg).replicates,
+                               [run_replicate(cfg, i) for i in range(cfg.replicates)])
+
+    def test_one_chunk_by_default(self, monkeypatch):
+        calls = self.warm_calls(monkeypatch)
+        run_study(SimConfig(120, 2.4, replicates=3, seed=5))
+        assert calls == [3]
 
 
 class TestMisspecification:

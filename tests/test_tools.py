@@ -5,6 +5,7 @@ Each tool runs as a script in a subprocess, as it is used, so a library
 name it imports that no longer exists fails here.
 """
 
+import dataclasses
 import importlib
 import json
 import os
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stratfit import simulate
 from stratfit.core import ModelParams, StrataGrid
 from stratfit.errors import ConvergenceError
 from stratfit.em import fit
@@ -87,18 +89,42 @@ def test_calibration_report(tmp_path, short, iterations):
     assert f"EM iterations: w {iterations}" in out.stdout
 
 
-@pytest.fixture(scope="module")
-def calibration():
-    """tools/prune_calibration.py, imported with sys.path and the
-    environment restored as they were (its import sets both)."""
+def import_tool(name):
+    """A script under tools/, imported with sys.path and the environment
+    restored as they were (its import sets both)."""
     path, env = list(sys.path), dict(os.environ)
     sys.path.insert(0, str(TOOLS_DIR))
     try:
-        return importlib.import_module("prune_calibration")
+        return importlib.import_module(name)
     finally:
         sys.path[:] = path
         os.environ.clear()
         os.environ.update(env)
+
+
+@pytest.fixture(scope="module")
+def calibration():
+    return import_tool("prune_calibration")
+
+
+def test_study_dump_writes_every_replicate_field():
+    # dump --study records run_study's own results: each replicate's fields
+    # as run_replicate gives them alone, floats and arrays as their bits
+    tool = import_tool("bit_evidence")
+    config = simulate.SimConfig(n_per_arm=8, dispersion_sd=1.6, prob_scenario="one_small",
+                                replicates=4, seed=7)
+    out = {}
+    tool._study(out, "s", config)
+    fields = [f.name for f in dataclasses.fields(simulate.ReplicateResult)]
+    assert sorted(out) == sorted(f"s/rep{i}/{f}" for i in range(4) for f in fields)
+    for i in range(4):
+        rep = simulate.run_replicate(config, i)
+        assert out[f"s/rep{i}/ok"] == repr(rep.ok)
+        assert out[f"s/rep{i}/error"] == repr(rep.error)
+        if rep.ok:
+            assert out[f"s/rep{i}/loglik"] == rep.loglik.hex()
+            assert out[f"s/rep{i}/location_error"] == tool._bits(rep.location_error)
+    assert out["s/rep1/ok"] == "False" and out["s/rep0/ok"] == "True"
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))

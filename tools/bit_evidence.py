@@ -2,6 +2,7 @@
 
     python tools/bit_evidence.py dump OUT.json
     python tools/bit_evidence.py dump --grid OUT.json
+    python tools/bit_evidence.py dump --study OUT.json
     python tools/bit_evidence.py compare A.json B.json
     python tools/bit_evidence.py compare --answers A.json B.json
 
@@ -15,7 +16,10 @@ tie ids, the naive Hessian, both covariances and the four effect-SE arrays;
 a fit or SE step that raises is written as its error. Values are strings,
 so two dumps are equal exactly when every bit is. ``dump --grid`` writes
 the fits of the recovery grid instead (see :func:`grid_analyses`): every
-record and the tie ids, without SEs.
+record and the tie ids, without SEs. ``dump --study`` runs
+``simulate.run_study`` on the recovery configs of :func:`study_configs` and
+writes every field of every ``ReplicateResult``, so it checks the study's
+batched path itself.
 
 ``compare`` prints each key whose value differs or exists in one dump only,
 and exits 1 if there is any. ``compare --answers`` compares only what an
@@ -33,6 +37,7 @@ runs single-threaded, as in the benchmark.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import os
@@ -147,11 +152,42 @@ def grid_analyses():
               file=sys.stderr)
 
 
-def dump(path: str, grid: bool = False) -> None:
+def study_configs():
+    """Yield (key, SimConfig) for the recovery studies of ``dump --study``:
+    the benchmark's ``recovery-small`` study at data seeds 0-15, configured
+    as its pass configures it, and the six configs behind the grid's normal
+    fits (``run_study`` fits the normal family only)."""
+    spec = wl.SPECS["full"]["recovery-small"]
+    for seed in SEEDS:
+        yield (f"study/recovery-small/seed{seed}",
+               wl._sim_config(spec, seed, replicates=spec.analyses))
+    for n, d in itertools.product(GRID_N, GRID_DISPERSION):
+        yield (f"study/grid/n{n}/d{d}",
+               simulate.SimConfig(n_per_arm=n, dispersion_sd=d, replicates=GRID_REPLICATES))
+
+
+def _study(out: dict, key: str, config: simulate.SimConfig) -> None:
+    """Every field of every replicate of ``run_study(config)``, as bits."""
+    for rep in simulate.run_study(config).replicates:
+        for f in dataclasses.fields(rep):
+            value = getattr(rep, f.name)
+            out[f"{key}/rep{rep.index}/{f.name}"] = (
+                _bits(value) if isinstance(value, np.ndarray)
+                else value.hex() if isinstance(value, float) else repr(value))
+    print(f"{key}: {config.replicates} replicates", file=sys.stderr)
+
+
+def dump(path: str, kind: str = "bench") -> None:
+    """Write the analyses of ``kind``: "bench", "grid" or "study"."""
     out: dict[str, str] = {}
-    with tempfile.TemporaryDirectory() as work:
-        for key, ds, family, config in grid_analyses() if grid else bench_analyses(work):
-            _analysis(out, key, ds, family, config, ses=not grid)
+    if kind == "study":
+        for key, config in study_configs():
+            _study(out, key, config)
+    else:
+        with tempfile.TemporaryDirectory() as work:
+            grid = kind == "grid"
+            for key, ds, family, config in grid_analyses() if grid else bench_analyses(work):
+                _analysis(out, key, ds, family, config, ses=not grid)
     with open(path, "w") as fh:
         json.dump(out, fh, indent=0, sort_keys=True)
 
@@ -220,8 +256,8 @@ def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "dump":
         dump(argv[1])
         return 0
-    if len(argv) == 3 and argv[:2] == ["dump", "--grid"]:
-        dump(argv[2], grid=True)
+    if len(argv) == 3 and argv[0] == "dump" and argv[1] in ("--grid", "--study"):
+        dump(argv[2], argv[1][2:])
         return 0
     if len(argv) == 3 and argv[0] == "compare":
         return compare(argv[1], argv[2])
