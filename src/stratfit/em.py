@@ -59,12 +59,19 @@ test's log-likelihood is one dot per cell over its own cases.
 Starts are numbered by mapping id, and :func:`_start_sets` builds the
 initial parameter sets of a block of ids as stacked arrays. With three
 levels there are (3!)^6 = 46,656 assignments, so ``topk`` and ``spread``
-rank them by their initial log-likelihood first, in one batched pass over
+rank them by their initial log-likelihood first, in batched passes over
 blocks of mapping ids whose working set does not grow with the mapping
-count. Under the saturated structure a mapping costs about one logarithm
-per case (see ``_RANK_BLOCK``); under the linear structure the projection
-moves every density column with the mapping, so each block of start sets
-goes through :func:`_evaluate`.
+count (see ``_RANK_BLOCK``); a block's strata probabilities come from one
+IPF with the mappings on the contiguous axis. ``spread`` needs every value:
+under the saturated structure a mapping costs about one logarithm per case,
+and under the linear structure the projection moves every density column
+with the mapping, so each block of start sets goes through
+:func:`_evaluate`. ``topk`` needs only the best n, so under the saturated
+structure it bounds every mapping from above by grouping each cell's cases
+(Jensen's inequality, about ``_RANK_GROUPS`` logarithms per cell and
+mapping) and evaluates only the mappings whose bound reaches the n-th best
+value, each as the full pass would, bit for bit (see
+:func:`_initial_logliks`); it keeps the ids the full pass keeps.
 
 Fitting is deterministic: warm starts initialize from weighted quantile
 splits and no stage consumes random numbers. Everything runs in the calling
@@ -75,6 +82,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -914,6 +922,18 @@ def _pooled_scales(warm, k_levels: int, floor: tuple[float, float]) -> np.ndarra
     return scales
 
 
+def _flat_sum(rows: np.ndarray) -> np.ndarray:
+    """``rows.sum(axis=0)`` of an (n, B) array, n < 16, each column rounded
+    as numpy's sum of n contiguous entries: left to right below 8, else the
+    first 8 pairwise and then the rest left to right."""
+    if len(rows) < 8:
+        return _row_sum(rows.T)
+    out = ((rows[0] + rows[1]) + (rows[2] + rows[3])) + ((rows[4] + rows[5]) + (rows[6] + rows[7]))
+    for row in rows[8:]:
+        out += row
+    return out
+
+
 def _initial_probs(warm, assign: np.ndarray, grid: StrataGrid) -> np.ndarray:
     """Joint strata probabilities reconciling the two arms' warm starts, for
     a batch of mappings.
@@ -922,8 +942,15 @@ def _initial_probs(warm, assign: np.ndarray, grid: StrataGrid) -> np.ndarray:
     cell in canonical order. Each arm's cell shares and mapped mixing
     proportions imply a joint table; the two are averaged and then balanced
     by iterative proportional fitting so the z1 margin matches the treated
-    arm's cell shares and the z0 margin matches the control arm's. Returns
-    (B, n_strata); a mapping's row does not depend on the rest of the batch.
+    arm's cell shares and the z0 margin matches the control arm's.
+
+    The table is kept as (z0, z1, B), the mappings on the contiguous last
+    axis, so each IPF step is one elementwise pass over the batch; every
+    margin and the final normalizer add their entries in the order numpy
+    adds a (z0, z1) table of one mapping (left to right, and the k^2 entries
+    as :func:`_flat_sum`). So a mapping's row does not depend on the rest of
+    the batch. Returns (B, n_strata), z1-major as the grid orders the
+    strata: the transposed view of a C-ordered (n_strata, B) array.
     """
     k = grid.k_levels
     b = len(assign)
@@ -931,21 +958,24 @@ def _initial_probs(warm, assign: np.ndarray, grid: StrataGrid) -> np.ndarray:
     for t in (0, 1):
         v = np.array([warm[(t, z)].weight for z in range(k)])
         share[t] = v / v.sum()
-    q1 = np.zeros((b, k, k))  # indexed [mapping, z0, z1]
-    q0 = np.zeros((b, k, k))
-    rows = np.arange(b)[:, None]
+    q1 = np.zeros((k, k, b))  # indexed [z0, z1, mapping]
+    q0 = np.zeros((k, k, b))
+    cols = np.arange(b)[:, None]
     for c, (t, z) in enumerate(cell_order(k)):
         mass = share[t][z] * warm[(t, z)].props
         if t == 1:
-            q1[rows, assign[:, c], z] = mass
+            q1[assign[:, c], z, cols] = mass
         else:
-            q0[rows, z, assign[:, c]] = mass
-    table = np.maximum(0.5 * (q1 + q0), 1e-12)
+            q0[z, assign[:, c], cols] = mass
+    q1 += q0
+    q1 *= 0.5
+    table = np.maximum(q1, 1e-12, out=q1)
+    del q0
     for _ in range(50):
-        table *= (share[1] / _row_sum(table.swapaxes(1, 2)))[:, None, :]
-        table *= (share[0] / _row_sum(table))[:, :, None]
-    table /= table.reshape(b, -1).sum(axis=1)[:, None, None]
-    return table.transpose(0, 2, 1).reshape(b, -1)  # z1-major rows match the grid order
+        table *= share[1][:, None] / _row_sum(table.transpose(1, 2, 0))
+        table *= (share[0][:, None] / _row_sum(table.transpose(0, 2, 1)))[:, None, :]
+    table /= _flat_sum(table.reshape(k * k, b))
+    return table.transpose(1, 0, 2).reshape(k * k, b).T
 
 
 def _start_sets(warm, ids, grid: StrataGrid, mean_structure: MeanStructure,
@@ -974,8 +1004,19 @@ def _start_sets(warm, ids, grid: StrataGrid, mean_structure: MeanStructure,
 
 # The largest (cases x mappings) array saturated start ranking builds, and
 # the number of strata-probability entries per block of mappings: 2^15
-# float64, 256 KiB.
+# float64, 256 KiB. The bound topk ranks by builds (groups x mappings)
+# arrays under the same cap.
 _RANK_BLOCK = 1 << 15
+
+# The number of consecutive groups, by outcome, into which topk's upper
+# bound splits each cell's cases (see _initial_logliks). On the 1,500-per-arm
+# three-level benchmark data, 32 groups ranked topk:10 fastest: 16 or 8 need
+# 2-16 times as many mappings evaluated, 64 doubles the bound's logarithms.
+_RANK_GROUPS = 32
+
+# The number of mappings topk evaluates as one batch between two stop
+# checks, or the count when that is larger.
+_RANK_BATCH = 64
 
 # The largest (sets x cases x strata) array the EM loop and _evaluate build,
 # in float64 entries: 2^16, 512 KiB. Sets run in blocks sized to the widest
@@ -989,56 +1030,156 @@ def _em_block(dataset: Dataset) -> int:
     return max(1, _EM_BLOCK // max(widest, 1))
 
 
-def _initial_logliks(dataset, warm, grid, family, mean_structure, scales):
+def _rank_terms(dataset: Dataset, warm, family: Family, scales: np.ndarray) -> list:
+    """Each non-empty cell's ranking term under the saturated structure:
+    (cell index, cell, scaled densities ``E = exp(ld - top)`` (n_cell, c),
+    weights, ``w @ top``), with ``ld`` the kernel's :func:`_cell_logdens` at
+    the warm-start means and ``top`` its row maxima."""
+    terms = []
+    for c, cell in enumerate(dataset.cells):
+        if cell.y.size:
+            cs = warm[(cell.t, cell.z)]
+            ld = _cell_logdens(cell, cs.means[None], scales[[cell.t]], family)[0]
+            top = _row_max(ld)
+            bad = ~np.isfinite(top)
+            if bad.any():
+                raise DegenerateMixtureError(int(cell.rows[np.flatnonzero(bad)[0]]))
+            # the row maximum's column has E == 1, so E @ p > 0
+            terms.append((c, cell, np.exp(ld - top[:, None]), cell.w, float(cell.w @ top)))
+    return terms
+
+
+def _grouped_terms(terms: list) -> list:
+    """The terms of an upper bound on :func:`_rank_terms`' values: each
+    cell's cases, sorted by outcome, in at most ``_RANK_GROUPS`` consecutive
+    groups g, each standing for its cases with weight ``W_g`` and row
+    ``m_g / W_g``, ``m_g = sum w_i E_i``. Log is concave, so ``sum_g w_i
+    log(E_i @ p) <= W_g log(m_g @ p / W_g)`` (Jensen). Groups, and cells,
+    of weight 0 add nothing and are dropped."""
+    out = []
+    for c, cell, dens, w, base in terms:
+        order = np.argsort(cell.y, kind="stable")
+        groups = min(_RANK_GROUPS, len(order))
+        starts = np.arange(groups) * len(order) // groups
+        weight = np.add.reduceat(w[order], starts)
+        mass = np.add.reduceat(w[order, None] * dens[order], starts)
+        keep = weight > 0.0
+        if keep.any():
+            out.append((c, cell, mass[keep] / weight[keep, None], weight[keep], base))
+    return out
+
+
+def _mapping_values(terms: list, warm, grid: StrataGrid, ids: np.ndarray | None = None,
+                    wanted: np.ndarray | None = None) -> np.ndarray:
+    """``sum_c base_c + w_c @ log(E_c @ p_c)`` of each mapping id in ``ids``
+    (default: every id, ascending) over the ``terms`` of :func:`_rank_terms`
+    or :func:`_grouped_terms`, with ``p_c`` the mapping's initial
+    probabilities of cell c's strata in its permutation's order. The ids run
+    in blocks of ``_RANK_BLOCK // n_strata`` (one batched IPF each), and each
+    cell's ``E @ p`` products over chunks of ``_RANK_BLOCK // rows`` ids (one
+    id at a time for a larger cell).
+
+    BLAS rounds a column of a product by its place in it, so an id's value
+    can differ in its last bits with where it sits in ``ids``. Given
+    ``wanted`` (a mask over ``ids``), only the chunks that hold a wanted id
+    are formed, the IPF runs only for their ids, and the other ids get
+    ``-inf``: each wanted id gets the value it gets without ``wanted``, bit
+    for bit.
+    """
+    k = grid.k_levels
+    perms = _perm_table(k)
+    block = _RANK_BLOCK // grid.n_strata
+    steps = [max(1, _RANK_BLOCK // len(w)) for *_, w, _ in terms]
+    out = np.zeros(n_mappings(k) if ids is None else len(ids))
+    for lo in range(0, len(out), block):
+        digits = _digits(np.arange(lo, min(lo + block, len(out))) if ids is None
+                         else ids[lo:lo + block], k)
+        if wanted is None:
+            chunks = [range(0, len(digits), step) for step in steps]
+            probs = _initial_probs(warm, perms[digits], grid)
+        else:
+            hit = np.flatnonzero(wanted[lo:lo + block])
+            if not hit.size:
+                continue
+            chunks, rows = [], np.zeros(len(digits), dtype=bool)
+            for step in steps:
+                starts = hit // step * step  # ascending, as hit is
+                chunks.append(starts[np.diff(starts, prepend=-1) > 0].tolist())
+                for s in chunks[-1]:
+                    rows[s:s + step] = True
+            probs = np.zeros((len(digits), grid.n_strata))
+            probs[rows] = _initial_probs(warm, perms[digits[rows]], grid)
+        part = out[lo:lo + block]
+        for (c, cell, dens, w, base), step, starts in zip(terms, steps, chunks):
+            prior = np.take_along_axis(probs, cell.strata[perms[digits[:, c]]], axis=1)
+            for s in starts:
+                part[s:s + step] += base + w @ np.log(dens @ prior[s:s + step].T)
+    if wanted is not None:
+        out[~wanted] = -np.inf
+    return out
+
+
+def _initial_logliks(dataset, warm, grid, family, mean_structure, scales, top=None):
     """Initial-parameter log-likelihood of every mapping, without running EM.
 
     Mappings are ranked in blocks of ids, so the working set does not grow
     with the mapping count. Under the saturated structure a cell's component
-    density columns (the kernel's :func:`_cell_logdens` at the warm-start
-    means) do not depend on the mapping, so each cell's row maxima
-    ``top`` and scaled densities ``E = exp(ld - top)`` are computed once; a
-    mapping with cell priors ``p`` then contributes ``w @ top + w @ log(E @
-    p)``. A block's strata probabilities come from one batched IPF, and the
-    ``E @ p`` products are formed at most ``_RANK_BLOCK`` entries at a time
-    (or one mapping at a time for a larger cell). Under the linear structure
-    the projection moves the columns with the mapping, so each block of
-    start sets (see :func:`_start_sets`) goes through :func:`_evaluate`.
+    density columns do not depend on the mapping, so each cell's scaled
+    densities are computed once (:func:`_rank_terms`), and a mapping with
+    cell priors ``p`` contributes ``w @ top + w @ log(E @ p)``
+    (:func:`_mapping_values`): about one logarithm per case and mapping.
+    Under the linear structure the projection moves the columns with the
+    mapping, so each block of start sets (see :func:`_start_sets`) goes
+    through :func:`_evaluate`.
+
+    Given ``top`` (n), the saturated structure returns these values only
+    for the ids that can be among the n highest, and ``-inf`` for the rest:
+    1. every mapping's upper bound (:func:`_grouped_terms`), about
+       ``_RANK_GROUPS`` logarithms per cell and mapping;
+    2. the ids in descending bound order (stable), evaluated
+       ``max(n, _RANK_BATCH)`` at a time as one batch, until the next bound
+       is below the n-th best value less the margin;
+    3. the ids evaluated within the margin of the n-th best, or above it,
+       evaluated again as among all ids (see :func:`_mapping_values`).
+    The margin, twice ``1e-9 * (1 + |n-th| + sum_c |w_c @ top_c|)``, covers
+    the rounding of a bound and of a batch's value. So every id left out is
+    strictly below the n-th best value, and the n highest ids, ties to the
+    lower id, are those of the full pass. The linear structure ignores
+    ``top``.
     """
-    k = grid.k_levels
-    total = n_mappings(k)
-    linear = mean_structure is MeanStructure.LINEAR
-    if linear:
+    if mean_structure is MeanStructure.LINEAR:
         design_t = linear_design(grid).T
-    else:
-        terms = []
-        for c, cell in enumerate(dataset.cells):
-            if cell.y.size:
-                cs = warm[(cell.t, cell.z)]
-                ld = _cell_logdens(cell, cs.means[None], scales[[cell.t]], family)[0]
-                top = _row_max(ld)
-                bad = ~np.isfinite(top)
-                if bad.any():
-                    raise DegenerateMixtureError(int(cell.rows[np.flatnonzero(bad)[0]]))
-                # the row maximum's column has E == 1, so E @ p > 0
-                terms.append((c, cell, np.exp(ld - top[:, None]), float(cell.w @ top)))
-    block = _RANK_BLOCK // grid.n_strata
-    perms = _perm_table(k)
-    lls = np.zeros(total)
-    for lo in range(0, total, block):
-        ids = np.arange(lo, min(lo + block, total))
-        out = lls[lo:lo + len(ids)]
-        if linear:
+        total = n_mappings(grid.k_levels)
+        block = _RANK_BLOCK // grid.n_strata
+        lls = np.zeros(total)
+        for lo in range(0, total, block):
+            ids = np.arange(lo, min(lo + block, total))
             probs, coef, sets = _start_sets(warm, ids, grid, mean_structure, scales)
-            out[:] = _evaluate(dataset, _log_probs(probs), coef @ design_t, sets, family)
-        else:
-            digits = _digits(ids, k)
-            probs = _initial_probs(warm, perms[digits], grid)
-            for c, cell, dens, base in terms:
-                prior = np.take_along_axis(probs, cell.strata[perms[digits[:, c]]], axis=1)
-                step = max(1, _RANK_BLOCK // cell.y.size)
-                for s in range(0, len(prior), step):
-                    out[s:s + step] += base + cell.w @ np.log(dens @ prior[s:s + step].T)
-    return lls
+            lls[ids] = _evaluate(dataset, _log_probs(probs), coef @ design_t, sets, family)
+        return lls
+    terms = _rank_terms(dataset, warm, family, scales)
+    if top is None:
+        return _mapping_values(terms, warm, grid)
+    return _mapping_values(terms, warm, grid, wanted=_contenders(terms, warm, grid, top))
+
+
+def _contenders(terms: list, warm, grid: StrataGrid, top: int) -> np.ndarray:
+    """The mask of the mapping ids that can be among the ``top`` highest
+    values, steps 1 and 2 of :func:`_initial_logliks`."""
+    bound = _mapping_values(_grouped_terms(terms), warm, grid)
+    total = len(bound)
+    order = np.argsort(-bound, kind="stable")
+    step = max(top, _RANK_BATCH)
+    values = np.zeros(0)
+    for lo in range(0, total, step):
+        values = np.concatenate([values, _mapping_values(terms, warm, grid, order[lo:lo + step])])
+        kth = np.partition(values, -top)[-top]
+        margin = 2e-9 * (1.0 + abs(kth) + sum(abs(base) for *_, base in terms))
+        if lo + step >= total or bound[order[lo + step]] < kth - margin:
+            break
+    wanted = np.zeros(total, dtype=bool)
+    wanted[order[:len(values)][values >= kth - margin]] = True
+    return wanted
 
 
 def check_level_count(k: int, error: type[Exception] = DataError) -> None:
@@ -1047,6 +1188,15 @@ def check_level_count(k: int, error: type[Exception] = DataError) -> None:
         count = f"{math.factorial(k)}^{2 * k} = {n_mappings(k):,}" if k > 3 else "no"
         raise error(f"{k} levels give {count} starting mappings; at least 1 and at most 3 "
                     "levels can be fitted")
+
+
+def check_count(name: str, value, least: int | None = 1) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer, not a
+    bool, of at least ``least`` (of any size for None)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or least is not None and value < least):
+        size = "" if least is None else f" of at least {least}"
+        raise ValueError(f"{name} must be an int{size}, not {value!r}")
 
 
 def _mapping_count(dataset: Dataset, family: Family) -> int:
@@ -1087,11 +1237,15 @@ def select_starts(
     keeps n mappings by farthest-point selection on the initial values, so
     the retained starts cover the spread of the likelihood surface. Ties go
     to the lower mapping id. If n is at least the mapping count, every id is
-    returned without ranking. Ranking is one batched pass over all mappings
-    (see :func:`_initial_logliks`): about one logarithm per case and mapping
-    under the saturated structure, and under the linear one an EM-kernel
-    evaluation, one density per case, mapping and compatible stratum. More
-    than three levels raise DataError.
+    returned without ranking. Ranking is batched over all mappings (see
+    :func:`_initial_logliks`). ``spread`` takes every mapping's value: about
+    one logarithm per case and mapping under the saturated structure, and
+    under the linear one an EM-kernel evaluation, one density per case,
+    mapping and compatible stratum. ``topk`` under the saturated structure
+    takes an upper bound of every mapping, about ``_RANK_GROUPS``
+    logarithms per cell and mapping, and the values of the few mappings
+    whose bound reaches the n-th best; it keeps the ids that ranking every
+    mapping keeps. More than three levels raise DataError.
     """
     kind, count = strategy
     if kind not in ("topk", "spread"):
@@ -1100,7 +1254,8 @@ def select_starts(
     if count >= total:
         return np.arange(total)
     scales = _pooled_scales(warm, grid.k_levels, scale_floor)
-    lls = _initial_logliks(dataset, warm, grid, family, mean_structure, scales)
+    lls = _initial_logliks(dataset, warm, grid, family, mean_structure, scales,
+                           count if kind == "topk" else None)
     if kind == "topk":
         return np.sort(np.argsort(-lls, kind="stable")[:count])
     return _farthest_points(lls, count)
@@ -1119,7 +1274,8 @@ class FitConfig:
     ``"all"`` or a ``(kind, n)`` selection (see :func:`parse_starts`), and
     ``keep_history`` records every iteration's log-likelihood in the trace.
     ValueError rejects a ``tol`` that is not finite or is below 0, a
-    ``max_iter`` that is not an int of at least 1, and any other ``starts``."""
+    ``max_iter`` that is not an int of at least 1, and any other ``starts``;
+    a ``bool`` is no count."""
 
     tol: float = 1e-9
     max_iter: int = 2000
@@ -1129,10 +1285,9 @@ class FitConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol >= 0.0):
             raise ValueError(f"tol must be finite and at least 0, not {self.tol!r}")
-        if not isinstance(self.max_iter, int) or self.max_iter < 1:
-            raise ValueError(f"max_iter must be an int of at least 1, not {self.max_iter!r}")
+        check_count("max_iter", self.max_iter)
         match self.starts:
-            case ("topk" | "spread", int(n)) if n >= 1:
+            case ("topk" | "spread", int(n)) if n >= 1 and not isinstance(n, bool):
                 pass
             case other if other != "all":
                 raise ValueError(f"invalid starts selection: {other!r}")

@@ -31,7 +31,7 @@ import numpy as np
 from . import em
 from .core import Dataset, ModelParams, StrataGrid
 from .densities import Family
-from .em import NEAR_TIE_REL, FitConfig, check_level_count, fit, near_ties
+from .em import NEAR_TIE_REL, FitConfig, check_count, check_level_count, fit, near_ties
 from .errors import StratfitError, WarmStartError
 
 __all__ = ["NEAR_TIE_REL", "SHAPES", "RecoveryReport", "ReplicateResult", "SimConfig", "generate",
@@ -141,14 +141,14 @@ class SimConfig:
     max_iter: int = FitConfig.max_iter
 
     def __post_init__(self):
+        check_count("k_levels", self.k_levels, None)
         check_level_count(self.k_levels, ValueError)
         if self.n_per_arm < 2 * self.k_levels**2:
             raise ValueError("n_per_arm must be at least twice the strata count")
         if not (math.isfinite(self.dispersion_sd) and self.dispersion_sd >= 0.0):
             raise ValueError(f"dispersion_sd must be finite and nonnegative, "
                              f"not {self.dispersion_sd!r}")
-        if self.replicates < 1:
-            raise ValueError("replicates must be at least 1")
+        check_count("replicates", self.replicates)
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError(f"sigma must be finite and positive, not {self.sigma!r}")
         if not math.isfinite(self.effect):

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratfit import em, simulate
 from stratfit.core import Dataset, MeanStructure, ModelParams, StrataGrid, pack, unpack
@@ -942,11 +944,37 @@ class TestSelectStarts:
         assert int(np.argmax(lls)) in chosen.tolist()
 
 
-def ranking_fixture(levels):
-    """The 2-level start-selection fixture or a small 3-level one."""
-    if levels == 2:
-        return simulate_four_strata(150, seed=17)[0]
-    return simulate_nine_strata(300, seed=27)
+def ranking_fixture(levels, family=Family.NORMAL):
+    """The 2-level start-selection fixture, a small 3-level one, or the
+    2-level one with every case at level 0; under tobit, max(y - 1, 0)."""
+    if levels == 3:
+        ds = simulate_nine_strata(300, seed=27)
+    else:
+        ds = simulate_four_strata(150, seed=17)[0]
+        if levels == 1:
+            ds = Dataset.from_arrays(ds.y, ds.t, np.zeros(ds.n, dtype=int), k_levels=1)
+    if family is Family.TOBIT:
+        ds = Dataset.from_arrays(np.maximum(ds.y - 1.0, 0.0), ds.t, ds.z, k_levels=levels,
+                                 family=family)
+    return ds
+
+
+def small_ranking_dataset(rng, levels, family):
+    """Cells of ``levels + 2`` to 60 cases, one of them smaller than the
+    bound's group count, some cases of weight 0; every cell keeps ``levels``
+    usable cases."""
+    sizes = rng.integers(levels + 2, 61, size=(2, levels))
+    sizes[rng.integers(2), rng.integers(levels)] = rng.integers(levels + 2, em._RANK_GROUPS)
+    t, z = (np.repeat(a.ravel(), sizes.ravel()) for a in np.indices(sizes.shape))
+    y = rng.normal(2.0 + 1.5 * z, 1.5)
+    w = np.where(rng.random(t.size) < 0.2, 0.0, rng.uniform(0.2, 3.0, t.size))
+    first = np.flatnonzero(np.diff(np.concatenate([[-1], t * levels + z])))
+    for lo in first:  # the first ``levels`` cases of each cell stay usable
+        y[lo:lo + levels] = np.abs(y[lo:lo + levels]) + 0.1
+        w[lo:lo + levels] = 1.0
+    if family is Family.TOBIT:
+        y = np.maximum(y, 0.0)
+    return Dataset.from_arrays(y, t, z, w=w, k_levels=levels, family=family)
 
 
 def rank(ds, family=Family.NORMAL, mean_structure=SATURATED):
@@ -978,7 +1006,7 @@ class TestStartRanking:
                 for p in start_params(ds, warm, ids, mean_structure=mean_structure)]
         np.testing.assert_allclose(lls[ids], want, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("levels", [2, 3])
+    @pytest.mark.parametrize("levels", [1, 2, 3])
     def test_batched_ipf_equals_scalar_ipf(self, levels):
         ds = ranking_fixture(levels)
         grid = StrataGrid(levels)
@@ -1031,6 +1059,38 @@ class TestStartRanking:
                                     MeanStructure.SATURATED, (kind, count))
                 assert got.tolist() == select_ids_oracle(lls.tolist(), kind, count)
 
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_pruned_topk_equals_the_full_ranking(self, family):
+        # topk evaluates only the mappings its bound cannot rule out, each as
+        # the full pass evaluates it; every other mapping is strictly below
+        # the n-th best, so the chosen ids are the full ranking's
+        ds = ranking_fixture(3, family)
+        grid = StrataGrid(3)
+        warm, full = rank(ds, family)
+        scales = _pooled_scales(warm, 3, (0.0, 0.0))
+        for count in (1, 10, 100, n_mappings(3) - 1):
+            got = select_starts(ds, warm, grid, family, SATURATED, ("topk", count))
+            assert got.tolist() == select_ids_oracle(full.tolist(), "topk", count)
+            pruned = _initial_logliks(ds, warm, grid, family, SATURATED, scales, count)
+            kept = np.isfinite(pruned)
+            assert kept.sum() >= count
+            assert np.array_equal(pruned[kept], full[kept])
+            assert np.all(full[~kept] < np.sort(full)[-count])
+
+    def test_pruned_topk_keeps_the_lower_id_among_exact_ties(self):
+        # an all-equal cell: its six permutations give one value, so the
+        # mappings tie in sixes, spread over the ids
+        ds = ranking_fixture(3)
+        y = np.where((ds.t == 1) & (ds.z == 0), 1.25, ds.y)
+        ds = Dataset.from_arrays(y, ds.t, ds.z, k_levels=3)
+        warm, full = rank(ds)
+        assert warm[(1, 0)].degenerate
+        assert np.sum(full == full.max()) == 6
+        for count in (1, 3, 5, 6, 7, 11, 20):
+            got = select_starts(ds, warm, StrataGrid(3), Family.NORMAL, SATURATED,
+                                ("topk", count))
+            assert got.tolist() == select_ids_oracle(full.tolist(), "topk", count)
+
     @pytest.mark.parametrize("levels", [2, 3])
     def test_degenerate_row_raises_with_case_index(self, levels):
         ds = ranking_fixture(levels)
@@ -1058,6 +1118,52 @@ class TestStartRanking:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
+
+    def test_pruned_ranking_memory_stays_bounded(self):
+        ds = simulate_nine_strata(1500, seed=26)
+        warm = warm_start_cells(ds, Family.NORMAL)
+        scales = _pooled_scales(warm, 3, (0.0, 0.0))
+        tracemalloc.start()
+        try:
+            _initial_logliks(ds, warm, StrataGrid(3), Family.NORMAL, SATURATED, scales, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
+
+class TestRankingBound:
+    """topk's upper bound and the row independence of the batched IPF, which
+    its second pass relies on, on small random datasets."""
+
+    PROPERTY = settings(max_examples=16, deadline=None, database=None, derandomize=True)
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), levels=st.sampled_from([2, 3]),
+           family=st.sampled_from(list(Family)))
+    def test_grouped_bound_is_above_every_initial_loglik(self, seed, levels, family):
+        ds = small_ranking_dataset(np.random.default_rng(seed), levels, family)
+        warm = warm_start_cells(ds, family)
+        scales = _pooled_scales(warm, levels, (0.0, 0.0))
+        terms = em._rank_terms(ds, warm, family, scales)
+        grid = StrataGrid(levels)
+        exact = em._mapping_values(terms, warm, grid)
+        bound = em._mapping_values(em._grouped_terms(terms), warm, grid)
+        margin = 1e-9 * (1.0 + np.abs(exact) + sum(abs(base) for *_, base in terms))
+        assert np.all(bound >= exact - margin)
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), levels=st.sampled_from([1, 2, 3]))
+    def test_ipf_rows_do_not_depend_on_the_batch(self, seed, levels):
+        rng = np.random.default_rng(seed)
+        ds = small_ranking_dataset(rng, levels, Family.NORMAL)
+        warm = warm_start_cells(ds, Family.NORMAL)
+        grid = StrataGrid(levels)
+        ids = np.arange(n_mappings(levels))
+        full = _initial_probs(warm, _perm_table(levels)[_digits(ids, levels)], grid)
+        sub = rng.permutation(ids)[:int(rng.integers(1, len(ids) + 1))]
+        part = _initial_probs(warm, _perm_table(levels)[_digits(sub, levels)], grid)
+        assert np.array_equal(part, full[sub])
 
 
 class TestFit:
@@ -1127,6 +1233,20 @@ class TestFit:
             FitConfig(**kwargs)
         with pytest.raises(ValueError):
             simulate.SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("config, kwargs, field", [
+        (FitConfig, {"starts": ("topk", True)}, "starts"),
+        (FitConfig, {"max_iter": True}, "max_iter"),
+        (simulate.SimConfig, {"starts": ("spread", False)}, "starts"),
+        (simulate.SimConfig, {"replicates": True}, "replicates"),
+        (simulate.SimConfig, {"k_levels": True}, "k_levels"),
+        (simulate.SimConfig, {"k_levels": 2.0}, "k_levels"),
+    ], ids=["starts_topk_true", "max_iter_true", "sim_starts_false", "replicates_true",
+            "k_levels_true", "k_levels_float"])
+    def test_config_rejects_a_bool_or_float_count(self, config, kwargs, field):
+        # bool is a subclass of int, so a bare int check takes True as a count of 1
+        with pytest.raises(ValueError, match=field):
+            config(**kwargs)
 
     def test_more_than_three_levels_rejected_before_warm_starts(self, monkeypatch):
         rng = np.random.default_rng(0)

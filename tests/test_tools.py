@@ -127,6 +127,28 @@ def test_study_dump_writes_every_replicate_field():
     assert out["s/rep1/ok"] == "False" and out["s/rep0/ok"] == "True"
 
 
+def test_dump_keeps_the_named_workloads(tmp_path, monkeypatch):
+    # dump --workload (repeatable) analyses only the named workloads, in the
+    # order given; an unknown name or a missing one prints the usage
+    tool = import_tool("bit_evidence")
+    keys = [key for key, *_ in tool.bench_analyses(str(tmp_path), ["tobit", "nine-strata-topk"])]
+    names = [key.split("/")[0] for key in keys]
+    assert names == sorted(names, key=["tobit", "nine-strata-topk"].index)
+    assert {key.split("/")[1] for key in keys} == {f"seed{s}" for s in tool.SEEDS}
+    assert set(names) == {"tobit", "nine-strata-topk"}
+    calls = []
+    monkeypatch.setattr(tool, "dump", lambda path, kind="bench", names=None: calls.append(
+        (path, kind, list(names))))
+    out = str(tmp_path / "out.json")
+    assert tool.main(["dump", "--workload", "tobit", "--workload", "normal-cli", out]) == 0
+    assert tool.main(["dump", out]) == 0
+    assert calls == [(out, "bench", ["tobit", "normal-cli"]),
+                     (out, "bench", list(tool.wl.WORKLOADS))]
+    for bad in (["--workload", "bogus", out], ["--workload", out], ["--workloads", "tobit", out]):
+        assert tool.main(["dump", *bad]) == 2
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_calibration_replay_matches_pruned_at(case, calibration):
     # the calibration replays the library's rule on runs without pruning:

@@ -1,6 +1,7 @@
 """Dump every answer of the benchmark workloads bit for bit, and compare two dumps.
 
     python tools/bit_evidence.py dump OUT.json
+    python tools/bit_evidence.py dump --workload NAME [--workload NAME ...] OUT.json
     python tools/bit_evidence.py dump --grid OUT.json
     python tools/bit_evidence.py dump --study OUT.json
     python tools/bit_evidence.py compare A.json B.json
@@ -14,7 +15,9 @@ computes the effect table with both covariances, and writes every field of
 every ``StartRecord`` (parameters as the bytes of their float64 arrays), the
 tie ids, the naive Hessian, both covariances and the four effect-SE arrays;
 a fit or SE step that raises is written as its error. Values are strings,
-so two dumps are equal exactly when every bit is. ``dump --grid`` writes
+so two dumps are equal exactly when every bit is. ``--workload`` keeps only
+the named workloads, for checking one while a change is made; the evidence
+for a change is still the dump of all four. ``dump --grid`` writes
 the fits of the recovery grid instead (see :func:`grid_analyses`): every
 record and the tie ids, without SEs. ``dump --study`` runs
 ``simulate.run_study`` on the recovery configs of :func:`study_configs` and
@@ -115,11 +118,11 @@ def _analysis(out: dict, key: str, ds: Dataset, family: Family, config: em.FitCo
         out[f"{key}/{name}"] = _bits(getattr(table, name))
 
 
-def bench_analyses(work: str):
+def bench_analyses(work: str, names=wl.WORKLOADS):
     """Yield (key, dataset, family, FitConfig) for every analysis of the
-    four benchmark workloads at data seeds 0-15, built as each workload
-    builds them; CSVs are written under ``work``."""
-    for name in wl.WORKLOADS:
+    benchmark workloads ``names`` (default all four) at data seeds 0-15,
+    built as each workload builds them; CSVs are written under ``work``."""
+    for name in names:
         for seed in SEEDS:
             inputs = wl.build_inputs(name, seed, work)
             spec = inputs.spec
@@ -177,8 +180,9 @@ def _study(out: dict, key: str, config: simulate.SimConfig) -> None:
     print(f"{key}: {config.replicates} replicates", file=sys.stderr)
 
 
-def dump(path: str, kind: str = "bench") -> None:
-    """Write the analyses of ``kind``: "bench", "grid" or "study"."""
+def dump(path: str, kind: str = "bench", names=wl.WORKLOADS) -> None:
+    """Write the analyses of ``kind``: "bench" (of the workloads ``names``),
+    "grid" or "study"."""
     out: dict[str, str] = {}
     if kind == "study":
         for key, config in study_configs():
@@ -186,7 +190,8 @@ def dump(path: str, kind: str = "bench") -> None:
     else:
         with tempfile.TemporaryDirectory() as work:
             grid = kind == "grid"
-            for key, ds, family, config in grid_analyses() if grid else bench_analyses(work):
+            analyses = grid_analyses() if grid else bench_analyses(work, names)
+            for key, ds, family, config in analyses:
                 _analysis(out, key, ds, family, config, ses=not grid)
     with open(path, "w") as fh:
         json.dump(out, fh, indent=0, sort_keys=True)
@@ -253,12 +258,15 @@ def compare_answers(path_a: str, path_b: str) -> int:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) == 2 and argv[0] == "dump":
-        dump(argv[1])
-        return 0
-    if len(argv) == 3 and argv[0] == "dump" and argv[1] in ("--grid", "--study"):
-        dump(argv[2], argv[1][2:])
-        return 0
+    if len(argv) >= 2 and argv[0] == "dump":
+        *opts, path = argv[1:]
+        if opts in (["--grid"], ["--study"]):
+            dump(path, opts[0][2:])
+            return 0
+        names = opts[1::2]
+        if opts[::2] == ["--workload"] * len(names) and set(names) <= set(wl.WORKLOADS):
+            dump(path, names=names or wl.WORKLOADS)
+            return 0
     if len(argv) == 3 and argv[0] == "compare":
         return compare(argv[1], argv[2])
     if len(argv) == 4 and argv[:2] == ["compare", "--answers"]:
