@@ -110,13 +110,12 @@ class ModelParams:
         s = self.grid.n_strata
         if probs.shape != (s,):
             raise ValueError(f"probs must have shape ({s},)")
-        if np.any(probs < 0.0) or abs(probs.sum() - 1.0) > PROB_TOL:
-            raise ValueError("probs must be nonnegative and sum to 1")
         n_loc = 4 if self.mean_structure is MeanStructure.LINEAR else s
         if locations.shape != (n_loc, 2):
             raise ValueError(f"locations must have shape ({n_loc}, 2)")
-        if scales.shape != (2,) or np.any(scales <= 0.0):
+        if scales.shape != (2,):
             raise ValueError("scales must be two strictly positive values")
+        _check_values(probs, locations, scales)
         for name, arr in (("probs", probs), ("locations", locations), ("scales", scales)):
             arr = arr.copy()
             arr.flags.writeable = False
@@ -124,9 +123,29 @@ class ModelParams:
 
     def location_table(self) -> np.ndarray:
         """Locations expanded to one row per stratum (n_strata x 2)."""
-        if self.mean_structure is MeanStructure.SATURATED:
-            return self.locations
-        return linear_design(self.grid) @ self.locations
+        return location_tables(self.locations, self)
+
+
+def _check_values(probs: np.ndarray, locations: np.ndarray, scales: np.ndarray) -> None:
+    """The value rules of :class:`ModelParams` over any leading axes: finite
+    entries, probabilities nonnegative and summing to 1 along the last axis,
+    positive scales. A breach raises ValueError naming the field."""
+    for name, arr in (("probs", probs), ("locations", locations), ("scales", scales)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} must be finite")
+    if np.any(probs < 0.0) or np.any(np.abs(probs.sum(axis=-1) - 1.0) > PROB_TOL):
+        raise ValueError("probs must be nonnegative and sum to 1")
+    if np.any(scales <= 0.0):
+        raise ValueError("scales must be two strictly positive values")
+
+
+def location_tables(locations: np.ndarray, like: ModelParams) -> np.ndarray:
+    """Locations (..., n_loc, 2) of ``like``'s grid and mean structure
+    expanded to one row per stratum (..., n_strata, 2); each stacked table
+    rounds as one set's own."""
+    if like.mean_structure is MeanStructure.SATURATED:
+        return locations
+    return linear_design(like.grid) @ locations
 
 
 def pack(params: ModelParams) -> np.ndarray:
@@ -138,24 +157,36 @@ def pack(params: ModelParams) -> np.ndarray:
     return np.concatenate([logits, params.locations.ravel(), np.log(params.scales)])
 
 
-def unpack(vec: np.ndarray, like: ModelParams) -> ModelParams:
-    """Inverse of :func:`pack`; ``like`` supplies the grid, family and shapes."""
-    vec = np.asarray(vec, dtype=float)
+def unpack_stack(points: np.ndarray, like: ModelParams):
+    """Inverse of :func:`pack` for a stack of flat vectors (P, p): returns
+    the stacked probabilities (P, n_strata), locations (P, n_loc, 2) and
+    scales (P, 2); ``like`` supplies the grid and shapes. Each row rounds as
+    when unpacked alone, and a row breaking a :class:`ModelParams` rule
+    raises its ValueError (see :func:`_check_values`)."""
+    points = np.asarray(points, dtype=float)
     s = like.grid.n_strata
     n_loc = like.locations.size
-    if vec.shape != (s - 1 + n_loc + 2,):
+    if points.ndim != 2 or points.shape[1] != s - 1 + n_loc + 2:
         raise ValueError("flat vector length does not match the parameter shape")
-    logits = np.append(vec[: s - 1], 0.0)
-    logits -= logits.max()
+    logits = np.concatenate([points[:, : s - 1], np.zeros((len(points), 1))], axis=1)
+    logits -= logits.max(axis=1, keepdims=True)
     probs = np.exp(logits)
-    probs /= probs.sum()
-    locations = vec[s - 1 : s - 1 + n_loc].reshape(like.locations.shape)
-    scales = np.exp(vec[s - 1 + n_loc :])
+    probs /= probs.sum(axis=1, keepdims=True)
+    locations = points[:, s - 1 : s - 1 + n_loc].reshape(-1, *like.locations.shape)
+    scales = np.exp(points[:, s - 1 + n_loc :])
+    _check_values(probs, locations, scales)
+    return probs, locations, scales
+
+
+def unpack(vec: np.ndarray, like: ModelParams) -> ModelParams:
+    """Inverse of :func:`pack`, the one-row case of :func:`unpack_stack`;
+    ``like`` supplies the grid, family and shapes."""
+    probs, locations, scales = unpack_stack(np.asarray(vec, dtype=float)[None], like)
     return ModelParams(
         grid=like.grid,
-        probs=probs,
-        locations=locations,
-        scales=scales,
+        probs=probs[0],
+        locations=locations[0],
+        scales=scales[0],
         family=like.family,
         mean_structure=like.mean_structure,
     )

@@ -8,14 +8,16 @@ variant inverts the negative Hessian, the cluster variant wraps it around a
 Huber-White meat aggregated over cluster score sums. One finite-difference
 code path serves both families and mean structures.
 
-The Hessian's 2p^2 + 1 points run as one stack through one
-:func:`~stratfit.em.log_likelihood` call, in which each cell runs only the
-points that move its inputs. Every value and difference rounds exactly as
-when each point is evaluated on its own. One central-difference Jacobian
-(:func:`_num_jacobian`) serves the sandwich's per-case scores, 2p
-:func:`~stratfit.em.case_loglik` calls made one at a time (their (2p, n)
-stack would grow with the sample for little time saved), and the delta
-method's effect and parameter maps.
+Every finite-difference point is a row of a stack of packed vectors, taken
+apart once by :func:`~stratfit.core.unpack_stack`; no point becomes a
+:class:`~stratfit.core.ModelParams`. The Hessian's 2p^2 + 1 points run
+through one :func:`~stratfit.em._evaluate` call, in which each cell runs only
+the points that move its inputs. The sandwich's 2p points x +- e_j run as one
+stack in which each cell runs once per distinct input, 2a + 1 rows for the a
+coordinates that reach it, and its per-case scores are differences of those
+rows (:func:`~stratfit.em._distinct_terms`). The delta method maps the same
+2p-point stack at once (:func:`_num_jacobian`). Every value and difference
+rounds exactly as when each point is unpacked and evaluated on its own.
 """
 
 from __future__ import annotations
@@ -24,10 +26,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Dataset, ModelParams, pack, param_names, unpack
+from . import em
+from .core import Dataset, ModelParams, location_tables, pack, param_names, unpack_stack
 from .densities import Family, tobit_mean
 from .em import FitResult, case_loglik, log_likelihood
 from .errors import InferenceError
+
+__all__ = [
+    "EffectTable", "ParamCovariance", "cluster_sandwich_se", "effect_ses", "effect_table",
+    "natural_param_ses", "observed_information_se", "treatment_effects",
+    # the benchmark's traced run wraps these two here by name; no SE calls them
+    "case_loglik", "log_likelihood",
+]
 
 Z_5PCT = 1.959963984540054  # two-sided 5% normal quantile
 HESS_STEP = 1e-5
@@ -100,8 +110,9 @@ def treatment_effects(fit: FitResult) -> EffectTable:
     """Arm-1 minus arm-0 location per stratum; adds the observed-scale
     (censored-mean) contrast under the tobit family."""
     params = fit.params
-    observed = _observed_effects(params) if params.family is Family.TOBIT else None
-    return EffectTable(params=params, effect=_latent_effects(params), effect_observed=observed)
+    natural = (params, params.probs, params.locations, params.scales)
+    observed = _observed_effects(*natural) if params.family is Family.TOBIT else None
+    return EffectTable(params=params, effect=_latent_effects(*natural), effect_observed=observed)
 
 
 def _check_interior(fit: FitResult) -> None:
@@ -146,14 +157,21 @@ def _num_hessian(fun, x: np.ndarray) -> np.ndarray:
     return hess
 
 
-def _num_jacobian(fun, x: np.ndarray, rel: float) -> np.ndarray:
-    """Central-difference Jacobian of the vector function ``fun`` at ``x``,
-    with steps ``rel * max(1, |x_j|)``: 2p calls, coordinate by coordinate,
-    the upper point first."""
+def _central_points(x: np.ndarray, rel: float) -> tuple[np.ndarray, np.ndarray]:
+    """The 2p points of a central difference at ``x`` with steps
+    ``rel * max(1, |x_j|)``: x + e_j, then x - e_j; and the steps."""
     h = _steps(x, rel)
-    cols = [(np.asarray(fun(x + ej)) - np.asarray(fun(x - ej))) / (2.0 * hj)
-            for ej, hj in zip(np.diag(h), h)]
-    return np.stack(cols, axis=-1)
+    e = np.diag(h)
+    return np.concatenate([x + e, x - e]), h
+
+
+def _num_jacobian(fun, x: np.ndarray, rel: float) -> np.ndarray:
+    """Central-difference Jacobian (m, p) of ``fun`` at ``x``: ``fun`` maps
+    the stack of :func:`_central_points` to its values (2p, m) at once."""
+    points, h = _central_points(x, rel)
+    vals = fun(points)
+    p = len(x)
+    return np.ascontiguousarray(((vals[:p] - vals[p:]) / (2.0 * h)[:, None]).T)
 
 
 def observed_information_se(fit: FitResult, dataset: Dataset) -> ParamCovariance:
@@ -167,7 +185,7 @@ def observed_information_se(fit: FitResult, dataset: Dataset) -> ParamCovariance
     like = fit.params
 
     def packed_logliks(points):
-        return log_likelihood([unpack(v, like) for v in points], dataset)
+        return em._evaluate(dataset, *em._packed_stack(points, like, dataset), like.family)
 
     hess = _num_hessian(packed_logliks, pack(like))
     hess = 0.5 * (hess + hess.T)
@@ -186,6 +204,26 @@ def observed_information_se(fit: FitResult, dataset: Dataset) -> ParamCovariance
     )
 
 
+def _case_scores(like: ModelParams, dataset: Dataset) -> np.ndarray:
+    """Per-case scores (n, p) of the unweighted log mixture terms: central
+    differences over the 2p points of :func:`_central_points`, run as one
+    stack in which each cell evaluates only its distinct inputs and writes
+    the differences of the coordinates that move them into its rows; a
+    coordinate that does not reach a cell leaves it the exact zeros of a
+    difference of equal terms."""
+    x = pack(like)
+    p = len(x)
+    points, h = _central_points(x, HESS_STEP)
+    scores = np.zeros((dataset.n, p))
+    stack = em._packed_stack(points, like, dataset)
+    for cell, terms, inv in em._distinct_terms(dataset, *stack, like.family,
+                                               lambda cell, lse: lse):
+        up, down = inv[:p], inv[p:]
+        for j in np.flatnonzero(up != down):
+            scores[cell.rows, j] = (terms[up[j]] - terms[down[j]]) / (2.0 * h[j])
+    return scores
+
+
 def cluster_sandwich_se(
     fit: FitResult, dataset: Dataset, bread: ParamCovariance
 ) -> ParamCovariance:
@@ -194,45 +232,57 @@ def cluster_sandwich_se(
     meat = sum over clusters of the outer product of the cluster's weighted
     score sum, times the G/(G-1) small-sample factor; the bread is the naive
     covariance ``bread`` from :func:`observed_information_se`, whose Hessian
-    the result carries.
+    the result carries. The per-case scores are :func:`_case_scores`.
     """
     _check_interior(fit)
     codes = dataset.cluster
     n_clusters = dataset.n_clusters
     if n_clusters < 2:
         raise InferenceError("clustered variance needs at least 2 clusters")
-    x = pack(fit.params)
-    scores = _num_jacobian(lambda v: case_loglik(unpack(v, fit.params), dataset), x, HESS_STEP)
-    grouped = np.zeros((n_clusters, len(x)))
+    like = fit.params
+    scores = _case_scores(like, dataset)
+    grouped = np.zeros((n_clusters, scores.shape[1]))
     np.add.at(grouped, codes, dataset.w[:, None] * scores)
     meat = grouped.T @ grouped * (n_clusters / (n_clusters - 1.0))
     cov = bread.cov @ meat @ bread.cov
     return ParamCovariance(
         kind="cluster_sandwich",
-        names=tuple(param_names(fit.params, packed=True)),
+        names=tuple(param_names(like, packed=True)),
         cov=0.5 * (cov + cov.T),
         hessian=bread.hessian,
         n_clusters=n_clusters,
     )
 
 
-def _latent_effects(params: ModelParams) -> np.ndarray:
-    table = params.location_table()
-    return table[:, 1] - table[:, 0]
+# The delta method's maps: each takes ``like`` and natural parameters, one
+# set or stacked over a leading axis as :func:`unpack_stack` gives them.
+
+def _latent_effects(like: ModelParams, probs, locations, scales) -> np.ndarray:
+    table = location_tables(locations, like)
+    return table[..., 1] - table[..., 0]
 
 
-def _observed_effects(params: ModelParams) -> np.ndarray:
-    table = params.location_table()
-    return tobit_mean(table[:, 1], params.scales[1]) - tobit_mean(
-        table[:, 0], params.scales[0]
-    )
+def _observed_effects(like: ModelParams, probs, locations, scales) -> np.ndarray:
+    table = location_tables(locations, like)
+    return (tobit_mean(table[..., 1], scales[..., 1, None])
+            - tobit_mean(table[..., 0], scales[..., 0, None]))
+
+
+def _natural_params(like: ModelParams, probs, locations, scales) -> np.ndarray:
+    return np.concatenate([probs, locations.reshape(*probs.shape[:-1], -1), scales], axis=-1)
+
+
+def _delta_jacobian(like: ModelParams, fun) -> np.ndarray:
+    """The Jacobian of the map ``fun`` in the packed coordinates at ``like``:
+    the 2p points of :func:`_num_jacobian` are unpacked and mapped as one
+    stack."""
+    return _num_jacobian(lambda v: fun(like, *unpack_stack(v, like)), pack(like), JAC_STEP)
 
 
 def _delta_se(fit: FitResult, cov: ParamCovariance, fun) -> np.ndarray:
-    """Delta-method SEs of ``fun(params)`` under ``cov``, differentiated in
-    the packed coordinates at the optimum."""
-    like = fit.params
-    jac = _num_jacobian(lambda v: fun(unpack(v, like)), pack(like), JAC_STEP)
+    """Delta-method SEs of the map ``fun`` under ``cov`` (see
+    :func:`_delta_jacobian`)."""
+    jac = _delta_jacobian(fit.params, fun)
     return np.sqrt(np.maximum(np.diag(jac @ cov.cov @ jac.T), 0.0))
 
 
@@ -249,9 +299,7 @@ def effect_ses(fit: FitResult, cov: ParamCovariance):
 def natural_param_ses(fit: FitResult, cov: ParamCovariance) -> np.ndarray:
     """Delta-method SEs for the natural parameters (probs, locations, scales)
     in :func:`stratfit.core.param_names` reporting order."""
-    return _delta_se(
-        fit, cov, lambda p: np.concatenate([p.probs, p.locations.ravel(), p.scales])
-    )
+    return _delta_se(fit, cov, _natural_params)
 
 
 def effect_table(

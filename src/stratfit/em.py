@@ -11,16 +11,21 @@ All starts run together in one EM loop; a start that falls far behind the
 best stops early as ``"pruned"`` (short-run/long-run EM, see
 :func:`_run_starts`), the others run on to the stop rule.
 
-Every mixture evaluation (the log-likelihood, the per-case terms, the E-step
-and the EM loop) runs through one kernel over the dataset's cell partition,
-:attr:`Dataset.cells`; start ranking reads its component log-densities
-(:func:`_cell_logdens`) too. The kernel, the sufficient statistics and the
-M-step carry a leading axis over S parameter sets: the public one-set
-functions use S = 1, and :func:`log_likelihood` also takes a sequence of
-sets. The EM loop (:func:`_run_starts`) walks its running starts in blocks
-(see ``_EM_BLOCK``), each block taking its M-step and then its E-step, one
-pass over the cells per block rather than one per start; a stack without an
-E-step (:func:`_evaluate`) runs each cell once per distinct input.
+Every mixture evaluation (the log-likelihood, the per-case terms, the E-step,
+the EM loop and the finite-difference standard errors) runs through one
+kernel over the dataset's cell partition, :attr:`Dataset.cells`; start
+ranking reads its component log-densities (:func:`_cell_logdens`) too. The
+kernel, the sufficient statistics and the M-step carry a leading axis over S
+parameter sets: the public one-set functions use S = 1, and
+:func:`log_likelihood` also takes a sequence of sets. The EM loop
+(:func:`_run_starts`) walks its running starts in blocks (see
+``_EM_BLOCK``), each block taking its M-step and then its E-step, one pass
+over the cells per block rather than one per start. A stack without an
+E-step runs each cell once per distinct input (:func:`_distinct_terms`):
+:func:`_evaluate` sums its per-case terms into log-likelihoods, and
+:mod:`.effects` takes differences of them for the sandwich's per-case
+scores. The standard errors hand their finite-difference points over as
+packed vectors (:func:`_packed_stack`), never as :class:`ModelParams`.
 Each set is rounded exactly as when it is evaluated alone (``_dot``,
 ``_matvec`` and C-ordered buffers keep BLAS on one code path for every S)
 and as in earlier releases, which ran one start at a time (``math.log`` for
@@ -98,6 +103,8 @@ from .core import (
     cell_order,
     check_censored,
     linear_design,
+    location_tables,
+    unpack_stack,
 )
 from .densities import Family, norm_logcdf, norm_logpdf
 from .errors import (
@@ -247,26 +254,50 @@ def _stack(sets: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray, np.ndar
             np.stack([p.scales for p in sets]))
 
 
-def _evaluate(dataset: Dataset, logp, table, scales, family: Family) -> np.ndarray:
-    """Weighted log-likelihoods (S,) of S parameter sets stacked as for
-    :func:`_mixture`, each as when evaluated alone. Each cell runs once per
-    distinct row of its columns of the stacks, in blocks of
-    ``_em_block(dataset)`` such rows, so the working set does not grow with S.
+def _packed_stack(points: np.ndarray, like: ModelParams, dataset: Dataset):
+    """Packed parameter vectors (S, p) of ``like``'s shape as the kernel's
+    stacks, each row rounding as :func:`_stack` rounds its unpacked set,
+    under either mean structure; no :class:`ModelParams` is built."""
+    _check_inputs([like], dataset)
+    probs, locations, scales = unpack_stack(points, like)
+    table = location_tables(locations, like)
+    return _log_probs(probs), np.ascontiguousarray(table.transpose(0, 2, 1)), scales
+
+
+def _distinct_terms(dataset: Dataset, logp, table, scales, family: Family, reduce):
+    """Yield (cell, terms, inv) for each non-empty cell under S parameter
+    sets stacked as for :func:`_mixture`. The cell runs once per distinct
+    row of its columns of the stacks, in blocks of ``_em_block(dataset)``
+    such rows, so the working set does not grow with S; ``terms`` stacks
+    ``reduce(cell, lse)`` of each block's per-case log mixture terms ``lse``
+    (rows, n_cell) in distinct-row order, and set i's row is ``inv[i]``.
     """
     block = _em_block(dataset)
-    ll = np.zeros(len(logp))
     cens = _censored(dataset, table, scales, family)
     for cell in filter(lambda c: c.y.size, dataset.cells):
         key = np.ascontiguousarray(np.concatenate(  # compared by bytes: -0.0 is not 0.0
             [logp[:, cell.strata], table[:, cell.t, cell.strata], scales[:, cell.t, None]], 1))
         first, inv = np.unique(key.view(np.dtype((np.void, key[0].nbytes)))[:, 0],
                                return_index=True, return_inverse=True)[1:]
-        terms = np.empty(len(first))
+        terms = None
         for lo in range(0, len(first), block):
             ids = first[lo:lo + block]  # a block of the distinct sets
             ld = _cell_logdens(cell, table[ids, cell.t][:, cell.strata], scales[ids, cell.t],
                                family, None if cens is None else cens[ids, cell.t][:, cell.strata])
-            terms[lo:lo + block] = _dot(_mix(cell, ld, logp[ids][:, cell.strata])[0], cell.w)
+            part = reduce(cell, _mix(cell, ld, logp[ids][:, cell.strata])[0])
+            if terms is None:
+                terms = np.empty((len(first), *part.shape[1:]))
+            terms[lo:lo + block] = part
+        yield cell, terms, inv
+
+
+def _evaluate(dataset: Dataset, logp, table, scales, family: Family) -> np.ndarray:
+    """Weighted log-likelihoods (S,) of S parameter sets stacked as for
+    :func:`_mixture`, each as when evaluated alone; each cell runs once per
+    distinct input (see :func:`_distinct_terms`)."""
+    ll = np.zeros(len(logp))
+    for _, terms, inv in _distinct_terms(dataset, logp, table, scales, family,
+                                         lambda cell, lse: _dot(lse, cell.w)):
         ll += terms[inv]
     return ll
 

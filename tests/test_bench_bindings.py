@@ -56,9 +56,12 @@ def test_m_step_accepts_the_benchmark_call():
 
 def test_traced_se_counts_see_the_real_path(monkeypatch):
     # The traced run counts effects.loglik_evals and effects.case_loglik_evals
-    # through these two names: the stacked Hessian calls log_likelihood once
-    # for all its points, the sandwich case_loglik twice per coordinate.
+    # through these two names, which effects keeps, but no SE calls them: the
+    # Hessian and the sandwich each take their finite-difference points as
+    # one packed stack, 2p^2 + 1 points and 2p points, and the delta method
+    # unpacks its own stacks.
     calls = Counter()
+    stacks = []
 
     def counted(name):
         real = getattr(effects, name)
@@ -69,14 +72,21 @@ def test_traced_se_counts_see_the_real_path(monkeypatch):
 
         return wrapper
 
+    real_stack = em._packed_stack
+
+    def packed_stack(points, *args):
+        stacks.append(len(points))
+        return real_stack(points, *args)
+
     ds, _ = simulate_four_strata(200, seed=46)
     res = em.fit(ds)
     for name in ("log_likelihood", "case_loglik"):
         monkeypatch.setattr(effects, name, counted(name))
+    monkeypatch.setattr(em, "_packed_stack", packed_stack)
     effects.effect_table(res, ds)
     p = len(pack(res.params))
-    assert calls["log_likelihood"] == 1
-    assert calls["case_loglik"] == 2 * p
+    assert calls == {}
+    assert stacks == [2 * p * p + 1, 2 * p]
 
 
 def test_study_reaches_the_traced_bindings(bench, monkeypatch):

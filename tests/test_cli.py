@@ -512,6 +512,25 @@ class TestCmdDiagnose:
                              tmp_path / "diag", capsys, f"invalid fit file .*'{key}'")
 
 
+    @pytest.mark.parametrize("field", ["probs", "locations", "scales"])
+    def test_non_finite_parameter_in_fit_file_exits_2(self, fit_json, data_csv, tmp_path,
+                                                       capsys, field):
+        # json reads NaN; the parameter rules reject it before any diagnostic
+        payload = json.loads(fit_json.read_text())
+        values = payload["trace"][0]["params"][field]
+        if isinstance(values[0], list):
+            values = values[0]
+        values[0] = float("nan")
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["diagnose", "--fit", str(path), "--data", data_csv,
+                     "--out-dir", str(tmp_path / "diag")]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"error: invalid fit file .*{field} must be finite\n", err), err
+        assert not (tmp_path / "diag").exists()
+
+
 class TestCmdSimulate:
     def _config(self, tmp_path, text):
         path = tmp_path / "grid.cfg"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratfit.core import (
     Dataset,
@@ -12,6 +14,7 @@ from stratfit.core import (
     pack,
     param_names,
     unpack,
+    unpack_stack,
 )
 from stratfit.densities import Family
 from stratfit.errors import DataError
@@ -121,6 +124,63 @@ class TestPackUnpack:
             assert len(param_names(p)) == natural
 
 
+def unpack_oracle(vec, like):
+    """The one-vector inverse of pack, as unpack computed it before stacks:
+    (probs, locations, scales)."""
+    s = like.grid.n_strata
+    n_loc = like.locations.size
+    logits = np.append(vec[: s - 1], 0.0)
+    logits -= logits.max()
+    probs = np.exp(logits)
+    probs /= probs.sum()
+    return (probs, vec[s - 1 : s - 1 + n_loc].reshape(like.locations.shape),
+            np.exp(vec[s - 1 + n_loc :]))
+
+
+class TestUnpackStack:
+    @settings(max_examples=60, deadline=None)
+    @given(k_levels=st.sampled_from([2, 3]), structure=st.sampled_from(list(MeanStructure)),
+           rows=st.integers(1, 40), spread=st.sampled_from([1.0, 30.0, 300.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_equal_unpack_bit_for_bit(self, k_levels, structure, rows, spread, seed):
+        # logits up to a few hundred drive some probabilities to the
+        # representable endpoints; log-scales stay where exp is finite
+        rng = np.random.default_rng(seed)
+        like = random_params(rng, k_levels, structure)
+        p = len(pack(like))
+        points = rng.normal(0.0, spread, (rows, p))
+        points[:, -2:] = rng.normal(0.0, 3.0, (rows, 2))
+        probs, locations, scales = unpack_stack(points, like)
+        for i, vec in enumerate(points):
+            one = unpack(vec, like)
+            for got, want, oracle in zip((probs[i], locations[i], scales[i]),
+                                         (one.probs, one.locations, one.scales),
+                                         unpack_oracle(vec, like)):
+                assert got.tobytes() == want.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("column, value, message", [
+        (-1, 800.0, "scales must be finite"),   # exp overflows
+        (-1, -800.0, "strictly positive"),      # exp underflows to 0
+        (4, np.nan, "locations must be finite"),
+        (0, np.nan, "probs must be finite"),
+        (0, np.inf, "probs must be finite"),   # inf - inf in the max shift
+    ])
+    def test_a_bad_row_raises_the_model_params_error(self, column, value, message):
+        like = random_params(np.random.default_rng(5))
+        points = np.tile(pack(like), (3, 1))
+        points[1, column] = value
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=message):
+            unpack_stack(points, like)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=message):
+            unpack(points[1], like)
+
+    def test_wrong_shape_rejected(self):
+        like = random_params(np.random.default_rng(6))
+        for bad in (pack(like), np.zeros((2, 5)), pack(like)[None, None]):
+            with pytest.raises(ValueError, match="length"):
+                unpack_stack(bad, like)
+
+
 class TestLinearStructure:
     def test_expansion_matches_polynomial(self):
         rng = np.random.default_rng(9)
@@ -152,6 +212,21 @@ class TestModelParamsValidation:
         grid = StrataGrid(2)
         with pytest.raises(ValueError, match="locations"):
             ModelParams(grid, np.full(4, 0.25), np.zeros((3, 2)), np.ones(2))
+
+    @pytest.mark.parametrize("field, bad", [
+        ("probs", np.nan), ("locations", np.nan), ("locations", np.inf),
+        ("scales", np.nan), ("scales", np.inf),
+    ])
+    def test_rejects_non_finite_values(self, field, bad):
+        # NaN passes every comparison the other rules make
+        args = {"probs": np.full(4, 0.25), "locations": np.zeros((4, 2)), "scales": np.ones(2)}
+        args[field].flat[0] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ModelParams(StrataGrid(2), **args)
+
+    def test_rejects_nan_probability_summing_to_one(self):
+        with pytest.raises(ValueError, match="probs must be finite"):
+            ModelParams(StrataGrid(2), [np.nan, 0.5, 0.25, 0.25], np.zeros((4, 2)), [1, 1])
 
     def test_arrays_are_frozen(self):
         rng = np.random.default_rng(3)

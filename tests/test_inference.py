@@ -186,6 +186,38 @@ def fitted(request):
     return fit(ds, **kwargs), ds
 
 
+def cell_reach(params, ds) -> dict:
+    """For each cell, the number of packed coordinates whose central
+    difference steps (at HESS_STEP) move its likelihood inputs."""
+    x = pack(params)
+    h = HESS_STEP * np.maximum(1.0, np.abs(x))
+
+    def inputs(v):
+        return {(c.t, c.z): cell_inputs(unpack(v, params), c) for c in ds.cells}
+
+    at_x = inputs(x)
+    reach = dict.fromkeys(at_x, 0)
+    for j in range(len(x)):
+        moved = [inputs(x + s * h[j] * np.eye(len(x))[j]) for s in (1.0, -1.0)]
+        for key in at_x:
+            reach[key] += any(m[key] != at_x[key] for m in moved)
+    return reach
+
+
+def count_mix_rows(monkeypatch, run) -> Counter:
+    """The kernel rows (``em._mix``) each cell runs during ``run()``."""
+    seen = Counter()
+    real_mix = em._mix
+
+    def counted(cell, logdens, *args, **kwargs):
+        seen[cell.t, cell.z] += len(logdens)
+        return real_mix(cell, logdens, *args, **kwargs)
+
+    monkeypatch.setattr(em, "_mix", counted)
+    run()
+    return seen
+
+
 class TestStackedHessian:
     def test_equals_one_point_oracle(self, fitted, monkeypatch):
         res, ds = fitted
@@ -207,27 +239,9 @@ class TestStackedHessian:
 
     def test_each_cell_runs_only_the_points_that_move_it(self, fitted, request, monkeypatch):
         res, ds = fitted
-        x = pack(res.params)
-        h = HESS_STEP * np.maximum(1.0, np.abs(x))
-
-        def inputs(v):
-            return {(c.t, c.z): cell_inputs(unpack(v, res.params), c) for c in ds.cells}
-
-        at_x = inputs(x)
-        reach = Counter()
-        for j in range(len(x)):
-            moved = [inputs(x + s * h[j] * np.eye(len(x))[j]) for s in (1.0, -1.0)]
-            reach.update(key for key in at_x if any(m[key] != at_x[key] for m in moved))
-        seen = Counter()
-        real_mix = em._mix
-
-        def counted(cell, logdens, *args, **kwargs):
-            seen[cell.t, cell.z] += len(logdens)
-            return real_mix(cell, logdens, *args, **kwargs)
-
-        monkeypatch.setattr(em, "_mix", counted)
-        observed_information_se(res, ds)
-        assert seen == {key: 2 * reach[key] ** 2 + 1 for key in at_x}
+        reach = cell_reach(res.params, ds)
+        seen = count_mix_rows(monkeypatch, lambda: observed_information_se(res, ds))
+        assert seen == {key: 2 * a ** 2 + 1 for key, a in reach.items()}
         assert set(seen.values()) == self.ROWS[request.node.callspec.params["fitted"]]
 
     def test_working_set_stays_bounded(self):
@@ -239,6 +253,46 @@ class TestStackedHessian:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
+
+
+class TestStackedScores:
+    def test_equal_one_point_oracle(self, fitted):
+        # each coordinate's central difference of case_loglik at unpacked
+        # points, as the sandwich computed its scores one point at a time
+        res, ds = fitted
+        x = pack(res.params)
+        h = HESS_STEP * np.maximum(1.0, np.abs(x))
+        want = np.empty((ds.n, len(x)))
+        for j in range(len(x)):
+            e = np.zeros_like(x)
+            e[j] = h[j]
+            want[:, j] = (case_loglik(unpack(x + e, res.params), ds)
+                          - case_loglik(unpack(x - e, res.params), ds)) / (2.0 * h[j])
+        assert effects._case_scores(res.params, ds).tobytes() == want.tobytes()
+
+    # the kernel rows per cell, 2a + 1 for the a packed coordinates reaching it
+    ROWS = {"normal": {13}, "tobit": {13}, "linear": {13, 17}, "three-level": {25}}
+
+    def test_each_cell_runs_its_distinct_inputs(self, fitted, request, monkeypatch):
+        res, ds = fitted
+        reach = cell_reach(res.params, ds)
+        seen = count_mix_rows(monkeypatch, lambda: effects._case_scores(res.params, ds))
+        assert seen == {key: 2 * a + 1 for key, a in reach.items()}
+        assert set(seen.values()) == self.ROWS[request.node.callspec.params["fitted"]]
+
+    def test_working_set_stays_bounded(self):
+        # the peak is the (n, p) score matrix and its weighted copy: a cell's
+        # distinct rows and kernel blocks stay below that copy
+        ds, truth = simulate_four_strata(20_000, seed=45)
+        ds = Dataset.from_arrays(ds.y, ds.t, ds.z, cluster=np.arange(ds.n) % 250, k_levels=2)
+        naive = observed_information_se(fake_fit(truth), ds)
+        tracemalloc.start()
+        try:
+            cluster_sandwich_se(fake_fit(truth), ds, bread=naive)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * ds.n * len(pack(truth)) * 8
 
 
 class TestClusterSandwich:
@@ -360,7 +414,37 @@ class TestScoreOracle:
         assert np.max(np.abs(cov_c.cov - expected)) <= 1e-6 * np.max(np.abs(expected))
 
 
+def per_point_maps(name):
+    """The delta method's maps as functions of one ModelParams."""
+    def effects_of(q, mean):
+        table = q.location_table()
+        return mean(table[:, 1], q.scales[1]) - mean(table[:, 0], q.scales[0])
+
+    return {
+        "_latent_effects": lambda q: effects_of(q, lambda loc, scale: loc),
+        "_observed_effects": lambda q: effects_of(q, tobit_mean),
+        "_natural_params": lambda q: np.concatenate([q.probs, q.locations.ravel(), q.scales]),
+    }[name]
+
+
 class TestDeltaMethod:
+    @pytest.mark.parametrize("name", ["_latent_effects", "_observed_effects", "_natural_params"])
+    def test_jacobian_equals_per_point_maps(self, fitted, name):
+        # one central difference per coordinate of the map at unpacked points
+        res, _ = fitted
+        like = res.params
+        f = per_point_maps(name)
+        x = pack(like)
+        h = effects.JAC_STEP * np.maximum(1.0, np.abs(x))
+        cols = []
+        for j in range(len(x)):
+            e = np.zeros_like(x)
+            e[j] = h[j]
+            cols.append((f(unpack(x + e, like)) - f(unpack(x - e, like))) / (2.0 * h[j]))
+        want = np.stack(cols, axis=-1)
+        got = effects._delta_jacobian(like, getattr(effects, name))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_effect_se_matches_covariance_identity(self):
         ds, _ = simulate_four_strata(600, seed=42)
         res = fit(ds)

@@ -16,13 +16,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stratfit import simulate
-from stratfit.core import ModelParams, StrataGrid
+from stratfit import effects, simulate
+from stratfit.core import Dataset, ModelParams, StrataGrid
+from stratfit.densities import Family
 from stratfit.errors import ConvergenceError
-from stratfit.em import fit
+from stratfit.em import FitConfig, fit
 
 from _oracles import em_one_start_oracle
-from test_estimation import ORACLE_CASES, fit_starts, pruned_at
+from test_estimation import ORACLE_CASES, fit_starts, pruned_at, simulate_four_strata
 
 TOOLS_DIR = Path(__file__).resolve().parents[1] / "tools"
 
@@ -52,6 +53,8 @@ DUMP = {
     "w/seed0/analysis0/record1/iterations": "4",
     "w/seed0/analysis0/tie_ids": "(0,)",
     "w/seed0/analysis0/hessian": "(1,):00",
+    "w/seed0/analysis0/natural_se_naive": "(1,):00",
+    "w/seed0/analysis0/natural_se_cluster": "(1,):00",
 }
 
 
@@ -61,6 +64,8 @@ DUMP = {
     ("record0/iterations", "13", True),  # the winner's record
     ("tie_ids", "(0, 1)", True),
     ("hessian", "(1,):01", True),
+    ("natural_se_naive", "(1,):01", True),
+    ("natural_se_cluster", "(1,):01", True),
     # a loser that moves into the near-tie band but is no tie
     ("record1/loglik", (-100.001).hex(), True),
 ])
@@ -125,6 +130,21 @@ def test_study_dump_writes_every_replicate_field():
             assert out[f"s/rep{i}/loglik"] == rep.loglik.hex()
             assert out[f"s/rep{i}/location_error"] == tool._bits(rep.location_error)
     assert out["s/rep1/ok"] == "False" and out["s/rep0/ok"] == "True"
+
+
+def test_analysis_dump_writes_the_natural_parameter_ses():
+    # each covariance's natural-parameter SEs, as params.csv reports them,
+    # next to the effect SEs
+    tool = import_tool("bit_evidence")
+    ds, _ = simulate_four_strata(150, seed=46)
+    ds = Dataset.from_arrays(ds.y, ds.t, ds.z, cluster=np.arange(ds.n) % 20, k_levels=2)
+    out = {}
+    tool._analysis(out, "a", ds, Family.NORMAL, FitConfig())
+    res = fit(ds)
+    _, cov_n, cov_c = effects.effect_table(res, ds)
+    for key, cov in (("a/natural_se_naive", cov_n), ("a/natural_se_cluster", cov_c)):
+        assert out[key] == tool._bits(effects.natural_param_ses(res, cov))
+    assert out["a/cov_cluster"] == tool._bits(cov_c.cov)
 
 
 def test_dump_keeps_the_named_workloads(tmp_path, monkeypatch):

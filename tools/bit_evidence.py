@@ -13,11 +13,13 @@ workload does: ``normal-cli`` reads the CSV written for the CLI, the others
 build the dataset from the arrays. For each analysis it fits the model and
 computes the effect table with both covariances, and writes every field of
 every ``StartRecord`` (parameters as the bytes of their float64 arrays), the
-tie ids, the naive Hessian, both covariances and the four effect-SE arrays;
-a fit or SE step that raises is written as its error. Values are strings,
-so two dumps are equal exactly when every bit is. ``--workload`` keeps only
-the named workloads, for checking one while a change is made; the evidence
-for a change is still the dump of all four. ``dump --grid`` writes
+tie ids, the naive Hessian, both covariances, the four effect-SE arrays and
+the natural-parameter SEs under both covariances (``natural_param_ses``, as
+``params.csv`` reports them); a fit or SE step that raises is written as its
+error. Values are strings, so two dumps are equal exactly when every bit is.
+``--workload`` keeps only the named workloads, for checking one while a
+change is made; the evidence for a change is still the dump of all four.
+``dump --grid`` writes
 the fits of the recovery grid instead (see :func:`grid_analyses`): every
 record and the tie ids, without SEs. ``dump --study`` runs
 ``simulate.run_study`` on the recovery configs of :func:`study_configs` and
@@ -27,10 +29,10 @@ batched path itself.
 ``compare`` prints each key whose value differs or exists in one dump only,
 and exits 1 if there is any. ``compare --answers`` compares only what an
 analysis answers: its error, if any, its winner's record and its tie ids
-(``em.tie_ids``), the Hessian, both covariances and the SE arrays. It prints
-each answer that differs, then how many other (loser) records differ and in
-how many analyses the count of near ties (``em.near_ties``) changed, and
-exits 1 if an answer or a near-tie count differs. A change that only stops
+(``em.tie_ids``), the Hessian, both covariances and all the SE arrays. It
+prints each answer that differs, then how many other (loser) records differ
+and in how many analyses the count of near ties (``em.near_ties``) changed,
+and exits 1 if an answer or a near-tie count differs. A change that only stops
 losing starts earlier passes it.
 
 The code under test is the ``src/`` next to this file's ``tools/``, so to
@@ -116,6 +118,8 @@ def _analysis(out: dict, key: str, ds: Dataset, family: Family, config: em.FitCo
     out[f"{key}/cov_cluster"] = _bits(cov_c.cov)
     for name in ("se_naive", "se_cluster", "se_naive_observed", "se_cluster_observed"):
         out[f"{key}/{name}"] = _bits(getattr(table, name))
+    for name, cov in (("natural_se_naive", cov_n), ("natural_se_cluster", cov_c)):
+        out[f"{key}/{name}"] = _bits(effects.natural_param_ses(res, cov))
 
 
 def bench_analyses(work: str, names=wl.WORKLOADS):
