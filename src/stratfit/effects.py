@@ -2,22 +2,21 @@
 
 Effects are differences of fitted component locations between arms within a
 stratum; the diagonal strata (same institutionalization level under both
-arms) are the primary estimand. Standard errors come from the numerically
-differentiated weighted log-likelihood: the observed-information (naive)
-variant inverts the negative Hessian, the cluster variant wraps it around a
-Huber-White meat aggregated over cluster score sums. One finite-difference
-code path serves both families and mean structures.
+arms) are the primary estimand. Standard errors come from the weighted
+log-likelihood in the packed coordinates (:func:`~stratfit.core.pack`): the
+observed-information (naive) variant inverts the negative Hessian, the
+cluster variant wraps it around a Huber-White meat aggregated over cluster
+score sums. Both families and both mean structures share each step.
 
-Every finite-difference point is a row of a stack of packed vectors, taken
-apart once by :func:`~stratfit.core.unpack_stack`; no point becomes a
-:class:`~stratfit.core.ModelParams`. The Hessian's 2p^2 + 1 points run
-through one :func:`~stratfit.em._evaluate` call, in which each cell runs only
-the points that move its inputs. The sandwich's 2p points x +- e_j run as one
-stack in which each cell runs once per distinct input, 2a + 1 rows for the a
-coordinates that reach it, and its per-case scores are differences of those
-rows (:func:`~stratfit.em._distinct_terms`). The delta method maps the same
-2p-point stack at once (:func:`_num_jacobian`). Every value and difference
-rounds exactly as when each point is unpacked and evaluated on its own.
+Only the Hessian is a finite difference. Its 2p^2 + 1 points are rows of one
+stack of packed vectors, taken apart once by
+:func:`~stratfit.core.unpack_stack`, and run through one
+:func:`~stratfit.em._evaluate` call, in which each cell runs only the points
+that move its inputs; every value and difference rounds exactly as when each
+point is unpacked and evaluated on its own. The sandwich's per-case scores
+are the posterior-weighted complete-data scores (Louis 1982, JRSS-B 44:226),
+from one pass of the mixture kernel, and the delta method's Jacobians are
+closed forms.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import em
-from .core import Dataset, ModelParams, location_tables, pack, param_names, unpack_stack
-from .densities import Family, tobit_mean
+from .core import Dataset, ModelParams, pack, param_names
+from .densities import Family, norm_cdf, norm_logcdf, norm_logpdf, norm_pdf, tobit_mean
 from .em import FitResult, case_loglik, log_likelihood
 from .errors import InferenceError
 
@@ -41,7 +40,6 @@ __all__ = [
 
 Z_5PCT = 1.959963984540054  # two-sided 5% normal quantile
 HESS_STEP = 1e-5
-JAC_STEP = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,9 +108,11 @@ def treatment_effects(fit: FitResult) -> EffectTable:
     """Arm-1 minus arm-0 location per stratum; adds the observed-scale
     (censored-mean) contrast under the tobit family."""
     params = fit.params
-    natural = (params, params.probs, params.locations, params.scales)
-    observed = _observed_effects(*natural) if params.family is Family.TOBIT else None
-    return EffectTable(params=params, effect=_latent_effects(*natural), effect_observed=observed)
+    table, scales = params.location_table(), params.scales
+    observed = None
+    if params.family is Family.TOBIT:
+        observed = tobit_mean(table[:, 1], scales[1]) - tobit_mean(table[:, 0], scales[0])
+    return EffectTable(params=params, effect=table[:, 1] - table[:, 0], effect_observed=observed)
 
 
 def _check_interior(fit: FitResult) -> None:
@@ -129,17 +129,13 @@ def _check_interior(fit: FitResult) -> None:
         )
 
 
-def _steps(x: np.ndarray, rel: float) -> np.ndarray:
-    return rel * np.maximum(1.0, np.abs(x))
-
-
 def _num_hessian(fun, x: np.ndarray) -> np.ndarray:
     """Central-difference Hessian from ``fun``, which maps a stack of points
     to their values. The 2p^2 + 1 points are x, then x + e_i, then x - e_i,
     then x + e_i + e_j, x + e_i - e_j, x - e_i + e_j and x - e_i - e_j over
     i < j; each point and difference rounds as when it is built and evaluated
     on its own. A cell reached by a coordinates runs only 2a^2 + 1 of them."""
-    h = _steps(x, HESS_STEP)
+    h = HESS_STEP * np.maximum(1.0, np.abs(x))
     p = len(x)
     e = np.diag(h)
     i, j = np.triu_indices(p, 1)
@@ -155,23 +151,6 @@ def _num_hessian(fun, x: np.ndarray) -> np.ndarray:
     hess = np.diag((vals[1:p + 1] - 2.0 * vals[0] + vals[p + 1:2 * p + 1]) / h2)
     hess[i, j] = hess[j, i] = (f_pp - f_pm - f_mp + f_mm) / (4.0 * h[i] * h[j])
     return hess
-
-
-def _central_points(x: np.ndarray, rel: float) -> tuple[np.ndarray, np.ndarray]:
-    """The 2p points of a central difference at ``x`` with steps
-    ``rel * max(1, |x_j|)``: x + e_j, then x - e_j; and the steps."""
-    h = _steps(x, rel)
-    e = np.diag(h)
-    return np.concatenate([x + e, x - e]), h
-
-
-def _num_jacobian(fun, x: np.ndarray, rel: float) -> np.ndarray:
-    """Central-difference Jacobian (m, p) of ``fun`` at ``x``: ``fun`` maps
-    the stack of :func:`_central_points` to its values (2p, m) at once."""
-    points, h = _central_points(x, rel)
-    vals = fun(points)
-    p = len(x)
-    return np.ascontiguousarray(((vals[:p] - vals[p:]) / (2.0 * h)[:, None]).T)
 
 
 def observed_information_se(fit: FitResult, dataset: Dataset) -> ParamCovariance:
@@ -205,22 +184,31 @@ def observed_information_se(fit: FitResult, dataset: Dataset) -> ParamCovariance
 
 
 def _case_scores(like: ModelParams, dataset: Dataset) -> np.ndarray:
-    """Per-case scores (n, p) of the unweighted log mixture terms: central
-    differences over the 2p points of :func:`_central_points`, run as one
-    stack in which each cell evaluates only its distinct inputs and writes
-    the differences of the coordinates that move them into its rows; a
-    coordinate that does not reach a cell leaves it the exact zeros of a
-    difference of equal terms."""
-    x = pack(like)
-    p = len(x)
-    points, h = _central_points(x, HESS_STEP)
-    scores = np.zeros((dataset.n, p))
-    stack = em._packed_stack(points, like, dataset)
-    for cell, terms, inv in em._distinct_terms(dataset, *stack, like.family,
-                                               lambda cell, lse: lse):
-        up, down = inv[:p], inv[p:]
-        for j in np.flatnonzero(up != down):
-            scores[cell.rows, j] = (terms[up[j]] - terms[down[j]]) / (2.0 * h[j])
+    """Per-case scores (n, p) of the unweighted log mixture terms: the
+    posterior-weighted complete-data scores, from one pass of the mixture
+    kernel. A logit takes post - probs; a location takes post * (y - mu) /
+    sigma^2 through the design's rows, a log scale post * ((y - mu)^2 /
+    sigma^2 - 1); a censored tobit zero takes -lambda / sigma and lambda *
+    mu / sigma instead, lambda the inverse Mills ratio at -mu / sigma."""
+    s = like.grid.n_strata
+    design = em._design(like.grid, like.mean_structure)
+    table, scales = like.location_table(), like.scales
+    scores = np.zeros((dataset.n, len(pack(like))))
+    for cell, _, post in em._mixture(dataset, *em._stack([like]), like.family, True):
+        post, mu, sigma = post[0], table[cell.strata, cell.t], scales[cell.t]
+        resid = (cell.y[:, None] - mu) / sigma
+        d_loc, d_scale = resid / sigma, resid * resid - 1.0
+        if like.family is Family.TOBIT and cell.zero.size:
+            a = -mu / sigma
+            lam = np.exp(norm_logpdf(a) - norm_logcdf(a))
+            d_loc[cell.zero], d_scale[cell.zero] = -lam / sigma, lam * mu / sigma
+        out = np.zeros((cell.y.size, scores.shape[1]))
+        out[:, :s - 1] = -like.probs[:-1]
+        logit = cell.strata < s - 1
+        out[:, cell.strata[logit]] += post[:, logit]
+        out[:, s - 1 + cell.t:-2:2] = (post * d_loc) @ design[cell.strata]
+        out[:, cell.t - 2] = (post * d_scale).sum(axis=1)
+        scores[cell.rows] = out
     return scores
 
 
@@ -254,35 +242,40 @@ def cluster_sandwich_se(
     )
 
 
-# The delta method's maps: each takes ``like`` and natural parameters, one
-# set or stacked over a leading axis as :func:`unpack_stack` gives them.
-
-def _latent_effects(like: ModelParams, probs, locations, scales) -> np.ndarray:
-    table = location_tables(locations, like)
-    return table[..., 1] - table[..., 0]
-
-
-def _observed_effects(like: ModelParams, probs, locations, scales) -> np.ndarray:
-    table = location_tables(locations, like)
-    return (tobit_mean(table[..., 1], scales[..., 1, None])
-            - tobit_mean(table[..., 0], scales[..., 0, None]))
-
-
-def _natural_params(like: ModelParams, probs, locations, scales) -> np.ndarray:
-    return np.concatenate([probs, locations.reshape(*probs.shape[:-1], -1), scales], axis=-1)
-
-
-def _delta_jacobian(like: ModelParams, fun) -> np.ndarray:
-    """The Jacobian of the map ``fun`` in the packed coordinates at ``like``:
-    the 2p points of :func:`_num_jacobian` are unpacked and mapped as one
-    stack."""
-    return _num_jacobian(lambda v: fun(like, *unpack_stack(v, like)), pack(like), JAC_STEP)
+def _effect_jacobian(like: ModelParams, observed: bool) -> np.ndarray:
+    """Jacobian (n_strata, p) of the arm-1 minus arm-0 effects in the packed
+    coordinates: a latent effect moves with its design row, +1 for arm 1 and
+    -1 for arm 0; an observed tobit mean (:func:`tobit_mean`) moves by
+    Phi(mu/sigma) per location and sigma * phi(mu/sigma) per log scale."""
+    s = like.grid.n_strata
+    design = em._design(like.grid, like.mean_structure)
+    table, scales = like.location_table(), like.scales
+    jac = np.zeros((s, len(pack(like))))
+    for t, sign in ((0, -1.0), (1, 1.0)):
+        d_loc, d_scale = 1.0, 0.0
+        if observed:
+            a = table[:, t] / scales[t]
+            d_loc, d_scale = norm_cdf(a)[:, None], scales[t] * norm_pdf(a)
+        jac[:, s - 1 + t:-2:2] = sign * d_loc * design
+        jac[:, t - 2] = sign * d_scale
+    return jac
 
 
-def _delta_se(fit: FitResult, cov: ParamCovariance, fun) -> np.ndarray:
-    """Delta-method SEs of the map ``fun`` under ``cov`` (see
-    :func:`_delta_jacobian`)."""
-    jac = _delta_jacobian(fit.params, fun)
+def _natural_jacobian(like: ModelParams) -> np.ndarray:
+    """Jacobian of the natural parameters (probs, locations, scales) in the
+    packed coordinates: diag(probs) - probs probs^T without its last column,
+    the identity for the locations and diag(scales) for the log scales."""
+    probs, n_loc = like.probs, like.locations.size
+    s = len(probs)
+    jac = np.zeros((s + n_loc + 2, s - 1 + n_loc + 2))
+    jac[:s, :s - 1] = (np.diag(probs) - np.outer(probs, probs))[:, :-1]
+    jac[s:s + n_loc, s - 1:s - 1 + n_loc] = np.eye(n_loc)
+    jac[-2:, -2:] = np.diag(like.scales)
+    return jac
+
+
+def _delta_se(cov: ParamCovariance, jac: np.ndarray) -> np.ndarray:
+    """Delta-method SEs of a map with Jacobian ``jac`` under ``cov``."""
     return np.sqrt(np.maximum(np.diag(jac @ cov.cov @ jac.T), 0.0))
 
 
@@ -291,15 +284,16 @@ def effect_ses(fit: FitResult, cov: ParamCovariance):
 
     Returns (latent SEs, observed-scale SEs or None).
     """
-    se = _delta_se(fit, cov, _latent_effects)
-    tobit = fit.params.family is Family.TOBIT
-    return se, _delta_se(fit, cov, _observed_effects) if tobit else None
+    like = fit.params
+    se = _delta_se(cov, _effect_jacobian(like, observed=False))
+    tobit = like.family is Family.TOBIT
+    return se, _delta_se(cov, _effect_jacobian(like, observed=True)) if tobit else None
 
 
 def natural_param_ses(fit: FitResult, cov: ParamCovariance) -> np.ndarray:
     """Delta-method SEs for the natural parameters (probs, locations, scales)
     in :func:`stratfit.core.param_names` reporting order."""
-    return _delta_se(fit, cov, _natural_params)
+    return _delta_se(cov, _natural_jacobian(fit.params))
 
 
 def effect_table(

@@ -12,8 +12,8 @@ best stops early as ``"pruned"`` (short-run/long-run EM, see
 :func:`_run_starts`), the others run on to the stop rule.
 
 Every mixture evaluation (the log-likelihood, the per-case terms, the E-step,
-the EM loop and the finite-difference standard errors) runs through one
-kernel over the dataset's cell partition, :attr:`Dataset.cells`; start
+the EM loop, and the Hessian and scores of the standard errors) runs through
+one kernel over the dataset's cell partition, :attr:`Dataset.cells`; start
 ranking reads its component log-densities (:func:`_cell_logdens`) too. The
 kernel, the sufficient statistics and the M-step carry a leading axis over S
 parameter sets: the public one-set functions use S = 1, and
@@ -21,17 +21,17 @@ parameter sets: the public one-set functions use S = 1, and
 (:func:`_run_starts`) walks its running starts in blocks (see
 ``_EM_BLOCK``), each block taking its M-step and then its E-step, one pass
 over the cells per block rather than one per start. A stack without an
-E-step runs each cell once per distinct input (:func:`_distinct_terms`):
-:func:`_evaluate` sums its per-case terms into log-likelihoods, and
-:mod:`.effects` takes differences of them for the sandwich's per-case
-scores. The standard errors hand their finite-difference points over as
-packed vectors (:func:`_packed_stack`), never as :class:`ModelParams`.
-Each set is rounded exactly as when it is evaluated alone (``_dot``,
-``_matvec`` and C-ordered buffers keep BLAS on one code path for every S)
-and as in earlier releases, which ran one start at a time (``math.log`` for
-scales): the finite-difference standard errors in :mod:`.effects` move by
-up to 1% when an optimum moves in its 13th digit, so fits must not move
-with the batching. For the same reason the row maxima and sums over a
+E-step (:func:`_evaluate`) runs each cell once per distinct input and sums
+its per-case terms into log-likelihoods. The Hessian of :mod:`.effects`,
+the one finite difference left in the standard errors, hands its points
+over as packed vectors (:func:`_packed_stack`), never as
+:class:`ModelParams`; the sandwich's per-case scores take the posteriors of
+one kernel pass. Each set is rounded exactly as when it is evaluated alone
+(``_dot``, ``_matvec`` and C-ordered buffers keep BLAS on one code path for
+every S) and as in earlier releases, which ran one start at a time
+(``math.log`` for scales): the finite-difference Hessian moves the standard
+errors by up to 1% when an optimum moves in its 13th digit, so fits must not
+move with the batching. For the same reason the row maxima and sums over a
 cell's 2-3 strata columns and the sums over its cases are column-wise
 reductions (``_row_max``, ``_row_sum``, ``_case_sum``) that round exactly
 as numpy's ``max`` and ``sum`` do: numpy reduces a 2-3 wide axis with one
@@ -264,40 +264,25 @@ def _packed_stack(points: np.ndarray, like: ModelParams, dataset: Dataset):
     return _log_probs(probs), np.ascontiguousarray(table.transpose(0, 2, 1)), scales
 
 
-def _distinct_terms(dataset: Dataset, logp, table, scales, family: Family, reduce):
-    """Yield (cell, terms, inv) for each non-empty cell under S parameter
-    sets stacked as for :func:`_mixture`. The cell runs once per distinct
-    row of its columns of the stacks, in blocks of ``_em_block(dataset)``
-    such rows, so the working set does not grow with S; ``terms`` stacks
-    ``reduce(cell, lse)`` of each block's per-case log mixture terms ``lse``
-    (rows, n_cell) in distinct-row order, and set i's row is ``inv[i]``.
-    """
+def _evaluate(dataset: Dataset, logp, table, scales, family: Family) -> np.ndarray:
+    """Weighted log-likelihoods (S,) of S parameter sets stacked as for
+    :func:`_mixture`, each as when evaluated alone. A cell runs once per
+    distinct row of its columns of the stacks, ``_em_block(dataset)`` rows
+    at a time, so the working set does not grow with S."""
     block = _em_block(dataset)
     cens = _censored(dataset, table, scales, family)
+    ll = np.zeros(len(logp))
     for cell in filter(lambda c: c.y.size, dataset.cells):
         key = np.ascontiguousarray(np.concatenate(  # compared by bytes: -0.0 is not 0.0
             [logp[:, cell.strata], table[:, cell.t, cell.strata], scales[:, cell.t, None]], 1))
         first, inv = np.unique(key.view(np.dtype((np.void, key[0].nbytes)))[:, 0],
                                return_index=True, return_inverse=True)[1:]
-        terms = None
+        terms = np.empty(len(first))
         for lo in range(0, len(first), block):
             ids = first[lo:lo + block]  # a block of the distinct sets
             ld = _cell_logdens(cell, table[ids, cell.t][:, cell.strata], scales[ids, cell.t],
                                family, None if cens is None else cens[ids, cell.t][:, cell.strata])
-            part = reduce(cell, _mix(cell, ld, logp[ids][:, cell.strata])[0])
-            if terms is None:
-                terms = np.empty((len(first), *part.shape[1:]))
-            terms[lo:lo + block] = part
-        yield cell, terms, inv
-
-
-def _evaluate(dataset: Dataset, logp, table, scales, family: Family) -> np.ndarray:
-    """Weighted log-likelihoods (S,) of S parameter sets stacked as for
-    :func:`_mixture`, each as when evaluated alone; each cell runs once per
-    distinct input (see :func:`_distinct_terms`)."""
-    ll = np.zeros(len(logp))
-    for _, terms, inv in _distinct_terms(dataset, logp, table, scales, family,
-                                         lambda cell, lse: _dot(lse, cell.w)):
+            terms[lo:lo + block] = _dot(_mix(cell, ld, logp[ids][:, cell.strata])[0], cell.w)
         ll += terms[inv]
     return ll
 

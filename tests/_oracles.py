@@ -9,14 +9,14 @@ start-set oracle builds one mapping's initial parameters on its own from
 the grid's compatible strata and linear design, against which the stacked
 start sets are checked, and the Hessian oracle evaluates one point at a
 time, against which the stacked finite-difference Hessian is checked. The
-per-case score oracle differentiates the likelihood by hand, against which
-the sandwich's finite-difference scores are checked. The cell mixture EM
-oracle is the warm-start EM of one cell on its own, one iteration at a time
-with the package's exact reductions, as it ran before the cells ran in
-lockstep; ``warm_start_cells`` must reproduce it bit for bit. The serial
-tobit Newton oracle tries one step fraction per objective evaluation, as the
-M-step did before its line search stacked the halvings; the stacked line
-search must reproduce it bit for bit.
+per-case score oracle differentiates the likelihood by hand, case by case
+and stratum by stratum, against which the sandwich's closed-form scores are
+checked. The cell mixture EM oracle is the warm-start EM of one cell on its
+own, one iteration at a time with the package's exact reductions, as it ran
+before the cells ran in lockstep; ``warm_start_cells`` must reproduce it bit
+for bit. The serial tobit Newton oracle tries one step fraction per
+objective evaluation, as the M-step did before its line search stacked the
+halvings; the stacked line search must reproduce it bit for bit.
 """
 
 import itertools

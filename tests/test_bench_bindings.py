@@ -57,9 +57,9 @@ def test_m_step_accepts_the_benchmark_call():
 def test_traced_se_counts_see_the_real_path(monkeypatch):
     # The traced run counts effects.loglik_evals and effects.case_loglik_evals
     # through these two names, which effects keeps, but no SE calls them: the
-    # Hessian and the sandwich each take their finite-difference points as
-    # one packed stack, 2p^2 + 1 points and 2p points, and the delta method
-    # unpacks its own stacks.
+    # Hessian, the only finite difference, takes its 2p^2 + 1 points as one
+    # packed stack; the sandwich's scores and the delta method's Jacobians
+    # are closed forms.
     calls = Counter()
     stacks = []
 
@@ -86,7 +86,7 @@ def test_traced_se_counts_see_the_real_path(monkeypatch):
     effects.effect_table(res, ds)
     p = len(pack(res.params))
     assert calls == {}
-    assert stacks == [2 * p * p + 1, 2 * p]
+    assert stacks == [2 * p * p + 1]
 
 
 def test_study_reaches_the_traced_bindings(bench, monkeypatch):

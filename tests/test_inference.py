@@ -257,32 +257,21 @@ class TestStackedHessian:
 
 class TestStackedScores:
     def test_equal_one_point_oracle(self, fitted):
-        # each coordinate's central difference of case_loglik at unpacked
-        # points, as the sandwich computed its scores one point at a time
+        # the analytic score, one case and one stratum at a time
         res, ds = fitted
-        x = pack(res.params)
-        h = HESS_STEP * np.maximum(1.0, np.abs(x))
-        want = np.empty((ds.n, len(x)))
-        for j in range(len(x)):
-            e = np.zeros_like(x)
-            e[j] = h[j]
-            want[:, j] = (case_loglik(unpack(x + e, res.params), ds)
-                          - case_loglik(unpack(x - e, res.params), ds)) / (2.0 * h[j])
-        assert effects._case_scores(res.params, ds).tobytes() == want.tobytes()
+        want = case_score_oracle(res.params, ds)
+        got = effects._case_scores(res.params, ds)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    # the kernel rows per cell, 2a + 1 for the a packed coordinates reaching it
-    ROWS = {"normal": {13}, "tobit": {13}, "linear": {13, 17}, "three-level": {25}}
-
-    def test_each_cell_runs_its_distinct_inputs(self, fitted, request, monkeypatch):
+    def test_each_cell_runs_its_distinct_inputs(self, fitted, monkeypatch):
+        # one kernel pass at the optimum: each cell runs _mix once, one row
         res, ds = fitted
-        reach = cell_reach(res.params, ds)
         seen = count_mix_rows(monkeypatch, lambda: effects._case_scores(res.params, ds))
-        assert seen == {key: 2 * a + 1 for key, a in reach.items()}
-        assert set(seen.values()) == self.ROWS[request.node.callspec.params["fitted"]]
+        assert seen == {(c.t, c.z): 1 for c in ds.cells if c.y.size}
 
     def test_working_set_stays_bounded(self):
         # the peak is the (n, p) score matrix and its weighted copy: a cell's
-        # distinct rows and kernel blocks stay below that copy
+        # posteriors and score rows stay below that copy
         ds, truth = simulate_four_strata(20_000, seed=45)
         ds = Dataset.from_arrays(ds.y, ds.t, ds.z, cluster=np.arange(ds.n) % 250, k_levels=2)
         naive = observed_information_se(fake_fit(truth), ds)
@@ -374,8 +363,10 @@ def score_fixture(family, mean_structure, k_levels, seed):
 
 
 class TestScoreOracle:
-    """The sandwich's finite-difference per-case scores against the
-    analytic score, which is checked against the scalar likelihood."""
+    """The analytic per-case score, which the sandwich computes in closed
+    form from the kernel's posteriors (only the Hessian is a finite
+    difference), against the scalar likelihood's slope, the Hessian's kernel
+    and deep tobit tails."""
 
     @pytest.mark.parametrize("k_levels", [2, 3])
     @pytest.mark.parametrize("mean_structure", list(MeanStructure), ids=lambda m: m.value)
@@ -396,6 +387,41 @@ class TestScoreOracle:
                 fd[j] = (brute_force_loglik(unpack(x + e, params), case)
                          - brute_force_loglik(unpack(x - e, params), case)) / (2.0 * h[j])
             assert np.max(np.abs(fd - scores[i])) <= 1e-7 * max(1.0, np.max(np.abs(fd)))
+
+    @pytest.mark.parametrize("k_levels", [2, 3])
+    @pytest.mark.parametrize("mean_structure", list(MeanStructure), ids=lambda m: m.value)
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_weighted_score_is_the_kernel_loglik_slope(self, family, mean_structure, k_levels):
+        # away from the optimum, the weighted score sum is the central
+        # difference of the log-likelihood the Hessian differentiates
+        ds, params = score_fixture(family, mean_structure, k_levels, seed=10 + k_levels)
+        x = pack(params)
+        h = 1e-5 * np.maximum(1.0, np.abs(x))
+        fd = np.array([(log_likelihood(unpack(x + h[j] * e, params), ds)
+                        - log_likelihood(unpack(x - h[j] * e, params), ds)) / (2.0 * h[j])
+                       for j, e in enumerate(np.eye(len(x)))])
+        got = ds.w @ effects._case_scores(params, ds)
+        assert np.max(np.abs(got - fd)) <= 1e-7 * np.max(np.abs(fd))
+
+    def test_censored_zeros_deep_in_both_tails(self):
+        # every cell's strata sit at mu/sigma = -8, 0, 12 or 30, and every
+        # cell has a zero: the score's inverse Mills ratio reads norm_logcdf
+        # deep in both tails, which the oracle's math.erfc checks
+        grid = StrataGrid(2)
+        scales = np.array([0.5, 2.0])
+        ratio = {(1, 0): -8.0, (1, 1): 0.0, (0, 0): 12.0, (0, 1): 30.0}  # by cell (t, z)
+        locations = np.array([[ratio[0, z0] * scales[0], ratio[1, z1] * scales[1]]
+                              for z0, z1 in grid.strata])
+        params = ModelParams(grid, np.array([0.1, 0.2, 0.3, 0.4]), locations, scales,
+                             Family.TOBIT)
+        cells = [(t, z) for t in (0, 1) for z in (0, 1)]
+        y = [0.0, 0.0, 1.5] * len(cells)
+        t, z = (np.repeat([c[i] for c in cells], 3) for i in (0, 1))
+        ds = Dataset.from_arrays(y, t, z, w=np.linspace(0.5, 2.0, len(y)), k_levels=2,
+                                 family=Family.TOBIT)
+        want = case_score_oracle(params, ds)
+        got = effects._case_scores(params, ds)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_sandwich_is_bread_meat_bread_of_the_analytic_scores(self, fitted):
         res, ds = fitted
@@ -427,23 +453,34 @@ def per_point_maps(name):
     }[name]
 
 
+# the closed-form Jacobian of each of the delta method's maps, by the map
+# names of per_point_maps
+CLOSED_FORM = {
+    "_latent_effects": lambda like: effects._effect_jacobian(like, observed=False),
+    "_observed_effects": lambda like: effects._effect_jacobian(like, observed=True),
+    "_natural_params": effects._natural_jacobian,
+}
+
+
 class TestDeltaMethod:
     @pytest.mark.parametrize("name", ["_latent_effects", "_observed_effects", "_natural_params"])
     def test_jacobian_equals_per_point_maps(self, fitted, name):
-        # one central difference per coordinate of the map at unpacked points
+        # one central difference per coordinate of the map at unpacked
+        # points; its truncation and rounding errors stay below 1e-8
         res, _ = fitted
         like = res.params
         f = per_point_maps(name)
         x = pack(like)
-        h = effects.JAC_STEP * np.maximum(1.0, np.abs(x))
+        h = 1e-6 * np.maximum(1.0, np.abs(x))
         cols = []
         for j in range(len(x)):
             e = np.zeros_like(x)
             e[j] = h[j]
             cols.append((f(unpack(x + e, like)) - f(unpack(x - e, like))) / (2.0 * h[j]))
         want = np.stack(cols, axis=-1)
-        got = effects._delta_jacobian(like, getattr(effects, name))
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        got = CLOSED_FORM[name](like)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-8 * max(1.0, np.max(np.abs(want)))
 
     def test_effect_se_matches_covariance_identity(self):
         ds, _ = simulate_four_strata(600, seed=42)

@@ -79,6 +79,37 @@ def test_compare_exit_status(tmp_path, key, value, answers_differ):
         plain.stdout + plain.stderr + answers.stdout + answers.stderr)
 
 
+def test_compare_prints_the_relative_deviation_of_float_arrays(tmp_path):
+    # float arrays of one shape print max|a-b| / max|a| and each workload's
+    # largest after the keys; arrays of two shapes and other values their bits
+    bits = import_tool("bit_evidence")._bits
+    se = np.array([2.0, -4.0])
+    a = {"w/seed0/analysis0/se_cluster": bits(se), "w/seed1/analysis0/se_cluster": bits(se),
+         "v/seed0/analysis0/se_naive": bits(se), "w/seed0/analysis0/hessian": bits(se),
+         "w/seed0/analysis0/tie_ids": "(0,)"}
+    b = {**a, "w/seed0/analysis0/se_cluster": bits(se + [0.0, 4e-9]),
+         "w/seed1/analysis0/se_cluster": bits(se + [1e-9, 0.0]),
+         "v/seed0/analysis0/se_naive": bits(se - [1e-12, 0.0]),
+         "w/seed0/analysis0/hessian": bits(se[:1]), "w/seed0/analysis0/tie_ids": "(0, 1)"}
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    pa.write_text(json.dumps(a))
+    pb.write_text(json.dumps(b))
+    out = run_tool("bit_evidence.py", "compare", pa, pb)
+    assert out.returncode == 1, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[:5] == [
+        "v/seed0/analysis0/se_naive: max|a-b|/max|a| = 2.5e-13",
+        f"w/seed0/analysis0/hessian: {bits(se)} != {bits(se[:1])}",
+        "w/seed0/analysis0/se_cluster: max|a-b|/max|a| = 1e-09",
+        "w/seed0/analysis0/tie_ids: (0,) != (0, 1)",
+        "w/seed1/analysis0/se_cluster: max|a-b|/max|a| = 2.5e-10",
+    ]
+    assert lines[5:7] == [
+        "v: largest max|a-b|/max|a| = 2.5e-13 (v/seed0/analysis0/se_naive)",
+        "w: largest max|a-b|/max|a| = 1e-09 (w/seed0/analysis0/se_cluster)",
+    ]
+
+
 @pytest.mark.parametrize("short, iterations", [((), 35), ((3,), 33)])
 def test_calibration_report(tmp_path, short, iterations):
     # the leader converges geometrically; the other start trails it by 100

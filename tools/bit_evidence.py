@@ -13,27 +13,29 @@ workload does: ``normal-cli`` reads the CSV written for the CLI, the others
 build the dataset from the arrays. For each analysis it fits the model and
 computes the effect table with both covariances, and writes every field of
 every ``StartRecord`` (parameters as the bytes of their float64 arrays), the
-tie ids, the naive Hessian, both covariances, the four effect-SE arrays and
-the natural-parameter SEs under both covariances (``natural_param_ses``, as
-``params.csv`` reports them); a fit or SE step that raises is written as its
-error. Values are strings, so two dumps are equal exactly when every bit is.
-``--workload`` keeps only the named workloads, for checking one while a
-change is made; the evidence for a change is still the dump of all four.
-``dump --grid`` writes
-the fits of the recovery grid instead (see :func:`grid_analyses`): every
-record and the tie ids, without SEs. ``dump --study`` runs
-``simulate.run_study`` on the recovery configs of :func:`study_configs` and
-writes every field of every ``ReplicateResult``, so it checks the study's
-batched path itself.
+tie ids, the naive Hessian, both covariances, the effects on both scales,
+the four effect-SE arrays and the natural-parameter SEs under both
+covariances (``natural_param_ses``, as ``params.csv`` reports them); a fit
+or SE step that raises is written as its error. Values are strings, so two
+dumps are equal exactly when every bit is. ``--workload`` keeps only the
+named workloads, for checking one while a change is made; the evidence for
+a change is still the dump of all four. ``dump --grid`` writes the fits of
+the recovery grid instead (see :func:`grid_analyses`): every record and the
+tie ids, without SEs. ``dump --study`` runs ``simulate.run_study`` on the
+recovery configs of :func:`study_configs` and writes every field of every
+``ReplicateResult``, so it checks the study's batched path itself.
 
 ``compare`` prints each key whose value differs or exists in one dump only,
-and exits 1 if there is any. ``compare --answers`` compares only what an
-analysis answers: its error, if any, its winner's record and its tie ids
-(``em.tie_ids``), the Hessian, both covariances and all the SE arrays. It
-prints each answer that differs, then how many other (loser) records differ
-and in how many analyses the count of near ties (``em.near_ties``) changed,
-and exits 1 if an answer or a near-tie count differs. A change that only stops
-losing starts earlier passes it.
+and exits 1 if there is any. Where both values are float arrays of one
+shape it prints their relative deviation max|a-b| / max|a| in place of
+their bits, and after the keys the largest such deviation per workload.
+``compare --answers`` compares only what an analysis answers: its error, if
+any, its winner's record and its tie ids (``em.tie_ids``), the Hessian, both
+covariances, the effects and all the SE arrays. It prints each answer that
+differs, then how many other (loser) records differ and in how many analyses
+the count of near ties (``em.near_ties``) changed, and exits 1 if an answer
+or a near-tie count differs. A change that only stops losing starts earlier
+passes it.
 
 The code under test is the ``src/`` next to this file's ``tools/``, so to
 dump another checkout, copy this file into that checkout's ``tools/``. BLAS
@@ -42,6 +44,7 @@ runs single-threaded, as in the benchmark.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import itertools
 import json
@@ -116,7 +119,8 @@ def _analysis(out: dict, key: str, ds: Dataset, family: Family, config: em.FitCo
     out[f"{key}/hessian"] = _bits(cov_n.hessian)
     out[f"{key}/cov_naive"] = _bits(cov_n.cov)
     out[f"{key}/cov_cluster"] = _bits(cov_c.cov)
-    for name in ("se_naive", "se_cluster", "se_naive_observed", "se_cluster_observed"):
+    for name in ("effect", "effect_observed", "se_naive", "se_cluster", "se_naive_observed",
+                 "se_cluster_observed"):
         out[f"{key}/{name}"] = _bits(getattr(table, name))
     for name, cov in (("natural_se_naive", cov_n), ("natural_se_cluster", cov_c)):
         out[f"{key}/{name}"] = _bits(effects.natural_param_ses(res, cov))
@@ -201,12 +205,36 @@ def dump(path: str, kind: str = "bench", names=wl.WORKLOADS) -> None:
         json.dump(out, fh, indent=0, sort_keys=True)
 
 
+def _floats(value: str | None) -> np.ndarray | None:
+    """The float64 array that :func:`_bits` wrote as ``value``, or None if
+    ``value`` is not one."""
+    shape, sep, digits = (value or "").partition("):")
+    if not (sep and shape.startswith("(")) or len(digits) % 16:
+        return None
+    try:
+        return np.frombuffer(bytes.fromhex(digits)).reshape(ast.literal_eval(shape + ")"))
+    except (ValueError, SyntaxError):
+        return None
+
+
 def compare(path_a: str, path_b: str) -> int:
     with open(path_a) as fa, open(path_b) as fb:
         a, b = json.load(fa), json.load(fb)
     diffs = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+    largest = {}  # workload -> (largest relative deviation, its key)
     for key in diffs:
-        print(f"{key}: {a.get(key, '<absent>')[:80]} != {b.get(key, '<absent>')[:80]}")
+        x, y = _floats(a.get(key)), _floats(b.get(key))
+        if x is None or y is None or x.shape != y.shape or not x.size:
+            print(f"{key}: {a.get(key, '<absent>')[:80]} != {b.get(key, '<absent>')[:80]}")
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = float(np.max(np.abs(x - y)) / np.max(np.abs(x)))
+        print(f"{key}: max|a-b|/max|a| = {rel:.3g}")
+        work = key.split("/", 1)[0]
+        if work not in largest or rel > largest[work][0]:
+            largest[work] = rel, key
+    for work, (rel, key) in sorted(largest.items()):
+        print(f"{work}: largest max|a-b|/max|a| = {rel:.3g} ({key})")
     analyses = {k.rsplit("/", 1)[0] for k in a if "/record" not in k}
     print(f"{len(diffs)} differences over {len(a)} and {len(b)} values "
           f"({len(analyses)} analyses in {path_a})")
