@@ -7,6 +7,10 @@ log-likelihood in the packed coordinates (:func:`~stratfit.core.pack`): the
 observed-information (naive) variant inverts the negative Hessian, the
 cluster variant wraps it around a Huber-White meat aggregated over cluster
 score sums. Both families and both mean structures share each step.
+:func:`effect_table` is the one sequence of these steps, for the library and
+the CLI alike: a step that rejects the fit (``InferenceError`` or
+``EstimationError``) ends it, and the table keeps what the earlier steps
+formed, with the reason in ``EffectTable.se_error``.
 
 Only the Hessian is a finite difference. Its 2p^2 + 1 points are rows of one
 stack of packed vectors, taken apart once by
@@ -29,7 +33,7 @@ from . import em
 from .core import Dataset, ModelParams, pack, param_names
 from .densities import Family, norm_cdf, norm_logcdf, norm_logpdf, norm_pdf, tobit_mean
 from .em import FitResult, case_loglik, log_likelihood
-from .errors import InferenceError
+from .errors import EstimationError, InferenceError
 
 __all__ = [
     "EffectTable", "ParamCovariance", "cluster_sandwich_se", "effect_ses", "effect_table",
@@ -65,6 +69,11 @@ class EffectTable:
     the normal family, the censored-normal locations under tobit); for tobit
     fits ``effect_observed`` adds the censored-mean difference on the
     observed outcome scale.
+
+    The SE fields are None where a step failed: all four when the naive
+    covariance could not be formed, the two cluster fields when only the
+    sandwich failed. ``se_error`` then holds the reason, and is None when
+    every SE was formed.
     """
 
     params: ModelParams
@@ -74,6 +83,7 @@ class EffectTable:
     se_cluster: np.ndarray | None = None
     se_naive_observed: np.ndarray | None = None
     se_cluster_observed: np.ndarray | None = None
+    se_error: str | None = None
 
     def rows(self) -> list[dict]:
         out = []
@@ -158,7 +168,7 @@ def observed_information_se(fit: FitResult, dataset: Dataset) -> ParamCovariance
     weighted log-likelihood at the packed optimum.
 
     Rejects boundary solutions (active scale floor, near-zero strata
-    probabilities) and non-negative-definite Hessians.
+    probabilities) and Hessians that are not negative definite or singular.
     """
     _check_interior(fit)
     like = fit.params
@@ -169,12 +179,15 @@ def observed_information_se(fit: FitResult, dataset: Dataset) -> ParamCovariance
     hess = _num_hessian(packed_logliks, pack(like))
     hess = 0.5 * (hess + hess.T)
     eigs = np.linalg.eigvalsh(hess)
+    report = f"(eigenvalues {np.array2string(eigs, precision=4)})"
     if eigs.max() > 1e-8 * abs(eigs.min()):
         raise InferenceError(
-            "not at an interior maximum: Hessian is not negative definite "
-            f"(eigenvalues {np.array2string(eigs, precision=4)})"
+            f"not at an interior maximum: Hessian is not negative definite {report}"
         )
-    bread = np.linalg.inv(-hess)
+    try:
+        bread = np.linalg.inv(-hess)
+    except np.linalg.LinAlgError:  # an exactly flat direction: a largest eigenvalue of 0
+        raise InferenceError(f"Hessian is singular {report}") from None
     return ParamCovariance(
         kind="observed_information",
         names=tuple(param_names(like, packed=True)),
@@ -229,8 +242,8 @@ def cluster_sandwich_se(
         raise InferenceError("clustered variance needs at least 2 clusters")
     like = fit.params
     scores = _case_scores(like, dataset)
-    grouped = np.zeros((n_clusters, scores.shape[1]))
-    np.add.at(grouped, codes, dataset.w[:, None] * scores)
+    grouped = np.stack([np.bincount(codes, weights=dataset.w * col, minlength=n_clusters)
+                        for col in scores.T], axis=1)
     meat = grouped.T @ grouped * (n_clusters / (n_clusters - 1.0))
     cov = bread.cov @ meat @ bread.cov
     return ParamCovariance(
@@ -298,13 +311,25 @@ def natural_param_ses(fit: FitResult, cov: ParamCovariance) -> np.ndarray:
 
 def effect_table(
     fit: FitResult, dataset: Dataset
-) -> tuple[EffectTable, ParamCovariance, ParamCovariance]:
+) -> tuple[EffectTable, ParamCovariance | None, ParamCovariance | None]:
     """Effects with both SE flavors attached: the naive and the cluster
-    sandwich covariance, which reuses the naive one's Hessian."""
-    cov_n = observed_information_se(fit, dataset)
-    se_n, se_n_obs = effect_ses(fit, cov_n)
-    cov_c = cluster_sandwich_se(fit, dataset, bread=cov_n)
-    se_c, se_c_obs = effect_ses(fit, cov_c)
-    table = replace(treatment_effects(fit), se_naive=se_n, se_naive_observed=se_n_obs,
-                    se_cluster=se_c, se_cluster_observed=se_c_obs)
+    sandwich covariance, which reuses the naive one's Hessian.
+
+    A step that rejects the fit with ``InferenceError`` or
+    ``EstimationError`` is reported, not raised: the table's ``se_error``
+    holds its message and the steps after it do not run. A failed naive step
+    leaves no SEs and both covariances None; a failed sandwich keeps the
+    naive SEs and ``cov_n`` and returns ``cov_c`` None.
+    """
+    table = treatment_effects(fit)
+    cov_n = cov_c = None
+    try:
+        cov_n = observed_information_se(fit, dataset)
+        se, se_obs = effect_ses(fit, cov_n)
+        table = replace(table, se_naive=se, se_naive_observed=se_obs)
+        cov_c = cluster_sandwich_se(fit, dataset, bread=cov_n)
+        se, se_obs = effect_ses(fit, cov_c)
+        table = replace(table, se_cluster=se, se_cluster_observed=se_obs)
+    except (InferenceError, EstimationError) as exc:
+        table = replace(table, se_error=str(exc))
     return table, cov_n, cov_c

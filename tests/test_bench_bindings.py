@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from stratfit import effects, em, simulate
+from stratfit import cli, effects, em, simulate
 from stratfit.core import Dataset, pack
 
 from test_estimation import simulate_four_strata
@@ -37,6 +37,15 @@ def test_patched_attributes_exist(bench):
     bindings += [(em, "norm_logcdf"), (Dataset, "from_arrays")]
     missing = [(getattr(o, "__name__", o), a) for o, a in bindings if a not in o.__dict__]
     assert not missing
+
+
+def test_cli_se_bindings_are_the_library_functions(bench):
+    # the traced run wraps these SE names on cli; each must be the effects
+    # function itself, so a span bound there wraps the code effect_table runs
+    measure, _ = bench
+    names = [attr for span, group in measure.SPANNED if span.startswith("effects.")
+             for owner, attr in group if owner is cli]
+    assert names and [a for a in names if getattr(cli, a) is not getattr(effects, a)] == []
 
 
 def test_fit_signature_and_config():

@@ -11,7 +11,7 @@ from stratfit.core import Dataset
 from stratfit.densities import Family
 from stratfit.effects import effect_table
 from stratfit.em import FitConfig, fit
-from stratfit.errors import InferenceError, WarmStartError
+from stratfit.errors import WarmStartError
 
 from test_estimation import simulate_four_strata
 
@@ -85,8 +85,11 @@ def test_near_empty_stratum(family, p4):
     assert_finite_fit(res)
     assert res.converged and 0.0 < res.params.probs[3] < 1e-3
     if family is Family.NORMAL and p4 == 0.0:
-        with pytest.raises(InferenceError, match="Hessian is not negative definite"):
-            effect_table(res, ds)
+        table, cov_n, cov_c = effect_table(res, ds)
+        assert "Hessian is not negative definite" in table.se_error
+        assert cov_n is None and cov_c is None
+        assert table.se_naive is table.se_cluster is None
+        assert table.se_naive_observed is table.se_cluster_observed is None
         return
     table = effect_table(res, ds)[0]
     ses = [table.se_naive, table.se_cluster]

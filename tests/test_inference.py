@@ -168,6 +168,20 @@ class TestObservedInformation:
         with pytest.raises(InferenceError, match="eigenvalues"):
             observed_information_se(fake_fit(off), ds)
 
+    def test_singular_hessian_rejected(self):
+        # stratum 3's arm-0 location moved far from every case takes all
+        # posterior weight off it: its Hessian row is exactly 0
+        ds, _ = simulate_four_strata(400, seed=3, dispersion=2.4)
+        params = fit(ds).params
+        locations = params.locations.copy()
+        locations[3, 0] += 1e4
+        moved = fake_fit(ModelParams(GRID2, params.probs, locations, params.scales))
+        with pytest.raises(InferenceError, match="Hessian is singular"):
+            observed_information_se(moved, ds)
+        table, cov_n, cov_c = effect_table(moved, ds)
+        assert table.se_error.startswith("Hessian is singular")
+        assert cov_n is None and cov_c is None and table.se_naive is None
+
 
 FITTED = {  # a dataset and the fit's arguments
     "normal": lambda: (simulate_four_strata(300, seed=50)[0], {}),
@@ -326,6 +340,20 @@ class TestClusterSandwich:
         cov_c = cluster_sandwich_se(res, clustered, bread=cov_n)
         assert cov_c.n_clusters == 10
         assert not np.allclose(cov_c.cov, cov_n.cov)
+
+    def test_cluster_sums_equal_the_per_case_reference(self):
+        # weighted cases in 200 clusters: the per-column bincount sums give
+        # the covariance of np.add.at's case-by-case updates bit for bit
+        ds, truth = simulate_four_strata(5000, seed=48)
+        rng = np.random.default_rng(2)
+        ds = Dataset.from_arrays(ds.y, ds.t, ds.z, w=rng.uniform(0.5, 2.0, ds.n),
+                                 cluster=rng.integers(0, 200, ds.n), k_levels=2)
+        bread = observed_information_se(fake_fit(truth), ds)
+        got = cluster_sandwich_se(fake_fit(truth), ds, bread=bread)
+        grouped = np.zeros((200, len(pack(truth))))
+        np.add.at(grouped, ds.cluster, ds.w[:, None] * effects._case_scores(truth, ds))
+        cov = bread.cov @ (grouped.T @ grouped * (200 / 199.0)) @ bread.cov
+        assert np.array_equal(got.cov, 0.5 * (cov + cov.T))
 
     def test_any_labels_give_the_ses_of_their_dense_codes(self):
         # a Dataset built directly numbers its clusters 0, 1, ... in label
@@ -520,10 +548,31 @@ class TestDeltaMethod:
 
 
 class TestEffectTableConvenience:
+    @pytest.mark.parametrize("family", [Family.NORMAL, Family.TOBIT], ids=lambda f: f.value)
+    def test_one_cluster_keeps_the_naive_ses(self, family):
+        # the sandwich needs two clusters; its failure is reported, and the
+        # naive SEs and covariance are the library steps' own
+        tobit = family is Family.TOBIT
+        ds, _ = simulate_four_strata(200, seed=47, censor=tobit)
+        one = Dataset.from_arrays(ds.y, ds.t, ds.z, cluster=np.zeros(ds.n), k_levels=2,
+                                  family=family)
+        res = fit(one, family, config=FitConfig(tol=1e-7))
+        table, cov_n, cov_c = effect_table(res, one)
+        naive = observed_information_se(res, one)
+        se, se_obs = effect_ses(res, naive)
+        assert np.array_equal(cov_n.cov, naive.cov) and np.array_equal(table.se_naive, se)
+        if tobit:
+            assert np.array_equal(table.se_naive_observed, se_obs)
+        else:
+            assert table.se_naive_observed is se_obs is None
+        assert cov_c is None and table.se_cluster is table.se_cluster_observed is None
+        assert "at least 2 clusters" in table.se_error
+
     def test_full_table_rows(self):
         ds, _ = simulate_four_strata(500, seed=45)
         res = fit(ds)
         table, cov_n, cov_c = effect_table(res, ds)
+        assert table.se_error is None
         rows = table.rows()
         assert len(rows) == 4
         for row in rows:

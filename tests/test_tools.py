@@ -178,6 +178,22 @@ def test_analysis_dump_writes_the_natural_parameter_ses():
     assert out["a/cov_cluster"] == tool._bits(cov_c.cov)
 
 
+def test_analysis_dump_writes_a_partial_se_result():
+    # one cluster: the sandwich fails, so its covariance is written as None,
+    # with the reason and no natural-parameter SEs; the naive ones stay
+    tool = import_tool("bit_evidence")
+    ds, _ = simulate_four_strata(150, seed=46)
+    ds = Dataset.from_arrays(ds.y, ds.t, ds.z, cluster=np.zeros(ds.n), k_levels=2)
+    out = {}
+    tool._analysis(out, "a", ds, Family.NORMAL, FitConfig())
+    res = fit(ds)
+    table, cov_n, _ = effects.effect_table(res, ds)
+    assert out["a/se_error"] == table.se_error and "at least 2 clusters" in table.se_error
+    assert out["a/cov_cluster"] == out["a/se_cluster"] == tool._bits(None)
+    assert out["a/natural_se_naive"] == tool._bits(effects.natural_param_ses(res, cov_n))
+    assert "a/natural_se_cluster" not in out
+
+
 def test_dump_keeps_the_named_workloads(tmp_path, monkeypatch):
     # dump --workload (repeatable) analyses only the named workloads, in the
     # order given; an unknown name or a missing one prints the usage

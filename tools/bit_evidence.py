@@ -16,7 +16,9 @@ every ``StartRecord`` (parameters as the bytes of their float64 arrays), the
 tie ids, the naive Hessian, both covariances, the effects on both scales,
 the four effect-SE arrays and the natural-parameter SEs under both
 covariances (``natural_param_ses``, as ``params.csv`` reports them); a fit
-or SE step that raises is written as its error. Values are strings, so two
+that raises is written as its error. An SE step that fails is written as
+``se_error``, each covariance it left unformed as ``None``, and no
+natural-parameter SEs under that covariance. Values are strings, so two
 dumps are equal exactly when every bit is. ``--workload`` keeps only the
 named workloads, for checking one while a change is made; the evidence for
 a change is still the dump of all four. ``dump --grid`` writes the fits of
@@ -113,17 +115,21 @@ def _analysis(out: dict, key: str, ds: Dataset, family: Family, config: em.FitCo
         return
     try:
         table, cov_n, cov_c = effects.effect_table(res, ds)
-    except (StratfitError, np.linalg.LinAlgError) as exc:
+    except (StratfitError, np.linalg.LinAlgError) as exc:  # older checkouts raise SE errors
         out[f"{key}/se_error"] = f"{type(exc).__name__}: {exc}"
         return
-    out[f"{key}/hessian"] = _bits(cov_n.hessian)
-    out[f"{key}/cov_naive"] = _bits(cov_n.cov)
-    out[f"{key}/cov_cluster"] = _bits(cov_c.cov)
+    se_error = getattr(table, "se_error", None)  # a field older checkouts lack
+    if se_error is not None:
+        out[f"{key}/se_error"] = se_error
+    out[f"{key}/hessian"] = _bits(None if cov_n is None else cov_n.hessian)
+    for name, cov in (("cov_naive", cov_n), ("cov_cluster", cov_c)):
+        out[f"{key}/{name}"] = _bits(None if cov is None else cov.cov)
     for name in ("effect", "effect_observed", "se_naive", "se_cluster", "se_naive_observed",
                  "se_cluster_observed"):
         out[f"{key}/{name}"] = _bits(getattr(table, name))
     for name, cov in (("natural_se_naive", cov_n), ("natural_se_cluster", cov_c)):
-        out[f"{key}/{name}"] = _bits(effects.natural_param_ses(res, cov))
+        if cov is not None:
+            out[f"{key}/{name}"] = _bits(effects.natural_param_ses(res, cov))
 
 
 def bench_analyses(work: str, names=wl.WORKLOADS):
