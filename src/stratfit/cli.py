@@ -7,12 +7,22 @@ An input error names the file line of its row. All outputs are deterministic
 CSV/JSON given the same inputs and seed. Exit codes: 0 success, 2 input
 error (an OS error on a named file, such as a missing input or an output
 directory that is a file, included), 3 numerical failure.
+
+Each output is rendered in memory, then written over the existing file in
+place, which is cut to the new length only after the write; it is never
+truncated to zero first (on ext4 a truncate-and-rewrite can wait on disk
+I/O, which stalled repeated fits into one directory). The write is not
+atomic, but an error while rendering leaves the old file as it was. A fit
+that fails to converge writes ``summary.json`` and removes the other
+outputs a previous fit left in the directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import itertools
 import json
 import os
@@ -63,19 +73,26 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _overwrite(path: str, text: str, newline: str | None = None) -> None:
+    """Write ``text`` over the file at ``path`` in place, then cut the old
+    tail: a file is never truncated to zero first."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline=newline) as fh:
+        fh.write(text)
+        fh.truncate()
+
+
 def _write_csv(path: str, rows: list[dict]) -> None:
     """Write rows (at least one) under the first row's keys as header."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(rows[0]))
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row.values()])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(list(rows[0]))
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row.values()])
+    _overwrite(path, buf.getvalue(), newline="")
 
 
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _overwrite(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # --------------------------------------------------------------------------
@@ -249,12 +266,17 @@ def _write_params(path: str, result: FitResult, se_naive, se_cluster) -> None:
     ])
 
 
+DIAGNOSTICS_OUTPUTS = ("trace.csv", "posterior_hist.csv", "marginal_fit.csv")
+# what a fit writes besides summary.json; a fit that fails removes them
+FIT_OUTPUTS = ("params.csv", "effects.csv", "fit.json", *DIAGNOSTICS_OUTPUTS)
+
+
+def _output_paths(out_dir: str, names) -> dict:
+    return {os.path.splitext(name)[0]: os.path.join(out_dir, name) for name in names}
+
+
 def _diagnostics_files(out_dir: str, result: FitResult, dataset: Dataset) -> dict:
-    paths = {
-        "trace": os.path.join(out_dir, "trace.csv"),
-        "posterior_hist": os.path.join(out_dir, "posterior_hist.csv"),
-        "marginal_fit": os.path.join(out_dir, "marginal_fit.csv"),
-    }
+    paths = _output_paths(out_dir, DIAGNOSTICS_OUTPUTS)
     _write_csv(paths["trace"], solution_trace_table(result))
     _write_histogram(paths["posterior_hist"], result, dataset)
     _write_marginals(paths["marginal_fit"], result, dataset)
@@ -276,6 +298,9 @@ def cmd_fit(args) -> int:
         result = fit(dataset, family, structure, config)
     except ConvergenceError as exc:
         os.makedirs(out_dir, exist_ok=True)
+        for name in FIT_OUTPUTS:  # a previous fit's outputs would pass for this one's
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, name))
         _write_json(
             os.path.join(out_dir, "summary.json"),
             {"command": "fit", "converged": False, "error": str(exc)},
@@ -295,15 +320,10 @@ def cmd_fit(args) -> int:
         "family": family.value,
         "mean_structure": structure.value,
     }
-    paths = {
-        "params": os.path.join(out_dir, "params.csv"),
-        "effects": os.path.join(out_dir, "effects.csv"),
-        "fit": os.path.join(out_dir, "fit.json"),
-        "summary": os.path.join(out_dir, "summary.json"),
-    }
+    paths = _output_paths(out_dir, (*FIT_OUTPUTS, "summary.json"))
     _write_params(paths["params"], result, nat_naive, nat_cluster)
     _write_csv(paths["effects"], table.rows())
-    paths.update(_diagnostics_files(out_dir, result, dataset))
+    _diagnostics_files(out_dir, result, dataset)
     save_fit(paths["fit"], result, data_options)
 
     summary = {

@@ -168,7 +168,8 @@ def observed_information_se(fit: FitResult, dataset: Dataset) -> ParamCovariance
     weighted log-likelihood at the packed optimum.
 
     Rejects boundary solutions (active scale floor, near-zero strata
-    probabilities) and Hessians that are not negative definite or singular.
+    probabilities) and Hessians that are not negative definite, singular,
+    or so nearly flat that their inverse has a variance of 0 or below.
     """
     _check_interior(fit)
     like = fit.params
@@ -188,10 +189,16 @@ def observed_information_se(fit: FitResult, dataset: Dataset) -> ParamCovariance
         bread = np.linalg.inv(-hess)
     except np.linalg.LinAlgError:  # an exactly flat direction: a largest eigenvalue of 0
         raise InferenceError(f"Hessian is singular {report}") from None
+    cov = 0.5 * (bread + bread.T)
+    names = tuple(param_names(like, packed=True))
+    worst = int(np.argmin(np.diag(cov)))
+    if cov[worst, worst] <= 0.0:  # a nearly flat direction the eigenvalue test let through
+        raise InferenceError(f"Hessian inverse gives {names[worst]} the variance "
+                             f"{cov[worst, worst]:.4g} {report}")
     return ParamCovariance(
         kind="observed_information",
-        names=tuple(param_names(like, packed=True)),
-        cov=0.5 * (bread + bread.T),
+        names=names,
+        cov=cov,
         hessian=hess,
     )
 

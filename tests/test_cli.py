@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import os
 import re
 from collections import Counter
 
@@ -298,6 +299,20 @@ class TestCmdFit:
         assert code == 3
         summary = json.loads((out / "summary.json").read_text())
         assert summary["converged"] is False
+
+    def test_failed_refit_leaves_only_its_summary(self, data_csv, tmp_path, capsys):
+        # a previous fit's outputs would pass for the failed one's: diagnose
+        # would load the old fit.json without complaint
+        out = tmp_path / "refit"
+        assert main(["fit", data_csv, "--out-dir", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            (*cli.FIT_OUTPUTS, "summary.json"))
+        assert main(["fit", data_csv, "--max-iter", "1", "--out-dir", str(out)]) == 3
+        assert [p.name for p in out.iterdir()] == ["summary.json"]
+        assert json.loads((out / "summary.json").read_text())["converged"] is False
+        capsys.readouterr()
+        assert main(["diagnose", "--fit", str(out / "fit.json"), "--out-dir", str(out)]) == 2
+        assert "fit.json" in capsys.readouterr().err
 
     @staticmethod
     def _winner_stops_as(monkeypatch, reason):
@@ -684,6 +699,105 @@ class TestCmdSimulate:
         start = time.time()
         assert main(["simulate", cfg, "--seed", "2", "--out-dir", str(out)]) == 0
         assert time.time() - start < 5.0
+
+
+class Unprintable:
+    def __str__(self):
+        raise ValueError("cannot render")
+
+
+def fresh_csv(path, rows):
+    """What ``_write_csv`` wrote when it opened the file with ``open(path, "w")``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(rows[0]))
+        for row in rows:
+            writer.writerow([cli._fmt(v) for v in row.values()])
+
+
+def fresh_json(path, payload):
+    """What ``_write_json`` wrote when it opened the file with ``open(path, "w")``."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def tree_bytes(out) -> dict[str, bytes]:
+    """Each file of ``out`` by name, its own path written as <out>."""
+    return {p.name: p.read_bytes().replace(str(out).encode(), b"<out>")
+            for p in sorted(out.iterdir())}
+
+
+class TestWriters:
+    ROWS = [{"name": "a,b", "value": 1.5, "se": None, "ok": True},
+            {"name": 'say "hi"', "value": np.float64(-0.1), "se": 2, "ok": np.bool_(False)}]
+    PAYLOAD = {"b": [1.0, None, "x"], "a": {"nested": 0.1 + 0.2, "flag": False}}
+
+    @pytest.mark.parametrize("kind", ["csv", "json"])
+    def test_rewrite_over_a_longer_file_equals_a_fresh_write(self, tmp_path, kind):
+        write, fresh, value = {
+            "csv": (cli._write_csv, fresh_csv, self.ROWS),
+            "json": (cli._write_json, fresh_json, self.PAYLOAD),
+        }[kind]
+        old, new, ref = tmp_path / "old", tmp_path / "new", tmp_path / "ref"
+        old.write_bytes(b"stale line\r\n" * 200)
+        write(str(old), value)
+        write(str(new), value)
+        fresh(str(ref), value)
+        assert old.read_bytes() == new.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["csv", "json"])
+    def test_render_error_leaves_the_old_file(self, tmp_path, kind):
+        path = tmp_path / "out"
+        path.write_bytes(b"previous\r\ncontents\n")
+        with pytest.raises((ValueError, TypeError)):
+            if kind == "csv":
+                cli._write_csv(str(path), [*self.ROWS, {"name": Unprintable(), "value": 0.0,
+                                                         "se": None, "ok": True}])
+            else:
+                cli._write_json(str(path), {**self.PAYLOAD, "c": object()})
+        assert path.read_bytes() == b"previous\r\ncontents\n"
+
+    def test_refit_into_a_used_directory_equals_a_fresh_one(self, data_csv, tobit_csv,
+                                                             tmp_path):
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+        # the tobit fit leaves files of other lengths behind
+        assert main(["fit", tobit_csv, "--family", "tobit", "--out-dir", str(used)]) == 0
+        before = tree_bytes(used)
+        assert main(["fit", data_csv, "--out-dir", str(used)]) == 0
+        assert main(["fit", data_csv, "--out-dir", str(fresh)]) == 0
+        after = tree_bytes(used)
+        assert after == tree_bytes(fresh)
+        assert any(len(before[name]) > len(after[name]) for name in after)
+
+    def test_resimulate_into_a_used_directory_equals_a_fresh_one(self, tmp_path):
+        big, small = tmp_path / "big.cfg", tmp_path / "small.cfg"
+        big.write_text("n_per_arm = 60, 80\ndispersion_sd = 2.4\nreplicates = 2\n")
+        small.write_text("n_per_arm = 60\ndispersion_sd = 2.4\nreplicates = 1\n")
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+        assert main(["simulate", str(big), "--seed", "4", "--out-dir", str(used)]) == 0
+        assert main(["simulate", str(small), "--seed", "4", "--out-dir", str(used)]) == 0
+        assert main(["simulate", str(small), "--seed", "4", "--out-dir", str(fresh)]) == 0
+        assert tree_bytes(used) == tree_bytes(fresh)
+
+    def test_no_output_is_truncated_on_open(self, data_csv, tmp_path, monkeypatch):
+        # opening an existing file with O_TRUNC can wait on disk I/O (ext4
+        # flushes a file replaced by truncation), which no unit test sees
+        # as time; every output must go through os.open without it
+        real_open, calls = os.open, []
+
+        def recording_open(path, flags, *args, **kwargs):
+            calls.append((os.fspath(path), flags))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(cli.os, "open", recording_open)
+        out = tmp_path / "twice"
+        for _ in range(2):
+            assert main(["fit", data_csv, "--out-dir", str(out)]) == 0
+        names = sorted((*cli.FIT_OUTPUTS, "summary.json"))
+        assert sorted(os.path.basename(path) for path, _ in calls) == sorted(names * 2)
+        assert all(os.path.dirname(path) == str(out) for path, _ in calls)
+        assert not any(flags & os.O_TRUNC for _, flags in calls)
 
 
 @pytest.mark.parametrize("error, code", [

@@ -182,6 +182,23 @@ class TestObservedInformation:
         assert table.se_error.startswith("Hessian is singular")
         assert cov_n is None and cov_c is None and table.se_naive is None
 
+    def test_negative_variance_rejected(self):
+        # moved by +10, not 1e4: the Hessian keeps a largest eigenvalue of
+        # about +1e-11, inside the eigenvalue test's tolerance, and its inverse
+        # a variance of about -7e10 that the SE clamps would report as an SE of 0
+        ds, _ = simulate_four_strata(400, seed=3, dispersion=2.4)
+        params = fit(ds).params
+        locations = params.locations.copy()
+        locations[3, 0] += 10.0
+        moved = fake_fit(ModelParams(GRID2, params.probs, locations, params.scales))
+        with pytest.raises(InferenceError, match="Hessian inverse gives loc_z01_z11_t0 the "
+                                                 "variance -"):
+            observed_information_se(moved, ds)
+        table, cov_n, cov_c = effect_table(moved, ds)
+        assert table.se_error.startswith("Hessian inverse gives")
+        assert cov_n is None and cov_c is None
+        assert table.se_naive is None and table.se_cluster is None
+
 
 FITTED = {  # a dataset and the fit's arguments
     "normal": lambda: (simulate_four_strata(300, seed=50)[0], {}),

@@ -6,6 +6,7 @@ name it imports that no longer exists fails here.
 """
 
 import dataclasses
+import hashlib
 import importlib
 import json
 import os
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stratfit import effects, simulate
+from stratfit import cli, effects, simulate
 from stratfit.core import Dataset, ModelParams, StrataGrid
 from stratfit.densities import Family
 from stratfit.errors import ConvergenceError
@@ -55,6 +56,7 @@ DUMP = {
     "w/seed0/analysis0/hessian": "(1,):00",
     "w/seed0/analysis0/natural_se_naive": "(1,):00",
     "w/seed0/analysis0/natural_se_cluster": "(1,):00",
+    "w/seed0/analysis0/cli:params.csv": "ab" * 32,
 }
 
 
@@ -66,6 +68,7 @@ DUMP = {
     ("hessian", "(1,):01", True),
     ("natural_se_naive", "(1,):01", True),
     ("natural_se_cluster", "(1,):01", True),
+    ("cli:params.csv", "cd" * 32, True),  # a CLI output's bytes
     # a loser that moves into the near-tie band but is no tie
     ("record1/loglik", (-100.001).hex(), True),
 ])
@@ -192,6 +195,30 @@ def test_analysis_dump_writes_a_partial_se_result():
     assert out["a/cov_cluster"] == out["a/se_cluster"] == tool._bits(None)
     assert out["a/natural_se_naive"] == tool._bits(effects.natural_param_ses(res, cov_n))
     assert "a/natural_se_cluster" not in out
+
+
+def test_cli_outputs_hash_the_files_of_the_bench_pass(tmp_path):
+    # the normal-cli pass as the benchmark runs it: every output file's
+    # sha256, with the work directory written as <work>, so two work
+    # directories give one set of hashes
+    tool = import_tool("bit_evidence")
+    hashes = []
+    for work in (tmp_path / "a", tmp_path / "longer-work-dir"):
+        work.mkdir()
+        inputs = tool.wl.build_inputs("normal-cli", 0, str(work), size="tiny")
+        hashes.append(tool.cli_outputs(inputs, str(work)))
+        out_dir = Path(inputs.out_dirs[0])
+        summary = (out_dir / "summary.json").read_bytes()
+        assert str(work).encode() in summary
+        assert hashes[-1][0]["cli:summary.json"] == hashlib.sha256(
+            summary.replace(str(work).encode(), b"<work>")).hexdigest()
+        assert hashes[-1][0]["cli:params.csv"] == hashlib.sha256(
+            (out_dir / "params.csv").read_bytes()).hexdigest()
+    assert hashes[0] == hashes[1]
+    assert len(hashes[0]) == len(inputs.out_dirs) == 2
+    assert set(hashes[0][0]) == {"cli:exit", *(f"cli:{name}" for name in (
+        *cli.FIT_OUTPUTS, "summary.json"))}
+    assert hashes[0][0]["cli:exit"] == "0"
 
 
 def test_dump_keeps_the_named_workloads(tmp_path, monkeypatch):

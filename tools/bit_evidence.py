@@ -18,13 +18,17 @@ the four effect-SE arrays and the natural-parameter SEs under both
 covariances (``natural_param_ses``, as ``params.csv`` reports them); a fit
 that raises is written as its error. An SE step that fails is written as
 ``se_error``, each covariance it left unformed as ``None``, and no
-natural-parameter SEs under that covariance. Values are strings, so two
-dumps are equal exactly when every bit is. ``--workload`` keeps only the
-named workloads, for checking one while a change is made; the evidence for
-a change is still the dump of all four. ``dump --grid`` writes the fits of
-the recovery grid instead (see :func:`grid_analyses`): every record and the
-tie ids, without SEs. ``dump --study`` runs ``simulate.run_study`` on the
-recovery configs of :func:`study_configs` and writes every field of every
+natural-parameter SEs under that covariance. For ``normal-cli`` it also
+runs the benchmark's pass, ``cli.main(["fit", ...])`` on each CSV, and
+writes the exit status and the sha256 of every output file (keys
+``cli:exit`` and ``cli:<file name>``, with the work directory written as
+``<work>`` before hashing). Values are strings, so two dumps are equal
+exactly when every bit is. ``--workload`` keeps only the named workloads,
+for checking one while a change is made; the evidence for a change is still
+the dump of all four. ``dump --grid`` writes the fits of the recovery grid
+instead (see :func:`grid_analyses`): every record and the tie ids, without
+SEs. ``dump --study`` runs ``simulate.run_study`` on the recovery configs
+of :func:`study_configs` and writes every field of every
 ``ReplicateResult``, so it checks the study's batched path itself.
 
 ``compare`` prints each key whose value differs or exists in one dump only,
@@ -33,11 +37,11 @@ shape it prints their relative deviation max|a-b| / max|a| in place of
 their bits, and after the keys the largest such deviation per workload.
 ``compare --answers`` compares only what an analysis answers: its error, if
 any, its winner's record and its tie ids (``em.tie_ids``), the Hessian, both
-covariances, the effects and all the SE arrays. It prints each answer that
-differs, then how many other (loser) records differ and in how many analyses
-the count of near ties (``em.near_ties``) changed, and exits 1 if an answer
-or a near-tie count differs. A change that only stops losing starts earlier
-passes it.
+covariances, the effects, all the SE arrays and the CLI's output hashes.
+It prints each answer that differs, then how many other (loser) records
+differ and in how many analyses the count of near ties (``em.near_ties``)
+changed, and exits 1 if an answer or a near-tie count differs. A change
+that only stops losing starts earlier passes it.
 
 The code under test is the ``src/`` next to this file's ``tools/``, so to
 dump another checkout, copy this file into that checkout's ``tools/``. BLAS
@@ -48,6 +52,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import hashlib
 import itertools
 import json
 import os
@@ -132,30 +137,51 @@ def _analysis(out: dict, key: str, ds: Dataset, family: Family, config: em.FitCo
             out[f"{key}/{name}"] = _bits(effects.natural_param_ses(res, cov))
 
 
+def cli_outputs(inputs: wl.Inputs, work: str) -> list[dict]:
+    """Run the CLI pass of a workload with CSV inputs (``normal-cli``) as the
+    benchmark runs it; per analysis, the exit status as ``cli:exit`` and the
+    sha256 of each file in its output directory as ``cli:<name>``, hashed
+    with ``work`` written as ``<work>`` (``summary.json`` and ``fit.json``
+    hold absolute paths)."""
+    raw = wl.run_pass(inputs, wl.FitObserver())
+    out = []
+    for ((code, _), _), out_dir in zip(raw, inputs.out_dirs):
+        files = {"cli:exit": repr(code)}
+        for name in sorted(os.listdir(out_dir)):
+            data = Path(out_dir, name).read_bytes().replace(os.fsencode(work), b"<work>")
+            files[f"cli:{name}"] = hashlib.sha256(data).hexdigest()
+        out.append(files)
+    return out
+
+
 def bench_analyses(work: str, names=wl.WORKLOADS):
-    """Yield (key, dataset, family, FitConfig) for every analysis of the
-    benchmark workloads ``names`` (default all four) at data seeds 0-15,
-    built as each workload builds them; CSVs are written under ``work``."""
+    """Yield (key, dataset, family, FitConfig, CLI outputs) for every
+    analysis of the benchmark workloads ``names`` (default all four) at data
+    seeds 0-15, built as each workload builds them; CSVs are written under
+    ``work``. The CLI outputs are :func:`cli_outputs`' dict for a CSV
+    workload, else empty."""
     for name in names:
         for seed in SEEDS:
             inputs = wl.build_inputs(name, seed, work)
             spec = inputs.spec
             config = em.FitConfig(tol=spec.tol, starts=em.parse_starts(spec.starts))
+            files = cli_outputs(inputs, work) if inputs.csv_paths else [{}] * len(inputs.arrays)
             for i, arr in enumerate(inputs.arrays):
                 if inputs.csv_paths:
                     ds = cli.read_dataset(inputs.csv_paths[i], spec.k_levels, False, spec.family)
                 else:
                     ds = Dataset.from_arrays(arr["y"], arr["t"], arr["z"], cluster=arr["cluster"],
                                              k_levels=spec.k_levels, family=spec.family)
-                yield f"{name}/seed{seed}/analysis{i}", ds, spec.family, config
+                yield f"{name}/seed{seed}/analysis{i}", ds, spec.family, config, files[i]
             print(f"{name} seed {seed}: {len(inputs.arrays)} analyses", file=sys.stderr)
 
 
 def grid_analyses():
-    """Yield (key, dataset, family, FitConfig) for the 96 fits of the recovery
-    grid: ``n_per_arm`` 500 and 2000 x ``dispersion_sd`` 1.0, 1.6 and 2.4 x
-    the normal outcome and the tobit outcome max(y - 2, 0) x replicates 0-7
-    of ``SimConfig(seed=0)``, each fitted with the default ``FitConfig``."""
+    """Yield (key, dataset, family, FitConfig, no CLI outputs) for the 96
+    fits of the recovery grid: ``n_per_arm`` 500 and 2000 x
+    ``dispersion_sd`` 1.0, 1.6 and 2.4 x the normal outcome and the tobit
+    outcome max(y - 2, 0) x replicates 0-7 of ``SimConfig(seed=0)``, each
+    fitted with the default ``FitConfig``."""
     for n, d, family in itertools.product(GRID_N, GRID_DISPERSION,
                                           (Family.NORMAL, Family.TOBIT)):
         config = simulate.SimConfig(n_per_arm=n, dispersion_sd=d, replicates=GRID_REPLICATES)
@@ -164,7 +190,7 @@ def grid_analyses():
             if family is Family.TOBIT:
                 ds = Dataset.from_arrays(np.maximum(ds.y - wl.TOBIT_SHIFT, 0.0), ds.t, ds.z,
                                          k_levels=ds.k_levels, family=family)
-            yield f"grid/n{n}/d{d}/{family.value}/rep{i}", ds, family, em.FitConfig()
+            yield f"grid/n{n}/d{d}/{family.value}/rep{i}", ds, family, em.FitConfig(), {}
         print(f"grid n {n} dispersion {d} {family.value}: {GRID_REPLICATES} fits",
               file=sys.stderr)
 
@@ -205,8 +231,9 @@ def dump(path: str, kind: str = "bench", names=wl.WORKLOADS) -> None:
         with tempfile.TemporaryDirectory() as work:
             grid = kind == "grid"
             analyses = grid_analyses() if grid else bench_analyses(work, names)
-            for key, ds, family, config in analyses:
+            for key, ds, family, config, files in analyses:
                 _analysis(out, key, ds, family, config, ses=not grid)
+                out.update((f"{key}/{name}", value) for name, value in files.items())
     with open(path, "w") as fh:
         json.dump(out, fh, indent=0, sort_keys=True)
 
