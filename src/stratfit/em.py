@@ -7,9 +7,10 @@ stages: per-cell warm starts (a plain univariate normal-mixture EM), an
 exhaustive enumeration of the component-to-stratum assignments those warm
 starts admit (16 in the four-strata model), and an EM run from every
 assignment, keeping the solution with the highest weighted log-likelihood.
-All starts run together in one EM loop; a start that falls far behind the
-best stops early as ``"pruned"`` (short-run/long-run EM, see
-:func:`_run_starts`), the others run on to the stop rule.
+All starts run together in one EM loop; from the third evaluation on, a
+start that falls far behind the best stops early as ``"pruned"``
+(short-run/long-run EM, see :func:`_run_starts`), the others run on to the
+stop rule.
 
 Every mixture evaluation (the log-likelihood, the per-case terms, the E-step,
 the EM loop, and the Hessian and scores of the standard errors) runs through
@@ -635,7 +636,11 @@ _WARM_BLOCK = 1 << 15
 # The lane count (cells x components) from which a lockstep case sum adds
 # the rows of a (cases, lanes) copy instead of accumulating along each lane
 # (see _lane_sum): numpy then adds one row of every lane per inner loop.
-_WIDE_LANES = 32
+# Both round alike. Best of 5x200 calls (us), accumulate / rows, on a 2-vCPU
+# x86-64 VM: 3 lanes (1x3x3000 cases) 22/33, 4 (2x2x3500) 34/40,
+# 6 (3x2x3500) 51/43, 8 (4x2x3542) 68/45, 18 (6x3x1500) 65/24, and one
+# 100k-case cell of 2 lanes 478/1039.
+_WIDE_LANES = 6
 
 
 def _warm_init(ys: np.ndarray, ws: np.ndarray, k: int, overall_sd: float):
@@ -1390,14 +1395,17 @@ def near_ties(lls, best) -> np.ndarray:
 # units of y (rescaling y by c moves every log-likelihood by -W log c), nor,
 # on average, with the number of cases. The projected gain is Aitken's
 # extrapolation of EM's linear convergence (Boehning et al. 1994, AISM
-# 46:373). Calibration (tools/prune_calibration.py, CHANGES.md) on runs
+# 46:373), from evaluation 3, the first with the two gains it needs.
+# Calibration (tools/prune_calibration.py report, CHANGES.md) on runs
 # without pruning of the benchmark's four workloads at data seeds 0-15 and a
 # 96-fit recovery grid: starts that ended a near tie trailed by at most
 # 1.95e-2 per unit of case weight at evaluation 5 and 3.1e-3 at 10 (2.0e-3 at
 # 30), so the margin, 0.04 at 5 and 0.7 times that per evaluation after, is
-# at least 2.05 times that lag at each; and, outside the near-tie band of the
-# lead (the floor), by at most 84.8 times their projected gain (40.6 at 6-10),
-# so _PRUNE_AHEAD = 200 leaves 2.36.
+# at least 2.05 times that lag at each (at 2, 3 and 4 they trailed by up to
+# 0.136, 0.076 and 0.036, so the margin starts at 5); and, outside the
+# near-tie band of the lead (the floor), by at most 84.8 times their
+# projected gain (42.3 at 3-10), so _PRUNE_AHEAD = 200 leaves 2.36 (4.73).
+_AITKEN_FROM = 3
 _SHORT_PHASE = 5
 _SHORT_END = 10
 _PRUNE_MARGIN = 4e-2
@@ -1407,8 +1415,9 @@ _PRUNE_AHEAD = 200.0
 
 def _margin(it):
     """The margin per unit of case weight at evaluations ``it`` (ints or an
-    array) from ``_SHORT_PHASE`` on; unbounded after ``_SHORT_END``."""
-    return np.where(it <= _SHORT_END, _PRUNE_MARGIN * _MARGIN_DECAY ** (it - _SHORT_PHASE), np.inf)
+    array) from ``_SHORT_PHASE`` to ``_SHORT_END``; unbounded elsewhere."""
+    return np.where((it >= _SHORT_PHASE) & (it <= _SHORT_END),
+                    _PRUNE_MARGIN * _MARGIN_DECAY ** (it - _SHORT_PHASE), np.inf)
 
 
 def _projected_gain(gain, gain_prev, it, max_iter):
@@ -1422,11 +1431,11 @@ def _projected_gain(gain, gain_prev, it, max_iter):
 
 
 def _pruned(lead, ll, gain, gain_prev, it, max_iter, weight):
-    """Whether starts running at evaluation ``it`` >= ``_SHORT_PHASE`` stop as
-    pruned: ``ll`` is no near tie of ``lead`` (the best any start has reached)
-    and trails it by more than the margin times the total case weight or,
-    after ``_SHORT_PHASE``, ``_PRUNE_AHEAD`` times the projected gain."""
-    ahead = np.where(it > _SHORT_PHASE, _projected_gain(gain, gain_prev, it, max_iter), np.inf)
+    """Whether starts running at evaluation ``it`` stop as pruned: ``ll`` is
+    no near tie of ``lead`` (the best any start has reached) and trails it by
+    more than the margin times the total case weight or, from
+    ``_AITKEN_FROM`` on, ``_PRUNE_AHEAD`` times the projected gain."""
+    ahead = np.where(it >= _AITKEN_FROM, _projected_gain(gain, gain_prev, it, max_iter), np.inf)
     bound = np.minimum(_margin(it) * weight, _PRUNE_AHEAD * ahead)
     return (lead - ll > bound) & ~near_ties(ll, lead)
 
@@ -1453,7 +1462,8 @@ def _run_starts(dataset, ids, probs, coef, scales, family, mean_structure, tol, 
     ``max_iter`` M-steps and one more evaluation (``"max_iter"``).
 
     A running start that did not meet the stop rule stops as ``"pruned"``
-    where :func:`_pruned` says (calibrated above its constants). A start
+    where :func:`_pruned` says (calibrated above its constants), checked
+    from evaluation ``_AITKEN_FROM`` (or ``_SHORT_PHASE``, if earlier). A start
     pruned at evaluation ``it`` gets the record EM would give it with
     ``max_iter = it - 1`` apart from its stop reason; its log-likelihood is a
     lower bound on where it would have ended. A set is rounded alike in any
@@ -1513,7 +1523,7 @@ def _run_starts(dataset, ids, probs, coef, scales, family, mean_structure, tol, 
         finish(met, it, "tol")
         stop = met | drop
         lead = max(lead, ll.max())
-        if it >= _SHORT_PHASE:
+        if it >= min(_AITKEN_FROM, _SHORT_PHASE):  # the first evaluation either bound can cut
             cut = _pruned(lead, ll, gain, gain_prev, it, max_iter, float(dataset.w.sum())) & ~stop
             finish(cut, it - 1, "pruned")
             stop |= cut

@@ -830,12 +830,16 @@ class TestBatchedWarmStarts:
         assert [str(e) for e in got] == [str(alone(ds, Family.NORMAL))] * 2
         assert warm_start_cells([], Family.NORMAL) == []
 
-    @pytest.mark.parametrize("shape", [(16, 2, 37), (11, 3, 250), (40, 2, 1), (16, 2, 2000)])
-    def test_wide_lane_sums_add_in_case_order(self, shape):
+    @pytest.mark.parametrize("shape, wide", [
+        ((16, 2, 37), True), ((11, 3, 250), True), ((40, 2, 1), True), ((16, 2, 2000), True),
+        ((2, 2, 3500), False), ((3, 2, 3500), True),
+    ], ids=["shape0", "shape1", "shape2", "shape3", "below", "from"])
+    def test_wide_lane_sums_add_in_case_order(self, shape, wide):
+        # either side of _WIDE_LANES the sums round as accumulating in case order
         a = np.random.default_rng(2).standard_normal(shape)
         a *= np.exp(5.0 * np.random.default_rng(3).standard_normal(shape))
         want = np.add.accumulate(a, axis=2)[..., -1]
-        assert shape[0] * shape[1] >= em._WIDE_LANES
+        assert (shape[0] * shape[1] >= em._WIDE_LANES) == wide
         got = em._lane_sum(a, np.empty(shape))
         assert got.tobytes() == want.tobytes()
 
@@ -1354,24 +1358,24 @@ def pruned_at(histories, ds, config):
     """The evaluation at which the pruning rule of ``em._run_starts`` stops
     each start, or None, given each start's log-likelihood at every
     evaluation it ran (each history ends where its start stopped). The rule
-    is checked from evaluation ``_SHORT_PHASE`` on, at every evaluation up to
+    is checked from evaluation ``_AITKEN_FROM`` on, at every evaluation up to
     ``max_iter`` where the start did not meet its own stop rule, against the
-    lead: the best log-likelihood of all starts up to that evaluation. Up to
-    ``_SHORT_END`` it fires on a lag above the margin per unit of case weight,
-    ``_PRUNE_MARGIN`` shrinking by ``_MARGIN_DECAY`` per evaluation; after
-    ``_SHORT_PHASE``, also on one above ``_PRUNE_AHEAD`` times the start's
-    projected remaining gain, Aitken's extrapolation capped by the M-steps
-    left (at least ``NEAR_TIE_REL`` relative either way)."""
+    lead: the best log-likelihood of all starts up to that evaluation. It
+    fires on a lag above ``_PRUNE_AHEAD`` times the start's projected
+    remaining gain, Aitken's extrapolation capped by the M-steps left, and
+    from ``_SHORT_PHASE`` to ``_SHORT_END`` also on one above the margin per
+    unit of case weight, ``_PRUNE_MARGIN`` shrinking by ``_MARGIN_DECAY`` per
+    evaluation (at least ``NEAR_TIE_REL`` relative either way)."""
     short = em._SHORT_PHASE
     out = [None] * len(histories)
     lead = -math.inf
     for e in range(1, max(map(len, histories)) + 1):
         lead = max([lead] + [h[e - 1] for h in histories if len(h) >= e])
-        if not short <= e <= config.max_iter:
+        if not min(em._AITKEN_FROM, short) <= e <= config.max_iter:
             continue
         floor = em.NEAR_TIE_REL * abs(lead)
         margin = (em._PRUNE_MARGIN * em._MARGIN_DECAY ** (e - short) * ds.w.sum()
-                  if e <= em._SHORT_END else math.inf)
+                  if short <= e <= em._SHORT_END else math.inf)
         for i, h in enumerate(histories):
             if len(h) < e or out[i] is not None:
                 continue
@@ -1379,7 +1383,7 @@ def pruned_at(histories, ds, config):
             if abs(gain) <= config.tol * max(1.0, abs(ll)) or gain < -em._DROP_TOL * abs(ll):
                 continue  # it stopped on its own rule
             fires = lead - ll > max(floor, margin)
-            if e > short:
+            if e >= em._AITKEN_FROM:
                 prev = h[e - 2] - h[e - 3]
                 r = gain / prev if prev else math.inf
                 ahead = min(gain * r / (1.0 - r) if 0.0 <= r < 1.0 else math.inf,
@@ -1440,26 +1444,35 @@ ORACLE_CASES = {
     "history": (lambda: simulate_four_strata(200, seed=22)[0], Family.NORMAL,
                 MeanStructure.SATURATED, FitConfig(keep_history=True), {"tol", "late"}),
     # well separated, so some starts trail the leader by more than the
-    # pruning margin after the short phase
+    # pruning margin in the short phase, and some whose gains collapse stop
+    # before it
     "pruned": (lambda: simulate_four_strata(200, seed=42, dispersion=3.0)[0], Family.NORMAL,
-               MeanStructure.SATURATED, FitConfig(), {"tol", "short", "late"}),
+               MeanStructure.SATURATED, FitConfig(), {"tol", "early", "short", "late"}),
     "pruned_linear": (lambda: simulate_four_strata(200, seed=43, dispersion=3.0)[0],
-                      Family.NORMAL, MeanStructure.LINEAR, FitConfig(), {"tol", "short", "late"}),
+                      Family.NORMAL, MeanStructure.LINEAR, FitConfig(),
+                      {"tol", "early", "short", "late"}),
     "pruned_tobit": (lambda: simulate_four_strata(150, seed=44, dispersion=3.0, censor=True)[0],
                      Family.TOBIT, MeanStructure.SATURATED, FitConfig(tol=1e-7),
-                     {"tol", "short", "late"}),
+                     {"tol", "early", "short", "late"}),
     "pruned_history": (lambda: simulate_four_strata(200, seed=21, dispersion=3.0)[0],
                        Family.NORMAL, MeanStructure.SATURATED, FitConfig(keep_history=True),
-                       {"tol", "short", "late"}),
+                       {"tol", "early", "short", "late"}),
 }
 
 
 def stop_kinds(records) -> set[str]:
-    """The stop reasons of the records, a pruned start counted as ``"short"``
-    when the short phase's first check stopped it and as ``"late"`` when a
-    later evaluation did."""
-    return {("short" if r.iterations == em._SHORT_PHASE - 1 else "late")
-            if r.stop_reason == "pruned" else r.stop_reason for r in records}
+    """The stop reasons of the records, a pruned start counted as ``"early"``
+    when its projected gain alone stopped it before the short phase, as
+    ``"short"`` when the short phase's first check stopped it and as
+    ``"late"`` when a later evaluation did."""
+    def kind(r):
+        if r.stop_reason != "pruned":
+            return r.stop_reason
+        evaluation = r.iterations + 1
+        return ("early" if evaluation < em._SHORT_PHASE else
+                "short" if evaluation == em._SHORT_PHASE else "late")
+
+    return {kind(r) for r in records}
 
 
 class TestBatchedEM:
@@ -1547,6 +1560,31 @@ class TestBatchedEM:
         assert [r.stop_reason for r in res.trace] == [r.stop_reason for r in base.trace]
         assert (res.mapping_id, res.tie_ids) == (base.mapping_id, base.tie_ids)
 
+    def test_collapsing_gains_prune_at_evaluation_3(self, monkeypatch):
+        # before the short phase only the projected gain can stop a start:
+        # mapping 9 trails the leader by 7.0 at evaluation 3, where its gain
+        # fell to 0.05 of the one before, so it stops after 2 M-steps; inside
+        # the near-tie band of the lead (here widened to hold it) the same
+        # start runs on to its stop rule
+        ds, _ = simulate_four_strata(200, seed=42, dispersion=3.0)
+        config = FitConfig()
+        ids, sets, floor = fit_starts(ds, Family.NORMAL, SATURATED, config)
+        ids, sets = ids[[0, 9]], tuple(a[[0, 9]] for a in sets)
+
+        def run():
+            records = _run_starts(ds, ids, *sets, Family.NORMAL, SATURATED, config.tol,
+                                  config.max_iter, floor, False)
+            assert_records_match_oracle(records, ids, sets, ds, Family.NORMAL, SATURATED,
+                                        config, floor)
+            return [(r.mapping_id, r.stop_reason, r.iterations) for r in records]
+
+        assert em._AITKEN_FROM == 3 < em._SHORT_PHASE
+        first = run()
+        assert first[1] == (9, "pruned", 2)
+        monkeypatch.setattr(em, "NEAR_TIE_REL", 0.05)
+        second = run()
+        assert second[0] == first[0] and second[1][1] == "tol"
+
     def test_relative_floor_keeps_close_starts_running(self, monkeypatch):
         # with a margin per unit of case weight far inside the near-tie
         # band, the relative floor decides which starts are pruned
@@ -1575,15 +1613,15 @@ class TestBatchedEM:
         def pushed(stats, *rest):
             out = real(stats, *rest)
             calls.append(len(stats))
-            if len(calls) == 3:  # the third M-step of the one block of 16
+            if len(calls) == 2:  # the second M-step, before any start can stop
                 out[1][j] += 50.0  # moves start j's locations far from the data
             return out
 
         monkeypatch.setattr(em, "_m_step_core", pushed)
         got = _run_starts(ds, ids, *sets, *args)
-        assert calls[2] == len(ids)
+        assert calls[1] == len(ids)
         assert (got[j].stop_reason, got[j].converged, got[j].iterations) == (
-            "nonmonotone", False, 4)
+            "nonmonotone", False, 3)
         assert got[j].loglik < clean[j].loglik
         for a, b in zip(clean[:j] + clean[j + 1:], got[:j] + got[j + 1:]):
             assert (a.stop_reason, a.iterations, a.loglik) == (b.stop_reason, b.iterations,

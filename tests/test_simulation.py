@@ -254,8 +254,8 @@ class TestMisspecification:
 
 
 class TestPruningLeavesTheAnswer:
-    """Pruning trailing starts, at the short phase or later, changes no
-    recovery answer: the same winner, ties and near ties as running every
+    """Pruning trailing starts, from evaluation 3 on, changes no recovery
+    answer: the same winner, ties and near ties as running every
     start to the stop rule."""
 
     def test_margin_exceeds_the_tie_bands(self):
@@ -264,8 +264,11 @@ class TestPruningLeavesTheAnswer:
         assert simulate.NEAR_TIE_REL is em.NEAR_TIE_REL > em.LOGLIK_TIE_TOL
         lead = -1e3
         lag = np.array([0.5, 2.0]) * em.NEAR_TIE_REL * abs(lead)
-        assert em._pruned(lead, lead - lag, 1.0, 2.0, em._SHORT_PHASE, 100, 0.0).tolist() == [
-            False, True]
+        # at the first check, where only the projected gain bounds the lag,
+        # and at the first check of the margin
+        for it, gain in ((em._AITKEN_FROM, 1e-12), (em._SHORT_PHASE, 1.0)):
+            assert em._pruned(lead, lead - lag, gain, 2.0 * gain, it, 100, 1.0).tolist() == [
+                False, True]
 
     @pytest.mark.slow
     def test_small_grid_same_answers_with_and_without_pruning(self, monkeypatch):

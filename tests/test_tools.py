@@ -6,6 +6,7 @@ name it imports that no longer exists fails here.
 """
 
 import dataclasses
+import functools
 import hashlib
 import importlib
 import json
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stratfit import cli, effects, simulate
+from stratfit import cli, effects, em, simulate
 from stratfit.core import Dataset, ModelParams, StrataGrid
 from stratfit.densities import Family
 from stratfit.errors import ConvergenceError
@@ -57,6 +58,10 @@ DUMP = {
     "w/seed0/analysis0/natural_se_naive": "(1,):00",
     "w/seed0/analysis0/natural_se_cluster": "(1,):00",
     "w/seed0/analysis0/cli:params.csv": "ab" * 32,
+    "w/seed0/analysis0/cli:effects.csv": "ef" * 32,
+    "w/seed0/analysis0/cli:trace.csv": "12" * 32,
+    "w/seed0/analysis0/cli:trace.csv#mapping1": "34" * 32,
+    "w/seed0/analysis0/cli:summary.json#stop_reasons": "56" * 32,
 }
 
 
@@ -69,6 +74,10 @@ DUMP = {
     ("natural_se_naive", "(1,):01", True),
     ("natural_se_cluster", "(1,):01", True),
     ("cli:params.csv", "cd" * 32, True),  # a CLI output's bytes
+    ("cli:effects.csv", "cd" * 32, True),
+    ("cli:trace.csv", "cd" * 32, True),  # the winner's row
+    ("cli:trace.csv#mapping1", "cd" * 32, False),  # a loser's row
+    ("cli:summary.json#stop_reasons", "cd" * 32, False),
     # a loser that moves into the near-tie band but is no tie
     ("record1/loglik", (-100.001).hex(), True),
 ])
@@ -113,19 +122,46 @@ def test_compare_prints_the_relative_deviation_of_float_arrays(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("short, iterations", [((), 35), ((3,), 33)])
-def test_calibration_report(tmp_path, short, iterations):
+@pytest.mark.parametrize("short, rate, iterations", [
+    ((), 0.5, 35), ((3,), 0.5, 33), ((2,), 0.5, 32), ((), 0.01, 33),
+], ids=["short0-35", "short1-33", "short2-32", "collapsing-33"])
+def test_calibration_report(tmp_path, short, rate, iterations):
     # the leader converges geometrically; the other start trails it by 100
-    # and is pruned at the first check of the short phase
+    # and is pruned at the first check of the short phase (evaluation 5, or
+    # 3 or 2 when the short phase starts there), or, when its gains shrink
+    # 100-fold per evaluation, by its projected gain at evaluation 3
     steps = 10.0 * 0.5 ** np.arange(31)
     traj = tmp_path / "traj.json"
     traj.write_text(json.dumps({"w/seed0/analysis0": {
         "weight": 100.0, "max_iter": 500,
-        "starts": {"0": (-100.0 - steps).tolist(), "1": (-200.0 - steps).tolist()}}}))
+        "starts": {"0": (-100.0 - steps).tolist(),
+                   "1": (-200.0 - 10.0 * rate ** np.arange(31)).tolist()}}}))
     out = run_tool("prune_calibration.py", "report", traj, *short)
     assert out.returncode == 0, out.stdout + out.stderr
     assert "near-tie starts the rules would stop: 0" in out.stdout
     assert f"EM iterations: w {iterations}" in out.stdout
+    assert "largest near-tie lag/ahead past the floor, evaluations 3-10: 0 " in out.stdout
+
+
+def test_calibration_record_writes_every_start_history(tmp_path, monkeypatch, calibration):
+    # record on one tiny analysis from bit_evidence's own generator, so its
+    # tuples are those record unpacks; both rules are off while it runs
+    be = calibration.be
+    monkeypatch.setattr(em, "_PRUNE_MARGIN", em._PRUNE_MARGIN)
+    monkeypatch.setattr(em, "_PRUNE_AHEAD", em._PRUNE_AHEAD)
+    monkeypatch.setattr(be, "SEEDS", range(1))
+    monkeypatch.setattr(be.wl, "build_inputs", functools.partial(be.wl.build_inputs, size="tiny"))
+    monkeypatch.setattr(be, "bench_analyses", functools.partial(be.bench_analyses,
+                                                                names=["tobit"]))
+    monkeypatch.setattr(be, "grid_analyses", lambda: iter(()))
+    path = tmp_path / "traj.json"
+    calibration.record(str(path))
+    traj = json.loads(path.read_text())
+    assert list(traj) == ["tobit/seed0/analysis0"]
+    a = traj["tobit/seed0/analysis0"]
+    assert (a["weight"], a["max_iter"]) == (400.0, FitConfig().max_iter)
+    assert len(a["starts"]) == 16
+    assert all(1 < len(h) <= a["max_iter"] + 1 for h in a["starts"].values())
 
 
 def import_tool(name):
@@ -200,7 +236,8 @@ def test_analysis_dump_writes_a_partial_se_result():
 def test_cli_outputs_hash_the_files_of_the_bench_pass(tmp_path):
     # the normal-cli pass as the benchmark runs it: every output file's
     # sha256, with the work directory written as <work>, so two work
-    # directories give one set of hashes
+    # directories give one set of hashes; each losing start's parts and the
+    # stop-reason counts are hashed apart from the answers
     tool = import_tool("bit_evidence")
     hashes = []
     for work in (tmp_path / "a", tmp_path / "longer-work-dir"):
@@ -210,15 +247,64 @@ def test_cli_outputs_hash_the_files_of_the_bench_pass(tmp_path):
         out_dir = Path(inputs.out_dirs[0])
         summary = (out_dir / "summary.json").read_bytes()
         assert str(work).encode() in summary
-        assert hashes[-1][0]["cli:summary.json"] == hashlib.sha256(
-            summary.replace(str(work).encode(), b"<work>")).hexdigest()
+        summary = json.loads(summary.replace(str(work).encode(), b"<work>"))
+        assert hashes[-1][0]["cli:summary.json#stop_reasons"] == tool._json_sha(
+            summary.pop("stop_reasons"))
+        assert hashes[-1][0]["cli:summary.json"] == tool._json_sha(summary)
         assert hashes[-1][0]["cli:params.csv"] == hashlib.sha256(
             (out_dir / "params.csv").read_bytes()).hexdigest()
     assert hashes[0] == hashes[1]
     assert len(hashes[0]) == len(inputs.out_dirs) == 2
-    assert set(hashes[0][0]) == {"cli:exit", *(f"cli:{name}" for name in (
-        *cli.FIT_OUTPUTS, "summary.json"))}
+    winner = summary["mapping_id"]
+    losers = [f"mapping{i}" for i in range(summary["n_starts"]) if i != winner]
+    assert set(hashes[0][0]) == {
+        "cli:exit", "cli:summary.json#stop_reasons",
+        *(f"cli:{name}" for name in (*cli.FIT_OUTPUTS, "summary.json")),
+        *(f"cli:{name}#{loser}" for name in ("fit.json", "trace.csv") for loser in losers)}
     assert hashes[0][0]["cli:exit"] == "0"
+
+
+def test_compare_answers_passes_a_change_to_losing_starts_only(tmp_path):
+    # the CLI files of one tiny normal-cli analysis, then the same files with
+    # a loser's trace.csv row, fit.json entry and the stop-reason counts
+    # changed (it stopped sooner, pruned): compare --answers counts those as
+    # loser parts and passes; one byte of effects.csv more fails it
+    tool = import_tool("bit_evidence")
+    inputs = tool.wl.build_inputs("normal-cli", 0, str(tmp_path), size="tiny")
+    tool.cli_outputs(inputs, str(tmp_path))
+    out_dir = Path(inputs.out_dirs[0])
+    files = {name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)}
+    fit_json = json.loads(files["fit.json"])
+    loser = next(r for r in fit_json["trace"] if r["mapping_id"] != fit_json["tie_ids"][0])
+    loser.update(iterations=loser["iterations"] - 1, stop_reason="pruned")
+    header, *rows = files["trace.csv"].decode().splitlines(keepends=True)
+    i = next(i for i, row in enumerate(rows) if row.startswith(f"{loser['mapping_id']},"))
+    fields = rows[i].split(",")
+    fields[3], fields[5] = str(loser["iterations"]), "pruned"  # iterations, stop_reason
+    rows[i] = ",".join(fields)
+    summary = json.loads(files["summary.json"])
+    summary["stop_reasons"] = {"pruned": summary["n_starts"]}
+    changed = {**files, "fit.json": json.dumps(fit_json).encode(),
+               "trace.csv": "".join([header, *rows]).encode(),
+               "summary.json": json.dumps(summary).encode()}
+    assert changed["trace.csv"] != files["trace.csv"]
+
+    def compare(b_files):
+        paths = []
+        for name, hashed in (("a", tool.hash_outputs(files)), ("b", tool.hash_outputs(b_files))):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps({f"w/seed0/analysis0/{k}": v
+                                             for k, v in hashed.items()}))
+        return run_tool("bit_evidence.py", "compare", "--answers", *paths)
+
+    out = compare(changed)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "0 loser records and 3 per-start CLI parts differ" in out.stdout
+    effects_csv = bytearray(files["effects.csv"])
+    effects_csv[-2] ^= 1
+    out = compare({**changed, "effects.csv": bytes(effects_csv)})
+    assert out.returncode == 1, out.stdout + out.stderr
+    assert "w/seed0/analysis0/cli:effects.csv" in out.stdout.splitlines()
 
 
 def test_dump_keeps_the_named_workloads(tmp_path, monkeypatch):

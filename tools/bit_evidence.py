@@ -22,14 +22,16 @@ natural-parameter SEs under that covariance. For ``normal-cli`` it also
 runs the benchmark's pass, ``cli.main(["fit", ...])`` on each CSV, and
 writes the exit status and the sha256 of every output file (keys
 ``cli:exit`` and ``cli:<file name>``, with the work directory written as
-``<work>`` before hashing). Values are strings, so two dumps are equal
-exactly when every bit is. ``--workload`` keeps only the named workloads,
-for checking one while a change is made; the evidence for a change is still
-the dump of all four. ``dump --grid`` writes the fits of the recovery grid
-instead (see :func:`grid_analyses`): every record and the tie ids, without
-SEs. ``dump --study`` runs ``simulate.run_study`` on the recovery configs
-of :func:`study_configs` and writes every field of every
-``ReplicateResult``, so it checks the study's batched path itself.
+``<work>`` before hashing), with the parts of them that record every start
+hashed apart (``cli:<file name>#<part>``, see :func:`hash_outputs`).
+Values are strings, so two dumps are equal exactly when every bit is.
+``--workload`` keeps only the named workloads, for checking one while a
+change is made; the evidence for a change is still the dump of all four.
+``dump --grid`` writes the fits of the recovery grid instead (see
+:func:`grid_analyses`): every record and the tie ids, without SEs.
+``dump --study`` runs ``simulate.run_study`` on the recovery configs of
+:func:`study_configs` and writes every field of every ``ReplicateResult``,
+so it checks the study's batched path itself.
 
 ``compare`` prints each key whose value differs or exists in one dump only,
 and exits 1 if there is any. Where both values are float arrays of one
@@ -37,8 +39,9 @@ shape it prints their relative deviation max|a-b| / max|a| in place of
 their bits, and after the keys the largest such deviation per workload.
 ``compare --answers`` compares only what an analysis answers: its error, if
 any, its winner's record and its tie ids (``em.tie_ids``), the Hessian, both
-covariances, the effects, all the SE arrays and the CLI's output hashes.
-It prints each answer that differs, then how many other (loser) records
+covariances, the effects, all the SE arrays and the CLI's output hashes
+but their per-start parts (see :func:`hash_outputs`). It prints each answer
+that differs, then how many other (loser) records and per-start CLI parts
 differ and in how many analyses the count of near ties (``em.near_ties``)
 changed, and exits 1 if an answer or a near-tie count differs. A change
 that only stops losing starts earlier passes it.
@@ -137,20 +140,65 @@ def _analysis(out: dict, key: str, ds: Dataset, family: Family, config: em.FitCo
             out[f"{key}/{name}"] = _bits(effects.natural_param_ses(res, cov))
 
 
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _json_sha(value) -> str:
+    return _sha(json.dumps(value, sort_keys=True).encode())
+
+
+def hash_outputs(files: dict[str, bytes]) -> dict[str, str]:
+    """The sha256 of each of a fit's CLI output files (name -> bytes) as
+    ``cli:<name>``, with the parts that record every start hashed apart as
+    ``cli:<name>#<part>``: each losing start's ``fit.json`` trace entry and
+    ``trace.csv`` row (``#mapping<id>``) and ``summary.json``'s
+    ``stop_reasons``. So ``cli:<name>`` holds only answers, the winner's
+    entry and row among them. ``fit.json`` and ``summary.json`` are hashed
+    as their parsed values (sorted keys), which compares every value bit for
+    bit; the other files as their bytes."""
+    out = {}
+    winner = json.loads(files["fit.json"])["tie_ids"][0] if "fit.json" in files else None
+    for name, data in files.items():
+        if name == "fit.json":
+            payload = json.loads(data)
+            for r in payload["trace"]:
+                if r["mapping_id"] != winner:
+                    out[f"cli:{name}#mapping{r['mapping_id']}"] = _json_sha(r)
+            payload["trace"] = [r for r in payload["trace"] if r["mapping_id"] == winner]
+            out[f"cli:{name}"] = _json_sha(payload)
+        elif name == "trace.csv":
+            header, *rows = data.splitlines(keepends=True)
+            answer = [header]
+            for row in rows:
+                mapping = int(row.split(b",", 1)[0])
+                if mapping == winner:
+                    answer.append(row)
+                else:
+                    out[f"cli:{name}#mapping{mapping}"] = _sha(row)
+            out[f"cli:{name}"] = _sha(b"".join(answer))
+        elif name == "summary.json":
+            payload = json.loads(data)
+            if "stop_reasons" in payload:
+                out[f"cli:{name}#stop_reasons"] = _json_sha(payload.pop("stop_reasons"))
+            out[f"cli:{name}"] = _json_sha(payload)
+        else:
+            out[f"cli:{name}"] = _sha(data)
+    return out
+
+
 def cli_outputs(inputs: wl.Inputs, work: str) -> list[dict]:
     """Run the CLI pass of a workload with CSV inputs (``normal-cli``) as the
     benchmark runs it; per analysis, the exit status as ``cli:exit`` and the
-    sha256 of each file in its output directory as ``cli:<name>``, hashed
-    with ``work`` written as ``<work>`` (``summary.json`` and ``fit.json``
-    hold absolute paths)."""
+    hashes of the files in its output directory (:func:`hash_outputs`),
+    read with ``work`` written as ``<work>`` (``summary.json`` and
+    ``fit.json`` hold absolute paths)."""
     raw = wl.run_pass(inputs, wl.FitObserver())
     out = []
     for ((code, _), _), out_dir in zip(raw, inputs.out_dirs):
-        files = {"cli:exit": repr(code)}
-        for name in sorted(os.listdir(out_dir)):
-            data = Path(out_dir, name).read_bytes().replace(os.fsencode(work), b"<work>")
-            files[f"cli:{name}"] = hashlib.sha256(data).hexdigest()
-        out.append(files)
+        files = {name: Path(out_dir, name).read_bytes().replace(os.fsencode(work), b"<work>")
+                 for name in sorted(os.listdir(out_dir))}
+        out.append({"cli:exit": repr(code), **hash_outputs(files)})
     return out
 
 
@@ -301,14 +349,15 @@ def compare_answers(path_a: str, path_b: str) -> int:
     with open(path_a) as fa, open(path_b) as fb:
         (answers_a, records_a), (answers_b, records_b) = (_by_analysis(json.load(fa)),
                                                           _by_analysis(json.load(fb)))
-    diffs, losers, near_changed = [], 0, 0
+    diffs, losers, parts, near_changed = [], 0, 0, 0
     for analysis in sorted(answers_a.keys() | answers_b.keys()):
         ans_a, ans_b = answers_a.get(analysis, {}), answers_b.get(analysis, {})
         recs_a, recs_b = records_a.get(analysis, {}), records_b.get(analysis, {})
         (win_a, near_a), (win_b, near_b) = (_winner_and_near_ties(recs_a),
                                             _winner_and_near_ties(recs_b))
-        diffs += [f"{analysis}/{k}" for k in sorted(ans_a.keys() | ans_b.keys())
-                  if ans_a.get(k) != ans_b.get(k)]
+        differ = [k for k in sorted(ans_a.keys() | ans_b.keys()) if ans_a.get(k) != ans_b.get(k)]
+        diffs += [f"{analysis}/{k}" for k in differ if "#" not in k]
+        parts += sum("#" in k for k in differ)  # the CLI's per-start parts
         if win_a != win_b or recs_a.get(win_a) != recs_b.get(win_b):
             diffs.append(f"{analysis}/winner: mapping {win_a} != mapping {win_b}"
                          if win_a != win_b else f"{analysis}/winner record (mapping {win_a})")
@@ -318,7 +367,8 @@ def compare_answers(path_a: str, path_b: str) -> int:
     for line in diffs:
         print(line)
     print(f"{len(diffs)} answer differences over {len(answers_a)} and {len(answers_b)} analyses; "
-          f"{losers} loser records differ; {near_changed} near-tie counts changed")
+          f"{losers} loser records and {parts} per-start CLI parts differ; "
+          f"{near_changed} near-tie counts changed")
     return 1 if diffs or near_changed else 0
 
 

@@ -21,10 +21,10 @@ process. The starts that end a near tie of their analysis's best
   far), per unit of case weight, and the factor by which ``em._margin``
   there exceeds it;
 - the largest ratio of such a lag to the start's projected remaining gain
-  (``em._projected_gain``) at any later evaluation where the start is past
-  the rule's floor (no near tie of the lead), for the evaluations up to
-  ``em._SHORT_END`` and after it apart, and the factor by which
-  ``em._PRUNE_AHEAD`` exceeds it;
+  (``em._projected_gain``) at any evaluation from ``em._AITKEN_FROM`` on
+  where the start is past the rule's floor (no near tie of the lead), for
+  the evaluations up to ``em._SHORT_END`` and after it apart, and the factor
+  by which ``em._PRUNE_AHEAD`` exceeds it;
 
 each with the analysis, mapping id and evaluation where it occurs; then how
 many near-tie starts the rule would stop and the EM iterations each workload
@@ -58,8 +58,8 @@ def record(path: str) -> None:
     em._PRUNE_MARGIN = em._PRUNE_AHEAD = math.inf
     out = {}
     with tempfile.TemporaryDirectory() as work:
-        for key, ds, family, config in itertools.chain(be.bench_analyses(work),
-                                                       be.grid_analyses()):
+        for key, ds, family, config, _ in itertools.chain(be.bench_analyses(work),
+                                                          be.grid_analyses()):
             config = em.FitConfig(tol=config.tol, max_iter=config.max_iter,
                                   starts=config.starts, keep_history=True)
             try:
@@ -85,9 +85,13 @@ def _leads(histories: list[list[float]]) -> np.ndarray:
 def replay(h: np.ndarray, leads: np.ndarray, weight: float, max_iter: int):
     """Replay ``em._pruned`` on one start's history ``h`` in its analysis.
     Return the evaluations at which it is running, its projected gain at
-    each, the one at which the rule stops it (or None) and its EM iterations."""
-    ev = np.arange(em._SHORT_PHASE, len(h))
-    gain, gain_prev = h[ev - 1] - h[ev - 2], h[ev - 2] - h[ev - 3]
+    each, the one at which the rule stops it (or None) and its EM iterations.
+    As in ``em._run_starts``, the rule is checked from the first evaluation
+    where either of its bounds can stop a start, and a gain that reaches
+    back before evaluation 1 is NaN."""
+    ev = np.arange(min(em._AITKEN_FROM, em._SHORT_PHASE), len(h))
+    prior = np.concatenate([[np.nan, np.nan], h])  # evaluation e at index e + 1
+    gain, gain_prev = prior[ev + 1] - prior[ev], prior[ev] - prior[ev - 1]
     ahead = _projected_gain(gain, gain_prev, ev, max_iter)
     cut = np.flatnonzero(_pruned(leads[ev - 1], h[ev - 1], gain, gain_prev, ev, max_iter, weight))
     stop = int(ev[cut[0]]) if cut.size else None
@@ -129,7 +133,7 @@ def report(path: str) -> int:
                                  np.inf)
             past_floor = ~near_ties(h[ev - 1], leads[ev - 1])
             for span, part in (("early", ev <= em._SHORT_END), ("late", ev > em._SHORT_END)):
-                sel = np.flatnonzero(past_floor & part & (ev > short))
+                sel = np.flatnonzero(past_floor & part & (ev >= em._AITKEN_FROM))
                 if sel.size and ratio[sel].max() > ratio_max[span][0]:
                     j = sel[np.argmax(ratio[sel])]
                     ratio_max[span] = (float(ratio[j]), (key, i, int(ev[j])))
@@ -139,16 +143,14 @@ def report(path: str) -> int:
 
     factors = []
     print(f"{len(traj)} analyses, {near_starts} starts within NEAR_TIE_REL of their best; "
-          f"short phase at evaluations {short}-{window[-1]}")
+          f"margin at evaluations {short}-{window[-1]}, projected gain from {em._AITKEN_FROM}")
     for e, (value, at) in lag_max.items():
         margin = float(_margin(np.array([e]))[0])
         factors.append(margin / value if value else math.inf)
         print(f"evaluation {e}: largest near-tie lag {value:.3g} per unit of case weight "
               f"({where(at)}); margin {margin:.3g} is {factors[-1]:.2f}x")
-    spans = {"early": f"{short + 1}-{em._SHORT_END}", "late": f"{em._SHORT_END + 1} on"}
+    spans = {"early": f"{em._AITKEN_FROM}-{em._SHORT_END}", "late": f"{em._SHORT_END + 1} on"}
     for span, (value, at) in ratio_max.items():
-        if span == "early" and short >= em._SHORT_END:
-            continue
         factors.append(em._PRUNE_AHEAD / value if value else math.inf)
         print(f"largest near-tie lag/ahead past the floor, evaluations {spans[span]}: "
               f"{value:.3g} ({where(at)}); _PRUNE_AHEAD = {em._PRUNE_AHEAD:g} is "
