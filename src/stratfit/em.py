@@ -33,10 +33,13 @@ every S) and as in earlier releases, which ran one start at a time
 (``math.log`` for scales): the finite-difference Hessian moves the standard
 errors by up to 1% when an optimum moves in its 13th digit, so fits must not
 move with the batching. For the same reason the row maxima and sums over a
-cell's 2-3 strata columns and the sums over its cases are column-wise
-reductions (``_row_max``, ``_row_sum``, ``_case_sum``) that round exactly
-as numpy's ``max`` and ``sum`` do: numpy reduces a 2-3 wide axis with one
-inner loop per row, which costs far more than the arithmetic.
+cell's 2-3 strata columns are column-wise reductions (``_row_max``,
+``_row_sum``) that round exactly as numpy's ``max`` and ``sum`` do, and the
+broadcasts over those columns run column by column: numpy reduces or
+broadcasts a 2-3 wide axis with one inner loop per row, which costs far
+more than the arithmetic. Every sum over cases (``_case_sum``, ``_lane_sum``)
+is an ``np.einsum`` that adds the rows of a C-ordered array in case order,
+as numpy's ``sum`` does, vectorised across the columns.
 
 Under tobit, the M-step maximizes each (set, arm) problem by a damped
 Newton (:func:`_tobit_newton`), and its cost is the number of
@@ -167,8 +170,9 @@ def _row_max(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _row_sum(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``a.sum(axis=-1)``: numpy adds fewer than 8 columns left to right;
-    written into ``out`` when given."""
+    """``a.sum(axis=-1)``: numpy adds fewer than 8 columns left to right
+    (from the first, so a row of -0.0 sums to -0.0 here and to +0.0 in
+    numpy); written into ``out`` when given."""
     if a.shape[-1] >= 8:
         return a.sum(axis=-1, out=out)
     out = np.positive(a[..., 0], out=out)
@@ -178,12 +182,13 @@ def _row_sum(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _case_sum(a: np.ndarray) -> np.ndarray:
-    """``a.sum(axis=-2)`` of a C-ordered (..., n, c) array: numpy adds the n
-    rows in order, as a cumulative sum does. A single column is contiguous,
-    so numpy sums it pairwise; that case, and no rows, go to numpy."""
-    if a.shape[-1] == 1 or a.shape[-2] == 0:
-        return a.sum(axis=-2)
-    return np.cumsum(a, axis=-2)[..., -1, :]
+    """``a.sum(axis=-2)`` of a (..., n, c) array, made C-ordered first: numpy
+    adds the n rows of a C-ordered array in order, from +0.0, and
+    ``np.einsum`` does so one row at a time, vectorised across the columns.
+    A single column is contiguous, so numpy sums it pairwise; that case
+    goes to numpy."""
+    a = np.ascontiguousarray(a)
+    return a.sum(axis=-2) if a.shape[-1] == 1 else np.einsum("...nc->...c", a)
 
 
 def _cell_logdens(cell: Cell, locs: np.ndarray, scale: np.ndarray, family: Family,
@@ -215,18 +220,25 @@ def _mix(cell: Cell, logdens: np.ndarray, logprior: np.ndarray, want_post: bool 
     overwritten; ``logprior`` (S, c) holds the columns' log-probabilities.
     A case whose every column is impossible raises with its dataset row.
     """
-    lm = logdens
-    lm += logprior[:, None, :]
-    pair = lm.shape[2] == 2
+    lm, cols = logdens, range(logdens.shape[2])
+    for j in cols:  # by column, as in _cell_logdens
+        lm[..., j] += logprior[:, j, None]
+    pair = len(cols) == 2
     top = np.logaddexp(lm[..., 0], lm[..., 1]) if pair else _row_max(lm)
     # the log-sum-exp of a row is finite exactly when its maximum is
     ok = np.isfinite(top)
     if not ok.all():
         raise DegenerateMixtureError(int(cell.rows[np.flatnonzero(~ok.all(axis=0))[0]]))
-    lse = top if pair else top + np.log(_row_sum(np.exp(lm - top[..., None])))
+    lse = top
+    if not pair:
+        shifted = np.empty_like(lm)
+        for j in cols:
+            np.subtract(lm[..., j], top, out=shifted[..., j])
+        lse = top + np.log(_row_sum(np.exp(shifted, out=shifted)))
     if not want_post:
         return lse, None
-    lm -= lse[..., None]
+    for j in cols:
+        lm[..., j] -= lse
     return lse, np.exp(lm, out=lm)
 
 
@@ -342,7 +354,9 @@ def _accumulate(stats: np.ndarray, cell: Cell, post: np.ndarray, family: Family)
     n_strata, 3 or 4), indexed [set, arm, stratum, moment]: the weight, the
     weighted sums of y and y^2 (of the positive outcomes under tobit) and,
     under tobit, the weight of the positive outcomes."""
-    wp = cell.w[:, None] * post
+    wp = np.empty_like(post)
+    for j in range(post.shape[2]):  # by column, as in _cell_logdens
+        np.multiply(cell.w, post[..., j], out=wp[..., j])
     out = stats[:, cell.t, cell.strata]
     out[..., 0] = _case_sum(wp)
     if family is Family.TOBIT:
@@ -633,16 +647,6 @@ _WARM_MAX_ITER = 300
 # study at 500 cases per arm, 2^16 was no faster and 2^14 was slower.
 _WARM_BLOCK = 1 << 15
 
-# The lane count (cells x components) from which a lockstep case sum adds
-# the rows of a (cases, lanes) copy instead of accumulating along each lane
-# (see _lane_sum): numpy then adds one row of every lane per inner loop.
-# Both round alike. Best of 5x200 calls (us), accumulate / rows, on a 2-vCPU
-# x86-64 VM: 3 lanes (1x3x3000 cases) 22/33, 4 (2x2x3500) 34/40,
-# 6 (3x2x3500) 51/43, 8 (4x2x3542) 68/45, 18 (6x3x1500) 65/24, and one
-# 100k-case cell of 2 lanes 478/1039.
-_WIDE_LANES = 6
-
-
 def _warm_init(ys: np.ndarray, ws: np.ndarray, k: int, overall_sd: float):
     """The deterministic initialization of one cell's k-component mixture:
     split the cases, ascending, at weighted quantiles. Returns means, sds
@@ -695,19 +699,15 @@ def _one_warm_group(datasets: Sequence[Dataset]) -> bool:
 def _lane_sum(a: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """Sums over the case axis (the last) of a C-ordered (cells, k, cases)
     stack, each rounded as :func:`_case_sum` rounds one cell's (cases, k)
-    array: added in case order, or with one component pairwise. Below
-    ``_WIDE_LANES`` lanes each lane accumulates in ``buf`` (of a's shape),
-    whose last column is returned; from there the lanes are copied into
-    ``buf`` as the columns of a C-ordered (cases, lanes) array, whose sum
-    over its rows adds them one row at a time, in case order."""
+    array: added in case order, or with one component pairwise. The lanes
+    are copied into ``buf`` (of a's shape) as the columns of a C-ordered
+    (cases, lanes) array, which :func:`_case_sum` adds one row at a time."""
     cells, k, n = a.shape
     if k == 1:
         return a.sum(axis=-1)
-    if cells * k < _WIDE_LANES:
-        return np.add.accumulate(a, axis=2, out=buf)[..., -1]
     rows = buf.reshape(n, cells * k)
     rows[...] = a.reshape(cells * k, n).T
-    return rows.sum(axis=0).reshape(cells, k)
+    return _case_sum(rows).reshape(cells, k)
 
 
 def _lockstep_em(ys, ws, totals, floors, means, sds, props):

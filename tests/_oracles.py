@@ -279,7 +279,12 @@ def cell_mixture_em_oracle(y: np.ndarray, w: np.ndarray, k: int, max_iter: int =
     Initialization splits the cell at weighted quantiles, so the procedure
     is fully deterministic. Returns means/sds/props sorted by mean.
     """
-    from stratfit.em import _LOG_2PI, _case_sum, _row_max, _row_sum, _weighted_sd
+    from stratfit.em import _LOG_2PI, _weighted_sd
+
+    def case_sum(a):
+        # numpy's own sums over the cases: in case order for two or more
+        # columns, pairwise for one
+        return a.sum(axis=0) if a.shape[1] == 1 else np.add.accumulate(a, axis=0)[-1]
 
     order = np.argsort(y, kind="stable")
     ys = y[order]
@@ -320,18 +325,18 @@ def cell_mixture_em_oracle(y: np.ndarray, w: np.ndarray, k: int, max_iter: int =
                 - 0.5 * _LOG_2PI
                 - 0.5 * ((ys[:, None] - means) / sds) ** 2
             )
-        m = _row_max(lm)
+        m = lm.max(axis=1)
         shifted = np.exp(lm - m[:, None])
-        ssum = _row_sum(shifted)
+        ssum = shifted.sum(axis=1)
         ll = float(ws @ (m + np.log(ssum)))
         resp = shifted / ssum[:, None]
         wr = ws[:, None] * resp
-        comp_w = _case_sum(wr)
+        comp_w = case_sum(wr)
         live = comp_w > 1e-12
         props = np.maximum(comp_w / total, 1e-300)
         props /= props.sum()
-        means = np.where(live, _case_sum(wr * ys[:, None]) / np.maximum(comp_w, 1e-300), means)
-        var = _case_sum(wr * (ys[:, None] - means) ** 2) / np.maximum(comp_w, 1e-300)
+        means = np.where(live, case_sum(wr * ys[:, None]) / np.maximum(comp_w, 1e-300), means)
+        var = case_sum(wr * (ys[:, None] - means) ** 2) / np.maximum(comp_w, 1e-300)
         sds = np.where(live, np.maximum(np.sqrt(var), sd_floor), sds)
         if ll_prev is not None and abs(ll - ll_prev) <= 1e-8 * max(1.0, abs(ll)):
             break

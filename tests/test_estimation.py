@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stratfit import em, simulate
@@ -275,6 +275,70 @@ class TestColumnReductions:
             assert np.array_equal(em._case_sum(arr), arr.sum(axis=-2), equal_nan=True)
         # the IPF's margin over the middle axis
         assert np.array_equal(em._row_sum(a.swapaxes(1, 2)), a.sum(axis=1), equal_nan=True)
+        # a Dataset takes weights of -0.0: a column of -0.0 addends sums to
+        # +0.0, as in numpy (array_equal does not see the sign of a zero)
+        zeros = np.full((2, n, c), -0.0)
+        assert em._case_sum(zeros).tobytes() == zeros.sum(axis=-2).tobytes()
+
+    @staticmethod
+    def in_case_order(a: np.ndarray, axis: int) -> np.ndarray:
+        """Sums along ``axis``, added one row at a time from +0.0."""
+        start = np.zeros(a.shape[:axis] + (1,) + a.shape[axis + 1:])
+        return np.take(np.add.accumulate(np.concatenate([start, a], axis), axis), -1, axis)
+
+    @staticmethod
+    def bits(a: np.ndarray) -> bytes:
+        """The bytes of ``a`` with every NaN made numpy's ``nan``: an addition
+        of two NaNs passes on its first operand's, and ``np.einsum`` takes
+        row + sum where the oracle takes sum + row."""
+        return np.where(np.isnan(a), np.nan, a).tobytes()
+
+    @staticmethod
+    def special_values(seed, share, shape) -> np.ndarray:
+        """Magnitudes 1e-8..1e8 of either sign, with a share of each of -0.0,
+        +inf, -inf and NaN."""
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+        pick = rng.random(shape)
+        for i, v in enumerate((-0.0, np.inf, -np.inf, np.nan)):
+            a[(pick >= i * share) & (pick < (i + 1) * share)] = v
+        return a
+
+    SUMS = settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    SEED = st.integers(0, 2**32 - 1)
+    SHARE = st.sampled_from([0.0, 0.001, 0.05])
+
+    @SUMS
+    @given(seed=SEED, share=SHARE, sets=st.integers(1, 40), lanes=st.integers(1, 64),
+           cases=st.integers(0, 5000))
+    @example(seed=0, share=0.001, sets=1, lanes=2, cases=5000)
+    @example(seed=1, share=0.0, sets=40, lanes=2, cases=5000)
+    @example(seed=2, share=0.001, sets=1, lanes=64, cases=5000)
+    @example(seed=3, share=0.0, sets=16, lanes=3, cases=2500)
+    def test_case_sum_adds_in_case_order(self, seed, share, sets, lanes, cases):
+        # 2 or more columns are added in case order, one column pairwise, as
+        # numpy's sum; an input that is not C-ordered is made C-ordered first
+        cases = min(cases, 2**18 // (sets * lanes))
+        a = self.special_values(seed, share, (sets, cases, lanes))
+        want = a.sum(axis=-2) if lanes == 1 else self.in_case_order(a, 1)
+        with np.errstate(invalid="ignore"):
+            for arr in (a, np.asfortranarray(a), a.transpose(2, 0, 1).copy().transpose(1, 2, 0)):
+                assert self.bits(em._case_sum(arr)) == self.bits(want)
+
+    @SUMS
+    @given(seed=SEED, share=SHARE, cells=st.integers(1, 32), k=st.integers(1, 3),
+           cases=st.integers(1, 5000))
+    @example(seed=0, share=0.001, cells=1, k=2, cases=5000)
+    @example(seed=1, share=0.0, cells=32, k=2, cases=5000)
+    @example(seed=2, share=0.001, cells=4, k=2, cases=3542)
+    def test_lane_sum_adds_in_case_order(self, seed, share, cells, k, cases):
+        # a lockstep group's (cells, k, cases) stack, up to 64 lanes
+        cells = min(cells, 64 // k)
+        cases = min(cases, 2**18 // (cells * k))
+        a = self.special_values(seed, share, (cells, k, cases))
+        want = a.sum(axis=-1) if k == 1 else self.in_case_order(a, 2)
+        with np.errstate(invalid="ignore"):
+            assert self.bits(em._lane_sum(a, np.empty_like(a))) == self.bits(want)
 
     def test_case_sum_of_no_cases(self):
         # a tobit cell whose every outcome is censored has no positive cases
@@ -305,6 +369,60 @@ class TestColumnReductions:
                 want[:, cell.zero] = norm_logcdf(-locs / scale[:, None])[:, None, :]
             got = em._cell_logdens(cell, locs, scale, family)
             assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("want_post", [False, True], ids=["lse", "post"])
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_mix_equals_the_broadcast_form(self, levels, want_post):
+        # the column-by-column kernel equals one broadcast over all columns,
+        # bit for bit, with impossible (-inf) densities and strata
+        ds = simulate_four_strata(200, seed=4)[0] if levels == 2 else simulate_nine_strata(200, 4)
+        rng = np.random.default_rng(10 + levels)
+        for cell in ds.cells:
+            logdens = rng.normal(-2.0, 3.0, (5, cell.y.size, levels))
+            logdens[:, :, 1:][rng.random((5, cell.y.size, levels - 1)) < 0.2] = -np.inf
+            logprior = np.log(rng.dirichlet(np.ones(levels), 5))
+            logprior[1, -1] = -np.inf
+            lm = logdens + logprior[:, None, :]
+            if levels == 2:
+                lse = np.logaddexp(lm[..., 0], lm[..., 1])
+            else:
+                top = em._row_max(lm)
+                lse = top + np.log(em._row_sum(np.exp(lm - top[..., None])))
+            got, post = em._mix(cell, logdens, logprior, want_post)
+            assert got.tobytes() == lse.tobytes()
+            if want_post:
+                assert post.tobytes() == np.exp(lm - lse[..., None]).tobytes()
+            else:
+                assert post is None
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    @pytest.mark.parametrize("family", [Family.NORMAL, Family.TOBIT], ids=lambda f: f.value)
+    def test_accumulate_equals_the_broadcast_form(self, family, levels):
+        # the column-by-column weighting of the posteriors equals one
+        # broadcast, bit for bit, in every sufficient statistic
+        ds = simulate_four_strata(200, seed=5)[0] if levels == 2 else simulate_nine_strata(200, 5)
+        rng = np.random.default_rng(20 + levels)
+        y = np.maximum(ds.y - 2.0, 0.0) if family is Family.TOBIT else ds.y
+        ds = Dataset.from_arrays(y, ds.t, ds.z, w=rng.uniform(0.2, 3.0, ds.n), k_levels=levels,
+                                 family=family)
+        width = 4 if family is Family.TOBIT else 3
+        for cell in ds.cells:
+            post = rng.dirichlet(np.ones(levels), (5, cell.y.size))
+            got = np.zeros((5, 2, levels * levels, width))
+            em._accumulate(got, cell, post, family)
+            want = np.zeros_like(got)
+            out = want[:, cell.t, cell.strata]
+            wp = cell.w[:, None] * post
+            out[..., 0] = em._case_sum(wp)
+            keep = slice(None)
+            if family is Family.TOBIT:
+                keep = cell.pos
+                wp = np.take(wp, cell.pos, axis=1)
+                out[..., 3] = em._case_sum(wp)
+            out[..., 1] = wp.transpose(0, 2, 1) @ cell.y[keep]
+            out[..., 2] = wp.transpose(0, 2, 1) @ cell.y2[keep]
+            want[:, cell.t, cell.strata] = out
             assert got.tobytes() == want.tobytes()
 
 
@@ -798,12 +916,9 @@ class TestBatchedWarmStarts:
         small[(1, 1)] = (np.array([0.5]), np.ones(1))
         datasets[2:2] = [dataset_of_cells(constant, 2), dataset_of_cells(capped, 3),
                          dataset_of_cells(small, 2)]
-        # the 2-level datasets' cells fit one group, and the 19 of them that
-        # run (not the small dataset's four, not the constant cell) make 38
-        # lanes, past _WIDE_LANES: their case sums take the transposed path
+        # the 2-level datasets' cells fit one group
         sizes = [len(c.y) for d in datasets if d.k_levels == 2 for c in d.cells]
         assert len(sizes) * 2 * max(sizes) <= em._WARM_BLOCK
-        assert 2 * (len(sizes) - 5) >= em._WIDE_LANES
         got = warm_start_cells(datasets, Family.NORMAL)
         assert len(got) == len(datasets)
         for ds, slot in zip(datasets, got):
@@ -830,18 +945,20 @@ class TestBatchedWarmStarts:
         assert [str(e) for e in got] == [str(alone(ds, Family.NORMAL))] * 2
         assert warm_start_cells([], Family.NORMAL) == []
 
-    @pytest.mark.parametrize("shape, wide", [
-        ((16, 2, 37), True), ((11, 3, 250), True), ((40, 2, 1), True), ((16, 2, 2000), True),
-        ((2, 2, 3500), False), ((3, 2, 3500), True),
-    ], ids=["shape0", "shape1", "shape2", "shape3", "below", "from"])
-    def test_wide_lane_sums_add_in_case_order(self, shape, wide):
-        # either side of _WIDE_LANES the sums round as accumulating in case order
+    @pytest.mark.parametrize("shape", [
+        (16, 2, 37), (11, 3, 250), (40, 2, 1), (16, 2, 2000), (2, 2, 3500), (3, 2, 3500),
+        (1, 2, 3000),
+    ], ids=["shape0", "shape1", "shape2", "shape3", "below", "from", "one_cell"])
+    def test_wide_lane_sums_add_in_case_order(self, shape):
+        # a lockstep group's sums round as accumulating each lane in case order
         a = np.random.default_rng(2).standard_normal(shape)
         a *= np.exp(5.0 * np.random.default_rng(3).standard_normal(shape))
         want = np.add.accumulate(a, axis=2)[..., -1]
-        assert (shape[0] * shape[1] >= em._WIDE_LANES) == wide
         got = em._lane_sum(a, np.empty(shape))
         assert got.tobytes() == want.tobytes()
+        # and a lane of -0.0 addends sums to +0.0, as _case_sum's do
+        zeros = np.full(shape, -0.0)
+        assert em._lane_sum(zeros, np.empty(shape)).tobytes() == np.zeros(shape[:2]).tobytes()
 
     def test_fit_takes_the_warm_starts(self):
         ds, _ = simulate_four_strata(150, seed=31)
