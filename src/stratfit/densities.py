@@ -132,9 +132,23 @@ def _lower_tail(a: np.ndarray) -> np.ndarray:
     return 0.5 * r * np.exp(-0.5 * asq * asq) * np.exp(-0.5 * dl)
 
 
+def _at_limits(f, x: np.ndarray, at_neg_inf: float, at_pos_inf: float):
+    """``f`` of an array with a non-finite entry: the finite entries go
+    through ``f`` alone, -inf and +inf take the limits and NaN stays NaN.
+    The branches of ``f`` never see a non-finite input, where they would
+    raise warnings and, for NaN, leave an entry unwritten."""
+    out = np.where(x > 0.0, at_pos_inf, np.where(x < 0.0, at_neg_inf, np.nan))
+    finite = np.isfinite(x)
+    out[finite] = f(x[finite])
+    return out if out.ndim else float(out)
+
+
 def norm_cdf(x):
-    """Standard normal CDF, |relative error| below 1e-14 over the double range."""
+    """Standard normal CDF, |relative error| below 1e-14 over the double range;
+    0 at -inf, 1 at +inf and NaN at NaN."""
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        return _at_limits(norm_cdf, x, 0.0, 1.0)
     out = np.empty_like(x)
     lo = x < -_ERF_THRESH * _SQRT2
     hi = x > _ERF_THRESH * _SQRT2
@@ -164,9 +178,12 @@ def norm_logcdf(x):
     """log of the standard normal CDF, accurate deep into the lower tail.
 
     For x below -0.6629 the value is assembled from the scaled complement
-    erfcx so no exponential underflow occurs before the logarithm.
+    erfcx so no exponential underflow occurs before the logarithm. It is
+    -inf at -inf, 0 at +inf and NaN at NaN.
     """
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        return _at_limits(norm_logcdf, x, -np.inf, 0.0)
     out = np.empty_like(x)
 
     lo = x < -_ERF_THRESH * _SQRT2

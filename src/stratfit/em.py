@@ -37,9 +37,11 @@ cell's 2-3 strata columns are column-wise reductions (``_row_max``,
 ``_row_sum``) that round exactly as numpy's ``max`` and ``sum`` do, and the
 broadcasts over those columns run column by column: numpy reduces or
 broadcasts a 2-3 wide axis with one inner loop per row, which costs far
-more than the arithmetic. Every sum over cases (``_case_sum``, ``_lane_sum``)
-is an ``np.einsum`` that adds the rows of a C-ordered array in case order,
-as numpy's ``sum`` does, vectorised across the columns.
+more than the arithmetic. Every sum over cases (``_case_sum``) adds each
+column's cases in order, from +0.0, as numpy's ``sum`` does over the rows of
+a C-ordered array, but in one ``np.einsum`` pass per column and on any
+memory layout, so the warm start sums its (cells, k, cases) stacks through a
+transposed view, without a copy.
 
 Under tobit, the M-step maximizes each (set, arm) problem by a damped
 Newton (:func:`_tobit_newton`), and its cost is the number of
@@ -182,13 +184,18 @@ def _row_sum(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _case_sum(a: np.ndarray) -> np.ndarray:
-    """``a.sum(axis=-2)`` of a (..., n, c) array, made C-ordered first: numpy
-    adds the n rows of a C-ordered array in order, from +0.0, and
-    ``np.einsum`` does so one row at a time, vectorised across the columns.
-    A single column is contiguous, so numpy sums it pairwise; that case
-    goes to numpy."""
-    a = np.ascontiguousarray(a)
-    return a.sum(axis=-2) if a.shape[-1] == 1 else np.einsum("...nc->...c", a)
+    """``a.sum(axis=-2)`` of a C-ordered copy of a (..., n, c) array: numpy
+    adds the n rows of a C-ordered array in order, from +0.0. Of two or more
+    columns, ``np.einsum(..., order="F")`` gives those bits on any layout,
+    with no copy: it adds each column's cases in order, one inner loop per
+    column. (The default order loops once per row over the 2-3 columns, and
+    "C" or "K" take a vectorised path on a transposed view, which rounds
+    otherwise.) The result may be Fortran-ordered. A single column is
+    contiguous once copied, so numpy sums it pairwise; that case goes to
+    numpy."""
+    if a.shape[-1] == 1:
+        return np.ascontiguousarray(a).sum(axis=-2)
+    return np.einsum("...nc->...c", a, order="F")
 
 
 def _cell_logdens(cell: Cell, locs: np.ndarray, scale: np.ndarray, family: Family,
@@ -642,7 +649,7 @@ def _weighted_sd(y: np.ndarray, w: np.ndarray) -> float:
 _WARM_MAX_ITER = 300
 
 # The largest padded (cells x components x cases) stack of a lockstep group
-# of warm starts, in float64 entries: 2^15, 256 KiB. The group holds three
+# of warm starts, in float64 entries: 2^15, 256 KiB. The group holds two
 # such buffers and the padded cases. On the 20 replicates of a recovery
 # study at 500 cases per arm, 2^16 was no faster and 2^14 was slower.
 _WARM_BLOCK = 1 << 15
@@ -676,7 +683,8 @@ def _warm_groups(sizes: np.ndarray, k: int) -> list[list[int]]:
     """Cells grouped for :func:`_lockstep_em`, largest first, so that each
     group's padded (cells, k, longest cell) stack has at most ``_WARM_BLOCK``
     entries; a larger cell runs alone. With one component every cell runs
-    alone, unpadded (see :func:`_lane_sum`)."""
+    alone, unpadded, so its one lane is summed pairwise, as numpy sums one
+    column (see :func:`_case_sum`)."""
     groups: list[list[int]] = []
     for i in np.argsort(-sizes, kind="stable").tolist():
         if k > 1 and groups and (len(groups[-1]) + 1) * k * sizes[groups[-1][0]] <= _WARM_BLOCK:
@@ -696,20 +704,6 @@ def _one_warm_group(datasets: Sequence[Dataset]) -> bool:
     return datasets[0].k_levels * len(sizes) * max(sizes) <= _WARM_BLOCK
 
 
-def _lane_sum(a: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """Sums over the case axis (the last) of a C-ordered (cells, k, cases)
-    stack, each rounded as :func:`_case_sum` rounds one cell's (cases, k)
-    array: added in case order, or with one component pairwise. The lanes
-    are copied into ``buf`` (of a's shape) as the columns of a C-ordered
-    (cases, lanes) array, which :func:`_case_sum` adds one row at a time."""
-    cells, k, n = a.shape
-    if k == 1:
-        return a.sum(axis=-1)
-    rows = buf.reshape(n, cells * k)
-    rows[...] = a.reshape(cells * k, n).T
-    return _case_sum(rows).reshape(cells, k)
-
-
 def _lockstep_em(ys, ws, totals, floors, means, sds, props):
     """Weighted EM for the k-component normal mixtures of a group of cells,
     all advancing together.
@@ -723,8 +717,9 @@ def _lockstep_em(ys, ws, totals, floors, means, sds, props):
     The cells are stacked as (cells, k, cases), cases on the contiguous last
     axis, so numpy's inner loops run over cases. A shorter cell is padded
     with weight 0 and its own last outcome: the padding's terms stay finite
-    and its weighted terms are exact zeros, and the case sums add in case
-    order (:func:`_lane_sum`), so every sum rounds as over the cell alone.
+    and its weighted terms are exact zeros, and each lane's cases are added
+    in order (:func:`_case_sum` of the stack's transposed (cases, lanes)
+    view), so every sum rounds as over the cell alone.
     Each cell's arithmetic is that of a one-cell EM, term for term: the log
     densities are ``((log p - log s) - log(2 pi)/2) - z^2/2``, then the row
     maximum is shifted out and the columns are added left to right. (The
@@ -747,13 +742,13 @@ def _lockstep_em(ys, ws, totals, floors, means, sds, props):
     totals, floors = totals[:, None], floors[:, None]
 
     def stack():
-        """Views of the running cells' cases, three (cells, k, cases) buffers
+        """Views of the running cells' cases, two (cells, k, cases) buffers
         and two (cells, cases) ones."""
         shape = (len(pos), means.shape[1], y.shape[1])
         return (y[:, None, :], w[:, None, :], [w[c, :m] for c, m in enumerate(n[pos].tolist())],
-                *(np.empty(shape) for _ in range(3)), *(np.empty(shape[::2]) for _ in range(2)))
+                *(np.empty(shape) for _ in range(2)), *(np.empty(shape[::2]) for _ in range(2)))
 
-    y3, w3, w_rows, dens, work, buf, top, ssum = stack()
+    y3, w3, w_rows, dens, work, top, ssum = stack()
     ll_prev = None
     for _ in range(_WARM_MAX_ITER):
         with np.errstate(divide="ignore"):
@@ -771,17 +766,19 @@ def _lockstep_em(ys, ws, totals, floors, means, sds, props):
         dens *= w3  # the weighted responsibilities
         top += np.log(ssum, out=ssum)  # the log mixture terms
         ll = [float(wc @ t[:len(wc)]) for wc, t in zip(w_rows, top)]
-        comp_w = _lane_sum(dens, buf).copy()
+        lanes = (means.size, -1)  # each lane's cases: one column of a (cases, lanes) view
+        comp_w = _case_sum(dens.reshape(lanes).T).reshape(means.shape)
         live = comp_w > 1e-12
         props = np.maximum(comp_w / totals, 1e-300)
         props /= props.sum(axis=1, keepdims=True)
         kept = np.maximum(comp_w, 1e-300)
         np.multiply(dens, y3, out=work)
-        means = np.where(live, _lane_sum(work, buf) / kept, means)
+        means = np.where(live, _case_sum(work.reshape(lanes).T).reshape(means.shape) / kept, means)
         np.subtract(y3, means[..., None], out=work)
         np.square(work, out=work)
         work *= dens
-        sds = np.where(live, np.maximum(np.sqrt(_lane_sum(work, buf) / kept), floors), sds)
+        var = _case_sum(work.reshape(lanes).T).reshape(means.shape) / kept
+        sds = np.where(live, np.maximum(np.sqrt(var), floors), sds)
         if ll_prev is not None:
             stop = np.array([abs(v - u) <= 1e-8 * max(1.0, abs(v)) for v, u in zip(ll, ll_prev)])
             if stop.any():
@@ -794,9 +791,9 @@ def _lockstep_em(ys, ws, totals, floors, means, sds, props):
                 means, sds, props = means[keep], sds[keep], props[keep]
                 ll = [v for v, done in zip(ll, stop) if not done]
                 # the old stack is freed before the smaller one is built
-                del y3, w3, w_rows, dens, work, buf, top, ssum
+                del y3, w3, w_rows, dens, work, top, ssum
                 y, w = y[keep, :n[pos].max()].copy(), w[keep, :n[pos].max()].copy()
-                y3, w3, w_rows, dens, work, buf, top, ssum = stack()
+                y3, w3, w_rows, dens, work, top, ssum = stack()
         ll_prev = ll
     for final, now in zip(out, (means, sds, props, True)):  # the rest reached the cap
         final[pos] = now

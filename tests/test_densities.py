@@ -66,6 +66,38 @@ class TestNormalCdf:
         )
 
 
+@pytest.mark.filterwarnings("error")
+class TestNonFiniteInputs:
+    """NaN and the infinities give NaN and the limits, without a warning."""
+
+    @pytest.mark.parametrize("x, cdf, logcdf", [
+        (np.nan, np.nan, np.nan), (np.inf, 1.0, 0.0), (-np.inf, 0.0, -np.inf),
+    ], ids=["nan", "inf", "-inf"])
+    def test_limits(self, x, cdf, logcdf):
+        for f, want in ((norm_cdf, cdf), (norm_logcdf, logcdf)):
+            got = f(x)
+            assert isinstance(got, float)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(f(np.array([x])), [want], equal_nan=True)
+
+    def test_a_nan_is_never_uninitialised_memory(self):
+        # every entry NaN, at every length the branches' masks see
+        for n in (1, 2, 7, 64):
+            assert np.isnan(norm_cdf(np.full(n, np.nan))).all()
+            assert np.isnan(norm_logcdf(np.full(n, np.nan))).all()
+
+    def test_finite_entries_keep_their_bits(self):
+        # points in the lower, middle and upper branches and both erfc tails
+        x = np.array([-40.0, -5.0, -1.0, -0.3, 0.0, 1e-12, 0.5, 0.9, 3.0, 7.0, 40.0])
+        for f in (norm_cdf, norm_logcdf):
+            alone = f(x)
+            for bad in (np.nan, np.inf, -np.inf):
+                mixed = np.insert(x, [0, 4, 11], bad)
+                got = f(mixed)
+                assert np.delete(got, [0, 5, 13]).tobytes() == alone.tobytes()
+                assert f(mixed.reshape(2, 7)).tobytes() == got.tobytes()
+
+
 class TestLogDensity:
     def test_normal_mode_value(self):
         assert kernel_logpdf(3.2, 3.2, 1.7, Family.NORMAL) == pytest.approx(

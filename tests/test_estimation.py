@@ -256,8 +256,11 @@ class TestColumnReductions:
     The mixture kernel, the sufficient statistics, the warm starts and the
     IPF use them in place of ``max`` and ``sum`` over short axes, on the
     premise that numpy adds fewer than 8 columns left to right and the rows
-    of a C-ordered array in order. A numpy release that reorders its
-    reductions fails here, before any fit moves in its last digits.
+    of a C-ordered array in order, and that ``np.einsum(..., order="F")``
+    adds each column's cases in order from +0.0 on any memory layout, a
+    transposed view included. A numpy release that reorders its reductions,
+    or moves either ``einsum`` order onto a vectorised path, fails here,
+    before any fit moves in its last digits.
     """
 
     @pytest.mark.parametrize("c", [1, 2, 3, 4, 9])
@@ -315,15 +318,23 @@ class TestColumnReductions:
     @example(seed=1, share=0.0, sets=40, lanes=2, cases=5000)
     @example(seed=2, share=0.001, sets=1, lanes=64, cases=5000)
     @example(seed=3, share=0.0, sets=16, lanes=3, cases=2500)
+    @example(seed=0, share=0.0, sets=3, lanes=1, cases=9)
     def test_case_sum_adds_in_case_order(self, seed, share, sets, lanes, cases):
         # 2 or more columns are added in case order, one column pairwise, as
-        # numpy's sum; an input that is not C-ordered is made C-ordered first
+        # numpy's sum of a C-ordered copy, whatever the input's layout
         cases = min(cases, 2**18 // (sets * lanes))
         a = self.special_values(seed, share, (sets, cases, lanes))
         want = a.sum(axis=-2) if lanes == 1 else self.in_case_order(a, 1)
+        layouts = (a, np.asfortranarray(a), a.transpose(2, 0, 1).copy().transpose(1, 2, 0),
+                   a.swapaxes(1, 2).copy().swapaxes(1, 2))
         with np.errstate(invalid="ignore"):
-            for arr in (a, np.asfortranarray(a), a.transpose(2, 0, 1).copy().transpose(1, 2, 0)):
+            for arr in layouts:
                 assert self.bits(em._case_sum(arr)) == self.bits(want)
+            # the warm start's input: the F-contiguous (cases, lanes) view of
+            # a C-ordered (lanes, cases) array
+            view = a[0].T.copy().T
+            assert view.flags.f_contiguous and not view.flags.owndata
+            assert self.bits(em._case_sum(view)) == self.bits(want[0])
 
     @SUMS
     @given(seed=SEED, share=SHARE, cells=st.integers(1, 32), k=st.integers(1, 3),
@@ -332,13 +343,16 @@ class TestColumnReductions:
     @example(seed=1, share=0.0, cells=32, k=2, cases=5000)
     @example(seed=2, share=0.001, cells=4, k=2, cases=3542)
     def test_lane_sum_adds_in_case_order(self, seed, share, cells, k, cases):
-        # a lockstep group's (cells, k, cases) stack, up to 64 lanes
-        cells = min(cells, 64 // k)
+        # a lockstep group's (cells, k, cases) stack, up to 64 lanes, summed
+        # through its transposed (cases, lanes) view; a one-component cell
+        # runs alone, and its one lane is summed pairwise
+        cells = 1 if k == 1 else min(cells, 64 // k)
         cases = min(cases, 2**18 // (cells * k))
         a = self.special_values(seed, share, (cells, k, cases))
         want = a.sum(axis=-1) if k == 1 else self.in_case_order(a, 2)
         with np.errstate(invalid="ignore"):
-            assert self.bits(em._lane_sum(a, np.empty_like(a))) == self.bits(want)
+            got = em._case_sum(a.reshape(cells * k, cases).T).reshape(cells, k)
+        assert self.bits(got) == self.bits(want)
 
     def test_case_sum_of_no_cases(self):
         # a tobit cell whose every outcome is censored has no positive cases
@@ -954,11 +968,14 @@ class TestBatchedWarmStarts:
         a = np.random.default_rng(2).standard_normal(shape)
         a *= np.exp(5.0 * np.random.default_rng(3).standard_normal(shape))
         want = np.add.accumulate(a, axis=2)[..., -1]
-        got = em._lane_sum(a, np.empty(shape))
-        assert got.tobytes() == want.tobytes()
-        # and a lane of -0.0 addends sums to +0.0, as _case_sum's do
+
+        def lane_sums(a):  # as the warm start sums a stack
+            return em._case_sum(a.reshape(-1, shape[2]).T).reshape(shape[:2])
+
+        assert lane_sums(a).tobytes() == want.tobytes()
+        # and a lane of -0.0 addends sums to +0.0, as numpy's sum does
         zeros = np.full(shape, -0.0)
-        assert em._lane_sum(zeros, np.empty(shape)).tobytes() == np.zeros(shape[:2]).tobytes()
+        assert lane_sums(zeros).tobytes() == np.zeros(shape[:2]).tobytes()
 
     def test_fit_takes_the_warm_starts(self):
         ds, _ = simulate_four_strata(150, seed=31)
