@@ -557,7 +557,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--tol", type=float, default=FitConfig.tol)
     p_fit.add_argument("--max-iter", type=int, default=FitConfig.max_iter)
     p_fit.add_argument("--starts", default=FitConfig.starts,
-                       help="'all', 'topk:N' or 'spread:N' (default all)")
+                       help="'all', 'topk:N' or 'spread:N' (default all); topk and spread "
+                            "keep N mappings ranked by their saturated initial "
+                            "log-likelihood under either mean structure")
     p_fit.add_argument("--out-dir", default=".")
     p_fit.set_defaults(func=cmd_fit)
 

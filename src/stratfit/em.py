@@ -70,19 +70,19 @@ test's log-likelihood is one dot per cell over its own cases.
 Starts are numbered by mapping id, and :func:`_start_sets` builds the
 initial parameter sets of a block of ids as stacked arrays. With three
 levels there are (3!)^6 = 46,656 assignments, so ``topk`` and ``spread``
-rank them by their initial log-likelihood first, in batched passes over
-blocks of mapping ids whose working set does not grow with the mapping
+rank them first by their initial log-likelihood under the saturated
+structure, whatever the fit's mean structure: there a cell's density
+columns do not move with the mapping. The ranking runs in batched passes
+over blocks of mapping ids whose working set does not grow with the mapping
 count (see ``_RANK_BLOCK``); a block's strata probabilities come from one
-IPF with the mappings on the contiguous axis. ``spread`` needs every value:
-under the saturated structure a mapping costs about one logarithm per case,
-and under the linear structure the projection moves every density column
-with the mapping, so each block of start sets goes through
-:func:`_evaluate`. ``topk`` needs only the best n, so under the saturated
-structure it bounds every mapping from above by grouping each cell's cases
+IPF with the mappings on the contiguous axis. ``spread`` needs every value,
+about one logarithm per case and mapping. ``topk`` needs only the best n,
+so it bounds every mapping from above by grouping each cell's cases
 (Jensen's inequality, about ``_RANK_GROUPS`` logarithms per cell and
 mapping) and evaluates only the mappings whose bound reaches the n-th best
 value, each as the full pass would, bit for bit (see
-:func:`_initial_logliks`); it keeps the ids the full pass keeps.
+:func:`_initial_logliks`); it keeps the ids the full pass keeps. Only the
+selected ids are projected onto the linear design.
 
 Fitting is deterministic: warm starts initialize from weighted quantile
 splits and no stage consumes random numbers. Everything runs in the calling
@@ -1005,7 +1005,8 @@ def _start_sets(warm, ids, grid: StrataGrid, mean_structure: MeanStructure,
     Each cell's warm-start means fill the strata its permutation names, and
     under the linear structure each mapping's location table is projected
     onto the design by least squares, one mapping at a time (a multi-column
-    solve rounds differently).
+    solve rounds differently). Only the ids a fit starts from come here;
+    ranking builds no start sets.
     """
     k = grid.k_levels
     assign = _perm_table(k)[_digits(ids, k)]
@@ -1020,7 +1021,7 @@ def _start_sets(warm, ids, grid: StrataGrid, mean_structure: MeanStructure,
     return _initial_probs(warm, assign, grid), coef, np.tile(scales, (len(assign), 1))
 
 
-# The largest (cases x mappings) array saturated start ranking builds, and
+# The largest (cases x mappings) array start ranking builds, and
 # the number of strata-probability entries per block of mappings: 2^15
 # float64, 256 KiB. The bound topk ranks by builds (groups x mappings)
 # arrays under the same cap.
@@ -1137,21 +1138,20 @@ def _mapping_values(terms: list, warm, grid: StrataGrid, ids: np.ndarray | None 
     return out
 
 
-def _initial_logliks(dataset, warm, grid, family, mean_structure, scales, top=None):
-    """Initial-parameter log-likelihood of every mapping, without running EM.
+def _initial_logliks(dataset, warm, grid, family, scales, top=None):
+    """Initial-parameter log-likelihood of every mapping under the
+    saturated structure, without running EM; it ranks the starts of either
+    mean structure.
 
     Mappings are ranked in blocks of ids, so the working set does not grow
-    with the mapping count. Under the saturated structure a cell's component
-    density columns do not depend on the mapping, so each cell's scaled
-    densities are computed once (:func:`_rank_terms`), and a mapping with
-    cell priors ``p`` contributes ``w @ top + w @ log(E @ p)``
-    (:func:`_mapping_values`): about one logarithm per case and mapping.
-    Under the linear structure the projection moves the columns with the
-    mapping, so each block of start sets (see :func:`_start_sets`) goes
-    through :func:`_evaluate`.
+    with the mapping count. A cell's component density columns do not
+    depend on the mapping, so each cell's scaled densities are computed once
+    (:func:`_rank_terms`), and a mapping with cell priors ``p`` contributes
+    ``w @ top + w @ log(E @ p)`` (:func:`_mapping_values`): about one
+    logarithm per case and mapping.
 
-    Given ``top`` (n), the saturated structure returns these values only
-    for the ids that can be among the n highest, and ``-inf`` for the rest:
+    Given ``top`` (n), it returns these values only for the ids that can be
+    among the n highest, and ``-inf`` for the rest:
     1. every mapping's upper bound (:func:`_grouped_terms`), about
        ``_RANK_GROUPS`` logarithms per cell and mapping;
     2. the ids in descending bound order (stable), evaluated
@@ -1162,19 +1162,8 @@ def _initial_logliks(dataset, warm, grid, family, mean_structure, scales, top=No
     The margin, twice ``1e-9 * (1 + |n-th| + sum_c |w_c @ top_c|)``, covers
     the rounding of a bound and of a batch's value. So every id left out is
     strictly below the n-th best value, and the n highest ids, ties to the
-    lower id, are those of the full pass. The linear structure ignores
-    ``top``.
+    lower id, are those of the full pass.
     """
-    if mean_structure is MeanStructure.LINEAR:
-        design_t = linear_design(grid).T
-        total = n_mappings(grid.k_levels)
-        block = _RANK_BLOCK // grid.n_strata
-        lls = np.zeros(total)
-        for lo in range(0, total, block):
-            ids = np.arange(lo, min(lo + block, total))
-            probs, coef, sets = _start_sets(warm, ids, grid, mean_structure, scales)
-            lls[ids] = _evaluate(dataset, _log_probs(probs), coef @ design_t, sets, family)
-        return lls
     terms = _rank_terms(dataset, warm, family, scales)
     if top is None:
         return _mapping_values(terms, warm, grid)
@@ -1244,26 +1233,24 @@ def select_starts(
     warm,
     grid: StrataGrid,
     family: Family,
-    mean_structure: MeanStructure,
     strategy: tuple[str, int],
     scale_floor: tuple[float, float] = (0.0, 0.0),
 ) -> np.ndarray:
-    """Rank all mappings by their initial log-likelihood and return the ids
-    of a subset, ascending.
+    """Rank all mappings by their initial log-likelihood under the saturated
+    structure and return the ids of a subset, ascending; a fit under either
+    mean structure starts from these ids.
 
     ``("topk", n)`` keeps the n highest initial values; ``("spread", n)``
     keeps n mappings by farthest-point selection on the initial values, so
     the retained starts cover the spread of the likelihood surface. Ties go
     to the lower mapping id. If n is at least the mapping count, every id is
     returned without ranking. Ranking is batched over all mappings (see
-    :func:`_initial_logliks`). ``spread`` takes every mapping's value: about
-    one logarithm per case and mapping under the saturated structure, and
-    under the linear one an EM-kernel evaluation, one density per case,
-    mapping and compatible stratum. ``topk`` under the saturated structure
-    takes an upper bound of every mapping, about ``_RANK_GROUPS``
-    logarithms per cell and mapping, and the values of the few mappings
-    whose bound reaches the n-th best; it keeps the ids that ranking every
-    mapping keeps. More than three levels raise DataError.
+    :func:`_initial_logliks`). ``spread`` takes every mapping's value, about
+    one logarithm per case and mapping. ``topk`` takes an upper bound of
+    every mapping, about ``_RANK_GROUPS`` logarithms per cell and mapping,
+    and the values of the few mappings whose bound reaches the n-th best; it
+    keeps the ids that ranking every mapping keeps. More than three levels
+    raise DataError.
     """
     kind, count = strategy
     if kind not in ("topk", "spread"):
@@ -1272,7 +1259,7 @@ def select_starts(
     if count >= total:
         return np.arange(total)
     scales = _pooled_scales(warm, grid.k_levels, scale_floor)
-    lls = _initial_logliks(dataset, warm, grid, family, mean_structure, scales,
+    lls = _initial_logliks(dataset, warm, grid, family, scales,
                            count if kind == "topk" else None)
     if kind == "topk":
         return np.sort(np.argsort(-lls, kind="stable")[:count])
@@ -1289,11 +1276,12 @@ class FitConfig:
 
     ``tol`` is the relative log-likelihood change at which a start stops,
     ``max_iter`` caps the EM iterations of each start, ``starts`` is
-    ``"all"`` or a ``(kind, n)`` selection (see :func:`parse_starts`), and
-    ``keep_history`` records every iteration's log-likelihood in the trace.
-    ValueError rejects a ``tol`` that is not finite or is below 0, a
-    ``max_iter`` that is not an int of at least 1, and any other ``starts``;
-    a ``bool`` is no count."""
+    ``"all"`` or a ``(kind, n)`` selection (see :func:`parse_starts`), kept
+    as a tuple with n an ``int``, and ``keep_history`` records every
+    iteration's log-likelihood in the trace. ValueError rejects a ``tol``
+    that is not finite or is below 0, a ``max_iter`` or a starts count that
+    is not an int of at least 1, and any other ``starts``; a ``bool`` is no
+    count."""
 
     tol: float = 1e-9
     max_iter: int = 2000
@@ -1305,9 +1293,12 @@ class FitConfig:
             raise ValueError(f"tol must be finite and at least 0, not {self.tol!r}")
         check_count("max_iter", self.max_iter)
         match self.starts:
-            case ("topk" | "spread", int(n)) if n >= 1 and not isinstance(n, bool):
+            case "all":
                 pass
-            case other if other != "all":
+            case ("topk" | "spread" as kind, n):
+                check_count("the starts count", n)
+                object.__setattr__(self, "starts", (kind, int(n)))
+            case other:
                 raise ValueError(f"invalid starts selection: {other!r}")
 
 
@@ -1574,9 +1565,7 @@ def fit(
     if config.starts == "all":
         ids = np.arange(total)
     else:
-        ids = select_starts(
-            dataset, warm, grid, family, mean_structure, config.starts, scale_floor
-        )
+        ids = select_starts(dataset, warm, grid, family, config.starts, scale_floor)
     scales = _pooled_scales(warm, grid.k_levels, scale_floor)
     records = _run_starts(dataset, ids, *_start_sets(warm, ids, grid, mean_structure, scales),
                           family, mean_structure, config.tol, config.max_iter, scale_floor,

@@ -155,7 +155,8 @@ class SimConfig:
             raise ValueError(f"effect must be finite, not {self.effect!r}")
         scenario_probs(self.prob_scenario, self.k_levels)
         _check_shape(self.shape, self.shape_param)
-        FitConfig(tol=self.tol, max_iter=self.max_iter, starts=self.starts)  # checks fit fields
+        checked = FitConfig(tol=self.tol, max_iter=self.max_iter, starts=self.starts)
+        object.__setattr__(self, "starts", checked.starts)  # as a (kind, int) tuple
 
 
 def true_model(config: SimConfig) -> ModelParams:

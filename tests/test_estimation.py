@@ -1038,45 +1038,37 @@ class TestSelectStarts:
 
     def test_topk_includes_best_initial_loglik(self):
         ds, warm = self._setup()
-        chosen = select_starts(ds, warm, GRID2, Family.NORMAL,
-                               MeanStructure.SATURATED, ("topk", 3))
+        chosen = select_starts(ds, warm, GRID2, Family.NORMAL, ("topk", 3))
         lls = [log_likelihood(p, ds) for p in start_params(ds, warm, range(16))]
         assert int(np.argmax(lls)) in chosen.tolist()
 
     def test_topk_nested(self):
         ds, warm = self._setup()
-        top3 = set(select_starts(
-            ds, warm, GRID2, Family.NORMAL, MeanStructure.SATURATED, ("topk", 3)).tolist())
-        top8 = set(select_starts(
-            ds, warm, GRID2, Family.NORMAL, MeanStructure.SATURATED, ("topk", 8)).tolist())
+        top3 = set(select_starts(ds, warm, GRID2, Family.NORMAL, ("topk", 3)).tolist())
+        top8 = set(select_starts(ds, warm, GRID2, Family.NORMAL, ("topk", 8)).tolist())
         assert top3 <= top8
 
     def test_count_beyond_total_returns_all(self):
         ds, warm = self._setup()
-        got = select_starts(ds, warm, GRID2, Family.NORMAL,
-                            MeanStructure.SATURATED, ("topk", 99))
+        got = select_starts(ds, warm, GRID2, Family.NORMAL, ("topk", 99))
         assert len(got) == 16
-        got = select_starts(ds, warm, GRID2, Family.NORMAL,
-                            MeanStructure.SATURATED, ("spread", 99))
+        got = select_starts(ds, warm, GRID2, Family.NORMAL, ("spread", 99))
         assert len(got) == 16
 
     def test_unknown_kind_raises_before_the_count_shortcut(self):
         ds, warm = self._setup()
         for count in (3, 99):
             with pytest.raises(ValueError, match="unknown start-selection strategy"):
-                select_starts(ds, warm, GRID2, Family.NORMAL,
-                              MeanStructure.SATURATED, ("bogus", count))
+                select_starts(ds, warm, GRID2, Family.NORMAL, ("bogus", count))
 
-    @pytest.mark.parametrize("structure", list(MeanStructure))
-    def test_negative_outcome_rejected_under_tobit(self, structure):
+    def test_negative_outcome_rejected_under_tobit(self):
         ds, warm = self._setup()
         with pytest.raises(DataError, match="negative outcome"):
-            select_starts(ds, warm, GRID2, Family.TOBIT, structure, ("topk", 3))
+            select_starts(ds, warm, GRID2, Family.TOBIT, ("topk", 3))
 
     def test_spread_contains_best_and_requested_count(self):
         ds, warm = self._setup()
-        chosen = select_starts(ds, warm, GRID2, Family.NORMAL,
-                               MeanStructure.SATURATED, ("spread", 5))
+        chosen = select_starts(ds, warm, GRID2, Family.NORMAL, ("spread", 5))
         assert len(chosen) == 5
         lls = [log_likelihood(p, ds) for p in start_params(ds, warm, range(16))]
         assert int(np.argmax(lls)) in chosen.tolist()
@@ -1115,11 +1107,11 @@ def small_ranking_dataset(rng, levels, family):
     return Dataset.from_arrays(y, t, z, w=w, k_levels=levels, family=family)
 
 
-def rank(ds, family=Family.NORMAL, mean_structure=SATURATED):
+def rank(ds, family=Family.NORMAL):
     grid = StrataGrid(ds.k_levels)
     warm = warm_start_cells(ds, family)
     scales = _pooled_scales(warm, ds.k_levels, (0.0, 0.0))
-    return warm, _initial_logliks(ds, warm, grid, family, mean_structure, scales)
+    return warm, _initial_logliks(ds, warm, grid, family, scales)
 
 
 class TestStartRanking:
@@ -1135,13 +1127,11 @@ class TestStartRanking:
         want = [log_likelihood(p, ds) for p in start_params(ds, warm, range(16), family)]
         np.testing.assert_allclose(lls, want, rtol=1e-12, atol=0.0)
 
-    @STRUCTURES
-    def test_three_levels_match_materialized_loglik_on_sample(self, mean_structure):
+    def test_three_levels_match_materialized_loglik_on_sample(self):
         ds = ranking_fixture(3)
-        warm, lls = rank(ds, mean_structure=mean_structure)
+        warm, lls = rank(ds)
         ids = np.random.default_rng(0).choice(n_mappings(3), size=64, replace=False)
-        want = [log_likelihood(p, ds)
-                for p in start_params(ds, warm, ids, mean_structure=mean_structure)]
+        want = [log_likelihood(p, ds) for p in start_params(ds, warm, ids)]
         np.testing.assert_allclose(lls[ids], want, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("levels", [1, 2, 3])
@@ -1178,12 +1168,22 @@ class TestStartRanking:
     def test_selected_ids_match_python_rule(self, levels):
         ds = ranking_fixture(levels)
         grid = StrataGrid(levels)
-        for mean_structure in [SATURATED] + ([LINEAR] if levels == 2 else []):
-            warm, lls = rank(ds, mean_structure=mean_structure)
-            for kind, count in (("topk", 10), ("spread", 5)):
-                got = select_starts(ds, warm, grid, Family.NORMAL, mean_structure,
-                                    (kind, count))
-                assert got.tolist() == select_ids_oracle(lls.tolist(), kind, count)
+        warm, lls = rank(ds)
+        for kind, count in (("topk", 10), ("spread", 5)):
+            got = select_starts(ds, warm, grid, Family.NORMAL, (kind, count))
+            assert got.tolist() == select_ids_oracle(lls.tolist(), kind, count)
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_both_mean_structures_start_from_the_same_ids(self, levels):
+        # the linear structure ranks its mappings by the saturated values; with
+        # two levels its design spans every location table, so only the
+        # three-level case tells the rankings apart
+        ds = ranking_fixture(levels)
+        for starts in (("topk", 5), ("spread", 5)):
+            config = FitConfig(starts=starts)
+            ids = [sorted(r.mapping_id for r in fit(ds, Family.NORMAL, structure, config).trace)
+                   for structure in (SATURATED, LINEAR)]
+            assert ids[0] == ids[1]
 
     def test_tied_values_go_to_the_lower_id(self, monkeypatch):
         ds = ranking_fixture(2)
@@ -1193,8 +1193,7 @@ class TestStartRanking:
         monkeypatch.setattr(em, "_initial_logliks", lambda *args: lls)
         for kind in ("topk", "spread"):
             for count in range(1, 16):
-                got = select_starts(ds, warm, GRID2, Family.NORMAL,
-                                    MeanStructure.SATURATED, (kind, count))
+                got = select_starts(ds, warm, GRID2, Family.NORMAL, (kind, count))
                 assert got.tolist() == select_ids_oracle(lls.tolist(), kind, count)
 
     @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
@@ -1207,9 +1206,9 @@ class TestStartRanking:
         warm, full = rank(ds, family)
         scales = _pooled_scales(warm, 3, (0.0, 0.0))
         for count in (1, 10, 100, n_mappings(3) - 1):
-            got = select_starts(ds, warm, grid, family, SATURATED, ("topk", count))
+            got = select_starts(ds, warm, grid, family, ("topk", count))
             assert got.tolist() == select_ids_oracle(full.tolist(), "topk", count)
-            pruned = _initial_logliks(ds, warm, grid, family, SATURATED, scales, count)
+            pruned = _initial_logliks(ds, warm, grid, family, scales, count)
             kept = np.isfinite(pruned)
             assert kept.sum() >= count
             assert np.array_equal(pruned[kept], full[kept])
@@ -1225,8 +1224,7 @@ class TestStartRanking:
         assert warm[(1, 0)].degenerate
         assert np.sum(full == full.max()) == 6
         for count in (1, 3, 5, 6, 7, 11, 20):
-            got = select_starts(ds, warm, StrataGrid(3), Family.NORMAL, SATURATED,
-                                ("topk", count))
+            got = select_starts(ds, warm, StrataGrid(3), Family.NORMAL, ("topk", count))
             assert got.tolist() == select_ids_oracle(full.tolist(), "topk", count)
 
     @pytest.mark.parametrize("levels", [2, 3])
@@ -1239,19 +1237,15 @@ class TestStartRanking:
         with np.errstate(over="ignore"), pytest.raises(
             DegenerateMixtureError, match=rf"case {ds.n}\b"
         ):
-            select_starts(far, warm, StrataGrid(levels), Family.NORMAL,
-                          MeanStructure.SATURATED, ("topk", 3))
+            select_starts(far, warm, StrataGrid(levels), Family.NORMAL, ("topk", 3))
 
-    @pytest.mark.parametrize(
-        "mean_structure", [SATURATED, pytest.param(LINEAR, marks=pytest.mark.slow)],
-        ids=lambda m: m.value)
-    def test_three_level_ranking_memory_stays_bounded(self, mean_structure):
+    def test_three_level_ranking_memory_stays_bounded(self):
         ds = simulate_nine_strata(1500, seed=26)
         warm = warm_start_cells(ds, Family.NORMAL)
         scales = _pooled_scales(warm, 3, (0.0, 0.0))
         tracemalloc.start()
         try:
-            _initial_logliks(ds, warm, StrataGrid(3), Family.NORMAL, mean_structure, scales)
+            _initial_logliks(ds, warm, StrataGrid(3), Family.NORMAL, scales)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1263,7 +1257,7 @@ class TestStartRanking:
         scales = _pooled_scales(warm, 3, (0.0, 0.0))
         tracemalloc.start()
         try:
-            _initial_logliks(ds, warm, StrataGrid(3), Family.NORMAL, SATURATED, scales, 10)
+            _initial_logliks(ds, warm, StrataGrid(3), Family.NORMAL, scales, 10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1386,6 +1380,16 @@ class TestFit:
         with pytest.raises(ValueError, match=field):
             config(**kwargs)
 
+    @pytest.mark.parametrize("config", [FitConfig, simulate.SimConfig])
+    def test_config_keeps_starts_as_an_int_tuple(self, config):
+        # a numpy count is an int count, and a list selection becomes a
+        # tuple, so the frozen config hashes
+        for starts in (("topk", np.int64(3)), ["spread", 3]):
+            got = config(starts=starts)
+            assert got.starts == (starts[0], 3)
+            assert type(got.starts) is tuple and type(got.starts[1]) is int
+            hash(got)
+
     def test_more_than_three_levels_rejected_before_warm_starts(self, monkeypatch):
         rng = np.random.default_rng(0)
         ds = Dataset.from_arrays(rng.normal(size=400), np.arange(400) % 2,
@@ -1399,8 +1403,7 @@ class TestFit:
             with pytest.raises(DataError, match=r"4 levels give 24\^8 = 110,075,314,176"):
                 fit(ds, config=FitConfig(starts=starts))
         with pytest.raises(DataError, match="at most 3 levels"):
-            select_starts(ds, None, StrataGrid(4), Family.NORMAL, MeanStructure.SATURATED,
-                          ("topk", 3))
+            select_starts(ds, None, StrataGrid(4), Family.NORMAL, ("topk", 3))
 
     def test_no_convergence_carries_trace(self):
         ds, _ = simulate_four_strata(200, seed=22)
@@ -1483,7 +1486,7 @@ def fit_starts(ds, family, mean_structure, config):
     if config.starts == "all":
         ids = np.arange(n_mappings(ds.k_levels))
     else:
-        ids = select_starts(ds, warm, grid, family, mean_structure, config.starts, floor)
+        ids = select_starts(ds, warm, grid, family, config.starts, floor)
     scales = _pooled_scales(warm, ds.k_levels, floor)
     return ids, _start_sets(warm, ids, grid, mean_structure, scales), floor
 
