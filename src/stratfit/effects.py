@@ -13,14 +13,13 @@ the CLI alike: a step that rejects the fit (``InferenceError`` or
 formed, with the reason in ``EffectTable.se_error``.
 
 Only the Hessian is a finite difference. Its 2p^2 + 1 points are rows of one
-stack of packed vectors, taken apart once by
-:func:`~stratfit.core.unpack_stack`, and run through one
-:func:`~stratfit.em._evaluate` call, in which each cell runs only the points
-that move its inputs; every value and difference rounds exactly as when each
-point is unpacked and evaluated on its own. The sandwich's per-case scores
-are the posterior-weighted complete-data scores (Louis 1982, JRSS-B 44:226),
-from one pass of the mixture kernel, and the delta method's Jacobians are
-closed forms.
+stack of packed vectors, evaluated by one
+:func:`~stratfit.em._packed_logliks` call, in which each cell runs only the
+points that move its inputs; every value and difference rounds exactly as
+when each point is unpacked and evaluated on its own. The sandwich's
+per-case scores are the posterior-weighted complete-data scores (Louis 1982,
+JRSS-B 44:226), from one pass of the mixture kernel, and the delta method's
+Jacobians are closed forms.
 """
 
 from __future__ import annotations
@@ -139,12 +138,15 @@ def _check_interior(fit: FitResult) -> None:
         )
 
 
-def _num_hessian(fun, x: np.ndarray) -> np.ndarray:
-    """Central-difference Hessian from ``fun``, which maps a stack of points
-    to their values. The 2p^2 + 1 points are x, then x + e_i, then x - e_i,
-    then x + e_i + e_j, x + e_i - e_j, x - e_i + e_j and x - e_i - e_j over
-    i < j; each point and difference rounds as when it is built and evaluated
-    on its own. A cell reached by a coordinates runs only 2a^2 + 1 of them."""
+def _num_hessian(like: ModelParams, dataset: Dataset) -> np.ndarray:
+    """Central-difference Hessian of the weighted log-likelihood at x, the
+    packed vector of ``like``. The 2p^2 + 1 points are x, then x + e_i, then
+    x - e_i, then x + e_i + e_j, x + e_i - e_j, x - e_i + e_j and x - e_i -
+    e_j over i < j, evaluated as one stack by
+    :func:`~stratfit.em._packed_logliks`; each point and difference rounds as
+    when it is built and evaluated on its own. A cell reached by a
+    coordinates runs only 2a^2 + 1 of them."""
+    x = pack(like)
     h = HESS_STEP * np.maximum(1.0, np.abs(x))
     p = len(x)
     e = np.diag(h)
@@ -153,7 +155,7 @@ def _num_hessian(fun, x: np.ndarray) -> np.ndarray:
     points = np.concatenate(
         [x[None], up, down, up[i] + e[j], up[i] - e[j], down[i] + e[j], down[i] - e[j]]
     )
-    vals = fun(points)
+    vals = em._packed_logliks(points, like, dataset)
     f_pp, f_pm, f_mp, f_mm = vals[2 * p + 1:].reshape(4, -1)
     # squared one scalar at a time, by libm's pow as in earlier releases:
     # numpy squares an array exactly, which differs in the last place
@@ -173,11 +175,7 @@ def observed_information_se(fit: FitResult, dataset: Dataset) -> ParamCovariance
     """
     _check_interior(fit)
     like = fit.params
-
-    def packed_logliks(points):
-        return em._evaluate(dataset, *em._packed_stack(points, like, dataset), like.family)
-
-    hess = _num_hessian(packed_logliks, pack(like))
+    hess = _num_hessian(like, dataset)
     hess = 0.5 * (hess + hess.T)
     eigs = np.linalg.eigvalsh(hess)
     report = f"(eigenvalues {np.array2string(eigs, precision=4)})"
@@ -214,7 +212,7 @@ def _case_scores(like: ModelParams, dataset: Dataset) -> np.ndarray:
     design = em._design(like.grid, like.mean_structure)
     table, scales = like.location_table(), like.scales
     scores = np.zeros((dataset.n, len(pack(like))))
-    for cell, _, post in em._mixture(dataset, *em._stack([like]), like.family, True):
+    for cell, _, post in em._mixture(dataset, *em._stack(like), like.family, True):
         post, mu, sigma = post[0], table[cell.strata, cell.t], scales[cell.t]
         resid = (cell.y[:, None] - mu) / sigma
         d_loc, d_scale = resid / sigma, resid * resid - 1.0

@@ -12,36 +12,34 @@ start that falls far behind the best stops early as ``"pruned"``
 (short-run/long-run EM, see :func:`_run_starts`), the others run on to the
 stop rule.
 
-Every mixture evaluation (the log-likelihood, the per-case terms, the E-step,
-the EM loop, and the Hessian and scores of the standard errors) runs through
-one kernel over the dataset's cell partition, :attr:`Dataset.cells`; start
-ranking reads its component log-densities (:func:`_cell_logdens`) too. The
-kernel, the sufficient statistics and the M-step carry a leading axis over S
-parameter sets: the public one-set functions use S = 1, and
-:func:`log_likelihood` also takes a sequence of sets. The EM loop
-(:func:`_run_starts`) walks its running starts in blocks (see
-``_EM_BLOCK``), each block taking its M-step and then its E-step, one pass
-over the cells per block rather than one per start. A stack without an
-E-step (:func:`_evaluate`) runs each cell once per distinct input and sums
-its per-case terms into log-likelihoods. The Hessian of :mod:`.effects`,
-the one finite difference left in the standard errors, hands its points
-over as packed vectors (:func:`_packed_stack`), never as
-:class:`ModelParams`; the sandwich's per-case scores take the posteriors of
-one kernel pass. Each set is rounded exactly as when it is evaluated alone
-(``_dot``, ``_matvec`` and C-ordered buffers keep BLAS on one code path for
-every S) and as in earlier releases, which ran one start at a time
-(``math.log`` for scales): the finite-difference Hessian moves the standard
-errors by up to 1% when an optimum moves in its 13th digit, so fits must not
-move with the batching. For the same reason the row maxima and sums over a
-cell's 2-3 strata columns are column-wise reductions (``_row_max``,
-``_row_sum``) that round exactly as numpy's ``max`` and ``sum`` do, and the
-broadcasts over those columns run column by column: numpy reduces or
-broadcasts a 2-3 wide axis with one inner loop per row, which costs far
-more than the arithmetic. Every sum over cases (``_case_sum``) adds each
-column's cases in order, from +0.0, as numpy's ``sum`` does over the rows of
-a C-ordered array, but in one ``np.einsum`` pass per column and on any
-memory layout, so the warm start sums its (cells, k, cases) stacks through a
-transposed view, without a copy.
+Every mixture evaluation (the log-likelihood, the per-case terms, the
+E-step, the EM loop, and the Hessian and scores of the standard errors) runs
+through one kernel over the dataset's cell partition, :attr:`Dataset.cells`;
+start ranking reads its component log-densities (:func:`_cell_logdens`) too.
+The kernel, the sufficient statistics and the M-step carry a leading axis
+over S parameter sets, and how many sets share a pass is decided here alone:
+the public functions take one set (S = 1). The EM loop (:func:`_run_starts`)
+walks its running starts in blocks (see ``_EM_BLOCK``), each block taking
+its M-step and then its E-step, one pass over the cells per block rather
+than one per start. The Hessian of :mod:`.effects`, the one finite
+difference left in the standard errors, hands its points over as one stack
+of packed vectors, never as :class:`ModelParams`, to
+:func:`_packed_logliks`, which runs each cell once per distinct input; the
+sandwich's per-case scores take the posteriors of one kernel pass. Each set
+is rounded exactly as when it is evaluated alone (``_dot``, ``_matvec`` and
+C-ordered buffers keep BLAS on one code path for every S) and as in earlier
+releases, which ran one start at a time (``math.log`` for scales): the
+finite-difference Hessian moves the standard errors by up to 1% when an
+optimum moves in its 13th digit, so fits must not move with the batching.
+For the same reason the row maxima and sums over a cell's 2-3 strata columns
+are column-wise reductions (``_row_max``, ``_row_sum``) that round exactly
+as numpy's ``max`` and ``sum`` do, and the broadcasts over those columns run
+column by column: numpy reduces or broadcasts a 2-3 wide axis with one inner
+loop per row, which costs far more than the arithmetic. Every sum over cases
+(``_case_sum``) adds each column's cases in order, from +0.0, as numpy's
+``sum`` does over the rows of a C-ordered array, but in one ``np.einsum``
+pass per column and on any memory layout, so the warm start sums its (cells,
+k, cases) stacks through a transposed view, without a copy.
 
 Under tobit, the M-step maximizes each (set, arm) problem by a damped
 Newton (:func:`_tobit_newton`), and its cost is the number of
@@ -60,12 +58,13 @@ The warm starts run the cells' mixture EMs in lockstep on padded stacks of
 at most ``_WARM_BLOCK`` entries (see :func:`_lockstep_em`), so a group of
 cells needs as many Python iterations as its slowest cell. The cells of many
 datasets can share the stacks (:func:`warm_start_cells` takes a sequence),
-which is how a recovery study warm-starts a chunk of its replicates at once.
-They keep their own arithmetic rather than going through :func:`_mix`,
-whose two-column log-sum-exp rounds differently, and each cell's components
-are bit for bit those of its EM run alone, whatever cells share its stack:
-padded cases carry weight 0, case sums add in case order, and the stop
-test's log-likelihood is one dot per cell over its own cases.
+and :func:`warm_start_stream` plans which consecutive datasets of a stream
+share one call, which is how a recovery study warm-starts a chunk of its
+replicates at once. They keep their own arithmetic rather than going through
+:func:`_mix`, whose two-column log-sum-exp rounds differently, and each
+cell's components are bit for bit those of its EM run alone, whatever cells
+share its stack: padded cases carry weight 0, case sums add in case order,
+and the stop test's log-likelihood is one dot per cell over its own cases.
 
 Starts are numbered by mapping id, and :func:`_start_sets` builds the
 initial parameter sets of a block of ids as stacked arrays. With three
@@ -95,7 +94,7 @@ import itertools
 import math
 import numbers
 from collections import defaultdict
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,18 +126,13 @@ FROZEN_WEIGHT_TOL = 1e-8
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _check_inputs(sets: Sequence[ModelParams], dataset: Dataset) -> Family:
-    """Check parameter sets of one family against the dataset; return it."""
-    family = sets[0].family
-    for p in sets:
-        if p.family is not family:
-            raise ValueError("parameter sets of different families")
-        if p.grid.k_levels != dataset.k_levels:
-            raise DataError(
-                f"dataset has {dataset.k_levels} levels but parameters use {p.grid.k_levels}"
-            )
-    check_censored(dataset.y, family)
-    return family
+def _check_inputs(params: ModelParams, dataset: Dataset) -> None:
+    """Check a parameter set's level count and family against the dataset."""
+    if params.grid.k_levels != dataset.k_levels:
+        raise DataError(
+            f"dataset has {dataset.k_levels} levels but parameters use {params.grid.k_levels}"
+        )
+    check_censored(dataset.y, params.family)
 
 
 # --------------------------------------------------------------------------
@@ -172,11 +166,9 @@ def _row_max(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _row_sum(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``a.sum(axis=-1)``: numpy adds fewer than 8 columns left to right
-    (from the first, so a row of -0.0 sums to -0.0 here and to +0.0 in
-    numpy); written into ``out`` when given."""
-    if a.shape[-1] >= 8:
-        return a.sum(axis=-1, out=out)
+    """``a.sum(axis=-1)`` of fewer than 8 columns, which numpy adds left to
+    right (from the first, so a row of -0.0 sums to -0.0 here and to +0.0
+    in numpy); written into ``out`` when given."""
     out = np.positive(a[..., 0], out=out)
     for j in range(1, a.shape[-1]):
         out += a[..., j]
@@ -267,30 +259,25 @@ def _mixture(dataset: Dataset, logp, table, scales, family: Family, want_post: b
             yield (cell, *_mix(cell, ld, logp[:, cell.strata], want_post))
 
 
-def _stack(sets: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Parameter sets as the kernel's stacks of S = len(sets)."""
-    return (_log_probs(np.stack([p.probs for p in sets])),
-            np.stack([p.location_table().T for p in sets]),
-            np.stack([p.scales for p in sets]))
+def _stack(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One parameter set as the kernel's stacks of S = 1."""
+    return (_log_probs(np.stack([params.probs])), np.stack([params.location_table().T]),
+            np.stack([params.scales]))
 
 
-def _packed_stack(points: np.ndarray, like: ModelParams, dataset: Dataset):
-    """Packed parameter vectors (S, p) of ``like``'s shape as the kernel's
-    stacks, each row rounding as :func:`_stack` rounds its unpacked set,
-    under either mean structure; no :class:`ModelParams` is built."""
-    _check_inputs([like], dataset)
+def _packed_logliks(points: np.ndarray, like: ModelParams, dataset: Dataset) -> np.ndarray:
+    """Weighted log-likelihoods (S,) of packed parameter vectors (S, p) of
+    ``like``'s shape, under either mean structure, each equal bit for bit to
+    :func:`log_likelihood` of the set unpacked alone; no :class:`ModelParams`
+    is built. A cell runs once per distinct row of its columns of the
+    stacks, ``_em_block(dataset)`` rows at a time, so the working set does
+    not grow with S."""
+    _check_inputs(like, dataset)
     probs, locations, scales = unpack_stack(points, like)
-    table = location_tables(locations, like)
-    return _log_probs(probs), np.ascontiguousarray(table.transpose(0, 2, 1)), scales
-
-
-def _evaluate(dataset: Dataset, logp, table, scales, family: Family) -> np.ndarray:
-    """Weighted log-likelihoods (S,) of S parameter sets stacked as for
-    :func:`_mixture`, each as when evaluated alone. A cell runs once per
-    distinct row of its columns of the stacks, ``_em_block(dataset)`` rows
-    at a time, so the working set does not grow with S."""
+    logp = _log_probs(probs)
+    table = np.ascontiguousarray(location_tables(locations, like).transpose(0, 2, 1))
     block = _em_block(dataset)
-    cens = _censored(dataset, table, scales, family)
+    cens = _censored(dataset, table, scales, like.family)
     ll = np.zeros(len(logp))
     for cell in filter(lambda c: c.y.size, dataset.cells):
         key = np.ascontiguousarray(np.concatenate(  # compared by bytes: -0.0 is not 0.0
@@ -301,39 +288,34 @@ def _evaluate(dataset: Dataset, logp, table, scales, family: Family) -> np.ndarr
         for lo in range(0, len(first), block):
             ids = first[lo:lo + block]  # a block of the distinct sets
             ld = _cell_logdens(cell, table[ids, cell.t][:, cell.strata], scales[ids, cell.t],
-                               family, None if cens is None else cens[ids, cell.t][:, cell.strata])
+                               like.family,
+                               None if cens is None else cens[ids, cell.t][:, cell.strata])
             terms[lo:lo + block] = _dot(_mix(cell, ld, logp[ids][:, cell.strata])[0], cell.w)
         ll += terms[inv]
     return ll
 
 
-def log_likelihood(params: ModelParams | Sequence[ModelParams],
-                   dataset: Dataset) -> float | np.ndarray:
+def log_likelihood(params: ModelParams, dataset: Dataset) -> float:
     """Weighted observed-data log-likelihood.
 
     Each case contributes its weight times the log of the mixture over the
     strata compatible with its (arm, z) cell: a treated case sums over the
     unobserved control-side level, a control case over the treated side.
-
-    Given one parameter set, returns a float. Given a sequence of sets of
-    one family, returns an array with one value per set (empty for none),
-    each equal bit for bit to the set's own value and to the log-likelihood
-    the EM loop reports for the set: a cell runs once per distinct input
-    among the sets (see :func:`_evaluate`).
+    The cells' terms are added in cell order as in the EM loop, so the value
+    equals bit for bit the log-likelihood the EM loop reports for the set.
     """
-    if isinstance(params, ModelParams):
-        return float(log_likelihood([params], dataset)[0])
-    if not len(params):
-        return np.zeros(0)
-    family = _check_inputs(params, dataset)
-    return _evaluate(dataset, *_stack(params), family)
+    _check_inputs(params, dataset)
+    ll = np.zeros(1)
+    for cell, lse, _ in _mixture(dataset, *_stack(params), params.family, False):
+        ll += _dot(lse, cell.w)
+    return float(ll[0])
 
 
 def case_loglik(params: ModelParams, dataset: Dataset) -> np.ndarray:
     """Per-case unweighted log mixture terms, aligned with the dataset rows."""
-    _check_inputs([params], dataset)
+    _check_inputs(params, dataset)
     out = np.zeros(dataset.n)
-    for cell, lse, _ in _mixture(dataset, *_stack([params]), params.family, False):
+    for cell, lse, _ in _mixture(dataset, *_stack(params), params.family, False):
         out[cell.rows] = lse[0]
     return out
 
@@ -345,9 +327,9 @@ def e_step(params: ModelParams, dataset: Dataset) -> np.ndarray:
     compatible entries are the normalized prior-times-density terms computed
     in log space with max subtraction.
     """
-    _check_inputs([params], dataset)
+    _check_inputs(params, dataset)
     out = np.zeros((dataset.n, params.grid.n_strata))
-    for cell, _, post in _mixture(dataset, *_stack([params]), params.family, True):
+    for cell, _, post in _mixture(dataset, *_stack(params), params.family, True):
         out[np.ix_(cell.rows, cell.strata)] = post[0]
     return out
 
@@ -694,16 +676,6 @@ def _warm_groups(sizes: np.ndarray, k: int) -> list[list[int]]:
     return groups
 
 
-def _one_warm_group(datasets: Sequence[Dataset]) -> bool:
-    """Whether one padded stack of :func:`_warm_groups` holds every cell of
-    ``datasets`` (of one level count), counting all of a cell's cases, the
-    most it can use (with one level each cell still runs alone): a recovery
-    study warm-starts such a chunk of replicates with one
-    :func:`warm_start_cells` call."""
-    sizes = [cell.y.size for ds in datasets for cell in ds.cells]
-    return datasets[0].k_levels * len(sizes) * max(sizes) <= _WARM_BLOCK
-
-
 def _lockstep_em(ys, ws, totals, floors, means, sds, props):
     """Weighted EM for the k-component normal mixtures of a group of cells,
     all advancing together.
@@ -900,6 +872,41 @@ def _warm_slots(datasets: Sequence[Dataset], family: Family) -> list:
     return slots
 
 
+def warm_start_stream(datasets: Iterable[Dataset], family: Family):
+    """Yield each of ``datasets`` (of one level count) with its cell starts,
+    in order: its slot of :func:`warm_start_cells`, or None where the
+    dataset's warm start alone raises WarmStartError.
+
+    The datasets are drawn lazily and warm-started in chunks of consecutive
+    ones, one ``warm_start_cells`` call a chunk: a chunk takes the next
+    dataset while one padded stack of :func:`_warm_groups` holds every cell
+    of the chunk, counting all of a cell's cases, the most it can use (with
+    one level each cell still runs alone); a dataset too large for one is a
+    chunk alone. So the stream holds at most one chunk and the next dataset,
+    and a recovery study warm-starts a chunk of its replicates at once."""
+    chunk: list[Dataset] = []
+    sizes: list[int] = []
+    for dataset in datasets:
+        more = [cell.y.size for cell in dataset.cells]
+        if chunk and dataset.k_levels * (len(sizes) + len(more)) * max(sizes + more) > _WARM_BLOCK:
+            yield from _warm_chunk(chunk, family)
+            chunk, sizes = [], []
+        chunk.append(dataset)
+        sizes += more
+    if chunk:
+        yield from _warm_chunk(chunk, family)
+
+
+def _warm_chunk(chunk: list[Dataset], family: Family):
+    """:func:`warm_start_stream`'s items of one chunk, each taken out of
+    ``chunk`` as it is yielded, so a dataset is freed once its consumer lets
+    it go."""
+    starts = warm_start_cells(chunk, family)
+    while chunk:
+        slot = starts.pop(0)
+        yield chunk.pop(0), None if isinstance(slot, WarmStartError) else slot
+
+
 # --------------------------------------------------------------------------
 # starting mappings
 # --------------------------------------------------------------------------
@@ -1037,9 +1044,10 @@ _RANK_GROUPS = 32
 # checks, or the count when that is larger.
 _RANK_BATCH = 64
 
-# The largest (sets x cases x strata) array the EM loop and _evaluate build,
-# in float64 entries: 2^16, 512 KiB. Sets run in blocks sized to the widest
-# cell, so the working set grows with neither the set count nor the cases.
+# The largest (sets x cases x strata) array the EM loop and _packed_logliks
+# build, in float64 entries: 2^16, 512 KiB. Sets run in blocks sized to the
+# widest cell, so the working set grows with neither the set count nor the
+# cases.
 _EM_BLOCK = 1 << 16
 
 
@@ -1542,8 +1550,8 @@ def fit(
     ``"nonmonotone"`` returns unconverged.
 
     ``warm`` is the dataset's cell starts, ``warm_start_cells(dataset,
-    family)`` or its slot of a call on several datasets, for a caller that
-    has computed them already (a recovery study warm-starts a chunk of
+    family)`` or what :func:`warm_start_stream` yields with it, for a caller
+    that has computed them already (a recovery study warm-starts a chunk of
     replicates at once); None computes them here, after the checks above.
     The fit is the same, bit for bit.
     """

@@ -6,14 +6,13 @@ fitted components landed on the right strata. Scoring is permutation-aware:
 a fit that is correct only up to a within-cell relabeling counts as swapped.
 :func:`run_study` runs the replicates of one :class:`SimConfig` in the
 calling thread, each from its own spawned seed, so a study is deterministic
-given its config. It draws them in chunks whose cells fill one lockstep
-group of warm starts, warm-starts each chunk at once and then fits its
-replicates one after another; every replicate's result is the one it gets
-alone (:func:`run_replicate`). A grid of sample sizes, dispersions,
-probability scenarios and disturbance shapes is a list of configs, one
-study each. Configs that differ only in shape share their replicate seeds,
-so a non-normal shape's report pairs replicate by replicate with the normal
-one: the misspecification comparison.
+given its config. :func:`em.warm_start_stream` warm-starts the replicates a
+chunk at a time as they are drawn, and they are fitted one after another;
+every replicate's result is the one it gets alone (:func:`run_replicate`). A
+grid of sample sizes, dispersions, probability scenarios and disturbance
+shapes is a list of configs, one study each. Configs that differ only in
+shape share their replicate seeds, so a non-normal shape's report pairs
+replicate by replicate with the normal one: the misspecification comparison.
 
 A disturbance shape is a name in ``SHAPES`` and a parameter: ``normal``
 takes none, ``heavy_tail:df`` is a Student-t with df > 2 and ``skewed:g`` a
@@ -32,7 +31,7 @@ from . import em
 from .core import Dataset, ModelParams, StrataGrid
 from .densities import Family
 from .em import NEAR_TIE_REL, FitConfig, check_count, check_level_count, fit, near_ties
-from .errors import StratfitError, WarmStartError
+from .errors import StratfitError
 
 __all__ = ["NEAR_TIE_REL", "SHAPES", "RecoveryReport", "ReplicateResult", "SimConfig", "generate",
            "parse_shape", "run_replicate", "run_study", "scenario_probs", "shape_label",
@@ -272,16 +271,17 @@ def _replicate_rng(config: SimConfig, index: int) -> np.random.Generator:
 
 
 def run_replicate(config: SimConfig, index: int, drawn=None) -> ReplicateResult:
-    """Fit and score replicate ``index``. ``drawn`` is its (dataset, truth,
-    warm starts or None) where :func:`run_study` has drawn it and
-    warm-started it with its chunk; by default it is drawn here and ``fit``
-    computes its warm starts. The result is the same either way."""
-    dataset, truth, warm = drawn or (*generate(config, _replicate_rng(config, index)), None)
+    """Fit and score replicate ``index``. ``drawn`` is its (dataset, warm
+    starts or None) where :func:`run_study` has drawn it and warm-started it
+    with its chunk; by default it is drawn here and ``fit`` computes its warm
+    starts. The result is the same either way."""
+    dataset, warm = drawn or (generate(config, _replicate_rng(config, index))[0], None)
     try:
         res = fit(dataset, config=FitConfig(tol=config.tol, max_iter=config.max_iter,
                                             starts=config.starts), warm=warm)
     except StratfitError as exc:
         return ReplicateResult(index=index, ok=False, error=str(exc))
+    truth = true_model(config)
     true_table = truth.location_table()
     loc_err = res.params.location_table() - true_table
     gap = config.dispersion_sd * config.sigma
@@ -299,37 +299,15 @@ def run_replicate(config: SimConfig, index: int, drawn=None) -> ReplicateResult:
     )
 
 
-def _chunks(config: SimConfig):
-    """The replicates, drawn in order, as lists of (index, dataset, truth)
-    whose cells fit one lockstep group of warm starts (see
-    ``em._one_warm_group``); a replicate too large for one is a chunk alone."""
-    chunk = []
-    for i in range(config.replicates):
-        dataset, truth = generate(config, _replicate_rng(config, i))
-        if chunk and not em._one_warm_group([d for _, d, _ in chunk] + [dataset]):
-            yield chunk
-            chunk = []
-        chunk.append((i, dataset, truth))
-    yield chunk
-
-
 def run_study(config: SimConfig) -> RecoveryReport:
     """All replicates of one config; deterministic given the config seed.
 
-    Each chunk of replicates (see :func:`_chunks`) is warm-started by one
-    ``em.warm_start_cells`` call; then :func:`run_replicate` fits and scores
-    its replicates in order, each dataset released after its fit. Every
-    result equals that of ``run_replicate(config, index)`` alone: a
-    replicate whose warm start failed is fitted without one, so ``fit``
-    raises what it raises alone."""
-    recs = []
-    for chunk in _chunks(config):
-        starts = em.warm_start_cells([dataset for _, dataset, _ in chunk], Family.NORMAL)
-        chunk.reverse()  # popped in replicate order, each released after its fit
-        starts.reverse()
-        while chunk:
-            (i, dataset, truth), warm = chunk.pop(), starts.pop()
-            if isinstance(warm, WarmStartError):
-                warm = None
-            recs.append(run_replicate(config, i, (dataset, truth, warm)))
+    The replicates are drawn in order and warm-started a chunk at a time by
+    :func:`em.warm_start_stream`; :func:`run_replicate` fits and scores each
+    one as the stream yields it. Every result equals that of
+    ``run_replicate(config, index)`` alone: a replicate whose warm start
+    failed is fitted without one, so ``fit`` raises what it raises alone."""
+    draws = (generate(config, _replicate_rng(config, i))[0] for i in range(config.replicates))
+    recs = [run_replicate(config, i, drawn)
+            for i, drawn in enumerate(em.warm_start_stream(draws, Family.NORMAL))]
     return RecoveryReport(config=config, truth=true_model(config), replicates=tuple(recs))

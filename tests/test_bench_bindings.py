@@ -66,9 +66,9 @@ def test_m_step_accepts_the_benchmark_call():
 def test_traced_se_counts_see_the_real_path(monkeypatch):
     # The traced run counts effects.loglik_evals and effects.case_loglik_evals
     # through these two names, which effects keeps, but no SE calls them: the
-    # Hessian, the only finite difference, takes its 2p^2 + 1 points as one
-    # packed stack; the sandwich's scores and the delta method's Jacobians
-    # are closed forms.
+    # Hessian, the only finite difference, evaluates its 2p^2 + 1 points as
+    # one stack of packed vectors (em._packed_logliks); the sandwich's scores
+    # and the delta method's Jacobians are closed forms.
     calls = Counter()
     stacks = []
 
@@ -81,17 +81,17 @@ def test_traced_se_counts_see_the_real_path(monkeypatch):
 
         return wrapper
 
-    real_stack = em._packed_stack
+    real_logliks = em._packed_logliks
 
-    def packed_stack(points, *args):
+    def packed_logliks(points, *args):
         stacks.append(len(points))
-        return real_stack(points, *args)
+        return real_logliks(points, *args)
 
     ds, _ = simulate_four_strata(200, seed=46)
     res = em.fit(ds)
     for name in ("log_likelihood", "case_loglik"):
         monkeypatch.setattr(effects, name, counted(name))
-    monkeypatch.setattr(em, "_packed_stack", packed_stack)
+    monkeypatch.setattr(em, "_packed_logliks", packed_logliks)
     effects.effect_table(res, ds)
     p = len(pack(res.params))
     assert calls == {}
@@ -113,12 +113,15 @@ def test_study_reaches_the_traced_bindings(bench, monkeypatch):
         report = simulate.run_study(config)
     finally:
         patches.restore()
-    chunks, chunk = 0, []
+    # the chunk rule: a chunk takes the next replicate while k * cells *
+    # largest cell stays within _WARM_BLOCK over every cell of the chunk
+    chunks, sizes = 0, []
     for i in range(config.replicates):
         ds, _ = simulate.generate(config, simulate._replicate_rng(config, i))
-        if chunk and not em._one_warm_group(chunk + [ds]):
-            chunks, chunk = chunks + 1, []
-        chunk.append(ds)
+        more = [cell.y.size for cell in ds.cells]
+        if sizes and ds.k_levels * (len(sizes) + len(more)) * max(sizes + more) > 2000:
+            chunks, sizes = chunks + 1, []
+        sizes += more
     assert tracer.calls["em.warm_start_cells"] == chunks + 1 >= 2
     assert [f.loglik for f in observer.fits] == [r.loglik for r in report.replicates]
     assert len(observer.fits) == config.replicates and report.n_failed == 0

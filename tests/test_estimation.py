@@ -161,7 +161,12 @@ class TestLogLikelihoodOracle:
                                np.zeros((grid.n_strata, 2)), np.ones(2))
 
             def stacked(params, ds):
-                return log_likelihood([fine, params, fine], ds)
+                # params packed between two fine sets: a logit of -inf for a
+                # probability of 0 and of 1000 for the others, against the
+                # last stratum's 0, whose probability exp(-1000) is 0 too
+                bad = pack(fine)
+                bad[:grid.n_strata - 1] = np.where(params.probs[:-1] > 0.0, 1000.0, -np.inf)
+                return em._packed_logliks(np.stack([pack(fine), bad, pack(fine)]), fine, ds)
 
             for evaluate in (log_likelihood, case_loglik, e_step, stacked):
                 with pytest.raises(DegenerateMixtureError, match="case 1"):
@@ -177,19 +182,14 @@ class TestLogLikelihoodOracle:
                         rng.uniform(0.5, 2.0, 2), family)
             for _ in range(4)
         ]
-        want = [log_likelihood(p, ds) for p in sets]
+        points = np.stack([pack(p) for p in sets])
+        want = [log_likelihood(unpack(v, truth), ds) for v in points]
         # blocks of two sets: the fifth starts a block of its own
         widest = max(cell.y.size * cell.strata.size for cell in ds.cells)
         monkeypatch.setattr(em, "_EM_BLOCK", 2 * widest)
-        got = log_likelihood(sets, ds)
+        got = em._packed_logliks(points, truth, ds)
         assert got.shape == (5,)
         assert got.tolist() == want
-
-    def test_empty_sequence_gives_no_values(self):
-        ds, _ = simulate_four_strata(50, seed=4)
-        for sets in ([], ()):
-            got = log_likelihood(sets, ds)
-            assert got.dtype == float and got.shape == (0,)
 
     @pytest.mark.parametrize("case", ["tobit", "linear", "three-level"])
     def test_repeated_sets_equal_one_set_calls(self, case, monkeypatch):
@@ -212,13 +212,13 @@ class TestLogLikelihoodOracle:
         for j in (0, grid.n_strata - 1, len(x) - 1):
             moves += [s * 1e-3 * np.eye(len(x))[j] for s in (1.0, -1.0)]
         moves += [a + b for a, b in itertools.combinations(moves[1:], 2)]
-        sets = [unpack(x + m, base) for m in moves]
+        points = [x + m for m in moves]
         if structure is SATURATED:  # bit for bit, so -0.0 is not 0.0
             for zero in (0.0, -0.0):
-                loc = base.locations.copy()
-                loc[0, 0] = zero
-                sets.append(ModelParams(grid, base.probs, loc, base.scales, family))
-        sets = [sets[i] for i in rng.permutation(2 * len(sets)) % len(sets)]
+                points.append(x.copy())
+                points[-1][grid.n_strata - 1] = zero  # the first location
+        points = np.stack([points[i] for i in rng.permutation(2 * len(points)) % len(points)])
+        sets = [unpack(v, base) for v in points]
         want = [log_likelihood(p, ds) for p in sets]
 
         distinct = {(c.t, c.z): len({cell_inputs(p, c) for p in sets}) for c in ds.cells}
@@ -238,16 +238,10 @@ class TestLogLikelihoodOracle:
         monkeypatch.setattr(em, "_EM_BLOCK", 2 * widest)
         monkeypatch.setattr(em, "_mix", counted_mix)
         monkeypatch.setattr(em, "norm_logcdf", counted_logcdf)
-        assert log_likelihood(sets, ds).tolist() == want
+        assert em._packed_logliks(points, base, ds).tolist() == want
         assert seen == distinct
         assert max(blocks.values()) > 1
         assert logcdf["calls"] == (family is Family.TOBIT)
-
-    def test_stacked_sets_of_mixed_families_rejected(self):
-        ds, truth = simulate_four_strata(50, seed=4, censor=True)
-        normal = ModelParams(GRID2, truth.probs, truth.locations, truth.scales)
-        with pytest.raises(ValueError, match="families"):
-            log_likelihood([truth, normal], ds)
 
 
 class TestColumnReductions:
@@ -274,10 +268,11 @@ class TestColumnReductions:
         a[3, rng.integers(n), rng.integers(c)] = np.nan
         for arr in (a, a[0], a[3]):  # stacked sets and one cell's (n, c)
             assert np.array_equal(em._row_max(arr), arr.max(axis=-1), equal_nan=True)
-            assert np.array_equal(em._row_sum(arr), arr.sum(axis=-1), equal_nan=True)
+            if c < 8:  # _row_sum's premise; numpy adds 8 or more columns pairwise
+                assert np.array_equal(em._row_sum(arr), arr.sum(axis=-1), equal_nan=True)
             assert np.array_equal(em._case_sum(arr), arr.sum(axis=-2), equal_nan=True)
-        # the IPF's margin over the middle axis
-        assert np.array_equal(em._row_sum(a.swapaxes(1, 2)), a.sum(axis=1), equal_nan=True)
+        if n < 8:  # the IPF's margin over the middle axis, of k <= 3 entries
+            assert np.array_equal(em._row_sum(a.swapaxes(1, 2)), a.sum(axis=1), equal_nan=True)
         # a Dataset takes weights of -0.0: a column of -0.0 addends sums to
         # +0.0, as in numpy (array_equal does not see the sign of a zero)
         zeros = np.full((2, n, c), -0.0)
@@ -324,10 +319,10 @@ class TestColumnReductions:
         # numpy's sum of a C-ordered copy, whatever the input's layout
         cases = min(cases, 2**18 // (sets * lanes))
         a = self.special_values(seed, share, (sets, cases, lanes))
-        want = a.sum(axis=-2) if lanes == 1 else self.in_case_order(a, 1)
         layouts = (a, np.asfortranarray(a), a.transpose(2, 0, 1).copy().transpose(1, 2, 0),
                    a.swapaxes(1, 2).copy().swapaxes(1, 2))
         with np.errstate(invalid="ignore"):
+            want = a.sum(axis=-2) if lanes == 1 else self.in_case_order(a, 1)
             for arr in layouts:
                 assert self.bits(em._case_sum(arr)) == self.bits(want)
             # the warm start's input: the F-contiguous (cases, lanes) view of
@@ -342,15 +337,16 @@ class TestColumnReductions:
     @example(seed=0, share=0.001, cells=1, k=2, cases=5000)
     @example(seed=1, share=0.0, cells=32, k=2, cases=5000)
     @example(seed=2, share=0.001, cells=4, k=2, cases=3542)
-    def test_lane_sum_adds_in_case_order(self, seed, share, cells, k, cases):
+    def test_case_sum_of_the_warm_start_lane_view(self, seed, share, cells, k, cases):
         # a lockstep group's (cells, k, cases) stack, up to 64 lanes, summed
-        # through its transposed (cases, lanes) view; a one-component cell
-        # runs alone, and its one lane is summed pairwise
+        # by _case_sum through its transposed (cases, lanes) view, as the
+        # warm start sums it; a one-component cell runs alone, and its one
+        # lane is summed pairwise
         cells = 1 if k == 1 else min(cells, 64 // k)
         cases = min(cases, 2**18 // (cells * k))
         a = self.special_values(seed, share, (cells, k, cases))
-        want = a.sum(axis=-1) if k == 1 else self.in_case_order(a, 2)
         with np.errstate(invalid="ignore"):
+            want = a.sum(axis=-1) if k == 1 else self.in_case_order(a, 2)
             got = em._case_sum(a.reshape(cells * k, cases).T).reshape(cells, k)
         assert self.bits(got) == self.bits(want)
 
@@ -976,6 +972,44 @@ class TestBatchedWarmStarts:
         # and a lane of -0.0 addends sums to +0.0, as numpy's sum does
         zeros = np.full(shape, -0.0)
         assert lane_sums(zeros).tobytes() == np.zeros(shape[:2]).tobytes()
+
+    def test_stream_draws_a_chunk_at_a_time_and_yields_in_order(self, monkeypatch):
+        # the 40-per-arm datasets' cells hold 10 to 30 cases: the 8 cells of
+        # two fit a stack of 512 entries (2 * 8 * 30 = 480) and those of three
+        # do not; the too-small one, whose warm start fails alone, joins the
+        # first
+        monkeypatch.setattr(em, "_WARM_BLOCK", 512)
+        small = Dataset.from_arrays([1.0, 2.0, 3.0, 4.0, 5.0],
+                                    [1, 1, 0, 0, 1], [0, 0, 0, 1, 1], k_levels=2)
+        datasets = [simulate_four_strata(40, seed=seed)[0] for seed in range(5)]
+        datasets[1:1] = [small]
+        drawn, chunks = [], []
+        real = em.warm_start_cells
+
+        def source():
+            for ds in datasets:
+                drawn.append(ds)
+                yield ds
+
+        def counted(chunk, family):
+            chunks.append(len(chunk))
+            return real(chunk, family)
+
+        monkeypatch.setattr(em, "warm_start_cells", counted)
+        stream = em.warm_start_stream(source(), Family.NORMAL)
+        got = [next(stream)]
+        assert len(drawn) <= chunks[0] + 1 < len(datasets)
+        got += stream
+        assert [ds for ds, _ in got] == datasets
+        assert all(a is b for (a, _), b in zip(got, datasets))
+        monkeypatch.undo()
+        for ds, warm in got:
+            want = alone(ds, Family.NORMAL)
+            if isinstance(want, WarmStartError):
+                assert warm is None
+            else:
+                assert_same_starts(warm, want)
+        assert got[1][1] is None and chunks == [2, 2, 2]
 
     def test_fit_takes_the_warm_starts(self):
         ds, _ = simulate_four_strata(150, seed=31)
@@ -1819,8 +1853,8 @@ class TestBatchedEM:
     def test_records_do_not_depend_on_the_block_size(self, case, monkeypatch):
         # one start per block, three per block and every start in one block
         # (a start pruned late trails a lead set in another block); the EM
-        # loop's log-likelihoods are the stacked evaluator's, bit for
-        # bit, and the start arrays are left as they were given
+        # loop's log-likelihoods are log_likelihood's, bit for bit, and the
+        # start arrays are left as they were given
         make, family, mean_structure, config, kinds = ORACLE_CASES[case]
         ds = make()
         ids, sets, floor = fit_starts(ds, family, mean_structure, config)
@@ -1832,9 +1866,8 @@ class TestBatchedEM:
             monkeypatch.setattr(em, "_EM_BLOCK", block)
             got = _run_starts(ds, ids, *sets, family, mean_structure, config.tol,
                               config.max_iter, floor, False)
-            stacked = log_likelihood([r.params for r in got], ds)
-            for r, value in zip(got, stacked.tolist()):
-                assert r.loglik == log_likelihood(r.params, ds) == value
+            for r in got:
+                assert r.loglik == log_likelihood(r.params, ds)
             for a, b in zip(sets, given):
                 np.testing.assert_array_equal(a, b)
             assert stop_kinds(got) == kinds

@@ -255,9 +255,9 @@ class TestStackedHessian:
         naive = observed_information_se(res, ds)
         sandwich = cluster_sandwich_se(res, ds, bread=naive)
 
-        def oracle(fun, x):
+        def oracle(like, dataset):
             return num_hessian_oracle(
-                lambda v: log_likelihood(unpack(v, res.params), ds), x, HESS_STEP)
+                lambda v: log_likelihood(unpack(v, like), dataset), pack(like), HESS_STEP)
 
         monkeypatch.setattr(effects, "_num_hessian", oracle)
         assert np.array_equal(naive.hessian, observed_information_se(res, ds).hessian)
