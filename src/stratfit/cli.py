@@ -3,6 +3,13 @@ diagnostics from a saved fit.
 
 Input CSV schema: columns y,t,z (required) and w,cluster (optional; defaults
 1 and the row index); t and z accept integer-valued floats such as ``1.0``.
+The file is UTF-8 in the csv module's default dialect: a byte-order mark is
+skipped, lines end in LF or CRLF, blank lines are skipped, fields may be
+quoted, spaces around a name or value are dropped, and a short record is
+padded with empty fields (an empty w is 1, an empty cluster a cluster of its
+own). A plain file (no quote, blank line, CR outside CRLF or line over the
+csv field limit) is tokenized by one ``np.loadtxt`` pass; the csv module
+walks every other file and every plain one that the tokenizer rejects.
 An input error names the file line of its row. All outputs are deterministic
 CSV/JSON given the same inputs and seed. Exit codes: 0 success, 2 input
 error (an OS error on a named file, such as a missing input or an output
@@ -99,6 +106,52 @@ def _write_json(path: str, payload: dict) -> None:
 # dataset ingestion
 # --------------------------------------------------------------------------
 
+def _values(columns: dict, n: int) -> tuple[np.ndarray, ...] | None:
+    """y, t, z and w of ``n`` records as float arrays (an empty weight is 1),
+    or None if no record reaches a required column, a value does not parse
+    or a level is not an integer."""
+    try:
+        y, t, z = (np.array(columns[name], dtype=float) for name in "ytz")
+        w = (np.array([v.strip() or "1" for v in columns["w"]], dtype=float)
+             if "w" in columns else np.ones(n))
+    except (KeyError, ValueError):
+        return None
+    return (y, t, z, w) if np.all(np.isfinite(z) & (z == np.floor(z))) else None
+
+
+def _tokenized(data: bytes, cols: list[str]):
+    """The values, columns and file lines of the records of a plain file,
+    from one ``np.loadtxt`` pass over its bytes; None if the file is
+    not plain, or if the tokenizer rejects a record or reads a value that
+    the csv walk must name.
+
+    A plain file has a record, no ``"``, no blank line, no ``\\r`` outside
+    ``\\r\\n`` and no line longer than the csv module's field limit (the csv
+    walk rejects a longer field), so its record i sits on line i + 2."""
+    buf = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    crlf = buf[ends - 1] == ord("\r")
+    gaps = np.diff(ends)  # the length of each line after the first, with its end
+    lines = len(ends) - data.endswith(b"\n")  # after the header
+    if (lines < 1 or b'"' in data or np.any((gaps == 1) | ((gaps == 2) & crlf[1:]))
+            or np.count_nonzero(buf == ord("\r")) != np.count_nonzero(crlf)
+            or np.diff(ends, prepend=-1, append=len(data)).max() > csv.field_size_limit()):
+        return None
+    body = io.BytesIO(data)  # shares the bytes, and yields the lines after ends[0]
+    body.seek(ends[0] + 1)
+    dtype = np.dtype([("", float if name in ("y", "t", "z") else object) for name in cols])
+    try:
+        table = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None, quotechar=None,
+                           ndmin=1, encoding="utf-8")
+    except ValueError:
+        return None
+    columns = dict(zip(cols, (table[name] for name in dtype.names)))
+    values = _values(columns, lines)
+    if values is None:
+        return None
+    return values, columns, range(2, lines + 2)
+
+
 def _parse_record(cols: list[str], row: list[str], line: int) -> tuple[float, ...]:
     """y, t, z and w of one CSV record, or DataError naming its line."""
     if len(row) > len(cols):
@@ -113,12 +166,40 @@ def _parse_record(cols: list[str], row: list[str], line: int) -> tuple[float, ..
         raise DataError(f"row {line}: {exc}") from None
 
 
+def _walked(reader, cols: list[str]):
+    """The values, columns and file lines of the records left in the csv
+    ``reader``, read column by column; a bad record's error names its line
+    (blank lines are skipped, so records are not lines), parsing record by
+    record to find it."""
+    records = [(row, reader.line_num) for row in reader if row]
+    if not records:
+        raise DataError("input file has no data rows")
+    rows, lines = zip(*records)
+    columns = dict(zip(cols, itertools.zip_longest(*rows, fillvalue="")))  # pads short records
+    values = _values(columns, len(rows)) if max(map(len, rows)) <= len(cols) else None
+    if values is None:  # raises at the first bad record
+        values = map(np.array, zip(*(_parse_record(cols, *rec) for rec in records)))
+    return values, columns, lines
+
+
 def read_dataset(path: str, levels: int, dichotomize: bool, family: Family) -> Dataset:
     """Read the y,t,z[,w,cluster] CSV column by column. :class:`Dataset`
-    checks the values; a violation names its file line (blank lines are
-    skipped, so records are not lines), parsing record by record to find it."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:  # Excel may write a BOM
-        reader = csv.reader(fh)
+    checks the values; a violation names its file line.
+
+    The dialect is the csv module's default on UTF-8 text: a byte-order
+    mark is skipped, lines end in LF or CRLF (or CR), blank lines are
+    skipped, fields may be quoted, and spaces around a header name or a
+    value are dropped. ``w`` and ``cluster`` are optional; an empty ``w``
+    is 1, an empty ``cluster`` a cluster of its own, and a short record is
+    padded with empty fields. A plain file (see :func:`_tokenized`) is read
+    by one ``np.loadtxt`` pass. Any other file, and a plain one that the
+    tokenizer rejects, is walked record by record by the csv module, which
+    alone handles quoting and names a bad record's line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # Excel may write a byte-order mark; the wrapper shares the bytes
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
+    try:
         header = next(reader, None)
         if header is None:
             raise DataError("input file is empty")
@@ -129,21 +210,18 @@ def read_dataset(path: str, levels: int, dichotomize: bool, family: Family) -> D
         for required in ("y", "t", "z"):
             if required not in cols:
                 raise DataError(f"missing required column '{required}'")
-        records = [(row, reader.line_num) for row in reader if row]
-    if not records:
-        raise DataError("input file has no data rows")
-    rows, lines = zip(*records)
-    columns = dict(zip(cols, itertools.zip_longest(*rows, fillvalue="")))  # pads short records
-    try:
-        y, t, z = (np.array(columns[name], dtype=float) for name in "ytz")
-        w = (np.array([v.strip() or "1" for v in columns["w"]], dtype=float)
-             if "w" in columns else np.ones(len(rows)))
-        parsed = (max(map(len, rows)) <= len(cols)
-                  and np.all(np.isfinite(z) & (z == np.floor(z))))
-    except (KeyError, ValueError):  # KeyError: no record reaches a required column
-        parsed = False
-    if not parsed:  # raises at the first bad record
-        y, t, z, w = map(np.array, zip(*(_parse_record(cols, *rec) for rec in records)))
+        (y, t, z, w), columns, lines = _tokenized(data, cols) or _walked(reader, cols)
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        raise DataError(f"row {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:  # its position is within a chunk: find the byte in the file
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = data[:exc.start]
+            line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+            raise DataError(f"row {line}: byte 0x{data[exc.start]:02x} is not UTF-8 "
+                            f"({exc.reason})") from None
+        raise
     if dichotomize:
         z = np.where(z > 0, 1, 0)
     if np.any((z < 0) | (z >= levels)):

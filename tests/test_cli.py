@@ -1,3 +1,4 @@
+import codecs
 import csv
 import dataclasses
 import itertools
@@ -8,6 +9,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stratfit import cli
 from stratfit.cli import load_fit, main, read_dataset, read_sim_config, save_fit
@@ -65,6 +68,108 @@ def read_csv_columns(path) -> dict[str, list[str]]:
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     return {key: [r[key] for r in rows] for key in rows[0]}
+
+
+def record_by_record(path, levels=2, family=Family.NORMAL) -> Dataset:
+    """The reader's oracle: a csv.DictReader pass over the file, one record
+    at a time, given to Dataset.from_arrays. Header errors are not modelled;
+    any other error is read_dataset's DataError, with its message and row."""
+    y, t, z, w, cluster, lines = [], [], [], [], [], []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.DictReader(fh)
+        width = len(reader.fieldnames)
+        for row in reader:
+            line = reader.line_num
+            if None in row:  # DictReader keeps the surplus fields under None
+                raise DataError(f"row {line}: {width + len(row[None])} fields, "
+                                f"the header names {width}")
+            row = {k.strip(): (v or "").strip() for k, v in row.items()}
+            try:
+                values = [float(row[name]) for name in "ytz"]
+                if not values[2].is_integer():
+                    raise ValueError("z must be an integer level")
+                w.append(float(row["w"]) if row.get("w") else 1.0)
+            except ValueError as exc:
+                raise DataError(f"row {line}: {exc}") from None
+            y.append(values[0])
+            t.append(values[1])
+            z.append(int(values[2]))
+            cluster.append(row.get("cluster") or f" {line}")
+            lines.append(line)
+    if not lines:
+        raise DataError("input file has no data rows")
+    bad = [i for i, level in enumerate(z) if not 0 <= level < levels]
+    if bad:
+        raise DataError(f"row {lines[bad[0]]}: z={z[bad[0]]} outside [0, {levels}) "
+                        "(use --dichotomize to collapse levels above 0)")
+    try:
+        return Dataset.from_arrays(y, t, np.array(z), w, np.array(cluster, dtype=object),
+                                   k_levels=levels, family=family)
+    except DataError as exc:
+        raise DataError(f"row {lines[exc.row]}: {exc}", row=exc.row) from None
+
+
+def outcome(read):
+    """The arrays of the dataset ``read()`` returns, or its DataError's text and row."""
+    try:
+        return dataset_bits(read())
+    except DataError as exc:
+        return str(exc), exc.row
+
+
+# cell spellings by column: the first ones are plain numbers and labels;
+# then come those the tokenizer rejects or the rules do, and quoted labels
+CELLS = {
+    "y": ["1.5", " -2.25 ", "0", "1e0", "-0.0", "+3", "2\x0c", "1_0", "\u0661", "", "ouch",
+          "nan", "inf"],
+    "t": ["0", "1", "1.0", " 0 ", "1e0", "-0.0", "", "2", "nan"],
+    "z": ["0", "1", "1.0", "0.", "+1", " 1 ", "1_0", "\u0661", "0.5", "", "inf", "nan", "3"],
+    "w": ["1", "0.5", " 2 ", "", "-0.0", "1_0", "-1", "inf"],
+    "cluster": ["c1", "c2", " c1 ", "", "c\x0cd", "\u00e9", "a,b", 'q"x'],
+    "note": ["n", "", " m ", "\x0c", "x y", "x,y"],
+}
+
+
+@st.composite
+def csv_files(draw):
+    """A CSV file of up to six records: a header with y, t and z and maybe
+    w, cluster and a column the reader does not use, in any order; LF, CRLF
+    or mixed line ends (CR among them), maybe a byte-order mark and blank
+    lines; maybe some columns quoted, and any cell that must be. A messy
+    file draws from all of CELLS and may have short and surplus records;
+    the others draw from the first five spellings of each column."""
+    cols = draw(st.permutations(["y", "t", "z", *draw(st.lists(
+        st.sampled_from(["w", "cluster", "note"]), unique=True))]))
+    messy = draw(st.booleans())  # else plain cells, records of the header's width
+    ragged = messy and draw(st.booleans())
+    quoted = draw(st.sets(st.sampled_from(cols))) if draw(st.booleans()) else set()
+    blank = draw(st.booleans())
+    ends = draw(st.sampled_from([["\n"], ["\r\n"], ["\n", "\r\n"], ["\r", "\r\n", "\n"]]))
+
+    def field(col, text):
+        if col in quoted or '"' in text or "," in text:
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    lines = [",".join(f" {c}" if draw(st.booleans()) else c for c in cols)]
+    for _ in range(draw(st.integers(0, 6))):
+        pool = {c: CELLS[c] if messy else CELLS[c][:5] for c in cols}
+        record = [field(c, draw(st.sampled_from(pool[c]))) for c in cols]
+        if ragged:
+            record = record[:draw(st.integers(1, len(record)))] + ["7"] * draw(st.integers(0, 1))
+        lines.append(",".join(record))
+        if blank and draw(st.booleans()):
+            lines.append("")
+    text = "".join(line + draw(st.sampled_from(ends)) for line in lines)
+    if not draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return (bom + text).encode()
+
+
+def dataset_bits(ds) -> dict:
+    return {name: (getattr(ds, name).dtype, getattr(ds, name).tobytes())
+            for name in ("y", "t", "z", "w", "cluster")}
 
 
 class TestReadDataset:
@@ -183,8 +288,8 @@ class TestReadDataset:
 
     def test_columns_equal_the_record_by_record_parse(self, tmp_path):
         # odd spellings and spaces, a blank line, empty and missing weights
-        # and clusters: the arrays are those of a csv.DictReader pass, one
-        # record at a time, given to Dataset.from_arrays, bit for bit
+        # and clusters: the arrays are those of the record-by-record oracle,
+        # bit for bit
         rng = np.random.default_rng(3)
         text = ["y, t ,z,w ,cluster"]
         for i in range(2000):
@@ -194,29 +299,78 @@ class TestReadDataset:
         text[5:5] = ["", " 2.5 ,1.0, 0. ,,", "-0.0,0,1e0, 1.5 , c3 ", "+3,1,1", "1_0,0,0,2"]
         path = tmp_path / "cases.csv"
         path.write_text("\n".join(text) + "\n")
-        y, t, z, w, cluster = [], [], [], [], []
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                row = {k.strip(): (v or "").strip() for k, v in row.items()}
-                y.append(float(row["y"]))
-                t.append(float(row["t"]))
-                z.append(int(float(row["z"])))
-                w.append(float(row["w"]) if row["w"] else 1.0)
-                cluster.append(row["cluster"] or f" {reader.line_num}")
-        want = Dataset.from_arrays(y, t, np.array(z), w, np.array(cluster, dtype=object),
-                                   k_levels=2)
         got = read_dataset(str(path), 2, False, Family.NORMAL)
         assert got.n == 2004
-        for name in ("y", "t", "z", "w", "cluster"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+        assert dataset_bits(got) == dataset_bits(record_by_record(path))
 
     def test_byte_order_mark_before_the_header_is_skipped(self, tmp_path):
         path = tmp_path / "excel.csv"
         path.write_text("\ufeffy,t,z\n1.0,0,0\n2.0,1,1\n", encoding="utf-8")
         ds = read_dataset(str(path), 2, False, Family.NORMAL)
         assert ds.y.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("data, line", [
+        (b"y,t,z\n1.0,0,0\n2.0,\xff,1\n", 3),
+        (codecs.BOM_UTF8 + b"y,t,z\r\n1.0,0,0\r\n\r\n2.0,1,1\xe2\x82\r\n", 4),
+        (b"y,t,z\r1.0,0,0\r2.0,1,1\r3.0,0,\xc3", 4),
+        (b"y,t,\xffz\n1.0,0,0\n", 1),
+    ], ids=["lf", "bom_crlf_blank_line", "cr", "header"])
+    def test_undecodable_byte_reports_its_line(self, tmp_path, capsys, data, line):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(data)
+        with pytest.raises(DataError, match=f"^row {line}: byte 0x.. is not UTF-8 "):
+            read_dataset(str(path), 2, False, Family.NORMAL)
+        assert main(["fit", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: row {line}: byte 0x")
+
+    @pytest.mark.parametrize("record", [
+        "2.0,1,{long}1,b",  # a plain file: no quote, so the tokenizer could read it
+        '2.0,1,1,"{long}"',  # a quoted one: only the csv walk can
+    ], ids=["plain", "quoted"])
+    def test_field_over_the_csv_limit_exits_2_naming_its_line(self, tmp_path, capsys, record):
+        path = tmp_path / "long.csv"
+        long = "0" * (csv.field_size_limit() + 1)
+        path.write_text(f"y,t,z,cluster\n1.0,0,0,a\n{record.format(long=long)}\n3.0,0,1,c\n")
+        message = f"row 3: field larger than field limit ({csv.field_size_limit()})"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            read_dataset(str(path), 2, False, Family.NORMAL)
+        assert main(["fit", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_line_over_the_csv_limit_with_short_fields_is_read(self, tmp_path):
+        # the line is longer than the field limit, no field is: read like
+        # any other file
+        half = csv.field_size_limit() // 2 + 1
+        path = tmp_path / "long.csv"
+        path.write_text(f"y,t,z,cluster,note\n1.0,0,0,{'a' * half},{'b' * half}\n"
+                        "2.0,1,1,c,d\n")
+        got = read_dataset(str(path), 2, False, Family.NORMAL)
+        assert dataset_bits(got) == dataset_bits(record_by_record(path))
+
+    def test_both_parsing_paths_equal_the_record_by_record_parse(self, tmp_path, monkeypatch):
+        # generated files, plain or not, read by read_dataset and by the
+        # oracle: the same arrays, bit for bit, or the same error and row;
+        # at least one file is tokenized and at least one walked
+        tokenized = []
+
+        def spy(*args):
+            tokenized.append(real(*args))
+            return tokenized[-1]
+
+        real = cli._tokenized
+        monkeypatch.setattr(cli, "_tokenized", spy)
+        path = tmp_path / "cases.csv"
+
+        @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @given(csv_files())
+        @example(b'y,t,z,cluster\r\n1.5,0,0,"c1"\r\n2.5,1,1,c1\r\n3.5,0,1,""\r\n4.5,1,0,""\r\n')
+        def agree(data):
+            path.write_bytes(data)
+            assert (outcome(lambda: read_dataset(str(path), 2, False, Family.NORMAL))
+                    == outcome(lambda: record_by_record(path)))
+
+        agree()
+        assert any(r is not None for r in tokenized) and None in tokenized
 
 
 class TestCmdFit:

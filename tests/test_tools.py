@@ -264,6 +264,25 @@ def test_cli_outputs_hash_the_files_of_the_bench_pass(tmp_path):
     assert hashes[0][0]["cli:exit"] == "0"
 
 
+def test_bench_analyses_write_the_bits_of_each_read_dataset(tmp_path, monkeypatch):
+    # normal-cli's analyses carry the dtype, shape and bytes' sha256 of each
+    # array read_dataset returns for their CSV, among the CLI outputs
+    tool = import_tool("bit_evidence")
+    monkeypatch.setattr(tool, "SEEDS", range(1))
+    monkeypatch.setattr(tool.wl, "build_inputs",
+                        functools.partial(tool.wl.build_inputs, size="tiny"))
+    analyses = list(tool.bench_analyses(str(tmp_path), ["normal-cli"]))
+    assert len(analyses) == 2
+    for _, ds, *_, files in analyses:
+        bits = {key: value for key, value in files.items() if key.startswith("cli:dataset:")}
+        assert sorted(bits) == sorted(f"cli:dataset:{name}" for name in ("y", "t", "z", "w",
+                                                                          "cluster"))
+        assert bits == tool.dataset_bits(ds)
+        assert bits["cli:dataset:y"] == (
+            f"<f8({ds.n},):{hashlib.sha256(ds.y.tobytes()).hexdigest()}")
+        assert "cli:exit" in files
+
+
 def test_compare_answers_passes_a_change_to_losing_starts_only(tmp_path):
     # the CLI files of one tiny normal-cli analysis, then the same files with
     # a loser's trace.csv row, fit.json entry and the stop-reason counts

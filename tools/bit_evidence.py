@@ -23,8 +23,12 @@ runs the benchmark's pass, ``cli.main(["fit", ...])`` on each CSV, and
 writes the exit status and the sha256 of every output file (keys
 ``cli:exit`` and ``cli:<file name>``, with the work directory written as
 ``<work>`` before hashing), with the parts of them that record every start
-hashed apart (``cli:<file name>#<part>``, see :func:`hash_outputs`).
-Values are strings, so two dumps are equal exactly when every bit is.
+hashed apart (``cli:<file name>#<part>``, see :func:`hash_outputs`), and
+the dtype, shape and sha256 of the bytes of every array of the dataset that
+``cli.read_dataset`` returns for each CSV (``cli:dataset:<field>``, see
+:func:`dataset_bits`), so ``compare`` shows a change to the reader without
+going through the fits. Values are strings, so two dumps are equal exactly
+when every bit is.
 ``--workload`` keeps only the named workloads, for checking one while a
 change is made; the evidence for a change is still the dump of all four.
 ``dump --grid`` writes the fits of the recovery grid instead (see
@@ -187,6 +191,14 @@ def hash_outputs(files: dict[str, bytes]) -> dict[str, str]:
     return out
 
 
+def dataset_bits(ds: Dataset) -> dict[str, str]:
+    """Each array field of ``ds`` as ``cli:dataset:<field>``: its dtype and
+    shape, then the sha256 of its bytes."""
+    fields = {f.name: getattr(ds, f.name) for f in dataclasses.fields(ds)}
+    return {f"cli:dataset:{name}": f"{a.dtype.str}{a.shape}:{_sha(a.tobytes())}"
+            for name, a in fields.items() if isinstance(a, np.ndarray)}
+
+
 def cli_outputs(inputs: wl.Inputs, work: str) -> list[dict]:
     """Run the CLI pass of a workload with CSV inputs (``normal-cli``) as the
     benchmark runs it; per analysis, the exit status as ``cli:exit`` and the
@@ -207,7 +219,7 @@ def bench_analyses(work: str, names=wl.WORKLOADS):
     analysis of the benchmark workloads ``names`` (default all four) at data
     seeds 0-15, built as each workload builds them; CSVs are written under
     ``work``. The CLI outputs are :func:`cli_outputs`' dict for a CSV
-    workload, else empty."""
+    workload, with the :func:`dataset_bits` of the CSV's dataset, else empty."""
     for name in names:
         for seed in SEEDS:
             inputs = wl.build_inputs(name, seed, work)
@@ -217,6 +229,7 @@ def bench_analyses(work: str, names=wl.WORKLOADS):
             for i, arr in enumerate(inputs.arrays):
                 if inputs.csv_paths:
                     ds = cli.read_dataset(inputs.csv_paths[i], spec.k_levels, False, spec.family)
+                    files[i].update(dataset_bits(ds))
                 else:
                     ds = Dataset.from_arrays(arr["y"], arr["t"], arr["z"], cluster=arr["cluster"],
                                              k_levels=spec.k_levels, family=spec.family)
